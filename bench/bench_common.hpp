@@ -9,10 +9,12 @@
 #pragma once
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "obs/bus.hpp"
@@ -37,15 +39,26 @@ inline void print_row_sep() {
   std::printf("-------------------------------------------------------------\n");
 }
 
-/// Parses "--iters=N"-style overrides from argv.
+/// Parses "--iters=N"-style overrides from argv. A value that is not a
+/// whole decimal number in u64 range ("abc", "-1", "12x") is a usage
+/// error: the bench says so and exits with code 2.
 inline u64 arg_u64(int argc, char** argv, const std::string& key,
                    u64 fallback) {
   const std::string prefix = "--" + key + "=";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) {
-      return std::stoull(arg.substr(prefix.size()));
+    if (arg.rfind(prefix, 0) != 0) continue;
+    const char* first = arg.c_str() + prefix.size();
+    const char* last = arg.c_str() + arg.size();
+    u64 value = 0;
+    const auto [end, ec] = std::from_chars(first, last, value);
+    if (first == last || ec != std::errc{} || end != last) {
+      std::fprintf(stderr,
+                   "usage error: %s%s: expected a whole number >= 0\n",
+                   prefix.c_str(), first);
+      std::exit(2);
     }
+    return value;
   }
   return fallback;
 }
@@ -75,15 +88,14 @@ inline sim::Rng seeded_rng(u64 seed) { return sim::Rng(seed); }
 /// against the supported range here so every bench rejects a bad count
 /// with a clear message instead of tripping config validation later.
 inline int arg_cores(int argc, char** argv, int fallback = 48) {
-  const int cores = static_cast<int>(
-      arg_u64(argc, argv, "cores", static_cast<u64>(fallback)));
-  if (cores == fallback) return cores;  // sentinel fallbacks pass through
+  const u64 cores = arg_u64(argc, argv, "cores", static_cast<u64>(fallback));
+  if (cores == static_cast<u64>(fallback)) return fallback;  // sentinels
   if (cores < 1 || cores > 1024) {
-    std::fprintf(stderr, "--cores=%d outside the supported [1, 1024]\n",
-                 cores);
+    std::fprintf(stderr, "--cores=%llu outside the supported [1, 1024]\n",
+                 static_cast<unsigned long long>(cores));
     std::exit(2);
   }
-  return cores;
+  return static_cast<int>(cores);
 }
 
 /// Parses "--key=string" overrides from argv.

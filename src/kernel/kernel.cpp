@@ -1,5 +1,6 @@
 #include "kernel/kernel.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -7,6 +8,165 @@
 #include "sccsim/addrmap.hpp"
 
 namespace msvm::kernel {
+
+namespace {
+
+/// One spin_wait, as a state machine both the fiber and the scheduler's
+/// poll hook can advance. Each poll is: the relax wake-up, then the read
+/// and its access tick (TAS: tick then test-and-set; MPB byte: load then
+/// tick), then the loop tail (spin count, on_stuck, watchdog, the next
+/// relax). The tick may yield mid-way when it passes a boundary, which
+/// splits a poll in two; `phase_` records where the fiber must pick up
+/// when the hook hands it back.
+class SpinWait {
+ public:
+  SpinWait(scc::Core& core, const scc::WatchedWord& word,
+           const SpinWaitOpts& opts)
+      : core_(core),
+        word_(word),
+        opts_(opts),
+        cost_(core.poll_cost(word)),
+        t0_(core.now()),
+        backoff_(opts.start_ps) {}
+
+  void run();
+
+ private:
+  enum class Phase : u8 {
+    kPoll,      // next: a whole poll
+    kSleeping,  // relaxing until slept_at_ + gap; next: the wake-up
+    kRead,      // TAS access ticked (the fiber would have yielded); next:
+                // the test-and-set
+    kMissed,    // the poll failed and is charged; next: the loop tail
+  };
+
+  sim::PollStep step(TimePs at, bool timed_out, TimePs others);
+
+  TimePs next_gap() {
+    const TimePs gap = backoff_;
+    backoff_ = std::min(backoff_ * 2, opts_.cap_ps);
+    return gap;
+  }
+
+  scc::Core& core_;
+  const scc::WatchedWord word_;
+  const SpinWaitOpts& opts_;
+  const TimePs cost_;  // access latency of one poll
+  const TimePs t0_;    // when the wait began (watchdog)
+  TimePs backoff_;
+  TimePs slept_at_ = 0;
+  u64 spins_ = 0;
+  Phase phase_ = Phase::kPoll;
+};
+
+void SpinWait::run() {
+  scc::Chip& chip = core_.chip();
+  sim::Actor& self = *core_.actor();
+  sim::BlockScope scope(&self, opts_.site, opts_.site_arg, opts_.site_arg2);
+  const auto hook = [this](TimePs at, bool timed_out, TimePs others) {
+    return step(at, timed_out, others);
+  };
+  for (;;) {
+    if (phase_ != Phase::kMissed) {
+      const bool got = phase_ == Phase::kRead ? core_.tas_read(word_.reg)
+                                              : core_.poll(word_);
+      if (got) return;
+      if (opts_.on_miss) opts_.on_miss();
+    }
+    ++spins_;
+    if (opts_.warn_every != 0 && spins_ % opts_.warn_every == 0 &&
+        opts_.on_stuck) {
+      opts_.on_stuck(spins_);
+    }
+    if (chip.watchdog().check(core_.now(), t0_, opts_.site, core_.id())) {
+      chip.scheduler().block();  // parked; teardown unwinds via cancel
+    }
+    const TimePs gap = next_gap();
+    phase_ = Phase::kPoll;
+    if (core_.in_interrupt() || core_.irqs_masked()) {
+      core_.relax(gap);  // cannot sleep here: no hook either
+      continue;
+    }
+    slept_at_ = core_.now();
+    phase_ = Phase::kSleeping;
+    // The hook only runs while the fiber is parked in this block; the
+    // guard also clears it when teardown unwinds the fiber from here.
+    struct HookGuard {
+      sim::Actor& actor;
+      ~HookGuard() { actor.set_poll_hook({}); }
+    } guard{self};
+    self.set_poll_hook(hook);
+    chip.scheduler().block_until(slept_at_ + gap);
+    if (phase_ == Phase::kSleeping) {  // the hook left the wake-up to us
+      core_.wake_from_relax(slept_at_);
+      phase_ = Phase::kPoll;
+    }
+  }
+}
+
+sim::PollStep SpinWait::step(TimePs at, bool timed_out, TimePs others) {
+  constexpr sim::PollStep kRun{};
+  const bool tas = word_.kind == scc::WatchedWord::Kind::kTas;
+  switch (phase_) {
+    case Phase::kSleeping:
+      // A poll that might succeed, or a wake-up that is not the plain
+      // timeout, is the fiber's.
+      if (!timed_out || !core_.can_step_poll(at, cost_) ||
+          core_.word_ready(word_)) {
+        return kRun;
+      }
+      core_.actor()->advance_to(at);
+      core_.wake_from_relax(slept_at_);  // delivers nothing (can_step_poll)
+      if (!tas) core_.charge_failed_poll(word_);
+      if (core_.tick_quiet(cost_) && others < core_.now()) {
+        // The fiber would yield mid-tick: re-queue at the tick's end, as
+        // maybe_yield does, with the rest of the poll pending.
+        phase_ = tas ? Phase::kRead : Phase::kMissed;
+        return {core_.now(), /*timeout=*/false};
+      }
+      if (tas) core_.charge_failed_poll(word_);  // still held: see above
+      break;
+    case Phase::kRead:
+      // The test-and-set reads the register at this post-yield moment.
+      if (core_.word_ready(word_)) return kRun;
+      core_.charge_failed_poll(word_);
+      break;
+    case Phase::kMissed:
+      break;
+    case Phase::kPoll:
+      return kRun;
+  }
+  phase_ = Phase::kMissed;
+  // The loop tail: on_stuck and a watchdog trip act on the host, so they
+  // are the fiber's too.
+  if ((opts_.warn_every != 0 && opts_.on_stuck &&
+       (spins_ + 1) % opts_.warn_every == 0) ||
+      core_.chip().watchdog().would_trip(core_.now(), t0_)) {
+    return kRun;
+  }
+  ++spins_;
+  slept_at_ = core_.now();
+  phase_ = Phase::kSleeping;
+  return {slept_at_ + next_gap(), /*timeout=*/true};
+}
+
+}  // namespace
+
+SpinWaitOpts tas_spin_opts(scc::Core& core, const char* site,
+                           u64 site_arg) {
+  const TimePs cycle = core.chip().config().core_cycle_ps();
+  SpinWaitOpts opts;
+  opts.start_ps = 16 * cycle;
+  opts.cap_ps = 4096 * cycle;
+  opts.site = site;
+  opts.site_arg = site_arg;
+  return opts;
+}
+
+void spin_wait(scc::Core& core, const scc::WatchedWord& word,
+               const SpinWaitOpts& opts) {
+  SpinWait(core, word, opts).run();
+}
 
 Kernel::Kernel(scc::Core& core) : core_(core) {}
 

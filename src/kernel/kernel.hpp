@@ -10,7 +10,6 @@
 // callback.
 #pragma once
 
-#include <algorithm>
 #include <functional>
 #include <vector>
 
@@ -20,53 +19,49 @@
 
 namespace msvm::kernel {
 
-/// Tuning for spin_wait below. The defaults reproduce the historical
-/// exponential backoff used by every TAS spin loop in the tree (start at
-/// 16 core cycles, double to a 4096-cycle cap).
+/// Tuning for spin_wait below. The backoff is in picoseconds: the first
+/// relax gap, doubled after every failed poll up to the cap.
 struct SpinWaitOpts {
-  u64 start_cycles = 16;
-  u64 cap_cycles = 4096;
+  TimePs start_ps = 0;
+  TimePs cap_ps = 0;
   const char* site = "kernel.spin";  // wait-site label for hang reports
   u64 site_arg = 0;                  // e.g. the contended register/page
+  u64 site_arg2 = 0;                 // e.g. the peer core
   u64 warn_every = 0;                // invoke on_stuck every N failures
-  /// Non-owning (sim::FnRef): SpinWaitOpts is built fresh on every
-  /// contended acquire, and a std::function here heap-allocated whenever
-  /// the diagnostic capture outgrew the small-buffer limit. The callable
+  /// Non-owning (sim::FnRef), like on_miss: SpinWaitOpts is built fresh
+  /// on every contended acquire, and a std::function here heap-allocated
+  /// whenever the capture outgrew the small-buffer limit. The callable
   /// must be a *named* local at the call site (a lambda temporary
   /// assigned to this member dies at the end of its statement).
   sim::FnRef<void(u64 spins)> on_stuck;
+  /// Runs after each failed poll the fiber makes itself. It must do
+  /// nothing unless the chip tracks deaths or leases: polls the scheduler
+  /// steps (see spin_wait) skip it.
+  sim::FnRef<void()> on_miss;
 };
 
-/// The one exponential-backoff spin loop: try, back off (cooperatively
-/// relaxing so the holder can run), double up to the cap. Replaces the
-/// four hand-rolled copies that used to live in TasSpinlock::lock, the
-/// SVM scratchpad/transfer-lock paths, and svm lock_acquire. The loop is
-/// annotated as a wait site and checks the chip watchdog, so a spin that
-/// never succeeds becomes a structured hang report instead of a silent
-/// livelock; both checks are host-side only and the backoff sequence is
-/// bit-identical to the historical loops.
-template <typename TryAcquire>
-void spin_wait(scc::Core& core, TryAcquire&& try_acquire,
-               const SpinWaitOpts& opts = {}) {
-  scc::Chip& chip = core.chip();
-  sim::BlockScope scope(chip.scheduler().current(), opts.site,
-                        opts.site_arg, static_cast<u64>(core.id()));
-  const TimePs t0 = core.now();
-  u64 spins = 0;
-  u64 backoff_cycles = opts.start_cycles;
-  while (!try_acquire()) {
-    ++spins;
-    if (opts.warn_every != 0 && spins % opts.warn_every == 0 &&
-        opts.on_stuck) {
-      opts.on_stuck(spins);
-    }
-    if (chip.watchdog().check(core.now(), t0, opts.site, core.id())) {
-      chip.scheduler().block();  // parked; teardown unwinds via cancel
-    }
-    core.relax(backoff_cycles * chip.config().core_cycle_ps());
-    backoff_cycles = std::min<u64>(backoff_cycles * 2, opts.cap_cycles);
-  }
-}
+/// The backoff of every TAS spin in the tree: 16 core cycles, doubling
+/// to a 4096-cycle cap.
+SpinWaitOpts tas_spin_opts(scc::Core& core, const char* site,
+                           u64 site_arg = 0);
+
+/// The one wait loop: poll `word`, and after each failure relax for the
+/// backoff gap (so the writer can run), then double the gap up to the
+/// cap. The wait is annotated as a wait site and checks the chip
+/// watchdog, so a word that never becomes ready is a structured hang
+/// report instead of a silent livelock; both are host-side only.
+///
+/// While the core sleeps between polls, the wait installs a poll hook on
+/// its actor. The scheduler then steps a poll whose word is still held
+/// without resuming the fiber: it charges the wake-up, the access tick
+/// and the failed poll's counters, and re-keys the entry at the next poll
+/// instant, or at the end of the tick where the fiber would yield
+/// mid-tick. Any poll that might succeed, meet an interrupt, a fault, a
+/// trace event, an on_stuck call or a watchdog trip resumes the fiber
+/// instead, so every clock and counter is what the plain loop produces
+/// (DESIGN.md §11, "Failed polls run in the scheduler").
+void spin_wait(scc::Core& core, const scc::WatchedWord& word,
+               const SpinWaitOpts& opts);
 
 class Kernel {
  public:
@@ -140,10 +135,8 @@ class TasSpinlock {
   /// keeps a contended register from hammering the mesh (and keeps the
   /// simulation host-efficient under heavy contention).
   void lock(scc::Core& core) {
-    SpinWaitOpts opts;
-    opts.site = "tas.lock";
-    opts.site_arg = static_cast<u64>(reg_);
-    spin_wait(core, [&] { return core.tas_try_acquire(reg_); }, opts);
+    spin_wait(core, scc::WatchedWord::tas(reg_),
+              tas_spin_opts(core, "tas.lock", static_cast<u64>(reg_)));
   }
 
   void unlock(scc::Core& core) { core.tas_release(reg_); }

@@ -46,13 +46,11 @@ void Rcce::mpb_write8(int core, u32 off, u8 v) {
   core_.pstore<u8>(mpb_paddr(core, off), v, scc::MemPolicy::kUncached);
 }
 
-void Rcce::wait_own_flag(u32 off, u8 v) {
-  TimePs gap = 200 * kPsPerNs;
-  while (mpb_read8(core_.id(), off) != v) {
-    core_.relax(gap);
-    gap = std::min<TimePs>(gap * 2, 2 * kPsPerUs);
-  }
-  mpb_write8(core_.id(), off, 0);
+void Rcce::wait_own_flag(u32 off, u8 v, const kernel::SpinWaitOpts& opts) {
+  kernel::spin_wait(core_,
+                    scc::WatchedWord::mpb_byte(mpb_paddr(core_.id(), off), v,
+                                               &stats_.flag_polls),
+                    opts);
 }
 
 // ---------------------------------------------------------------------------
@@ -254,15 +252,15 @@ void Rcce::barrier() {
   const u8 sense = barrier_sense_;
   barrier_sense_ = sense == 1 ? 2 : 1;
   const int master_core = core_of(0);
+  kernel::SpinWaitOpts opts;
+  opts.start_ps = 200 * kPsPerNs;
+  opts.cap_ps = 50 * kPsPerUs;
   if (rank_ == 0) {
     // Gather: wait for every member's arrival byte to carry this sense.
+    opts.site = "rcce.barrier_gather";
     for (int r = 1; r < size(); ++r) {
-      const u32 off = arrive_off_ + static_cast<u32>(core_of(r));
-      TimePs gap = 200 * kPsPerNs;
-      while (mpb_read8(core_.id(), off) != sense) {
-        core_.relax(gap);
-        gap = std::min<TimePs>(gap * 2, 50 * kPsPerUs);
-      }
+      opts.site_arg = static_cast<u64>(core_of(r));
+      wait_own_flag(arrive_off_ + static_cast<u32>(core_of(r)), sense, opts);
     }
     // Release everyone.
     for (int r = 1; r < size(); ++r) {
@@ -271,11 +269,9 @@ void Rcce::barrier() {
   } else {
     mpb_write8(master_core,
                arrive_off_ + static_cast<u32>(core_.id()), sense);
-    TimePs gap = 200 * kPsPerNs;
-    while (mpb_read8(core_.id(), release_off_) != sense) {
-      core_.relax(gap);
-      gap = std::min<TimePs>(gap * 2, 50 * kPsPerUs);
-    }
+    opts.site = "rcce.barrier_release";
+    opts.site_arg = static_cast<u64>(master_core);
+    wait_own_flag(release_off_, sense, opts);
   }
 }
 

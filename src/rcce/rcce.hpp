@@ -147,9 +147,9 @@ class Rcce {
   /// Lazily-allocated private staging buffer for collectives.
   u64 scratch_vaddr(u32 bytes);
 
-  /// Spins until this core's own MPB byte at `off` equals `v`, then
-  /// resets it to 0. Local poll, as RCCE flags are designed to be.
-  void wait_own_flag(u32 off, u8 v);
+  /// Spins until this core's own MPB byte at `off` equals `v`. Local
+  /// poll, as RCCE flags are designed to be.
+  void wait_own_flag(u32 off, u8 v, const kernel::SpinWaitOpts& opts);
 
   // Progress sub-steps; return true when they moved a request forward.
   bool progress_send(Request& req);

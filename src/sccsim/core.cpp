@@ -144,7 +144,11 @@ void Core::relax(TimePs gap) {
   }
   const TimePs t0 = actor_->clock();
   chip_.scheduler().block_until(t0 + gap);
-  counters_.busy_ps += actor_->clock() - t0;  // account like spin time
+  wake_from_relax(t0);
+}
+
+void Core::wake_from_relax(TimePs slept_at) {
+  counters_.busy_ps += actor_->clock() - slept_at;  // account like spin time
   deliver_interrupts();
 }
 
@@ -495,26 +499,79 @@ void Core::flush_wcb() {
   }
 }
 
-bool Core::tas_try_acquire(int reg) {
+TimePs Core::tas_cost(int reg) const {
   const int hops =
       topo_->hops(topo_->coord_of_core(id_), topo_->coord_of_core(reg));
-  tick(chip_.latency().tas_access(hops));
+  return chip_.latency().tas_access(hops);
+}
+
+bool Core::tas_read(int reg) {
+  if (!chip_.memory().tas_read_acquire(reg)) {
+    charge_failed_poll(WatchedWord::tas(reg));
+    return false;
+  }
   ++counters_.tas_acquires;
-  const bool got = chip_.memory().tas_read_acquire(reg);
-  if (!got) ++counters_.tas_spins;
   // Host-side holder note (only in kill-enabled runs): lets recovery
   // identify and break locks orphaned by a dead holder.
-  if (got && chip_.tracking_deaths()) chip_.note_tas_owner(reg, id_);
-  return got;
+  if (chip_.tracking_deaths()) chip_.note_tas_owner(reg, id_);
+  return true;
 }
 
 void Core::tas_release(int reg) {
-  const int hops =
-      topo_->hops(topo_->coord_of_core(id_), topo_->coord_of_core(reg));
-  tick(chip_.latency().tas_access(hops));
+  tick(tas_cost(reg));
   if (chip_.tracking_deaths()) chip_.clear_tas_owner(reg);
   chip_.memory().tas_write_release(reg);
 }
+
+// ---------------------------------------------------------------------------
+// watched words
+
+bool Core::poll(const WatchedWord& w) {
+  if (w.kind == WatchedWord::Kind::kTas) return tas_try_acquire(w.reg);
+  if (w.polls != nullptr) ++*w.polls;
+  return pload<u8>(w.paddr, MemPolicy::kUncached) == w.expected;
+}
+
+bool Core::word_ready(const WatchedWord& w) const {
+  if (w.kind == WatchedWord::Kind::kTas) {
+    return chip_.memory().tas_peek(w.reg) == 0;
+  }
+  u8 v = 0;
+  chip_.memory().read(w.paddr, &v, 1);
+  return v == w.expected;
+}
+
+TimePs Core::poll_cost(const WatchedWord& w) const {
+  if (w.kind == WatchedWord::Kind::kTas) return tas_cost(w.reg);
+  // What read_path's uncached device read charges for an MPB byte.
+  const int owner = chip_.map().decode(w.paddr).owner;
+  return chip_.latency().mpb_access(topo_->hops_between_cores(id_, owner));
+}
+
+void Core::charge_failed_poll(const WatchedWord& w) {
+  if (w.kind == WatchedWord::Kind::kTas) {
+    ++counters_.tas_acquires;
+    ++counters_.tas_spins;
+    return;
+  }
+  ++counters_.uncached_ops;
+  ++counters_.mpb_reads;
+  if (w.polls != nullptr) ++*w.polls;
+}
+
+bool Core::can_step_poll(TimePs at, TimePs cost) const {
+  // The wake-up delivers interrupts at `at`, the poll's tick at a
+  // boundary by `at + cost`: neither may find one pending or due. Fault
+  // injection, fail-stop tracking and the memory firehose all act or
+  // publish inside an access, so any of them rules stepping out.
+  return !in_irq_ && irq_mask_depth_ == 0 && at + cost < next_timer_ &&
+         !chip_.gic().has_pending(id_) && !chip_.faults().enabled() &&
+         !chip_.tracking_deaths() && !chip_.lease_enabled() &&
+         !chip_.bus().enabled(obs::kCatMem);
+}
+
+// ---------------------------------------------------------------------------
+// interrupts out
 
 void Core::raise_ipi(int target) {
   const int hops = topo_->hops_core_to_system_if(id_);

@@ -41,6 +41,35 @@ enum class MemPolicy : u8 {
   kCachedWT,   // L1 + L2, write-through, read-allocate only
 };
 
+/// The word a spin wait polls: a Test-and-Set register (ready when a
+/// test-and-set would acquire it) or an MPB byte read uncached (ready when
+/// it holds `expected`). `polls`, when set, is a caller counter bumped on
+/// every read of the byte (e.g. Rcce::flag_polls).
+struct WatchedWord {
+  enum class Kind : u8 { kTas, kMpbByte };
+
+  Kind kind = Kind::kTas;
+  int reg = 0;           // kTas
+  u64 paddr = 0;         // kMpbByte
+  u8 expected = 0;       // kMpbByte
+  u64* polls = nullptr;  // kMpbByte
+
+  static WatchedWord tas(int reg) {
+    WatchedWord w;
+    w.reg = reg;
+    return w;
+  }
+  static WatchedWord mpb_byte(u64 paddr, u8 expected,
+                              u64* polls = nullptr) {
+    WatchedWord w;
+    w.kind = Kind::kMpbByte;
+    w.paddr = paddr;
+    w.expected = expected;
+    w.polls = polls;
+    return w;
+  }
+};
+
 class Core {
  public:
   Core(Chip& chip, int id);
@@ -95,13 +124,55 @@ class Core {
 
   /// One attempt on the Test-and-Set register `reg` (a read): true when
   /// the lock was free and is now held by this core.
-  bool tas_try_acquire(int reg);
+  bool tas_try_acquire(int reg) {
+    tick(tas_cost(reg));
+    return tas_read(reg);
+  }
+
+  /// The read half of tas_try_acquire: the test-and-set itself, its
+  /// access latency already charged.
+  bool tas_read(int reg);
 
   /// Releases Test-and-Set register `reg` (a write).
   void tas_release(int reg);
 
   /// Raises an IPI on `target` through the Global Interrupt Controller.
   void raise_ipi(int target);
+
+  // ---- watched words (kernel::spin_wait) ----
+
+  /// One poll of `w`, charged like any access: tas_try_acquire, or an
+  /// uncached load of the byte. True when the word was ready.
+  bool poll(const WatchedWord& w);
+
+  /// Host-side peek: would a poll of `w` at this host moment succeed?
+  /// Zero simulated cost, no state change.
+  bool word_ready(const WatchedWord& w) const;
+
+  /// Access latency of one poll of `w`.
+  TimePs poll_cost(const WatchedWord& w) const;
+
+  /// The counters of one failed poll of `w` (tas_acquires + tas_spins, or
+  /// uncached_ops + mpb_reads + *polls). A failed poll changes no memory,
+  /// so these are all it leaves behind.
+  void charge_failed_poll(const WatchedWord& w);
+
+  /// True when the relax wake-up at `at` and a poll costing `cost` would
+  /// deliver no interrupt, inject no fault and publish no event, so a
+  /// scheduler poll hook may charge them with wake_from_relax and
+  /// tick_quiet instead of resuming the fiber.
+  bool can_step_poll(TimePs at, TimePs cost) const;
+
+  /// tick() for a caller that can_step_poll ruled in: charges `cost` and,
+  /// at a boundary, only re-arms it. Returns true when a boundary passed,
+  /// i.e. where tick() would maybe_yield.
+  bool tick_quiet(TimePs cost) {
+    actor_->advance(cost);
+    counters_.busy_ps += cost;
+    if (actor_->clock() < next_boundary_) return false;
+    next_boundary_ = actor_->clock() + boundary_interval_ps_;
+    return true;
+  }
 
   // ---- time ----
 
@@ -122,6 +193,11 @@ class Core {
   /// scheduler-friendly backoff: semantically a bounded pause, but it
   /// releases the host scheduler instead of churning through yields.
   void relax(TimePs gap);
+
+  /// The second half of relax(): accounts the sleep that began at
+  /// `slept_at` as spin time and delivers pending interrupts. For wait
+  /// loops that block on their own (kernel::spin_wait).
+  void wake_from_relax(TimePs slept_at);
 
   // ---- kernel integration ----
 
@@ -252,6 +328,9 @@ class Core {
   };
 
   Translation translate(u64 vaddr, bool is_write);
+
+  /// Access latency of one test-and-set of register `reg`.
+  TimePs tas_cost(int reg) const;
   static MemPolicy policy_of(const Pte& pte);
 
   void read_path(u64 paddr, void* out, u32 size, MemPolicy pol);
@@ -306,8 +385,9 @@ class Core {
   u64 page_off_mask_ = 0;  // page_bytes - 1
   u32 page_shift_ = 0;
 
-  // Host-side translation cache (zero simulated cost): direct-mapped on
-  // vpage, invalidated wholesale whenever the page table's epoch moves.
+  // The modelled TLB: 64 entries, direct-mapped on vpage, invalidated
+  // wholesale whenever the page table's epoch moves. A hit is free; a miss
+  // charges tlb_miss_cycles for the walk (translate()).
   struct TlbEntry {
     u64 vpage = ~u64{0};
     Pte pte;

@@ -373,6 +373,12 @@ class Watchdog {
   /// `site`/`core_id` name the wait that noticed the hang first.
   bool check(TimePs now, TimePs since, const char* site, int core_id);
 
+  /// What check() would return, without its side effects.
+  bool would_trip(TimePs now, TimePs since) const {
+    return tripped_ ||
+           (limit_ != 0 && now >= since && now - since > limit_);
+  }
+
   bool tripped() const { return tripped_; }
   const std::string& report() const { return report_; }
 

@@ -9,6 +9,10 @@
 #include <cstring>
 #include <new>
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/common_interface_defs.h>
+#endif
+
 namespace msvm::sim {
 
 namespace {
@@ -18,6 +22,17 @@ namespace {
 /// independent simulations on different host threads (e.g. parallel gtest
 /// shards) from interfering.
 thread_local Fiber* g_current_fiber = nullptr;
+
+#if defined(__SANITIZE_ADDRESS__)
+// AddressSanitizer must be told which stack is live across every switch.
+// Otherwise it takes a fiber stack for part of the thread's stack, ignores
+// the unpoisoning an exception thrown on it requests, and later reports
+// stale poison in the unwound frames as stack-use-after-scope.
+thread_local const void* g_main_stack_bottom = nullptr;
+thread_local std::size_t g_main_stack_size = 0;
+thread_local void* g_main_fake_stack = nullptr;
+thread_local bool g_leaving_main = false;
+#endif
 
 }  // namespace
 
@@ -92,19 +107,68 @@ Fiber::~Fiber() {
   if (stack_base_ != nullptr) munmap(stack_base_, map_bytes_);
 }
 
+// Sanitizer bookkeeping around msvm_fiber_swap: start_switch before it
+// names the destination stack, entered() after it (in the destination)
+// completes the switch. No-ops unless built with AddressSanitizer.
+void Fiber::start_switch(void** save_fake_stack, const Fiber* to) {
+#if defined(__SANITIZE_ADDRESS__)
+  if (to == nullptr) {
+    __sanitizer_start_switch_fiber(save_fake_stack, g_main_stack_bottom,
+                                   g_main_stack_size);
+    return;
+  }
+  const auto guard = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  __sanitizer_start_switch_fiber(
+      save_fake_stack, static_cast<const char*>(to->stack_base_) + guard,
+      to->map_bytes_ - guard);
+#else
+  (void)save_fake_stack;
+  (void)to;
+#endif
+}
+
+void Fiber::entered(Fiber* self) {
+#if defined(__SANITIZE_ADDRESS__)
+  if (self == nullptr) {
+    __sanitizer_finish_switch_fiber(g_main_fake_stack, nullptr, nullptr);
+    return;
+  }
+  const void* from_bottom = nullptr;
+  std::size_t from_size = 0;
+  __sanitizer_finish_switch_fiber(self->asan_fake_stack_, &from_bottom,
+                                  &from_size);
+  if (g_leaving_main) {  // the switch came from main: learn its stack
+    g_leaving_main = false;
+    g_main_stack_bottom = from_bottom;
+    g_main_stack_size = from_size;
+  }
+#else
+  (void)self;
+#endif
+}
+
 void Fiber::resume() {
   assert(g_current_fiber == nullptr && "resume() must come from main");
   assert(!finished_ && "cannot resume a finished fiber");
   started_ = true;
   g_current_fiber = this;
+#if defined(__SANITIZE_ADDRESS__)
+  g_leaving_main = true;
+  start_switch(&g_main_fake_stack, this);
+#endif
   msvm_fiber_swap(&main_rsp_, &fiber_rsp_);
+  entered(nullptr);
   g_current_fiber = nullptr;
 }
 
 void Fiber::yield_to_main() {
   Fiber* self = g_current_fiber;
   assert(self != nullptr && "yield_to_main() called outside any fiber");
+  // A finished fiber's stack is never entered again: nothing to save.
+  start_switch(self->finished_ ? nullptr : &self->asan_fake_stack_,
+               nullptr);
   msvm_fiber_swap(&self->fiber_rsp_, &self->main_rsp_);
+  entered(self);
 }
 
 void Fiber::transfer(Fiber& from, Fiber& to) {
@@ -115,10 +179,13 @@ void Fiber::transfer(Fiber& from, Fiber& to) {
   to.main_rsp_ = from.main_rsp_;
   to.started_ = true;
   g_current_fiber = &to;
+  start_switch(&from.asan_fake_stack_, &to);
   msvm_fiber_swap(&from.fiber_rsp_, &to.fiber_rsp_);
   // Control returns here when some context switches back into `from`;
   // that resumer (resume() or another transfer()) has already updated
-  // g_current_fiber, so nothing must be touched after the swap.
+  // g_current_fiber, so nothing but `from`'s own switch bookkeeping must
+  // be touched after the swap.
+  entered(&from);
 }
 
 Fiber* Fiber::current() { return g_current_fiber; }
@@ -126,6 +193,7 @@ Fiber* Fiber::current() { return g_current_fiber; }
 void Fiber::trampoline() {
   Fiber* self = g_current_fiber;
   assert(self != nullptr);
+  entered(self);
   self->entry_();
   self->finished_ = true;
   // Release the closure eagerly: it may own captures whose destructors the

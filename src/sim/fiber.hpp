@@ -65,12 +65,18 @@ class Fiber {
 
  private:
   static void trampoline();
+  // Tell AddressSanitizer about a switch (no-ops in other builds).
+  // start_switch names the destination (nullptr: the main context);
+  // entered completes it in the fiber now running (nullptr: main).
+  static void start_switch(void** save_fake_stack, const Fiber* to);
+  static void entered(Fiber* self);
 
   Entry entry_;
   void* stack_base_ = nullptr;  // mmap'd region (guard page + stack)
   std::size_t map_bytes_ = 0;
   void* fiber_rsp_ = nullptr;  // saved rsp while suspended
   void* main_rsp_ = nullptr;   // saved rsp of the resuming context
+  void* asan_fake_stack_ = nullptr;  // AddressSanitizer builds only
   bool started_ = false;
   bool finished_ = false;
 };

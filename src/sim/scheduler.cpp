@@ -176,9 +176,32 @@ Actor* Scheduler::take_next() {
   // lane is dry the window advances (see advance_window). Single-lane
   // schedulers keep window_end_ == kTimeNever, so the loop below is
   // exactly the classic global-heap pop.
+  //
+  // A poll hook sees its actor's entry while it is still the root, so a
+  // re-key is one sift_down. Multi-lane schedulers never consult hooks.
+  const bool hooks = lanes_.size() == 1;
   for (;;) {
     Lane& ln = lanes_[cur_lane_];
     while (!ln.heap.empty() && ln.heap[0].time < window_end_) {
+      Actor* root = ln.heap[0].actor;
+      if (hooks && root->poll_hook_) {
+        TimePs others = kTimeNever;
+        if (ln.heap.size() > 1) others = ln.heap[1].time;
+        if (ln.heap.size() > 2 && ln.heap[2].time < others) {
+          others = ln.heap[2].time;
+        }
+        const PollStep step =
+            root->poll_hook_(ln.heap[0].time,
+                             root->state_ == Actor::State::kBlocked, others);
+        if (step.at != kTimeNever) {
+          root->state_ = step.timeout ? Actor::State::kBlocked
+                                      : Actor::State::kScheduled;
+          ln.heap[0].time = step.at;
+          sift_down(ln, 0);
+          ++elided_polls_;
+          continue;
+        }
+      }
       const HeapEntry top = ln.heap[0];
       heap_remove_at(ln, 0);
       Actor* next = top.actor;

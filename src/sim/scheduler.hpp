@@ -38,6 +38,13 @@
 // default) the window is infinite and the behaviour — and the event
 // order — is exactly the classic single-heap scheduler. See DESIGN.md
 // §12 for the lookahead/determinism argument.
+//
+// Poll hooks (set_poll_hook): an actor that is spin-waiting on a word may
+// install a hook that the single-lane scheduler calls when it pops the
+// actor's entry. The hook can step a provably failed poll itself (charge
+// its cost, re-key the entry at the next poll instant) and so spare the
+// two fiber switches a resume would cost. See DESIGN.md §11, "Failed
+// polls run in the scheduler".
 #pragma once
 
 #include <array>
@@ -49,6 +56,7 @@
 #include <vector>
 
 #include "sim/fiber.hpp"
+#include "sim/fnref.hpp"
 #include "sim/types.hpp"
 
 namespace msvm::sim {
@@ -68,6 +76,24 @@ struct BlockSite {
   u64 a = 0;
   u64 b = 0;
 };
+
+/// A poll hook's verdict on the entry the scheduler handed it.
+struct PollStep {
+  /// kTimeNever: resume the fiber. Otherwise the entry is re-keyed at
+  /// this time and the fiber stays suspended.
+  TimePs at = kTimeNever;
+  /// Re-key as the actor's own timeout (wake() may still pull it in), or
+  /// as a plain yield (wake() ignores it, as it ignores any scheduled
+  /// actor).
+  bool timeout = false;
+};
+
+/// Steps a waiting actor's popped entry without resuming its fiber.
+/// `at` is the entry's time; `timed_out` is true when the entry is the
+/// actor's own block_until timeout (false: a wake() or a yield queued
+/// it); `others` is the earliest time of any other queued entry
+/// (kTimeNever when there is none).
+using PollHook = FnRef<PollStep(TimePs at, bool timed_out, TimePs others)>;
 
 /// A schedulable fiber with a virtual clock.
 class Actor {
@@ -113,6 +139,11 @@ class Actor {
   /// when no site is annotated.
   std::string describe_sites() const;
 
+  /// Installs (or, with an empty hook, removes) the poll hook the
+  /// single-lane scheduler consults when it pops this actor's entry.
+  /// Non-owning: the callable must outlive its installation.
+  void set_poll_hook(PollHook hook) { poll_hook_ = hook; }
+
  private:
   friend class Scheduler;
 
@@ -131,6 +162,7 @@ class Actor {
   std::size_t heap_pos_ = kNotInHeap;  // index into its lane's heap
   WakeReason wake_reason_ = WakeReason::kWoken;
   std::unique_ptr<Fiber> fiber_;
+  PollHook poll_hook_;
   std::array<BlockSite, kMaxBlockSites> sites_{};
   std::size_t site_depth_ = 0;
 };
@@ -177,6 +209,9 @@ class Scheduler {
   }
   /// Lookahead windows opened so far (1 lane: stays 0).
   u64 windows_opened() const { return windows_; }
+  /// Entries a poll hook re-keyed instead of resuming the fiber. Not
+  /// part of lane_dispatched.
+  u64 elided_polls() const { return elided_polls_; }
 
   /// Runs until every actor has finished. Throws DeadlockError if all
   /// remaining actors are blocked without timeouts.
@@ -321,9 +356,11 @@ class Scheduler {
   void heap_move(Actor& a, TimePs at);  // re-key the existing entry
 
   /// Pops the earliest live entry of the lane cursor's current window and
-  /// prepares its actor to run (wake reason, clock, state). Advances the
-  /// lane cursor / lookahead window as lanes drain. Returns nullptr when
-  /// every lane is empty.
+  /// prepares its actor to run (wake reason, clock, state). With a single
+  /// lane, an entry whose actor has a poll hook goes to the hook first and
+  /// stays queued when the hook re-keys it. Advances the lane cursor /
+  /// lookahead window as lanes drain. Returns nullptr when every lane is
+  /// empty.
   Actor* take_next();
 
   /// Moves the lane cursor to the next lane with work in the current
@@ -345,6 +382,7 @@ class Scheduler {
   TimePs lookahead_ = 1;        // cross-lane window width (>= 1)
   TimePs window_end_ = kTimeNever;  // exclusive; kTimeNever when 1 lane
   u64 windows_ = 0;
+  u64 elided_polls_ = 0;
   Actor* current_ = nullptr;
   std::size_t finished_count_ = 0;
   bool running_ = false;

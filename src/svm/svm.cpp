@@ -96,25 +96,19 @@ void Svm::barrier_master_gather() {
   const auto& members = domain_.members();
   const int master_core = members.front();
   const scc::AddrMap& map = core_.chip().map();
+  // Arrival and release flags are polled with the same backoff: 200 ns,
+  // doubling to a 50 us cap.
+  kernel::SpinWaitOpts opts;
+  opts.start_ps = 200 * kPsPerNs;
+  opts.cap_ps = 50 * kPsPerUs;
   if (rank_ == 0) {
+    opts.site = "svm.barrier_gather";
     for (std::size_t i = 1; i < members.size(); ++i) {
       const u64 flag = map.mpb_base(master_core) +
                        domain_.barrier_arrive_off() +
                        static_cast<u32>(members[i]);
-      sim::BlockScope scope(core_.chip().scheduler().current(),
-                            "svm.barrier_gather",
-                            static_cast<u64>(members[i]));
-      const TimePs t0 = core_.now();
-      TimePs gap = 200 * kPsPerNs;
-      while (core_.pload<u8>(flag, scc::MemPolicy::kUncached) != sense) {
-        if (core_.chip().watchdog().check(core_.now(), t0,
-                                          "svm.barrier_gather",
-                                          core_.id())) {
-          core_.chip().scheduler().block();  // parked until teardown
-        }
-        core_.relax(gap);
-        gap = std::min<TimePs>(gap * 2, 50 * kPsPerUs);
-      }
+      opts.site_arg = static_cast<u64>(members[i]);
+      kernel::spin_wait(core_, scc::WatchedWord::mpb_byte(flag, sense), opts);
     }
     for (std::size_t i = 1; i < members.size(); ++i) {
       core_.pstore<u8>(
@@ -128,20 +122,9 @@ void Svm::barrier_master_gather() {
                      sense, scc::MemPolicy::kUncached);
     const u64 flag =
         map.mpb_base(core_.id()) + domain_.barrier_release_off();
-    sim::BlockScope scope(core_.chip().scheduler().current(),
-                          "svm.barrier_release",
-                          static_cast<u64>(master_core));
-    const TimePs t0 = core_.now();
-    TimePs gap = 200 * kPsPerNs;
-    while (core_.pload<u8>(flag, scc::MemPolicy::kUncached) != sense) {
-      if (core_.chip().watchdog().check(core_.now(), t0,
-                                        "svm.barrier_release",
-                                        core_.id())) {
-        core_.chip().scheduler().block();  // parked until teardown
-      }
-      core_.relax(gap);
-      gap = std::min<TimePs>(gap * 2, 50 * kPsPerUs);
-    }
+    opts.site = "svm.barrier_release";
+    opts.site_arg = static_cast<u64>(master_core);
+    kernel::spin_wait(core_, scc::WatchedWord::mpb_byte(flag, sense), opts);
   }
 }
 
@@ -182,19 +165,13 @@ void Svm::barrier_dissemination() {
                     parity * domain_.barrier_diss_rounds() + round;
     // Rounds are short (one flag write away); a large backoff cap would
     // compound oversleeps across the log2(n) rounds.
-    sim::BlockScope scope(core_.chip().scheduler().current(),
-                          "svm.barrier_diss", round,
-                          static_cast<u64>(to));
-    const TimePs t0 = core_.now();
-    TimePs gap = 100 * kPsPerNs;
-    while (core_.pload<u8>(own, scc::MemPolicy::kUncached) != sense) {
-      if (core_.chip().watchdog().check(core_.now(), t0,
-                                        "svm.barrier_diss", core_.id())) {
-        core_.chip().scheduler().block();  // parked until teardown
-      }
-      core_.relax(gap);
-      gap = std::min<TimePs>(gap * 2, 800 * kPsPerNs);
-    }
+    kernel::SpinWaitOpts opts;
+    opts.start_ps = 100 * kPsPerNs;
+    opts.cap_ps = 800 * kPsPerNs;
+    opts.site = "svm.barrier_diss";
+    opts.site_arg = round;
+    opts.site_arg2 = static_cast<u64>(to);
+    kernel::spin_wait(core_, scc::WatchedWord::mpb_byte(own, sense), opts);
   }
 }
 
@@ -286,9 +263,8 @@ void Svm::next_touch(u64 vaddr, u64 bytes) {
 void Svm::lock_acquire(int lock_id) {
   ++runtime_->stats().lock_acquires;
   const int reg = domain_.app_lock_reg(lock_id);
-  kernel::SpinWaitOpts opts;
-  opts.site = "svm.lock_acquire";
-  opts.site_arg = static_cast<u64>(lock_id);
+  kernel::SpinWaitOpts opts = kernel::tas_spin_opts(
+      core_, "svm.lock_acquire", static_cast<u64>(lock_id));
   // A holder that fail-stops leaves the TAS register set forever; after a
   // stretch of failed tries, check for that and break the orphaned lock
   // (no-op unless lease detection is on and a core is actually dead, so
@@ -296,8 +272,7 @@ void Svm::lock_acquire(int lock_id) {
   auto break_dead = [&](u64) { runtime_->maybe_break_dead_lock(reg); };
   opts.warn_every = 64;
   opts.on_stuck = break_dead;
-  kernel::spin_wait(core_, [&] { return core_.tas_try_acquire(reg); },
-                    opts);
+  kernel::spin_wait(core_, scc::WatchedWord::tas(reg), opts);
   obs::EventBus& bus = core_.chip().bus();
   if (bus.enabled(obs::kCatSync)) {
     bus.publish(obs::Event{core_.now(), static_cast<u64>(lock_id), 0, 0,

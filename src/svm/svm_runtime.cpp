@@ -359,17 +359,11 @@ void SvmRuntime::mapping_fault(u64 vaddr, u64 page_idx, bool is_write) {
   RegionAttrs* region = region_of(vaddr);
 
   const int lock_reg = domain_.scratchpad_lock_reg(page_idx);
-  kernel::SpinWaitOpts lock_opts;
-  lock_opts.site = "svm.scratchpad_lock";
-  lock_opts.site_arg = page_idx;
-  kernel::spin_wait(
-      core_,
-      [&] {
-        if (core_.tas_try_acquire(lock_reg)) return true;
-        maybe_break_dead_lock(lock_reg);
-        return false;
-      },
-      lock_opts);
+  kernel::SpinWaitOpts lock_opts =
+      kernel::tas_spin_opts(core_, "svm.scratchpad_lock", page_idx);
+  const auto break_dead = [&] { maybe_break_dead_lock(lock_reg); };
+  lock_opts.on_miss = break_dead;
+  kernel::spin_wait(core_, scc::WatchedWord::tas(lock_reg), lock_opts);
   u16 entry = meta_word_.scratchpad(page_idx);
 
   if ((entry & kFrameMask) == 0) {
@@ -747,9 +741,8 @@ void SvmRuntime::downgrade_page(u64 page) {
 
 void SvmRuntime::transfer_lock(u64 page) {
   const int treg = domain_.transfer_lock_reg(page);
-  kernel::SpinWaitOpts opts;
-  opts.site = "svm.transfer_lock";
-  opts.site_arg = page;
+  kernel::SpinWaitOpts opts =
+      kernel::tas_spin_opts(core_, "svm.transfer_lock", page);
   opts.warn_every = 100000;
   // Named local: opts.on_stuck is a non-owning FnRef (see fnref.hpp).
   const auto on_stuck = [this, treg, page](u64 /*spins*/) {
@@ -763,13 +756,9 @@ void SvmRuntime::transfer_lock(u64 page) {
         ps_to_ms(core_.now()));
   };
   opts.on_stuck = on_stuck;
-  kernel::spin_wait(core_,
-                    [&] {
-                      if (core_.tas_try_acquire(treg)) return true;
-                      maybe_break_dead_lock(treg);
-                      return false;
-                    },
-                    opts);
+  const auto break_dead = [this, treg] { maybe_break_dead_lock(treg); };
+  opts.on_miss = break_dead;
+  kernel::spin_wait(core_, scc::WatchedWord::tas(treg), opts);
   domain_.debug_lock_holder_[static_cast<std::size_t>(treg)] = core_.id();
   domain_.debug_lock_page_[static_cast<std::size_t>(treg)] = page;
 }
