@@ -20,16 +20,16 @@
 // still run across all workloads and both delivery modes).
 //
 // Kill mode (`--kill`) runs the fail-stop campaign instead: seeded
-// slot-mosaic runs cycling {48, 96, 256} cores (multi-lane scheduling
-// at and above 96) x {strong, strong+rr, lrc}, each killing 1..3
-// random cores at random virtual times under the heartbeat-lease
-// recovery envelope. Every run must end as correct-surviving-cores, a
-// typed data loss, or a clean HangError — never wrong data, never a
-// crash. `--audit` attaches the ShadowDirectory coherence auditor and
-// fails the campaign on any invariant violation.
+// slot-mosaic runs cycling {48, 96, 256} cores x {strong, strong+rr,
+// lrc}, each killing 1..3 random cores at random virtual times under
+// the heartbeat-lease recovery envelope. Every run must end as
+// correct-surviving-cores, a typed data loss, or a clean HangError —
+// never wrong data, never a crash. `--audit` attaches the
+// ShadowDirectory coherence auditor and fails the campaign on any
+// invariant violation.
 //
 //   ./chaos_campaign --kill --plans=126 --audit
-//   ./chaos_campaign --kill --plans=9 --cores=96 --lanes=4
+//   ./chaos_campaign --kill --plans=9 --cores=96
 #include <cmath>
 #include <cstdio>
 #include <iterator>
@@ -149,24 +149,22 @@ Outcome histogram_once(const sim::FaultPlan& plan, bool use_ipi,
 
 struct KillCombo {
   int cores;
-  int lanes;
   svm::Model model;
   bool read_replication;
   const char* name;
 };
 
-/// {48, 96, 256} cores x {strong, strong+rr, lrc}; 96+ runs the sharded
-/// multi-lane scheduler.
+/// {48, 96, 256} cores x {strong, strong+rr, lrc}.
 constexpr KillCombo kKillCombos[] = {
-    {48, 1, svm::Model::kStrong, false, "strong"},
-    {48, 1, svm::Model::kStrong, true, "strong+rr"},
-    {48, 1, svm::Model::kLazyRelease, false, "lrc"},
-    {96, 4, svm::Model::kStrong, false, "strong"},
-    {96, 4, svm::Model::kStrong, true, "strong+rr"},
-    {96, 4, svm::Model::kLazyRelease, false, "lrc"},
-    {256, 8, svm::Model::kStrong, false, "strong"},
-    {256, 8, svm::Model::kStrong, true, "strong+rr"},
-    {256, 8, svm::Model::kLazyRelease, false, "lrc"},
+    {48, svm::Model::kStrong, false, "strong"},
+    {48, svm::Model::kStrong, true, "strong+rr"},
+    {48, svm::Model::kLazyRelease, false, "lrc"},
+    {96, svm::Model::kStrong, false, "strong"},
+    {96, svm::Model::kStrong, true, "strong+rr"},
+    {96, svm::Model::kLazyRelease, false, "lrc"},
+    {256, svm::Model::kStrong, false, "strong"},
+    {256, svm::Model::kStrong, true, "strong+rr"},
+    {256, svm::Model::kLazyRelease, false, "lrc"},
 };
 
 /// 1..3 distinct victims at random ns-aligned virtual times; the times
@@ -202,8 +200,6 @@ sim::FaultPlan random_kill_plan(sim::Rng& rng, u64 plan_seed, int cores) {
 int kill_campaign(int argc, char** argv, u64 seed, u64 num_plans) {
   const int fixed_cores =
       static_cast<int>(bench::arg_u64(argc, argv, "cores", 0));
-  const int fixed_lanes =
-      static_cast<int>(bench::arg_u64(argc, argv, "lanes", 0));
   const bool audit = bench::arg_flag(argc, argv, "audit");
 
   bench::print_header(
@@ -226,10 +222,6 @@ int kill_campaign(int argc, char** argv, u64 seed, u64 num_plans) {
     const KillCombo& combo = kKillCombos[i % std::size(kKillCombos)];
     const int cores = fixed_cores > 0 ? fixed_cores : combo.cores;
     workloads::KillMosaicParams p;
-    p.sched_lanes = fixed_lanes > 0
-                        ? fixed_lanes
-                        : (fixed_cores > 0 ? (cores >= 96 ? 4 : 1)
-                                           : combo.lanes);
     p.seed = seed * 1000 + i;
     p.read_replication = combo.read_replication;
     p.use_ipi = (i % 2) == 0;
@@ -237,10 +229,10 @@ int kill_campaign(int argc, char** argv, u64 seed, u64 num_plans) {
     p.faults = random_kill_plan(rng, p.seed, cores);
     const std::string spec = p.faults.to_spec();
 
-    std::printf("run %3llu/%llu: %3d cores x%d %-9s %s\n",
+    std::printf("run %3llu/%llu: %3d cores %-9s %s\n",
                 static_cast<unsigned long long>(i + 1),
                 static_cast<unsigned long long>(num_plans), cores,
-                p.sched_lanes, combo.name, spec.c_str());
+                combo.name, spec.c_str());
 
     Outcome o = Outcome::kCorrect;
     workloads::KillMosaicResult r;

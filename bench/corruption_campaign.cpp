@@ -1,8 +1,8 @@
 // Corruption campaign: the end-to-end data-integrity gate. Seeded
-// slot-mosaic runs across {strong, strong+rr, lrc} x {48x1, 96x4
-// cores/lanes} under a matrix of bit-flip plans (MPB mail lines, DRAM
-// page frames at ownership handoffs, SVM metadata words) and assert the
-// detect-or-die contract:
+// slot-mosaic runs across {strong, strong+rr, lrc} x {48, 96 cores}
+// under a matrix of bit-flip plans (MPB mail lines, DRAM page frames at
+// ownership handoffs, SVM metadata words) and assert the detect-or-die
+// contract:
 //
 //   * zero silent wrong — no survivor ever reads a flipped value as
 //     data (slot mismatches fail the campaign outright);
@@ -47,22 +47,19 @@ const char* outcome_name(Outcome o) {
 
 struct Combo {
   int cores;
-  int lanes;
   svm::Model model;
   bool read_replication;
   const char* name;
 };
 
-/// {strong, strong+rr, lrc} x {48x1, 96x4}; 96 cores runs the sharded
-/// multi-lane scheduler, so flip handling is exercised under lane
-/// parallelism too.
+/// {strong, strong+rr, lrc} x {48, 96 cores}; 96 cores spans two chips.
 constexpr Combo kCombos[] = {
-    {48, 1, svm::Model::kStrong, false, "strong"},
-    {48, 1, svm::Model::kStrong, true, "strong+rr"},
-    {48, 1, svm::Model::kLazyRelease, false, "lrc"},
-    {96, 4, svm::Model::kStrong, false, "strong"},
-    {96, 4, svm::Model::kStrong, true, "strong+rr"},
-    {96, 4, svm::Model::kLazyRelease, false, "lrc"},
+    {48, svm::Model::kStrong, false, "strong"},
+    {48, svm::Model::kStrong, true, "strong+rr"},
+    {48, svm::Model::kLazyRelease, false, "lrc"},
+    {96, svm::Model::kStrong, false, "strong"},
+    {96, svm::Model::kStrong, true, "strong+rr"},
+    {96, svm::Model::kLazyRelease, false, "lrc"},
 };
 
 /// One corruption plan: each flip clause drawn from {off, rare, common,
@@ -131,7 +128,6 @@ int main(int argc, char** argv) {
     workloads::KillMosaicParams p;
     p.pages = 16;
     p.seed = seed * 1000 + i;
-    p.sched_lanes = combo.lanes;
     p.read_replication = combo.read_replication;
     p.use_ipi = (i % 2) == 0;
     p.audit = !noaudit;
@@ -140,10 +136,10 @@ int main(int argc, char** argv) {
                    : bench::arg_faults(argc, argv);
     const std::string spec = p.faults.to_spec();
 
-    std::printf("run %3llu/%llu: %3d cores x%d %-9s %s\n",
+    std::printf("run %3llu/%llu: %3d cores %-9s %s\n",
                 static_cast<unsigned long long>(i + 1),
                 static_cast<unsigned long long>(num_plans), combo.cores,
-                p.sched_lanes, combo.name, spec.c_str());
+                combo.name, spec.c_str());
 
     Outcome o = Outcome::kCorrect;
     workloads::KillMosaicResult r;

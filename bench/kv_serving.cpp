@@ -10,10 +10,10 @@
 //
 //   ./kv_serving                      # full sweep
 //   ./kv_serving --quick --cores=8    # smoke-sized
-//   ./kv_serving --cores=96 --lanes=4 # one off-sweep cell
+//   ./kv_serving --cores=96           # one off-sweep cell
 //
 // Kill mode (`--kill`) runs the serving tier's fail-stop campaign:
-// seeded runs cycling {48x1, 96x4} cores x the three models, each
+// seeded runs cycling {48, 96} cores x the three models, each
 // killing 1..3 random cores mid-serve under the heartbeat-lease
 // envelope. The contract is graceful degradation: fewer completions
 // (typed shed/timeout losses), ZERO wrong responses, zero silent
@@ -44,11 +44,10 @@ constexpr ModelCase kModels[] = {
     {svm::Model::kLazyRelease, false, "lrc"},
 };
 
-serve::KvServingParams base_params(u64 seed, int lanes) {
+serve::KvServingParams base_params(u64 seed) {
   serve::KvServingParams p;
   p.seed = seed;
   p.store.seed = seed;
-  p.sched_lanes = lanes;
   p.gen.num_keys = 4096;
   p.gen.zipf_theta = 0.99;
   p.gen.scan_fraction = 0.02;
@@ -63,8 +62,6 @@ int sweep(int argc, char** argv) {
   const bool quick = bench::arg_flag(argc, argv, "quick");
   const int fixed_cores =
       static_cast<int>(bench::arg_u64(argc, argv, "cores", 0));
-  const int lanes =
-      static_cast<int>(bench::arg_u64(argc, argv, "lanes", 1));
 
   bench::print_header(
       "kv serving: sharded SVM KV store under open-loop Zipfian load",
@@ -72,7 +69,6 @@ int sweep(int argc, char** argv) {
   bench::obs_setup(argc, argv);
   bench::JsonReport json("kv", seed);
   if (quick) json.config("quick", u64{1});
-  json.config("lanes", static_cast<u64>(lanes));
 
   // Offered load is fixed per *tier*, split across the generator cores:
   // per-core serving capacity falls as the core count grows (mesh
@@ -107,7 +103,7 @@ int sweep(int argc, char** argv) {
   for (const int cores : core_counts) {
     for (const ModelCase& mc : kModels) {
       for (const double mix : mixes) {
-        serve::KvServingParams p = base_params(seed, lanes);
+        serve::KvServingParams p = base_params(seed);
         p.read_replication = mc.read_replication;
         p.gen.read_fraction = mix;
         p.gen.rate_rps = kModerateAggRps / cores;
@@ -138,7 +134,7 @@ int sweep(int argc, char** argv) {
       // Saturation cell: overdriven open loop, read-heavy. Goodput here
       // is the tier's saturation throughput for this model; the latency
       // tail is dominated by queueing delay.
-      serve::KvServingParams p = base_params(seed, lanes);
+      serve::KvServingParams p = base_params(seed);
       p.read_replication = mc.read_replication;
       p.gen.read_fraction = 0.95;
       p.gen.rate_rps = kSatAggRps / cores;
@@ -187,11 +183,7 @@ const char* outcome_name(Outcome o) {
   return "?";
 }
 
-struct KillCombo {
-  int cores;
-  int lanes;
-};
-constexpr KillCombo kKillCombos[] = {{48, 1}, {96, 4}};
+constexpr int kKillCores[] = {48, 96};
 
 /// 1..3 distinct victims inside the serve window (offset past the start
 /// epoch so deaths land under live traffic), under the heartbeat-lease
@@ -232,8 +224,6 @@ int kill_campaign(int argc, char** argv) {
   const u64 num_plans = bench::arg_u64(argc, argv, "plans", 6);
   const int fixed_cores =
       static_cast<int>(bench::arg_u64(argc, argv, "cores", 0));
-  const int fixed_lanes =
-      static_cast<int>(bench::arg_u64(argc, argv, "lanes", 0));
 
   bench::print_header(
       "kv serving (kill mode): fail-stop homes under live traffic",
@@ -247,16 +237,12 @@ int kill_campaign(int argc, char** argv) {
   u64 completed = 0, shed = 0;
 
   for (u64 i = 0; i < num_plans; ++i) {
-    const KillCombo& combo = kKillCombos[i % std::size(kKillCombos)];
-    const ModelCase& mc = kModels[(i / std::size(kKillCombos)) %
-                                  std::size(kModels)];
-    const int cores = fixed_cores > 0 ? fixed_cores : combo.cores;
-    const int lanes =
-        fixed_lanes > 0
-            ? fixed_lanes
-            : (fixed_cores > 0 ? (cores >= 96 ? 4 : 1) : combo.lanes);
+    const ModelCase& mc =
+        kModels[(i / std::size(kKillCores)) % std::size(kModels)];
+    const int cores =
+        fixed_cores > 0 ? fixed_cores : kKillCores[i % std::size(kKillCores)];
 
-    serve::KvServingParams p = base_params(seed * 1000 + i, lanes);
+    serve::KvServingParams p = base_params(seed * 1000 + i);
     p.read_replication = mc.read_replication;
     p.gen.read_fraction = 0.9;
     p.gen.rate_rps = 20'000.0;
@@ -267,10 +253,9 @@ int kill_campaign(int argc, char** argv) {
                                 p.gen.load_ps);
     const std::string spec = p.faults.to_spec();
 
-    std::printf("run %2llu/%llu: %3d cores x%d %-9s %s %s\n",
+    std::printf("run %2llu/%llu: %3d cores %-9s %s %s\n",
                 static_cast<unsigned long long>(i + 1),
-                static_cast<unsigned long long>(num_plans), cores, lanes,
-                mc.name, p.use_ipi ? "ipi" : "poll", spec.c_str());
+                static_cast<unsigned long long>(num_plans), cores, mc.name, p.use_ipi ? "ipi" : "poll", spec.c_str());
 
     Outcome o = Outcome::kCorrect;
     serve::KvServingResult r;

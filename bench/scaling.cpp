@@ -9,10 +9,9 @@
 //
 // Flags:
 //   --cores=N   run a single core count instead of the sweep
-//   --lanes=N   event lanes for the sharded scheduler (default 4)
 //   --iters=N   Laplace iterations (default 3)
 //   --quick     CI smoke: counts {48, 256} on a smaller grid
-//   --metrics   also fold lane-utilization counters into the JSON
+//   --metrics   also fold the core counters into the JSON
 //
 // Expected shape: LRC scales furthest (no ownership round-trips); Strong
 // pays per-fault mail latency that grows with mesh diameter; read
@@ -46,8 +45,6 @@ constexpr Variant kVariants[] = {
 
 int main(int argc, char** argv) {
   const bool quick = bench::arg_flag(argc, argv, "quick");
-  const int lanes =
-      static_cast<int>(bench::arg_u64(argc, argv, "lanes", 4));
   const int only = bench::arg_cores(argc, argv, /*fallback=*/0);
 
   std::vector<int> counts;
@@ -64,17 +61,15 @@ int main(int argc, char** argv) {
   lp.ny = quick ? 512 : 1024;
   lp.iterations =
       static_cast<u32>(bench::arg_u64(argc, argv, "iters", quick ? 2 : 3));
-  lp.sched_lanes = lanes;
 
   workloads::MatmulParams mp;
   mp.n = quick ? 64 : 128;
-  mp.sched_lanes = lanes;
 
   bench::print_header(
       "Scaling — SVM models past 48 cores (multi-chip grids)",
       "DiSquawk-scale extension of Lankes et al., PMAM'12, Section 7.2");
-  std::printf("laplace %ux%u x%u iters, matmul %ux%u, %d event lane(s)\n\n",
-              lp.ny, lp.nx, lp.iterations, mp.n, mp.n, lanes);
+  std::printf("laplace %ux%u x%u iters, matmul %ux%u\n\n", lp.ny, lp.nx,
+              lp.iterations, mp.n, mp.n);
 
   bench::JsonReport json("scaling", bench::arg_seed(argc, argv));
   bench::obs_setup(argc, argv);
@@ -82,7 +77,6 @@ int main(int argc, char** argv) {
   json.config("laplace_ny", static_cast<u64>(lp.ny));
   json.config("laplace_iters", static_cast<u64>(lp.iterations));
   json.config("matmul_n", static_cast<u64>(mp.n));
-  json.config("lanes", static_cast<u64>(lanes));
   {
     std::string swept;
     for (const int c : counts) {

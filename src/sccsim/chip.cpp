@@ -35,14 +35,6 @@ Chip::Chip(ChipConfig cfg)
       bus_(cfg_.num_cores),
       mc_busy_until_(
           static_cast<std::size_t>(topology().num_mem_controllers()), 0) {
-  // Shard the event core into per-quadrant lanes when asked. Lookahead is
-  // the minimum cross-lane notification latency: one mesh hop, one way
-  // (adjacent quadrants are at least one hop apart). See DESIGN.md §12.
-  if (cfg_.sched_lanes > 1) {
-    const TimePs hop = static_cast<TimePs>(cfg_.mesh_hop_cycles) *
-                       cfg_.mesh_cycle_ps();
-    sched_.configure_lanes(cfg_.sched_lanes, hop > 0 ? hop : 1);
-  }
   // Apply the process-wide observability configuration (filled by the
   // bench --trace/--metrics flags; default all-off and side-effect-free).
   const obs::RuntimeConfig& ocfg = obs::runtime_config();
@@ -98,35 +90,18 @@ Chip::~Chip() {
   obs::fold_fields(m, "core", total_counters(), kCoreCounterFields);
   m.observe("chip.makespan_ms",
             static_cast<double>(makespan_) / 1e9);
-  // Lane-utilization metrics of the sharded event core: per-lane dispatch
-  // counts plus the lookahead windows opened (both 0-cost with one lane).
-  if (sched_.num_lanes() > 1) {
-    m.add("sched.windows_opened", sched_.windows_opened());
-    for (int i = 0; i < sched_.num_lanes(); ++i) {
-      m.add("sched.lane" + std::to_string(i) + ".dispatched",
-            sched_.lane_dispatched(i));
-    }
-  }
 }
 
 void Chip::spawn_program(int core_id, std::function<void(Core&)> fn) {
   Core& c = core(core_id);
   assert(c.actor() == nullptr && "core already has a program");
-  // Lane assignment shards cores by mesh quadrant so cross-lane traffic
-  // crosses at least one mesh hop — the basis of the lookahead window.
-  const Topology& topo = topology();
-  const TileCoord at = topo.coord_of_core(core_id);
-  const int quadrant = (at.y >= topo.rows() / 2 ? 2 : 0) +
-                       (at.x >= topo.cols() / 2 ? 1 : 0);
-  const int lane = sched_.num_lanes() > 1 ? quadrant % sched_.num_lanes() : 0;
   sim::Actor& actor = sched_.spawn(
       "core" + std::to_string(core_id),
       [this, core_id, fn = std::move(fn)] {
         Core& self = core(core_id);
         fn(self);
         if (self.now() > makespan_) makespan_ = self.now();
-      },
-      /*start=*/0, sim::Fiber::kDefaultStackBytes, lane);
+      });
   c.bind_actor(&actor);
 }
 

@@ -26,10 +26,6 @@ struct ChipConfig {
   u32 mesh_mhz = 800;
   u32 dram_mhz = 800;
 
-  /// Event lanes for the sharded scheduler (1 = the classic single global
-  /// event heap; >1 shards actors by mesh quadrant, see DESIGN.md §12).
-  int sched_lanes = 1;
-
   // ---- memory sizes ----
   u64 shared_dram_bytes = 64ull << 20;   // shared off-die region
   u64 private_dram_bytes = 8ull << 20;   // per-core private region
@@ -127,9 +123,6 @@ inline std::string validate_config(const ChipConfig& cfg) {
   }
   if (cfg.page_bytes == 0 || cfg.page_bytes % 4096 != 0) {
     return err("page_bytes must be a non-zero multiple of 4096");
-  }
-  if (cfg.sched_lanes < 1 || cfg.sched_lanes > 64) {
-    return err("sched_lanes must be in [1, 64]");
   }
   if (cfg.mpb_bytes < min_mpb_bytes(topo.max_cores())) {
     return err("mpb_bytes " + std::to_string(cfg.mpb_bytes) +

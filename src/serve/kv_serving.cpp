@@ -53,7 +53,6 @@ KvServingResult run_kv_serving(const KvServingParams& p, svm::Model model,
                                int num_cores) {
   cluster::ClusterConfig cfg;
   scc::configure_cores(cfg.chip, num_cores);
-  cfg.chip.sched_lanes = p.sched_lanes;
   cfg.chip.shared_dram_bytes = 32 << 20;
   cfg.chip.private_dram_bytes = 1 << 20;
   cfg.svm.model = model;

@@ -71,7 +71,6 @@ struct KvServingParams {
   u64 seed = 42;
   bool read_replication = false;
   bool use_ipi = true;
-  int sched_lanes = 1;
   sim::FaultPlan faults;
 };
 

@@ -295,7 +295,7 @@ bool Watchdog::check(TimePs now, TimePs since, const char* site,
       << ps_to_ms(now - since) << " ms blocked (limit "
       << ps_to_ms(limit_) << " ms)\n"
       << "blocked actors:\n"
-      << sched_.describe_blocked_actors() << sched_.describe_lanes();
+      << sched_.describe_blocked_actors();
   report_ = oss.str();
   for (const auto& provider : providers_) provider(report_);
   report_ += "=== end hang report ===\n";

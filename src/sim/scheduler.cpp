@@ -65,102 +65,87 @@ void Scheduler::cancel_all() {
     // blocked with a timeout); drop it so the heap holds live actors only.
     if (a->state_ == Actor::State::kFinished &&
         a->heap_pos_ != Actor::kNotInHeap) {
-      heap_remove_at(lane_of(*a), a->heap_pos_);
+      heap_remove_at(a->heap_pos_);
     }
   }
   cancelling_ = false;
 }
 
-void Scheduler::configure_lanes(int n, TimePs lookahead) {
-  assert(actors_.empty() && "configure_lanes() after spawn");
-  assert(n >= 1 && lookahead >= 1);
-  lanes_.assign(static_cast<std::size_t>(n), Lane{});
-  lookahead_ = lookahead;
-  cur_lane_ = 0;
-  // With one lane the window never closes and the scheduler degenerates
-  // to the classic exact global heap.
-  window_end_ = n == 1 ? kTimeNever : 0;
-}
-
 Actor& Scheduler::spawn(std::string name, std::function<void()> body,
-                        TimePs start, std::size_t stack_bytes, int lane) {
-  assert(lane >= 0 && lane < num_lanes());
+                        TimePs start, std::size_t stack_bytes) {
   const int id = static_cast<int>(actors_.size());
   actors_.push_back(std::unique_ptr<Actor>(
       new Actor(*this, id, std::move(name), std::move(body), stack_bytes)));
   Actor& a = *actors_.back();
   a.clock_ = start;
   a.state_ = Actor::State::kScheduled;
-  a.lane_ = lane;
   heap_push(a, start);
   return a;
 }
 
 // ---- indexed binary heap ----
 
-void Scheduler::sift_up(Lane& ln, std::size_t i) {
-  const HeapEntry e = ln.heap[i];
+void Scheduler::sift_up(std::size_t i) {
+  const HeapEntry e = heap_[i];
   while (i > 0) {
     const std::size_t parent = (i - 1) / 2;
-    if (!entry_less(e, ln.heap[parent])) break;
-    heap_place(ln, i, ln.heap[parent]);
+    if (!entry_less(e, heap_[parent])) break;
+    heap_place(i, heap_[parent]);
     i = parent;
   }
-  heap_place(ln, i, e);
+  heap_place(i, e);
 }
 
-void Scheduler::sift_down(Lane& ln, std::size_t i) {
-  const HeapEntry e = ln.heap[i];
-  const std::size_t n = ln.heap.size();
+void Scheduler::sift_down(std::size_t i) {
+  const HeapEntry e = heap_[i];
+  const std::size_t n = heap_.size();
   for (;;) {
     std::size_t child = 2 * i + 1;
     if (child >= n) break;
-    if (child + 1 < n && entry_less(ln.heap[child + 1], ln.heap[child])) {
+    if (child + 1 < n && entry_less(heap_[child + 1], heap_[child])) {
       ++child;
     }
-    if (!entry_less(ln.heap[child], e)) break;
-    heap_place(ln, i, ln.heap[child]);
+    if (!entry_less(heap_[child], e)) break;
+    heap_place(i, heap_[child]);
     i = child;
   }
-  heap_place(ln, i, e);
+  heap_place(i, e);
 }
 
 void Scheduler::heap_push(Actor& a, TimePs at) {
   assert(a.heap_pos_ == Actor::kNotInHeap);
-  Lane& ln = lane_of(a);
-  ln.heap.push_back(HeapEntry{at, a.id_, &a});
-  a.heap_pos_ = ln.heap.size() - 1;
-  sift_up(ln, a.heap_pos_);
+  heap_.push_back(HeapEntry{at, a.id_, &a});
+  a.heap_pos_ = heap_.size() - 1;
+  sift_up(a.heap_pos_);
 }
 
-void Scheduler::heap_remove_at(Lane& ln, std::size_t i) {
-  assert(i < ln.heap.size());
-  ln.heap[i].actor->heap_pos_ = Actor::kNotInHeap;
-  const std::size_t last = ln.heap.size() - 1;
+void Scheduler::heap_remove_at(std::size_t i) {
+  assert(i < heap_.size());
+  heap_[i].actor->heap_pos_ = Actor::kNotInHeap;
+  const std::size_t last = heap_.size() - 1;
   if (i != last) {
-    const HeapEntry moved = ln.heap[last];
-    ln.heap.pop_back();
-    heap_place(ln, i, moved);
-    if (i > 0 && entry_less(ln.heap[i], ln.heap[(i - 1) / 2])) {
-      sift_up(ln, i);
+    const HeapEntry moved = heap_[last];
+    heap_.pop_back();
+    heap_place(i, moved);
+    if (i > 0 && entry_less(heap_[i], heap_[(i - 1) / 2])) {
+      sift_up(i);
     } else {
-      sift_down(ln, i);
+      sift_down(i);
     }
   } else {
-    ln.heap.pop_back();
+    heap_.pop_back();
   }
 }
 
 void Scheduler::heap_move(Actor& a, TimePs at) {
-  Lane& ln = lane_of(a);
   const std::size_t i = a.heap_pos_;
-  assert(i < ln.heap.size() && ln.heap[i].actor == &a);
-  const TimePs old = ln.heap[i].time;
-  ln.heap[i].time = at;
+  assert(i < heap_.size() && heap_[i].actor == &a);
+  const TimePs old = heap_[i].time;
+  heap_[i].time = at;
   if (at < old) {
-    sift_up(ln, i);
+    sift_up(i);
   } else if (at > old) {
-    sift_down(ln, i);
+    sift_down(i);
   }
 }
 
@@ -171,85 +156,43 @@ Actor* Scheduler::take_next() {
   // while running, i.e. dequeued); the skip only matters for a heap
   // inspected after cancel_all tore actors down mid-flight.
   //
-  // With lanes configured, each lane drains its events strictly below
-  // window_end_ before the cursor moves to the next lane; when every
-  // lane is dry the window advances (see advance_window). Single-lane
-  // schedulers keep window_end_ == kTimeNever, so the loop below is
-  // exactly the classic global-heap pop.
-  //
   // A poll hook sees its actor's entry while it is still the root, so a
-  // re-key is one sift_down. Multi-lane schedulers never consult hooks.
-  const bool hooks = lanes_.size() == 1;
-  for (;;) {
-    Lane& ln = lanes_[cur_lane_];
-    while (!ln.heap.empty() && ln.heap[0].time < window_end_) {
-      Actor* root = ln.heap[0].actor;
-      if (hooks && root->poll_hook_) {
-        TimePs others = kTimeNever;
-        if (ln.heap.size() > 1) others = ln.heap[1].time;
-        if (ln.heap.size() > 2 && ln.heap[2].time < others) {
-          others = ln.heap[2].time;
-        }
-        const PollStep step =
-            root->poll_hook_(ln.heap[0].time,
-                             root->state_ == Actor::State::kBlocked, others);
-        if (step.at != kTimeNever) {
-          root->state_ = step.timeout ? Actor::State::kBlocked
-                                      : Actor::State::kScheduled;
-          ln.heap[0].time = step.at;
-          sift_down(ln, 0);
-          ++elided_polls_;
-          continue;
-        }
-      }
-      const HeapEntry top = ln.heap[0];
-      heap_remove_at(ln, 0);
-      Actor* next = top.actor;
-      if (next->state_ == Actor::State::kFinished ||
-          next->state_ == Actor::State::kKilled) {
+  // re-key is one sift_down.
+  while (!heap_.empty()) {
+    Actor* root = heap_[0].actor;
+    if (root->poll_hook_) {
+      TimePs others = kTimeNever;
+      if (heap_.size() > 1) others = heap_[1].time;
+      if (heap_.size() > 2 && heap_[2].time < others) others = heap_[2].time;
+      const PollStep step =
+          root->poll_hook_(heap_[0].time,
+                           root->state_ == Actor::State::kBlocked, others);
+      if (step.at != kTimeNever) {
+        root->state_ = step.timeout ? Actor::State::kBlocked
+                                    : Actor::State::kScheduled;
+        heap_[0].time = step.at;
+        sift_down(0);
+        ++elided_polls_;
         continue;
       }
-      // A popped entry for a blocked actor is a timeout firing.
-      next->wake_reason_ = next->state_ == Actor::State::kBlocked
-                               ? WakeReason::kTimeout
-                               : WakeReason::kWoken;
-      next->advance_to(top.time);
-      next->state_ = Actor::State::kRunning;
-      ++ln.dispatched;
-      return next;
     }
-    if (!advance_window()) return nullptr;
+    const HeapEntry top = heap_[0];
+    heap_remove_at(0);
+    Actor* next = top.actor;
+    if (next->state_ == Actor::State::kFinished ||
+        next->state_ == Actor::State::kKilled) {
+      continue;
+    }
+    // A popped entry for a blocked actor is a timeout firing.
+    next->wake_reason_ = next->state_ == Actor::State::kBlocked
+                             ? WakeReason::kTimeout
+                             : WakeReason::kWoken;
+    next->advance_to(top.time);
+    next->state_ = Actor::State::kRunning;
+    ++dispatched_;
+    return next;
   }
-}
-
-bool Scheduler::advance_window() {
-  const std::size_t nl = lanes_.size();
-  // Single lane: the window is infinite, so a drained heap means there
-  // are no events at all.
-  if (nl == 1) return false;
-  // Visit the remaining lanes of the current window in fixed order —
-  // the deterministic merge barrier.
-  while (++cur_lane_ < nl) {
-    Lane& ln = lanes_[cur_lane_];
-    if (!ln.heap.empty() && ln.heap[0].time < window_end_) return true;
-  }
-  // All lanes dry below window_end_: open the next window at the global
-  // minimum. Lookahead is the minimum cross-lane latency (one mesh hop),
-  // so no lane can schedule work for another below t_min + lookahead_.
-  TimePs t_min = kTimeNever;
-  for (const Lane& ln : lanes_) {
-    if (!ln.heap.empty() && ln.heap[0].time < t_min) t_min = ln.heap[0].time;
-  }
-  if (t_min == kTimeNever) {
-    // Keep the cursor in range: the run loop probes take_next() again
-    // after a blocked actor falls back to main (deadlock detection).
-    cur_lane_ = 0;
-    return false;
-  }
-  window_end_ = t_min + lookahead_;
-  cur_lane_ = 0;
-  ++windows_;
-  return true;
+  return nullptr;
 }
 
 std::string Scheduler::describe_blocked_actors() const {
@@ -264,19 +207,6 @@ std::string Scheduler::describe_blocked_actors() const {
     const std::string sites = a->describe_sites();
     oss << (sites.empty() ? " (no wait site recorded)" : " waiting at " + sites);
     oss << "\n";
-  }
-  return oss.str();
-}
-
-std::string Scheduler::describe_lanes() const {
-  if (lanes_.size() <= 1) return "";
-  std::ostringstream oss;
-  oss << "  event lanes: " << lanes_.size() << ", windows opened: "
-      << windows_ << "\n";
-  for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    oss << "  lane " << i << ": " << lanes_[i].dispatched
-        << " events dispatched, " << lanes_[i].heap.size()
-        << " queued\n";
   }
   return oss.str();
 }

@@ -26,25 +26,19 @@
 // by an actor that is still the earliest runnable is a plain return with
 // no heap traffic at all.
 //
-// Event lanes (configure_lanes): the heap may be sharded into N lanes,
-// each an independent indexed heap holding a fixed subset of the actors
-// (the chip assigns cores to lanes by mesh quadrant). Lanes advance
-// independently inside a conservative lookahead window [t_min, t_min +
-// lookahead) — t_min the global minimum root, lookahead the minimum
-// cross-lane notification latency — and merge at the deterministic
-// window barrier: lanes are drained in fixed lane order, each in local
-// (time, id) order, then the window recomputes. Same seed => same drain
-// sequence => byte-identical results, run to run. With one lane (the
-// default) the window is infinite and the behaviour — and the event
-// order — is exactly the classic single-heap scheduler. See DESIGN.md
-// §12 for the lookahead/determinism argument.
+// One heap, always: every actor of a run shares this single exact heap,
+// whatever the core count. Shared functional state (TAS registers, MPB
+// flags, DRAM owner/directory words) is read and written at access time,
+// so only a global (time, id) order keeps the simulated answer a function
+// of the modelled machine and the seed alone. DESIGN.md §12 explains why
+// the heap is not sharded.
 //
 // Poll hooks (set_poll_hook): an actor that is spin-waiting on a word may
-// install a hook that the single-lane scheduler calls when it pops the
-// actor's entry. The hook can step a provably failed poll itself (charge
-// its cost, re-key the entry at the next poll instant) and so spare the
-// two fiber switches a resume would cost. See DESIGN.md §11, "Failed
-// polls run in the scheduler".
+// install a hook that the scheduler calls when it pops the actor's entry.
+// The hook can step a provably failed poll itself (charge its cost, re-key
+// the entry at the next poll instant) and so spare the two fiber switches
+// a resume would cost. See DESIGN.md §11, "Failed polls run in the
+// scheduler".
 #pragma once
 
 #include <array>
@@ -140,8 +134,8 @@ class Actor {
   std::string describe_sites() const;
 
   /// Installs (or, with an empty hook, removes) the poll hook the
-  /// single-lane scheduler consults when it pops this actor's entry.
-  /// Non-owning: the callable must outlive its installation.
+  /// scheduler consults when it pops this actor's entry. Non-owning: the
+  /// callable must outlive its installation.
   void set_poll_hook(PollHook hook) { poll_hook_ = hook; }
 
  private:
@@ -158,8 +152,7 @@ class Actor {
   std::string name_;
   TimePs clock_ = 0;
   State state_ = State::kScheduled;
-  int lane_ = 0;                       // event lane this actor lives in
-  std::size_t heap_pos_ = kNotInHeap;  // index into its lane's heap
+  std::size_t heap_pos_ = kNotInHeap;  // index into the scheduler's heap
   WakeReason wake_reason_ = WakeReason::kWoken;
   std::unique_ptr<Fiber> fiber_;
   PollHook poll_hook_;
@@ -189,28 +182,21 @@ class Scheduler {
   Scheduler& operator=(const Scheduler&) = delete;
 
   /// Creates an actor that starts at virtual time `start`. Must be called
-  /// before run() or from inside a running actor. `lane` selects the
-  /// event lane (must be < num_lanes(); 0 is always valid).
+  /// before run() or from inside a running actor.
   Actor& spawn(std::string name, std::function<void()> body,
                TimePs start = 0,
-               std::size_t stack_bytes = Fiber::kDefaultStackBytes,
-               int lane = 0);
+               std::size_t stack_bytes = Fiber::kDefaultStackBytes);
 
-  /// Shards the event core into `n` independent lanes with a conservative
-  /// lookahead window of `lookahead` picoseconds (must be >= 1). Call
-  /// before the first spawn. n == 1 restores the classic single heap.
-  void configure_lanes(int n, TimePs lookahead);
-
-  int num_lanes() const { return static_cast<int>(lanes_.size()); }
-
-  /// Events dispatched from lane `i` so far (lane-utilization metric).
+  /// Always 1: there is one heap. Kept because perfbench reads it.
+  int num_lanes() const { return 1; }
+  /// The dispatch count (`i` must be 0). Kept because perfbench reads it.
   u64 lane_dispatched(int i) const {
-    return lanes_[static_cast<std::size_t>(i)].dispatched;
+    assert(i == 0);
+    (void)i;
+    return dispatched_;
   }
-  /// Lookahead windows opened so far (1 lane: stays 0).
-  u64 windows_opened() const { return windows_; }
   /// Entries a poll hook re-keyed instead of resuming the fiber. Not
-  /// part of lane_dispatched.
+  /// part of the dispatch count.
   u64 elided_polls() const { return elided_polls_; }
 
   /// Runs until every actor has finished. Throws DeadlockError if all
@@ -228,10 +214,9 @@ class Scheduler {
   void yield() {
     Actor* self = current_;
     assert(self != nullptr && "yield() outside an actor");
-    if (!stop_requested_ && self->clock_ < window_end_) {
-      const auto& heap = lanes_[static_cast<std::size_t>(self->lane_)].heap;
-      if (heap.empty()) return;  // nobody else could run before us
-      const HeapEntry& top = heap[0];
+    if (!stop_requested_) {
+      if (heap_.empty()) return;  // nobody else could run before us
+      const HeapEntry& top = heap_[0];
       if (top.time > self->clock_ ||
           (top.time == self->clock_ && top.id > self->id_)) {
         return;  // re-queueing self would pop self right back
@@ -241,31 +226,20 @@ class Scheduler {
   }
 
   /// Cheap check used on the memory-access hot path: yields only when some
-  /// other schedulable actor in this lane has a strictly smaller clock (or
-  /// when the lane's lookahead window has been outrun). Returns true if a
-  /// switch happened.
+  /// other schedulable actor has a strictly smaller clock. Returns true if
+  /// a switch happened.
   bool maybe_yield() {
     Actor* self = current_;
     assert(self != nullptr);
-    const auto& heap = lanes_[static_cast<std::size_t>(self->lane_)].heap;
-    if (self->clock_ < window_end_ &&
-        (heap.empty() || heap[0].time >= self->clock_)) {
-      return false;
-    }
+    if (heap_.empty() || heap_[0].time >= self->clock_) return false;
     yield_switch(self);
     return true;
   }
 
-  /// True when another schedulable actor in the caller's lane has a
-  /// strictly earlier clock than time `t`. Exact: the lane root is always
-  /// a live entry. (From the main context, consults lane 0.)
+  /// True when another schedulable actor has a strictly earlier clock than
+  /// time `t`. Exact: the heap root is always a live entry.
   bool someone_earlier(TimePs t) const {
-    const auto& heap =
-        lanes_[current_ != nullptr
-                   ? static_cast<std::size_t>(current_->lane_)
-                   : 0]
-            .heap;
-    return !heap.empty() && heap[0].time < t;
+    return !heap_.empty() && heap_[0].time < t;
   }
 
   /// Fail-stop death of the *current* actor: marks it kKilled, counts it
@@ -305,21 +279,12 @@ class Scheduler {
   /// Used by the deadlock abort and by watchdog hang reports.
   std::string describe_blocked_actors() const;
 
-  /// Lane-utilization summary ("lane 0: N events" per lane plus the
-  /// window count) for multi-lane hang reports; "" with a single lane.
-  std::string describe_lanes() const;
-
   std::size_t num_actors() const { return actors_.size(); }
   Actor& actor(std::size_t i) { return *actors_.at(i); }
 
-  /// Live entry count across all event lanes. At most one entry per
-  /// unfinished actor by construction — exposed so tests can pin that
-  /// bound.
-  std::size_t heap_size() const {
-    std::size_t n = 0;
-    for (const Lane& ln : lanes_) n += ln.heap.size();
-    return n;
-  }
+  /// Live entry count. At most one entry per unfinished actor by
+  /// construction — exposed so tests can pin that bound.
+  std::size_t heap_size() const { return heap_.size(); }
 
  private:
   /// One indexed-heap entry. The tie-break id is stored inline so the
@@ -330,43 +295,26 @@ class Scheduler {
     Actor* actor;
   };
 
-  /// One event lane: an independent indexed heap plus its stats.
-  struct Lane {
-    std::vector<HeapEntry> heap;
-    u64 dispatched = 0;
-  };
-
   static bool entry_less(const HeapEntry& a, const HeapEntry& b) {
     return a.time != b.time ? a.time < b.time : a.id < b.id;
   }
 
-  Lane& lane_of(Actor& a) {
-    return lanes_[static_cast<std::size_t>(a.lane_)];
-  }
-
   // ---- indexed-heap primitives (maintain Actor::heap_pos_) ----
-  static void heap_place(Lane& ln, std::size_t i, const HeapEntry& e) {
-    ln.heap[i] = e;
+  void heap_place(std::size_t i, const HeapEntry& e) {
+    heap_[i] = e;
     e.actor->heap_pos_ = i;
   }
-  static void sift_up(Lane& ln, std::size_t i);
-  static void sift_down(Lane& ln, std::size_t i);
+  void sift_up(std::size_t i);
+  void sift_down(std::size_t i);
   void heap_push(Actor& a, TimePs at);
-  static void heap_remove_at(Lane& ln, std::size_t i);
+  void heap_remove_at(std::size_t i);
   void heap_move(Actor& a, TimePs at);  // re-key the existing entry
 
-  /// Pops the earliest live entry of the lane cursor's current window and
-  /// prepares its actor to run (wake reason, clock, state). With a single
-  /// lane, an entry whose actor has a poll hook goes to the hook first and
-  /// stays queued when the hook re-keys it. Advances the lane cursor /
-  /// lookahead window as lanes drain. Returns nullptr when every lane is
-  /// empty.
+  /// Pops the earliest live entry and prepares its actor to run (wake
+  /// reason, clock, state). An entry whose actor has a poll hook goes to
+  /// the hook first and stays queued when the hook re-keys it. Returns
+  /// nullptr when the heap is empty.
   Actor* take_next();
-
-  /// Moves the lane cursor to the next lane with work in the current
-  /// window, opening a fresh window when all lanes are drained. Returns
-  /// false when no lane holds any entry (simulation idle).
-  bool advance_window();
 
   /// Suspension point: picks the next actor and transfers to it directly,
   /// or falls back to the main context when the heap is empty or a stop
@@ -377,11 +325,8 @@ class Scheduler {
   void yield_switch(Actor* self);
 
   std::vector<std::unique_ptr<Actor>> actors_;
-  std::vector<Lane> lanes_{1};  // single classic lane by default
-  std::size_t cur_lane_ = 0;    // drain cursor within the current window
-  TimePs lookahead_ = 1;        // cross-lane window width (>= 1)
-  TimePs window_end_ = kTimeNever;  // exclusive; kTimeNever when 1 lane
-  u64 windows_ = 0;
+  std::vector<HeapEntry> heap_;
+  u64 dispatched_ = 0;
   u64 elided_polls_ = 0;
   Actor* current_ = nullptr;
   std::size_t finished_count_ = 0;

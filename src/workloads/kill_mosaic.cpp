@@ -32,7 +32,6 @@ KillMosaicResult run_kill_mosaic(const KillMosaicParams& p,
 
   cluster::ClusterConfig cfg;
   scc::configure_cores(cfg.chip, num_cores);  // grows the grid past 48
-  cfg.chip.sched_lanes = p.sched_lanes;
   cfg.chip.shared_dram_bytes = 32 << 20;
   cfg.chip.private_dram_bytes = 1 << 20;
   cfg.svm.model = model;

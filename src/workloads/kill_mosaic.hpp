@@ -33,7 +33,6 @@ struct KillMosaicParams {
   u64 seed = 42;
   bool read_replication = false;
   bool use_ipi = true;
-  int sched_lanes = 1;  // >1 shards the event heap by mesh quadrant
   /// Attach the ShadowDirectory coherence auditor to the run's bus
   /// (enables the chaos event category so kills reach the dead-set).
   bool audit = false;

@@ -63,7 +63,6 @@ LaplaceResult run_laplace_svm(const LaplaceParams& p, svm::Model model,
   // Past 48 members the chip grid grows to fit (configure_cores), and at
   // 48 or fewer it stays the exact default SCC die.
   scc::configure_cores(cfg.chip, std::max(num_cores, 48));
-  cfg.chip.sched_lanes = p.sched_lanes;
   cfg.chip.core_mhz = p.core_mhz;
   for (int c = 0; c < num_cores; ++c) cfg.members.push_back(c);
   const u64 grid_bytes = static_cast<u64>(p.ny) * p.nx * 8;

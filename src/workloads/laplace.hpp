@@ -40,8 +40,6 @@ struct LaplaceParams {
   /// one neighbour and written by their owner, the sharing pattern the
   /// directory turns into one grant + one invalidation per iteration.
   bool read_replication = false;
-  /// Event lanes for the sharded scheduler (1 = classic single heap).
-  int sched_lanes = 1;
   /// Chaos layer: deterministic fault-injection plan (default: no faults).
   sim::FaultPlan faults;
 };

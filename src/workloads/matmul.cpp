@@ -31,7 +31,6 @@ MatmulResult run_matmul(const MatmulParams& p, svm::Model model,
   cluster::ClusterConfig cfg;
   // Sizes the chip grid to the member count (a no-op below 48 cores).
   scc::configure_cores(cfg.chip, num_cores);
-  cfg.chip.sched_lanes = p.sched_lanes;
   const u64 mat_bytes = static_cast<u64>(p.n) * p.n * 8;
   // As in laplace: 64 KiB of shared DRAM per core past the 48-core die
   // keeps the per-MC frame pools ahead of the allocation batches.

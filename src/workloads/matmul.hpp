@@ -22,8 +22,6 @@ struct MatmulParams {
   bool read_replication = false;
   /// Mailbox delivery mode (the chaos campaign exercises both).
   bool use_ipi = true;
-  /// Event lanes for the sharded scheduler (1 = classic single heap).
-  int sched_lanes = 1;
   /// Chaos layer: deterministic fault-injection plan (default: no faults).
   sim::FaultPlan faults;
 };

@@ -312,91 +312,5 @@ TEST(Scheduler, WakeStormKeepsHeapBounded) {
   EXPECT_LE(max_heap, static_cast<std::size_t>(kSleepers) + 1);
 }
 
-// ---- sharded event lanes ----
-
-TEST(SchedulerLanes, LanesDrainInDeterministicOrder) {
-  // Two actors per lane, all yielding every 10 ps with a 100 ps
-  // lookahead window: within a window lanes drain in fixed lane order,
-  // each in local (time, id) order — the same trace every run.
-  std::vector<std::string> runs[2];
-  for (auto& order : runs) {
-    Scheduler s;
-    s.configure_lanes(2, 100);
-    for (int lane = 0; lane < 2; ++lane) {
-      for (int i = 0; i < 2; ++i) {
-        const std::string name =
-            "L" + std::to_string(lane) + "a" + std::to_string(i);
-        s.spawn(name, [&, name] {
-          for (int step = 0; step < 5; ++step) {
-            s.current()->advance(10);
-            order.push_back(name);
-            s.yield();
-          }
-        }, /*start=*/0, Fiber::kDefaultStackBytes, lane);
-      }
-    }
-    s.run();
-    EXPECT_EQ(order.size(), 20u);
-  }
-  EXPECT_EQ(runs[0], runs[1]);
-}
-
-TEST(SchedulerLanes, SingleLaneMatchesLegacyOrder) {
-  // configure_lanes(1, ...) must reproduce the classic single-heap event
-  // order exactly: global (time, id) interleaving across all actors.
-  auto trace_with = [](bool configure) {
-    Scheduler s;
-    if (configure) s.configure_lanes(1, 50);
-    std::vector<std::pair<std::string, TimePs>> trace;
-    s.spawn("A", [&] {
-      for (int i = 0; i < 4; ++i) {
-        s.current()->advance(10);
-        trace.emplace_back("A", s.current()->clock());
-        s.yield();
-      }
-    });
-    s.spawn("B", [&] {
-      for (int i = 0; i < 2; ++i) {
-        s.current()->advance(25);
-        trace.emplace_back("B", s.current()->clock());
-        s.yield();
-      }
-    });
-    s.run();
-    return trace;
-  };
-  EXPECT_EQ(trace_with(true), trace_with(false));
-}
-
-TEST(SchedulerLanes, CrossLaneWakeAndUtilizationCounters) {
-  Scheduler s;
-  s.configure_lanes(4, 100);
-  EXPECT_EQ(s.num_lanes(), 4);
-  bool woken = false;
-  Actor& sleeper = s.spawn("sleeper", [&] {
-    if (s.block() == WakeReason::kWoken) woken = true;
-  }, /*start=*/0, Fiber::kDefaultStackBytes, /*lane=*/3);
-  // Starts several lookahead windows later, so the sleeper is already
-  // parked when the wake crosses from lane 1 to lane 3.
-  s.spawn("waker", [&] { s.wake(sleeper, s.current()->clock()); },
-          /*start=*/500, Fiber::kDefaultStackBytes, /*lane=*/1);
-  s.run();
-  EXPECT_TRUE(woken);
-  EXPECT_GT(s.windows_opened(), 0u);
-  u64 dispatched = 0;
-  for (int i = 0; i < s.num_lanes(); ++i) dispatched += s.lane_dispatched(i);
-  EXPECT_GE(dispatched, 3u);  // sleeper twice (start + wake), waker once
-}
-
-TEST(SchedulerLanes, MultiLaneDeadlockReportsInsteadOfCrashing) {
-  // All lanes dry with an actor still blocked: the window cursor must
-  // stay in range so the run loop's re-probe reports the deadlock.
-  Scheduler s;
-  s.configure_lanes(2, 50);
-  s.spawn("stuck", [&] { s.block(); }, /*start=*/0,
-          Fiber::kDefaultStackBytes, /*lane=*/1);
-  EXPECT_THROW(s.run(), DeadlockError);
-}
-
 }  // namespace
 }  // namespace msvm::sim

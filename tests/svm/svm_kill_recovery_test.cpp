@@ -114,12 +114,11 @@ TEST(KillRecovery, TypedLossCarriesThePageAndMessage) {
   GTEST_SKIP() << "no seed in the sweep produced a dirty-owner death";
 }
 
-TEST(KillRecovery, MultiLaneWideChipStaysAuditClean) {
-  // 96 cores on 4 event lanes: the sharded scheduler must deliver the
-  // same taxonomy (subset check is off past 64 cores — multi-word
-  // directory entries — but writer-exclusivity and dead-silence hold).
+TEST(KillRecovery, WideChipStaysAuditClean) {
+  // 96 cores across two chips must deliver the same taxonomy (subset
+  // check is off past 64 cores — multi-word directory entries — but
+  // writer-exclusivity and dead-silence hold).
   KillMosaicParams p = params_for("kill=17@500us");
-  p.sched_lanes = 4;
   const KillMosaicResult r = run_kill_mosaic(p, svm::Model::kStrong, 96);
   expect_accounted(r, 96, /*dead=*/1);
 }

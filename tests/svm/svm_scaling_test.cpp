@@ -1,8 +1,8 @@
 // End-to-end tests past the 48-core SCC die: multi-chip topologies run
 // the SVM workloads correctly (checksums match the host reference), the
-// wide directory invalidates replicas at >64 cores, and the sharded
-// event-lane scheduler is deterministic — two same-seed runs produce
-// identical virtual times and protocol counters.
+// wide directory invalidates replicas at >64 cores, and a multi-chip
+// run is deterministic — two same-seed runs produce identical virtual
+// times and protocol counters.
 #include <gtest/gtest.h>
 
 #include "workloads/laplace.hpp"
@@ -40,12 +40,11 @@ TEST(SvmScaling, WideDirectoryInvalidatesPastSixtyFourCores) {
   EXPECT_GT(r.invalidations, 0u);
 }
 
-TEST(SvmScaling, LaneShardedRunIsDeterministic) {
-  // Same seed, same config, two runs, four event lanes: every virtual
-  // time and protocol counter must match bit for bit (the property the
-  // CI double-run gate enforces on the bench binaries).
+TEST(SvmScaling, NinetySixCoreRunIsDeterministic) {
+  // Same seed, same config, two runs: every virtual time and protocol
+  // counter must match bit for bit (the property the CI double-run gate
+  // enforces on the bench binaries).
   LaplaceParams p = small_laplace();
-  p.sched_lanes = 4;
   p.read_replication = true;
   const auto a = run_laplace_svm(p, svm::Model::kStrong, 96);
   const auto b = run_laplace_svm(p, svm::Model::kStrong, 96);
@@ -60,7 +59,6 @@ TEST(SvmScaling, LaneShardedRunIsDeterministic) {
 TEST(SvmScaling, MatmulOneTwentyEightCoresMatchesReference) {
   MatmulParams p;
   p.n = 48;
-  p.sched_lanes = 4;
   const double want = matmul_reference_checksum(p);
   const auto r = run_matmul(p, svm::Model::kLazyRelease, 128);
   EXPECT_NEAR(r.checksum, want, 1e-6);

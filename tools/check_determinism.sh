@@ -9,7 +9,7 @@
 # Usage: check_determinism.sh <bench binary> [bench args...]
 #   With no bench args the historical fig9 invocation (--quick --seed=42)
 #   is used. CI also points this at the scaling bench at a >48-core,
-#   multi-lane configuration to pin the sharded event-lane scheduler.
+#   multi-chip configuration.
 set -u
 
 BIN=${1:?usage: check_determinism.sh <bench binary> [bench args...]}
