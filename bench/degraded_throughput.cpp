@@ -60,10 +60,7 @@ int main(int argc, char** argv) {
         spec.at_ps = (1 + k) * kPsPerMs;
         p.faults.kills.push_back(spec);
       }
-      p.faults.watchdog_ps = 500 * kPsPerMs;
-      p.faults.sweep_period = 2;
-      p.faults.degrade_after = 6;
-      p.faults.retry_ps = 2 * kPsPerMs;
+      bench::recovery_envelope(p.faults);
       p.faults.lease_ps = 500 * kPsPerUs;
 
       const char* outcome = "correct";

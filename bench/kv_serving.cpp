@@ -12,15 +12,7 @@
 //   ./kv_serving --quick --cores=8    # smoke-sized
 //   ./kv_serving --cores=96           # one off-sweep cell
 //
-// Kill mode (`--kill`) runs the serving tier's fail-stop campaign:
-// seeded runs cycling {48, 96} cores x the three models, each
-// killing 1..3 random cores mid-serve under the heartbeat-lease
-// envelope. The contract is graceful degradation: fewer completions
-// (typed shed/timeout losses), ZERO wrong responses, zero silent
-// hangs. Every reply is verified against the self-verifying value
-// scheme, so corruption anywhere in the stack is detected, not served.
-//
-//   ./kv_serving --kill --plans=6 --seed=1
+// The serving tier's fail-stop campaign is `campaign --campaign=kv-kill`.
 #include <cstdio>
 #include <iterator>
 #include <string>
@@ -55,9 +47,9 @@ serve::KvServingParams base_params(u64 seed) {
   return p;
 }
 
-double ps_to_us(double ps) { return ps / 1e6; }
+}  // namespace
 
-int sweep(int argc, char** argv) {
+int main(int argc, char** argv) {
   const u64 seed = bench::arg_seed(argc, argv);
   const bool quick = bench::arg_flag(argc, argv, "quick");
   const int fixed_cores =
@@ -166,174 +158,4 @@ int sweep(int argc, char** argv) {
   std::printf("kv serving: every reply verified against the derived "
               "value scheme (0 wrong)\n");
   return 0;
-}
-
-// ---------------------------------------------------------------------------
-// Kill mode.
-
-enum class Outcome { kCorrect, kTypedLoss, kCleanHang, kWrong };
-
-const char* outcome_name(Outcome o) {
-  switch (o) {
-    case Outcome::kCorrect: return "correct";
-    case Outcome::kTypedLoss: return "typed-loss";
-    case Outcome::kCleanHang: return "clean-hang";
-    case Outcome::kWrong: return "WRONG";
-  }
-  return "?";
-}
-
-constexpr int kKillCores[] = {48, 96};
-
-/// 1..3 distinct victims inside the serve window (offset past the start
-/// epoch so deaths land under live traffic), under the heartbeat-lease
-/// recovery envelope (same shape as chaos_campaign's kill plans).
-sim::FaultPlan random_kill_plan(sim::Rng& rng, u64 plan_seed, int cores,
-                                TimePs epoch_ps, TimePs load_ps) {
-  sim::FaultPlan plan;
-  plan.seed = plan_seed;
-  const u64 nkills = 1 + rng.next_below(3);
-  const u64 epoch_ns = static_cast<u64>(epoch_ps / kPsPerNs);
-  const u64 window_ns = static_cast<u64>(load_ps / kPsPerNs);
-  for (u64 k = 0; k < nkills; ++k) {
-    sim::KillSpec spec;
-    for (;;) {
-      spec.core = static_cast<int>(rng.next_below(static_cast<u64>(cores)));
-      bool dup = false;
-      for (const sim::KillSpec& prev : plan.kills) {
-        if (prev.core == spec.core) dup = true;
-      }
-      if (!dup) break;
-    }
-    // ns-aligned, within [10%, 90%] of the load window.
-    spec.at_ps = static_cast<TimePs>(epoch_ns + window_ns / 10 +
-                                     rng.next_below(window_ns * 8 / 10)) *
-                 kPsPerNs;
-    plan.kills.push_back(spec);
-  }
-  plan.watchdog_ps = 500 * kPsPerMs;
-  plan.sweep_period = 2;
-  plan.degrade_after = 6;
-  plan.retry_ps = 2 * kPsPerMs;
-  plan.lease_ps = 500 * kPsPerUs;
-  return plan;
-}
-
-int kill_campaign(int argc, char** argv) {
-  const u64 seed = bench::arg_seed(argc, argv);
-  const u64 num_plans = bench::arg_u64(argc, argv, "plans", 6);
-  const int fixed_cores =
-      static_cast<int>(bench::arg_u64(argc, argv, "cores", 0));
-
-  bench::print_header(
-      "kv serving (kill mode): fail-stop homes under live traffic",
-      "contract: degraded goodput, typed losses, ZERO wrong responses");
-  bench::obs_setup(argc, argv);
-  bench::JsonReport json("kv_kill", seed);
-  json.config("plans", num_plans);
-
-  sim::Rng rng = bench::seeded_rng(seed);
-  u64 correct = 0, typed_loss = 0, clean_hangs = 0, wrong = 0;
-  u64 completed = 0, shed = 0;
-
-  for (u64 i = 0; i < num_plans; ++i) {
-    const ModelCase& mc =
-        kModels[(i / std::size(kKillCores)) % std::size(kModels)];
-    const int cores =
-        fixed_cores > 0 ? fixed_cores : kKillCores[i % std::size(kKillCores)];
-
-    serve::KvServingParams p = base_params(seed * 1000 + i);
-    p.read_replication = mc.read_replication;
-    p.gen.read_fraction = 0.9;
-    p.gen.rate_rps = 20'000.0;
-    p.gen.load_ps = 1 * kPsPerMs;
-    p.drain_ps = 1 * kPsPerMs;
-    p.use_ipi = (i % 2) == 0;
-    p.faults = random_kill_plan(rng, p.seed, cores, p.start_epoch_ps,
-                                p.gen.load_ps);
-    const std::string spec = p.faults.to_spec();
-
-    std::printf("run %2llu/%llu: %3d cores %-9s %s %s\n",
-                static_cast<unsigned long long>(i + 1),
-                static_cast<unsigned long long>(num_plans), cores, mc.name, p.use_ipi ? "ipi" : "poll", spec.c_str());
-
-    Outcome o = Outcome::kCorrect;
-    serve::KvServingResult r;
-    try {
-      r = serve::run_kv_serving(p, mc.model, cores);
-      completed += r.completed;
-      shed += r.dead_shed + r.timeouts;
-      if (r.wrong > 0) {
-        std::fprintf(stderr, "  WRONG: %llu bad response(s)\n",
-                     static_cast<unsigned long long>(r.wrong));
-        o = Outcome::kWrong;
-      } else if (r.ranks_lost > 0 || !r.failures.empty() ||
-                 r.dead_shed + r.timeouts > 0) {
-        o = Outcome::kTypedLoss;
-      }
-    } catch (const sim::HangError& e) {
-      if (e.report().empty()) {
-        std::fprintf(stderr, "  HangError with empty report\n");
-        o = Outcome::kWrong;
-      } else {
-        o = Outcome::kCleanHang;
-      }
-    }
-
-    std::printf("  -> %-10s completed=%llu wrong=%llu shed=%llu "
-                "timeouts=%llu retransmits=%llu lost_ranks=%d "
-                "recoveries=%llu\n",
-                outcome_name(o),
-                static_cast<unsigned long long>(r.completed),
-                static_cast<unsigned long long>(r.wrong),
-                static_cast<unsigned long long>(r.dead_shed),
-                static_cast<unsigned long long>(r.timeouts),
-                static_cast<unsigned long long>(r.retransmits),
-                r.ranks_lost,
-                static_cast<unsigned long long>(r.recoveries));
-    switch (o) {
-      case Outcome::kCorrect: ++correct; break;
-      case Outcome::kTypedLoss: ++typed_loss; break;
-      case Outcome::kCleanHang: ++clean_hangs; break;
-      case Outcome::kWrong: ++wrong; break;
-    }
-  }
-
-  bench::print_row_sep();
-  std::printf("kv kill campaign: %llu run(s): %llu correct, %llu typed "
-              "loss, %llu clean hang(s), %llu WRONG\n",
-              static_cast<unsigned long long>(num_plans),
-              static_cast<unsigned long long>(correct),
-              static_cast<unsigned long long>(typed_loss),
-              static_cast<unsigned long long>(clean_hangs),
-              static_cast<unsigned long long>(wrong));
-  json.sample("correct", static_cast<double>(correct));
-  json.sample("typed_loss", static_cast<double>(typed_loss));
-  json.sample("clean_hangs", static_cast<double>(clean_hangs));
-  json.sample("wrong", static_cast<double>(wrong));
-  json.sample("completed", static_cast<double>(completed));
-  json.sample("shed", static_cast<double>(shed));
-  // The serving contract is stricter than the shared-memory campaign's:
-  // a clean hang is also a failure here — the tier is built barrier-free
-  // and fail-fast precisely so that deaths cannot wedge survivors.
-  if (wrong != 0 || clean_hangs != 0) {
-    std::fprintf(stderr,
-                 "kv kill campaign FAILED: %llu wrong, %llu hang(s)\n",
-                 static_cast<unsigned long long>(wrong),
-                 static_cast<unsigned long long>(clean_hangs));
-    return 1;
-  }
-  std::printf("kv kill campaign passed: every death degraded gracefully "
-              "(0 wrong responses, 0 hangs)\n");
-  return 0;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  using namespace msvm;
-  if (bench::arg_flag(argc, argv, "kill")) {
-    return kill_campaign(argc, argv);
-  }
-  return sweep(argc, argv);
 }

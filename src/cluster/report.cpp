@@ -153,11 +153,11 @@ std::string format_report(Cluster& cluster, const ReportOptions& options) {
       appendf(out, "  %-32s %llu\n", name.c_str(),
               static_cast<unsigned long long>(value));
     }
-    for (const auto& [name, summary] : obs::global_metrics().histograms()) {
-      (void)summary;
-      const auto s = obs::global_metrics().summarize(name);
-      appendf(out, "  %-32s n=%zu mean=%g p50=%g p95=%g\n", name.c_str(),
-              s.count, s.mean, s.p50, s.p95);
+    for (const auto& [name, h] : obs::global_metrics().histograms()) {
+      appendf(out, "  %-32s n=%llu mean=%g p50=%llu p95=%llu\n",
+              name.c_str(), static_cast<unsigned long long>(h.count()),
+              h.mean(), static_cast<unsigned long long>(h.p50()),
+              static_cast<unsigned long long>(h.p95()));
     }
   }
   return out;

@@ -1,6 +1,5 @@
 #include "obs/metrics.hpp"
 
-#include <algorithm>
 #include <cstdio>
 
 namespace msvm::obs {
@@ -13,34 +12,7 @@ std::string fmt_double(double v) {
   return buf;
 }
 
-double percentile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const auto rank = static_cast<std::size_t>(
-      q * static_cast<double>(sorted.size() - 1) + 0.5);
-  return sorted[std::min(rank, sorted.size() - 1)];
-}
-
 }  // namespace
-
-MetricsRegistry::HistSummary MetricsRegistry::summarize(
-    const std::string& name) const {
-  HistSummary s;
-  const auto it = histograms_.find(name);
-  if (it == histograms_.end() || it->second.empty()) return s;
-  std::vector<double> v = it->second;
-  std::sort(v.begin(), v.end());
-  s.count = v.size();
-  s.min = v.front();
-  s.max = v.back();
-  double sum = 0;
-  for (const double x : v) sum += x;
-  s.mean = sum / static_cast<double>(v.size());
-  s.p50 = percentile(v, 0.50);
-  s.p95 = percentile(v, 0.95);
-  s.p99 = percentile(v, 0.99);
-  s.p999 = percentile(v, 0.999);
-  return s;
-}
 
 std::string MetricsRegistry::to_json(const std::string& indent) const {
   std::string out = "{";
@@ -50,18 +22,20 @@ std::string MetricsRegistry::to_json(const std::string& indent) const {
     out += indent + "\"" + name + "\": " + std::to_string(value);
     first = false;
   }
-  for (const auto& [name, samples] : histograms_) {
-    (void)samples;
-    const HistSummary s = summarize(name);
+  for (const auto& [name, h] : histograms_) {
     char buf[256];
     std::snprintf(buf, sizeof(buf),
-                  "{\"count\": %zu, \"min\": %s, \"max\": %s, "
-                  "\"mean\": %s, \"p50\": %s, \"p95\": %s, "
-                  "\"p99\": %s, \"p999\": %s}",
-                  s.count, fmt_double(s.min).c_str(),
-                  fmt_double(s.max).c_str(), fmt_double(s.mean).c_str(),
-                  fmt_double(s.p50).c_str(), fmt_double(s.p95).c_str(),
-                  fmt_double(s.p99).c_str(), fmt_double(s.p999).c_str());
+                  "{\"count\": %llu, \"min\": %llu, \"max\": %llu, "
+                  "\"mean\": %s, \"p50\": %llu, \"p95\": %llu, "
+                  "\"p99\": %llu, \"p999\": %llu}",
+                  static_cast<unsigned long long>(h.count()),
+                  static_cast<unsigned long long>(h.min()),
+                  static_cast<unsigned long long>(h.max()),
+                  fmt_double(h.mean()).c_str(),
+                  static_cast<unsigned long long>(h.p50()),
+                  static_cast<unsigned long long>(h.p95()),
+                  static_cast<unsigned long long>(h.p99()),
+                  static_cast<unsigned long long>(h.p999()));
     out += first ? "\n" : ",\n";
     out += indent + "\"" + name + "\": " + buf;
     first = false;

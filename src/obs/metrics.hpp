@@ -12,10 +12,9 @@
 #include <cstddef>
 #include <map>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "obs/events.hpp"
+#include "obs/latency_histo.hpp"
 
 namespace msvm::obs {
 
@@ -32,8 +31,8 @@ class MetricsRegistry {
   }
 
   /// Records one sample into the named histogram.
-  void observe(const std::string& name, double sample) {
-    histograms_[name].push_back(sample);
+  void observe(const std::string& name, u64 sample) {
+    histograms_[name].record(sample);
   }
 
   bool empty() const { return counters_.empty() && histograms_.empty(); }
@@ -45,18 +44,8 @@ class MetricsRegistry {
   /// Sorted (name, value) view of every counter.
   const std::map<std::string, u64>& counters() const { return counters_; }
 
-  struct HistSummary {
-    std::size_t count = 0;
-    double min = 0;
-    double max = 0;
-    double mean = 0;
-    double p50 = 0;
-    double p95 = 0;
-    double p99 = 0;
-    double p999 = 0;
-  };
-  HistSummary summarize(const std::string& name) const;
-  const std::map<std::string, std::vector<double>>& histograms() const {
+  /// Sorted (name, histogram) view of every observed name.
+  const std::map<std::string, LatencyHisto>& histograms() const {
     return histograms_;
   }
 
@@ -66,7 +55,7 @@ class MetricsRegistry {
 
  private:
   std::map<std::string, u64> counters_;
-  std::map<std::string, std::vector<double>> histograms_;
+  std::map<std::string, LatencyHisto> histograms_;
 };
 
 /// The process-wide registry the --metrics flag folds run totals into.

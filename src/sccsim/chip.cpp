@@ -88,8 +88,7 @@ Chip::~Chip() {
   // (the --metrics flag dumps it into BENCH_*.json at exit).
   obs::MetricsRegistry& m = obs::global_metrics();
   obs::fold_fields(m, "core", total_counters(), kCoreCounterFields);
-  m.observe("chip.makespan_ms",
-            static_cast<double>(makespan_) / 1e9);
+  m.observe("chip.makespan_ps", makespan_);
 }
 
 void Chip::spawn_program(int core_id, std::function<void(Core&)> fn) {

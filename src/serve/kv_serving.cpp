@@ -44,7 +44,7 @@ struct CoreTally {
   u64 gets = 0, puts = 0, scans = 0;
   u64 served_ops = 0, local_ops = 0, acks_dropped = 0;
   int late_start = 0;
-  LatencyHisto histo;
+  obs::LatencyHisto histo;
 };
 
 }  // namespace

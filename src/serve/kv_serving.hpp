@@ -14,7 +14,7 @@
 // self-verifying value scheme (KvStore::value_fold), so a wrong answer
 // anywhere in the stack is *detected*, never absorbed. Latency is
 // captured per request from intended arrival (open loop — queueing
-// delay counts) to reply, into a serve::LatencyHisto.
+// delay counts) to reply, into an obs::LatencyHisto.
 //
 // The tier is deliberately barrier-free after construction: a home that
 // fail-stops mid-run can never wedge the survivors at a rendezvous.
@@ -27,8 +27,8 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "obs/latency_histo.hpp"
 #include "serve/kv_store.hpp"
-#include "serve/latency_histo.hpp"
 #include "serve/workload_gen.hpp"
 #include "sim/faults.hpp"
 
@@ -94,7 +94,7 @@ struct KvServingResult {
 
   /// Merged request-latency histogram (picoseconds), intended-arrival
   /// to completion.
-  LatencyHisto latency;
+  obs::LatencyHisto latency;
 
   /// completed_in_window / load-window seconds, summed over all cores
   /// (the tier's sustained goodput in requests per virtual second;

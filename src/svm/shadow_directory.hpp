@@ -22,8 +22,8 @@
 //     with IntegrityAction::kPoisoned) never re-enters OwnedRW or
 //     SharedRO: there is no un-poison transition, so any later mapping
 //     of that page means some core trusted known-bad data. Needs
-//     obs::kCatIntegrity enabled alongside kCatProto (the corruption
-//     campaign's --audit flag does).
+//     obs::kCatIntegrity enabled alongside kCatProto
+//     (KillMosaicParams::audit does).
 //
 // Events are processed in bus-arrival order, NOT timestamp order:
 // arrival order respects simulator causality (a mail cannot be received
@@ -34,7 +34,8 @@
 //
 // The dead-core bookkeeping needs the kCoreKill injection records:
 // enable obs::kCatChaos alongside the default kCatProto when auditing a
-// run with kill faults (the chaos campaign's --audit flag does).
+// run with kill faults (KillMosaicParams::audit does; the kill and flip
+// campaigns always set it).
 #pragma once
 
 #include <string>

@@ -4,8 +4,8 @@
 // locally, then merges into the SVM-resident histogram under striped SVM
 // locks — acquire invalidates, release publishes.
 //
-// Not to be confused with serve/latency_histo.hpp: that is the serving
-// tier's log-scaled *latency* histogram (a measurement container); this
+// Not to be confused with obs/latency_histo.hpp: that is the
+// simulator's log-scaled *latency* histogram (a measurement container); this
 // is a *workload* whose shared data happens to be a histogram.
 #pragma once
 

@@ -6,9 +6,9 @@
 
 #include "kernel/kernel.hpp"
 #include "mailbox/mailbox.hpp"
+#include "obs/latency_histo.hpp"
 #include "sccsim/chip.hpp"
 #include "sim/rng.hpp"
-#include "sim/stats.hpp"
 
 namespace msvm::workloads {
 
@@ -44,7 +44,7 @@ PingPongResult run_mailbox_pingpong(const PingPongParams& params) {
   }
 
   bool stop_flag = false;
-  sim::SampleSet samples;
+  obs::LatencyHisto samples;
   u64 checks_before = 0;
   u64 checks_after = 0;
 
@@ -81,7 +81,7 @@ PingPongResult run_mailbox_pingpong(const PingPongParams& params) {
           mb->send(params.core_b, m);
           (void)mb->recv_type(kPong);
           if (i >= params.warmup) {
-            samples.add(static_cast<double>((core.now() - t0) / 2));
+            samples.record((core.now() - t0) / 2);
           }
         }
         stop_flag = true;
@@ -147,8 +147,8 @@ PingPongResult run_mailbox_pingpong(const PingPongParams& params) {
 
   PingPongResult result;
   result.half_rtt_mean = static_cast<TimePs>(samples.mean());
-  result.half_rtt_min = static_cast<TimePs>(samples.min());
-  result.half_rtt_max = static_cast<TimePs>(samples.max());
+  result.half_rtt_min = samples.min();
+  result.half_rtt_max = samples.max();
   result.slot_checks = checks_after - checks_before;
   return result;
 }

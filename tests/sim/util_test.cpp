@@ -1,11 +1,9 @@
-// Tests for the deterministic RNG, statistics helpers and time conversions.
+// Tests for the deterministic RNG and time conversions.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <set>
 
 #include "sim/rng.hpp"
-#include "sim/stats.hpp"
 #include "sim/types.hpp"
 
 namespace msvm {
@@ -69,43 +67,6 @@ TEST(Rng, DoubleInUnitInterval) {
     sum += d;
   }
   EXPECT_NEAR(sum / 10000.0, 0.5, 0.02);
-}
-
-TEST(RunningStats, BasicMoments) {
-  sim::RunningStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_NEAR(s.stddev(), std::sqrt(32.0 / 7.0), 1e-12);
-}
-
-TEST(RunningStats, EmptyIsZero) {
-  sim::RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(SampleSet, PercentilesExact) {
-  sim::SampleSet s;
-  for (int i = 100; i >= 1; --i) s.add(static_cast<double>(i));
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 100.0);
-  EXPECT_NEAR(s.median(), 50.0, 1.0);
-  EXPECT_NEAR(s.percentile(90), 90.0, 1.0);
-  EXPECT_DOUBLE_EQ(s.percentile(0), 1.0);
-  EXPECT_DOUBLE_EQ(s.percentile(100), 100.0);
-}
-
-TEST(SampleSet, AddAfterPercentileQuery) {
-  sim::SampleSet s;
-  s.add(1.0);
-  s.add(3.0);
-  EXPECT_DOUBLE_EQ(s.median(), 1.0);  // nearest-rank on {1,3}
-  s.add(2.0);
-  EXPECT_DOUBLE_EQ(s.median(), 2.0);  // re-sorts after mutation
 }
 
 }  // namespace
