@@ -226,21 +226,6 @@ void MailboxSystem::send(int dest, const Mail& mail) {
   }
 }
 
-int MailboxSystem::multicast(u64 dest_mask, const Mail& mail) {
-  ++stats_.multicasts;
-  int sent = 0;
-  dest_mask &= ~(u64{1} << core_.id());  // never self: poll skips our slot
-  const int n = core_.chip().num_cores();
-  for (int dest = 0; dest < n && dest_mask != 0; ++dest, dest_mask >>= 1) {
-    if (dest_mask & 1) {
-      send(dest, mail);
-      ++sent;
-    }
-  }
-  assert(dest_mask == 0 && "multicast mask names a core beyond num_cores");
-  return sent;
-}
-
 int MailboxSystem::multicast(const std::vector<int>& dests,
                              const Mail& mail) {
   ++stats_.multicasts;

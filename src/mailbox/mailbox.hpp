@@ -130,17 +130,11 @@ class MailboxSystem {
   /// for this sender is still full.
   bool try_send(int dest, const Mail& mail);
 
-  /// Sends `mail` to every core whose bit is set in `dest_mask` (bit i =
-  /// core i), always excluding the calling core. There is no hardware
-  /// broadcast on the chip: the fan-out is a software loop of ordinary
-  /// sends, each paying the full deposit cost (the SVM invalidation
-  /// protocol amortises the latency by overlapping the ACK waits).
-  /// Returns the number of mails sent.
-  int multicast(u64 dest_mask, const Mail& mail);
-
-  /// List-typed fan-out for chips wider than 64 cores (the SVM layer
-  /// materialises its SharerSet into a destination list). Same semantics
-  /// as the mask overload: the calling core is skipped.
+  /// Sends `mail` to every core in `dests`, always excluding the calling
+  /// core. There is no hardware broadcast on the chip: the fan-out is a
+  /// software loop of ordinary sends, each paying the full deposit cost
+  /// (the SVM invalidation protocol amortises the latency by overlapping
+  /// the ACK waits). Returns the number of mails sent.
   int multicast(const std::vector<int>& dests, const Mail& mail);
 
   /// Registers a handler for a mail type. Handled types never reach the

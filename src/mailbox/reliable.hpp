@@ -1,12 +1,10 @@
-// Reliable request/ACK delivery over the unreliable mailbox: the
-// sequence-tag generator, the bounded receiver-side ACK dedup ring, and
-// the idempotent try_send retransmission — extracted here because the
-// SVM runtime and the KV serving tier each grew their own copy, and the
-// integrity layer's corrupt-drop path (a CRC-failed mail is consumed
-// but never dispatched) must be recovered identically in both: the
-// dropped mail times out at the originator and is retransmitted under
-// the same identity, and the dedup side absorbs the double delivery
-// when the original was merely delayed rather than corrupt.
+// Receiver-side ACK dedup for the SVM runtime's protocol mail: the
+// request sequence-tag generator and a bounded ring of recently seen ACK
+// identities. The mailbox is unreliable under fault injection (a
+// CRC-failed mail is consumed but never dispatched), so the originator
+// times out and retransmits under the same identity with
+// MailboxSystem::try_send; this ring absorbs the double delivery when
+// the original was merely delayed rather than lost.
 //
 // AckRing remembers the last 64 ACK identity keys (sender, type, page,
 // seq packed by ack_key). A key already present is a duplicate — a
@@ -104,62 +102,5 @@ inline AckRing::u64 ack_key(const Mail& m) {
   x ^= x >> 31;
   return x == 0 ? 1 : x;  // 0 means "empty ring entry"
 }
-
-/// One core's reliable-delivery endpoint: identity stamping on the
-/// request side, dedup on the ACK side, idempotent retransmission in
-/// between. Holds no per-request state — the callers own their pending
-/// sets (the SVM runtime's PendingRequest, the serving tier's Slot
-/// table) because *what* to resend is protocol-specific; this class
-/// owns the parts that were duplicated.
-class ReliableChannel {
- public:
-  explicit ReliableChannel(MailboxSystem& mbox) : mbox_(mbox) {}
-
-  ReliableChannel(const ReliableChannel&) = delete;
-  ReliableChannel& operator=(const ReliableChannel&) = delete;
-
-  /// 16-bit protocol sequence numbers (wraps through the dedup ring —
-  /// the SVM runtime's request tagging).
-  AckRing::u16 next_seq() { return ring_.next_seq(); }
-
-  /// 64-bit request ids for high-volume tiers that must never wrap
-  /// within a run: monotonic from 1, OR-ed under the caller's tag bits
-  /// (the serving tier uses rank << 32). Peek/advance are split so a
-  /// send that finds the destination slot full does not burn an id —
-  /// the retry goes out under the same identity.
-  u64 reqid(u64 tag) const { return tag | next_reqid_; }
-  void advance_reqid() { ++next_reqid_; }
-
-  /// ACK-side dedup; mirrors AckRing::admit and tallies the outcome.
-  AckRing::Admit admit(u64 key) {
-    const AckRing::Admit verdict = ring_.admit(key);
-    if (verdict == AckRing::Admit::kDuplicate) ++dup_acks_dropped_;
-    if (verdict == AckRing::Admit::kFreshEvicting) ++acks_evicted_;
-    return verdict;
-  }
-
-  /// Idempotent retransmission: try_send only — a still-full slot means
-  /// the original mail is still deliverable, and a blocking send here
-  /// could clobber unrelated traffic or deadlock a serve path. Returns
-  /// whether the mail was deposited (and counted).
-  bool retransmit(int dest, const Mail& mail) {
-    if (!mbox_.try_send(dest, mail)) return false;
-    ++retransmits_;
-    return true;
-  }
-
-  const AckRing& ring() const { return ring_; }
-  u64 retransmits() const { return retransmits_; }
-  u64 dup_acks_dropped() const { return dup_acks_dropped_; }
-  u64 acks_evicted() const { return acks_evicted_; }
-
- private:
-  MailboxSystem& mbox_;
-  AckRing ring_;
-  u64 next_reqid_ = 1;
-  u64 retransmits_ = 0;
-  u64 dup_acks_dropped_ = 0;
-  u64 acks_evicted_ = 0;
-};
 
 }  // namespace msvm::mbox

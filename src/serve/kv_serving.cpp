@@ -4,7 +4,7 @@
 #include <deque>
 #include <limits>
 
-#include "mailbox/reliable.hpp"
+#include "mailbox/mailbox.hpp"
 #include "sccsim/chip.hpp"
 
 namespace msvm::serve {
@@ -120,11 +120,11 @@ KvServingResult run_kv_serving(const KvServingParams& p, svm::Model model,
     std::deque<Request> backlog;
     std::vector<Slot> slots(p.max_outstanding);
     std::deque<PendingAck> pending_acks;
-    // Request identity + retransmission through the shared reliable-
-    // delivery endpoint; ids are 64-bit (rank << 32 | monotonic) because
-    // a serving run issues far more requests than a 16-bit protocol
-    // sequence could distinguish.
-    mbox::ReliableChannel chan(mb);
+    // Request ids are 64-bit (rank << 32 | monotonic from 1) because a
+    // serving run issues far more requests than a 16-bit protocol
+    // sequence could distinguish. An id is spent only by a successful
+    // send, so a retry after a full slot goes out under the same id.
+    u64 next_reqid = 1;
     const u64 rank_tag = static_cast<u64>(rank) << 32;
 
     auto is_req = [](const mbox::Mail& m) {
@@ -239,7 +239,7 @@ KvServingResult run_kv_serving(const KvServingParams& p, svm::Model model,
       m.arg16 = static_cast<u16>(static_cast<u16>(r.op) |
                                  (u32{r.scan_len} << 2));
       m.p0 = r.key;
-      m.p1 = chan.reqid(rank_tag);
+      m.p1 = rank_tag | next_reqid;
       if (!mb.try_send(dest, m)) return false;  // slot full; retry later
       backlog.pop_front();
       free_slot->active = true;
@@ -248,7 +248,7 @@ KvServingResult run_kv_serving(const KvServingParams& p, svm::Model model,
       free_slot->dest = dest;
       free_slot->deadline = core.now() + p.timeout_ps;
       free_slot->tries = 1;
-      chan.advance_reqid();
+      ++next_reqid;
       ++t.issued;
       count_op(r.op);
       return true;
@@ -265,7 +265,7 @@ KvServingResult run_kv_serving(const KvServingParams& p, svm::Model model,
                                      (u32{s.req.scan_len} << 2));
           m.p0 = s.req.key;
           m.p1 = s.reqid;  // same id: a late first reply still matches
-          if (chan.retransmit(s.dest, m)) {
+          if (mb.try_send(s.dest, m)) {
             ++s.tries;
             ++t.retransmits;
             s.deadline = core.now() + p.timeout_ps;

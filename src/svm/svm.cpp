@@ -67,7 +67,6 @@ u64 Svm::alloc(u64 bytes) {
   // Table 1 row 1: reserving 4 MiB costs ~741 us in total).
   core_.compute_cycles(
       pages * domain_.config().alloc_region_cycles_per_page);
-  runtime_->add_region(base, pages);
   next_vaddr_ = base + pages * page;
   barrier();
   return base;
@@ -177,8 +176,10 @@ void Svm::barrier_dissemination() {
 
 void Svm::protect_readonly(u64 vaddr, u64 bytes) {
   ++runtime_->stats().protect_calls;
-  SvmRuntime::RegionAttrs* region = runtime_->region_of(vaddr);
-  if (region == nullptr) panic("protect_readonly outside any SVM region");
+  const u16 region = runtime_->region_of(vaddr);
+  if (region == SvmDomain::kNoRegion) {
+    panic("protect_readonly outside any SVM region");
+  }
   const u64 page = core_.chip().config().page_bytes;
   // Make our writes visible and drop our MPBT lines: the region's lines
   // will re-enter the caches as plain (L2-capable) lines.
@@ -192,13 +193,13 @@ void Svm::protect_readonly(u64 vaddr, u64 bytes) {
     });
     core_.compute_cycles(40);
   }
-  region->readonly = true;
+  runtime_->set_region_readonly(region, true);
   barrier();
 }
 
 void Svm::unprotect(u64 vaddr, u64 bytes) {
-  SvmRuntime::RegionAttrs* region = runtime_->region_of(vaddr);
-  if (region == nullptr) panic("unprotect outside any SVM region");
+  const u16 region = runtime_->region_of(vaddr);
+  if (region == SvmDomain::kNoRegion) panic("unprotect outside any SVM region");
   const u64 page = core_.chip().config().page_bytes;
   // Drop all mappings: the next access re-faults through the normal
   // (model-aware) path, which restores MPBT attributes and — under the
@@ -222,13 +223,14 @@ void Svm::unprotect(u64 vaddr, u64 bytes) {
       runtime_->meta().clear_dir(page_index_of(vaddr + off));
     }
   }
-  region->readonly = false;
+  runtime_->set_region_readonly(region, false);
   barrier();
 }
 
 void Svm::next_touch(u64 vaddr, u64 bytes) {
-  SvmRuntime::RegionAttrs* region = runtime_->region_of(vaddr);
-  if (region == nullptr) panic("next_touch outside any SVM region");
+  if (runtime_->region_of(vaddr) == SvmDomain::kNoRegion) {
+    panic("next_touch outside any SVM region");
+  }
   const u64 page = core_.chip().config().page_bytes;
   core_.flush_wcb();
   core_.cl1invmb();

@@ -168,8 +168,6 @@ class SvmDomain {
 
   // ---- layout queries (simulated physical addresses) ----
 
-  u64 num_svm_pages() const { return svm_page_capacity_; }
-
   /// First global SVM page index (and thus virtual-address offset) of
   /// this domain's share.
   u64 page_index_base() const { return page_index_base_; }
@@ -243,8 +241,19 @@ class SvmDomain {
 
   /// Collective-call symmetry check: every member must allocate the same
   /// region sequence. Returns the canonical base for allocation number
-  /// `seq` of `bytes`, recording it on first sight.
+  /// `seq` of `bytes`, recording it (and its pages in the region map) on
+  /// first sight.
   u64 register_alloc(int rank, u64 bytes);
+
+  /// Region id of global page `page_idx`: the sequence number of the
+  /// collective allocation covering it, or kNoRegion. One map per
+  /// domain; what differs per core (the read-only bit) is kept by each
+  /// core's SvmRuntime.
+  static constexpr u16 kNoRegion = 0xffff;
+  u16 region_of_page(u64 page_idx) const {
+    const u64 rel = page_idx - page_index_base_;
+    return rel < region_by_page_.size() ? region_by_page_[rel] : kNoRegion;
+  }
 
  private:
   scc::Chip& chip_;
@@ -308,6 +317,9 @@ class SvmDomain {
   };
   std::vector<AllocRecord> allocs_;
   std::vector<u64> next_alloc_seq_;  // per rank
+  // Domain-relative page -> region id. Allocations are laid out back to
+  // back from vbase(), so the table ends at the last allocated page.
+  std::vector<u16> region_by_page_;
 };
 
 class SvmRuntime;

@@ -214,6 +214,10 @@ u64 SvmDomain::register_alloc(int rank, u64 bytes) {
         svm_page_capacity_) {
       panic("svm_alloc exceeds scratchpad capacity");
     }
+    if (allocs_.size() >= kNoRegion) panic("svm region id space exhausted");
+    region_by_page_.resize(
+        region_by_page_.size() + round_up(bytes, page) / page,
+        static_cast<u16>(allocs_.size()));
     allocs_.push_back(AllocRecord{bytes, prev_end, 0});
   }
   AllocRecord& rec = allocs_.at(seq);

@@ -101,27 +101,9 @@ SvmRuntime::SvmRuntime(kernel::Kernel& kernel, mbox::MailboxSystem& mbox,
       core_(kernel.core()),
       dir_width_(domain.chip().topology().max_cores()),
       meta_word_(*this, this),
-      policy_(make_policy(domain.config())),
-      channel_(mbox) {
-  // Flat per-page lookup tables: precompute the simulated-memory address
-  // of every metadata word this domain can touch, so the MetaStore hot
-  // path is one vector index instead of layout arithmetic per access.
+      policy_(make_policy(domain.config())) {
   const u32 page_bytes = core_.chip().config().page_bytes;
   while ((u32{1} << page_shift_) < page_bytes) ++page_shift_;
-  page_index_base_ = domain_.page_index_base();
-  const u64 n = domain_.num_svm_pages();
-  owner_paddr_.resize(n);
-  scratch_paddr_.resize(n);
-  if (domain_.config().read_replication) sharer_paddr_.resize(n);
-  for (u64 i = 0; i < n; ++i) {
-    const u64 page = page_index_base_ + i;
-    owner_paddr_[i] = domain_.owner_entry_paddr(page);
-    scratch_paddr_[i] = domain_.scratchpad_entry_paddr(page);
-    if (!sharer_paddr_.empty()) {
-      sharer_paddr_[i] = domain_.sharer_entry_paddr(page);
-    }
-  }
-  region_id_by_page_.assign(n, kNoRegion);
 
   kernel_.set_svm_fault_handler(
       [this](u64 vaddr, bool is_write) { handle_fault(vaddr, is_write); });
@@ -209,22 +191,14 @@ u64 SvmRuntime::page_vaddr_of(u64 page_idx) const {
   return scc::kSvmVBase + (page_idx << page_shift_);
 }
 
-void SvmRuntime::add_region(u64 base, u64 pages) {
-  assert(regions_.size() < kNoRegion && "region id space exhausted");
-  const u16 id = static_cast<u16>(regions_.size());
-  regions_.push_back(RegionAttrs{base, pages, false});
-  const u64 first = page_index_of(base) - page_index_base_;
-  assert(first + pages <= region_id_by_page_.size() &&
-         "region outside this domain's page share");
-  for (u64 i = 0; i < pages; ++i) region_id_by_page_[first + i] = id;
+u16 SvmRuntime::region_of(u64 vaddr) const {
+  if (vaddr < scc::kSvmVBase) return SvmDomain::kNoRegion;
+  return domain_.region_of_page(page_index_of(vaddr));
 }
 
-SvmRuntime::RegionAttrs* SvmRuntime::region_of(u64 vaddr) {
-  if (vaddr < scc::kSvmVBase) return nullptr;
-  const u64 rel = page_index_of(vaddr) - page_index_base_;
-  if (rel >= region_id_by_page_.size()) return nullptr;
-  const u16 id = region_id_by_page_[rel];
-  return id == kNoRegion ? nullptr : &regions_[id];
+void SvmRuntime::set_region_readonly(u16 id, bool readonly) {
+  if (id >= readonly_.size()) readonly_.resize(id + std::size_t{1});
+  readonly_[id] = readonly;
 }
 
 void SvmRuntime::append_hang_report(std::string& out) {
@@ -308,14 +282,14 @@ void SvmRuntime::handle_fault(u64 vaddr, bool is_write) {
                        obs::EventKind::kFaultEnd, page_idx,
                        is_write ? u64{1} : u64{0}, 0);
   }
-  RegionAttrs* region = region_of(vaddr);
-  if (region == nullptr) {
+  const u16 region = region_of(vaddr);
+  if (region == SvmDomain::kNoRegion) {
     std::fprintf(stderr,
                  "svm (core %d): fault at 0x%llx outside any region\n",
                  core_.id(), static_cast<unsigned long long>(vaddr));
     std::abort();
   }
-  if (region->readonly && is_write) {
+  if (is_write && region_readonly(region)) {
     // The debugging aid of Section 6.4: surface the faulting core's
     // recent protocol history alongside the error.
     std::fprintf(stderr,
@@ -356,7 +330,7 @@ void SvmRuntime::mapping_fault(u64 vaddr, u64 page_idx, bool is_write) {
   core_.compute_cycles(domain_.config().map_software_cycles);
   const u64 page_base =
       vaddr & ~(u64{core_.chip().config().page_bytes} - 1);
-  RegionAttrs* region = region_of(vaddr);
+  const bool readonly = region_readonly(region_of(vaddr));
 
   const int lock_reg = domain_.scratchpad_lock_reg(page_idx);
   kernel::SpinWaitOpts lock_opts =
@@ -377,12 +351,12 @@ void SvmRuntime::mapping_fault(u64 vaddr, u64 page_idx, bool is_write) {
     meta_word_.set_scratchpad(page_idx, frame);
     meta_word_.set_owner(page_idx, static_cast<u16>(core_.id()));
     core_.tas_release(lock_reg);
-    if (region->readonly) {
+    if (readonly) {
       map_readonly(page_base, frame);
     } else {
       install_mapping(page_base, frame, /*writable=*/true);
     }
-    policy_->note_mapped(page_idx, !region->readonly, *this);
+    policy_->note_mapped(page_idx, !readonly, *this);
     return;
   }
 
@@ -430,7 +404,7 @@ void SvmRuntime::mapping_fault(u64 vaddr, u64 page_idx, bool is_write) {
   ++stats_.map_faults;
   const u16 frame = entry & kFrameMask;
   core_.tas_release(lock_reg);
-  if (region->readonly) {
+  if (readonly) {
     map_readonly(page_base, frame);
     policy_->note_mapped(page_idx, /*writable=*/false, *this);
     return;
@@ -517,7 +491,7 @@ void SvmRuntime::install_mapping(u64 page_vaddr, u16 frame_no,
     // A writable mapping ends the frame's quiescence: the seal no longer
     // describes what DRAM will hold, so retire it (covers the ownership
     // fast paths, migration's frame swap, and LRC's free remaps alike).
-    const u64 rel = page_index_of(page_vaddr) - page_index_base_;
+    const u64 rel = page_index_of(page_vaddr) - domain_.page_index_base();
     if (rel < domain_.seals.size()) domain_.seals[rel].valid = false;
   }
 }
@@ -567,7 +541,7 @@ void SvmRuntime::send(int dest, const proto::Msg& m) {
   if (is_request_type(mail.type) && m.requester == self()) {
     // A fresh request this core originates: stamp a new sequence number
     // and remember it for bounded-wait retransmission.
-    mail.arg16 = channel_.next_seq();
+    mail.arg16 = acks_.next_seq();
     proto::SharerSet awaiting(dir_width_);
     awaiting.set(dest);
     pending_ = PendingRequest{mail, awaiting, m.page, mail.arg16,
@@ -588,7 +562,7 @@ int SvmRuntime::multicast(const proto::SharerSet& dests,
   mail.type = static_cast<u8>(m.type);
   mail.p0 = m.page;
   mail.p1 = static_cast<u64>(m.requester);
-  mail.arg16 = channel_.next_seq();
+  mail.arg16 = acks_.next_seq();
   proto::SharerSet awaiting = dests;
   awaiting.clear(self());
   std::vector<int> list;
@@ -602,7 +576,7 @@ int SvmRuntime::multicast(const proto::SharerSet& dests,
 void SvmRuntime::retransmit_pending() {
   if (!pending_) return;
   pending_->awaiting.for_each([this](int dest) {
-    if (channel_.retransmit(dest, pending_->mail)) {
+    if (mbox_.try_send(dest, pending_->mail)) {
       ++stats_.retransmits;
       trace(proto::TraceEvent{proto::TraceKind::kMsgSend, pending_->page,
                               static_cast<u64>(pending_->mail.type),
@@ -624,8 +598,8 @@ void SvmRuntime::retransmit_pending() {
 }
 
 void SvmRuntime::on_ack_mail(const mbox::Mail& mail) {
-  switch (channel_.admit(mbox::ack_key(mail))) {
-    case AckRing::Admit::kDuplicate:
+  switch (acks_.admit(mbox::ack_key(mail))) {
+    case mbox::AckRing::Admit::kDuplicate:
       ++stats_.dup_acks_dropped;
       MSVM_LOG_INFO("core %d: dropped duplicate ack type=0x%x page=%llu "
                     "seq=%u from %d",
@@ -633,10 +607,10 @@ void SvmRuntime::on_ack_mail(const mbox::Mail& mail) {
                     static_cast<unsigned long long>(mail.p0), mail.arg16,
                     mail.sender);
       return;
-    case AckRing::Admit::kFreshEvicting:
+    case mbox::AckRing::Admit::kFreshEvicting:
       ++stats_.acks_evicted;  // ring capacity hit
       break;
-    case AckRing::Admit::kFresh:
+    case mbox::AckRing::Admit::kFresh:
       break;
   }
   mbox_.enqueue_inbox(mail);
@@ -948,7 +922,7 @@ u32 SvmRuntime::frame_crc(u64 frame_base) {
 
 void SvmRuntime::page_seal(u64 page, bool exclusive) {
   if (!integrity_) return;
-  const u64 rel = page - page_index_base_;
+  const u64 rel = page - domain_.page_index_base();
   assert(rel < domain_.seals.size() && "sealed page outside the domain");
   const u32 page_bytes = core_.chip().config().page_bytes;
   const u16 frame = meta_word_.frame_of(page);
@@ -1035,7 +1009,7 @@ void SvmRuntime::poison_page(u64 page, u32 gen) {
   // the ECC shadow records it — so a later "correction" can never
   // resurrect the pre-poison owner word.
   meta_word_.set_owner(page, kOwnerCorrupt);
-  const u64 rel = page - page_index_base_;
+  const u64 rel = page - domain_.page_index_base();
   if (rel < domain_.seals.size()) {
     // The page is dead; retire the seal so the scrubber reports (and the
     // ledger counts) each poisoning exactly once.
@@ -1053,7 +1027,7 @@ void SvmRuntime::poison_page(u64 page, u32 gen) {
 
 void SvmRuntime::page_verify(u64 page) {
   if (!integrity_) return;
-  const u64 rel = page - page_index_base_;
+  const u64 rel = page - domain_.page_index_base();
   assert(rel < domain_.seals.size() && "verified page outside the domain");
   SvmDomain::PageSeal& seal = domain_.seals[rel];
   if (!seal.valid) return;  // nothing to check against (e.g. first touch)
@@ -1099,6 +1073,7 @@ void SvmRuntime::scrub_tick() {
   u64 corrupt = 0;
   for (u64 steps = 0; steps < n && walked < kPagesPerPass; ++steps) {
     const u64 rel = scrub_cursor_ % n;
+    const u64 page = domain_.page_index_base() + rel;
     scrub_cursor_ = rel + static_cast<u64>(scrub_stride_);
     SvmDomain::PageSeal& seal = domain_.seals[rel];
     if (!seal.valid) continue;
@@ -1106,13 +1081,14 @@ void SvmRuntime::scrub_tick() {
     // Frame number from the ECC shadow (golden, host-side — a scrub must
     // not trust a possibly-flipped scratchpad word), raw memory as the
     // fallback for words never stored since boot.
+    const u64 paddr = domain_.scratchpad_entry_paddr(page);
     u64 entry = 0;
-    const auto it = domain_.meta_shadow.find(scratch_paddr_[rel]);
+    const auto it = domain_.meta_shadow.find(paddr);
     if (it != domain_.meta_shadow.end()) {
       entry = it->second;
     } else {
       u16 word = 0;
-      core_.chip().memory().read(scratch_paddr_[rel], &word, sizeof(word));
+      core_.chip().memory().read(paddr, &word, sizeof(word));
       entry = word;
     }
     const u16 frame = static_cast<u16>(entry) & kFrameMask;
@@ -1131,7 +1107,7 @@ void SvmRuntime::scrub_tick() {
       obs::EventBus& bus = core_.chip().bus();
       if (bus.enabled(obs::kCatIntegrity)) {
         bus.publish(obs::Event{
-            core_.now(), page_index_base_ + rel, seal.gen,
+            core_.now(), page, seal.gen,
             static_cast<u64>(used_remote
                                  ? obs::IntegrityAction::kRefetched
                                  : obs::IntegrityAction::kRepaired),
@@ -1142,7 +1118,7 @@ void SvmRuntime::scrub_tick() {
     // Unrepairable from interrupt context too: poison now (no throw — no
     // access is faulting), so the next toucher gets the typed error
     // instead of a stale verify.
-    poison_page(page_index_base_ + rel, seal.gen);
+    poison_page(page, seal.gen);
   }
   if (walked == 0) return;
   obs::EventBus& bus = core_.chip().bus();
@@ -1249,27 +1225,28 @@ void SvmRuntime::meta_store_word(u64 paddr, u64 value, u32 bits,
   }
 }
 
-u64 SvmRuntime::load(proto::MetaKind kind, u64 page) {
-  const u64 rel = page - page_index_base_;
-  assert(rel < owner_paddr_.size() && "metadata page outside the domain");
+u64 SvmRuntime::meta_paddr(proto::MetaKind kind, u64 page) const {
   switch (kind) {
     case proto::MetaKind::kOwner:
-      return meta_load_word(owner_paddr_[rel], 16, kind, page);
+      return domain_.owner_entry_paddr(page);
     case proto::MetaKind::kScratchpad:
-      return meta_load_word(scratch_paddr_[rel], 16, kind, page);
+      return domain_.scratchpad_entry_paddr(page);
     case proto::MetaKind::kDirectory:
-      return meta_load_word(sharer_paddr_[rel], 64, kind, page);
+      return domain_.sharer_entry_paddr(page);
   }
-  panic("unknown MetaKind load");
+  panic("unknown MetaKind");
+}
+
+u64 SvmRuntime::load(proto::MetaKind kind, u64 page) {
+  const u32 bits = kind == proto::MetaKind::kDirectory ? 64 : 16;
+  return meta_load_word(meta_paddr(kind, page), bits, kind, page);
 }
 
 proto::DirEntry SvmRuntime::load_dir(u64 page) {
   if (domain_.sharer_words() == 0) return proto::MetaStore::load_dir(page);
   // Wide entry: one flags word (bit 0 = Shared) then the sharer words,
   // each its own uncached simulated transaction.
-  const u64 rel = page - page_index_base_;
-  assert(rel < sharer_paddr_.size() && "metadata page outside the domain");
-  const u64 base = sharer_paddr_[rel];
+  const u64 base = domain_.sharer_entry_paddr(page);
   proto::DirEntry e(dir_width_);
   e.shared =
       (meta_load_word(base, 64, proto::MetaKind::kDirectory, page) & 1) !=
@@ -1287,9 +1264,7 @@ void SvmRuntime::store_dir(u64 page, const proto::DirEntry& e) {
     proto::MetaStore::store_dir(page, e);
     return;
   }
-  const u64 rel = page - page_index_base_;
-  assert(rel < sharer_paddr_.size() && "metadata page outside the domain");
-  const u64 base = sharer_paddr_[rel];
+  const u64 base = domain_.sharer_entry_paddr(page);
   meta_store_word(base, e.shared ? u64{1} : u64{0}, 64, page);
   for (int w = 0; w < domain_.sharer_words(); ++w) {
     meta_store_word(base + 8 * static_cast<u64>(w + 1), e.sharers.word(w),
@@ -1298,20 +1273,8 @@ void SvmRuntime::store_dir(u64 page, const proto::DirEntry& e) {
 }
 
 void SvmRuntime::store(proto::MetaKind kind, u64 page, u64 value) {
-  const u64 rel = page - page_index_base_;
-  assert(rel < owner_paddr_.size() && "metadata page outside the domain");
-  switch (kind) {
-    case proto::MetaKind::kOwner:
-      meta_store_word(owner_paddr_[rel], value, 16, page);
-      return;
-    case proto::MetaKind::kScratchpad:
-      meta_store_word(scratch_paddr_[rel], value, 16, page);
-      return;
-    case proto::MetaKind::kDirectory:
-      meta_store_word(sharer_paddr_[rel], value, 64, page);
-      return;
-  }
-  panic("unknown MetaKind store");
+  const u32 bits = kind == proto::MetaKind::kDirectory ? 64 : 16;
+  meta_store_word(meta_paddr(kind, page), value, bits, page);
 }
 
 }  // namespace msvm::svm

@@ -17,7 +17,7 @@
 
 #include <optional>
 
-#include "svm/ack_ring.hpp"
+#include "mailbox/reliable.hpp"
 #include "svm/svm.hpp"
 
 namespace msvm::svm {
@@ -34,17 +34,18 @@ class SvmRuntime final : public proto::ProtocolEnv,
   proto::CoherencePolicy& policy() { return *policy_; }
   const proto::CoherencePolicy& policy() const { return *policy_; }
 
-  // ---- region registry (SVM virtual-address ranges from Svm::alloc) ----
+  // ---- per-core region attributes (the region map is the domain's) ----
 
-  struct RegionAttrs {
-    u64 base;
-    u64 pages;
-    bool readonly = false;
-  };
-  void add_region(u64 base, u64 pages);
-  /// O(1): page index -> region id via the flat per-page table (the old
-  /// linear region scan ran on every fault).
-  RegionAttrs* region_of(u64 vaddr);
+  /// Region id of `vaddr` in the domain's region map, or
+  /// SvmDomain::kNoRegion.
+  u16 region_of(u64 vaddr) const;
+  /// This core's read-only bit for region `id`. It is per core because
+  /// protect_readonly takes effect on each core at its own call: a core
+  /// that has not reached the call yet may still write the region.
+  bool region_readonly(u16 id) const {
+    return id < readonly_.size() && readonly_[id];
+  }
+  void set_region_readonly(u16 id, bool readonly);
 
   // ---- fault path (installed as the kernel's SVM fault handler) ----
 
@@ -191,6 +192,8 @@ class SvmRuntime final : public proto::ProtocolEnv,
   /// One metadata word through the flipmeta + ECC-shadow pipeline.
   u64 meta_load_word(u64 paddr, u32 bits, proto::MetaKind kind, u64 page);
   void meta_store_word(u64 paddr, u64 value, u32 bits, u64 page);
+  /// Simulated physical address of `page`'s metadata word of `kind`.
+  u64 meta_paddr(proto::MetaKind kind, u64 page) const;
   /// Timer hook (registered only when the plan sets scrub_ps): walks a
   /// bounded slice of this core's sealed pages per period, repairing or
   /// poisoning any frame that no longer matches its seal.
@@ -210,24 +213,8 @@ class SvmRuntime final : public proto::ProtocolEnv,
   u16 frame_batch_next_ = 0;
   u16 frame_batch_end_ = 0;
 
-  std::vector<RegionAttrs> regions_;
-
-  // ---- flat per-page lookup tables (host-side, built in the ctor) ----
-  //
-  // The metadata words live in *simulated* memory; what these tables
-  // flatten is the host-side address arithmetic for reaching them. The
-  // old path recomputed base + stride * page (with an off-die/MPB branch
-  // and divisions for the scratchpad) on every MetaStore access — several
-  // per protocol transition. Here every per-page physical address is
-  // precomputed once, indexed by (page - page_index_base_).
+  std::vector<bool> readonly_;  // by region id; grown on first set
   u32 page_shift_ = 0;          // log2(page_bytes)
-  u64 page_index_base_ = 0;     // this domain's first global page index
-  std::vector<u64> owner_paddr_;
-  std::vector<u64> scratch_paddr_;
-  std::vector<u64> sharer_paddr_;  // empty unless read replication
-  /// Page index (domain-relative) -> region id, kNoRegion where unmapped.
-  static constexpr u16 kNoRegion = 0xffff;
-  std::vector<u16> region_id_by_page_;
 
   // ---- protocol-mail resilience (all host-side bookkeeping) ----
 
@@ -235,10 +222,10 @@ class SvmRuntime final : public proto::ProtocolEnv,
                          // forwards and ACKs echo it so the chain keeps
                          // the originator's sequence number end to end
   std::optional<PendingRequest> pending_;
-  /// Request sequence stamping + bounded recent-ACK dedup + idempotent
-  /// retransmission (wrap and eviction semantics live in
-  /// mailbox/reliable.hpp, where they are unit-tested directly).
-  mbox::ReliableChannel channel_;
+  /// Request sequence stamping + bounded recent-ACK dedup (wrap and
+  /// eviction semantics live in mailbox/reliable.hpp, where they are
+  /// unit-tested directly).
+  mbox::AckRing acks_;
 
   // ---- integrity layer state (all inert unless integrity_) ----
 

@@ -1,6 +1,5 @@
-// Multicast-helper tests: delivery to every core named in the mask,
-// self-exclusion, out-of-domain bits, and both delivery modes (poll and
-// IPI). The SVM invalidation protocol rides on this helper, so the
+// Multicast-helper tests: delivery to every core named in the list,
+// self-exclusion, empty lists, and both delivery modes (poll and IPI). The SVM invalidation protocol rides on this helper, so the
 // guarantees here are load-bearing for the directory tests.
 #include "mailbox/mailbox.hpp"
 
@@ -74,7 +73,7 @@ TEST(MailboxMulticast, DeliversToEveryCoreInMask) {
         Mail m;
         m.type = kPing;
         m.p0 = 777;
-        fanout = mb.multicast(0b111110, m);  // cores 1..5
+        fanout = mb.multicast({1, 2, 3, 4, 5}, m);
         // Collect one pong per target so the run only ends after
         // everyone consumed the mail.
         for (int i = 1; i < kCores; ++i) (void)mb.recv_type(kPong);
@@ -104,9 +103,9 @@ TEST(MailboxMulticast, SelfBitIsIgnored) {
       if (core == 0) {
         Mail m;
         m.type = kPing;
-        // Bit 0 names the sender itself: it must be skipped (a core
+        // Core 0 is the sender itself: it must be skipped (a core
         // cannot mail itself — its own slot is never polled).
-        fanout = mb.multicast(0b111, m);
+        fanout = mb.multicast({0, 1, 2}, m);
         (void)mb.recv_type(kPong);
         (void)mb.recv_type(kPong);
       } else {
@@ -128,8 +127,8 @@ TEST(MailboxMulticast, EmptyAndSelfOnlyMasksSendNothing) {
     if (core == 0) {
       Mail m;
       m.type = kPing;
-      empty_fanout = mb.multicast(0, m);
-      self_fanout = mb.multicast(0b1, m);
+      empty_fanout = mb.multicast({}, m);
+      self_fanout = mb.multicast({0}, m);
       Mail done;
       done.type = kPong;
       mb.send(1, done);
@@ -158,7 +157,7 @@ TEST(MailboxMulticast, HandlersFireOnMulticastDelivery) {
         Mail m;
         m.type = kPing;
         m.p1 = static_cast<u64>(core);
-        mb.multicast(0b1110, m);
+        mb.multicast({1, 2, 3}, m);
         for (int i = 1; i < kCores; ++i) (void)mb.recv_type(kPong);
       } else {
         mb.set_handler(kPing, [&handled, core, &mb](const Mail& m) {

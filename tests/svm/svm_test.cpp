@@ -376,6 +376,37 @@ TEST(SvmReadOnly, WriteToProtectedRegionThrows) {
   EXPECT_EQ(fault_addr, scc::kSvmVBase + 12);
 }
 
+TEST(SvmReadOnly, ProtectTakesEffectPerCoreAtItsOwnCall) {
+  // protect_readonly is collective, but each core's view changes only
+  // when that core reaches the call: rank 1, still short of it, may
+  // first-touch write the region while rank 0 already waits inside it.
+  Cluster cl(base_config(2, Model::kLazyRelease));
+  bool early_write_threw = false;
+  bool late_write_threw = false;
+  cl.run([&](Node& n) {
+    const u64 base = n.svm().alloc(4096);
+    if (n.rank() == 1) {
+      n.core().compute_cycles(1'000'000);
+      try {
+        n.svm().write<u32>(base, 7);
+      } catch (const SvmProtectionError&) {
+        early_write_threw = true;
+      }
+    }
+    n.svm().protect_readonly(base, 4096);
+    if (n.rank() == 1) {
+      try {
+        n.svm().write<u32>(base + 4, 8);
+      } catch (const SvmProtectionError&) {
+        late_write_threw = true;
+      }
+    }
+    n.svm().barrier();
+  });
+  EXPECT_FALSE(early_write_threw);
+  EXPECT_TRUE(late_write_threw);
+}
+
 TEST(SvmReadOnly, ValuesReadableOnAllCoresAfterProtect) {
   Cluster cl(base_config(4, Model::kStrong));
   bool ok = true;
