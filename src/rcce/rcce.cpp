@@ -1,6 +1,8 @@
 #include "rcce/rcce.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include "sccsim/addrmap.hpp"
@@ -16,8 +18,7 @@ constexpr u64 kProgressCycles = 40;
 Rcce::Rcce(kernel::Kernel& kernel, std::vector<int> members)
     : kernel_(kernel),
       core_(kernel.core()),
-      members_(std::move(members)),
-      recv_queues_(members_.size()) {
+      members_(std::move(members)) {
   const scc::Chip& chip = core_.chip();
   const mbox::Layout layout = mbox::Layout::make(
       chip.topology().max_cores(), chip.config().mpb_bytes);
@@ -89,8 +90,17 @@ void Rcce::get(u64 dst_vaddr, int source_rank, u32 mpb_off, u32 bytes) {
 // ---------------------------------------------------------------------------
 // iRCCE requests & progress engine
 
+void Rcce::check_peer(int peer_rank, const char* op) const {
+  if (peer_rank >= 0 && peer_rank < size() && peer_rank != rank_) return;
+  std::fprintf(stderr,
+               "msvm::rcce::Rcce: %s peer rank %d is not another member "
+               "(rank %d of %d)\n",
+               op, peer_rank, rank_, size());
+  std::abort();
+}
+
 Rcce::RequestHandle Rcce::isend(u64 src_vaddr, u32 bytes, int dest_rank) {
-  assert(dest_rank != rank_ && "self-send is not supported");
+  check_peer(dest_rank, "isend");
   auto req = std::make_shared<Request>();
   req->is_send_ = true;
   req->peer_rank_ = dest_rank;
@@ -106,7 +116,7 @@ Rcce::RequestHandle Rcce::isend(u64 src_vaddr, u32 bytes, int dest_rank) {
 
 Rcce::RequestHandle Rcce::irecv(u64 dst_vaddr, u32 bytes,
                                 int source_rank) {
-  assert(source_rank != rank_ && "self-receive is not supported");
+  check_peer(source_rank, "irecv");
   auto req = std::make_shared<Request>();
   req->is_send_ = false;
   req->peer_rank_ = source_rank;
@@ -114,7 +124,7 @@ Rcce::RequestHandle Rcce::irecv(u64 dst_vaddr, u32 bytes,
   req->bytes_ = bytes;
   ++stats_.recvs;
   stats_.bytes_received += bytes;
-  recv_queues_[static_cast<std::size_t>(source_rank)].push_back(req);
+  recv_queues_[source_rank].push_back(req);
   activate_heads();
   progress();
   return req;
@@ -124,9 +134,7 @@ void Rcce::activate_heads() {
   // The single comm buffer serialises sends: only the queue head may use
   // it. Receives are per-source channels: each head is active.
   if (!send_queue_.empty()) send_queue_.front()->active_ = true;
-  for (auto& q : recv_queues_) {
-    if (!q.empty()) q.front()->active_ = true;
-  }
+  for (auto& [source, q] : recv_queues_) q.front()->active_ = true;
 }
 
 bool Rcce::progress() {
@@ -136,11 +144,13 @@ bool Rcce::progress() {
     moved = true;
     if (send_queue_.front()->done_) send_queue_.pop_front();
   }
-  for (auto& q : recv_queues_) {
-    if (!q.empty() && progress_recv(*q.front())) {
+  for (auto it = recv_queues_.begin(); it != recv_queues_.end();) {
+    std::deque<RequestHandle>& q = it->second;
+    if (progress_recv(*q.front())) {
       moved = true;
       if (q.front()->done_) q.pop_front();
     }
+    it = q.empty() ? recv_queues_.erase(it) : std::next(it);
   }
   activate_heads();
   return moved;

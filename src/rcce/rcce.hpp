@@ -28,6 +28,7 @@
 
 #include <cassert>
 #include <deque>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -156,6 +157,9 @@ class Rcce {
   bool progress_recv(Request& req);
   void activate_heads();
 
+  /// Aborts with a message unless `peer_rank` names another member.
+  void check_peer(int peer_rank, const char* op) const;
+
   kernel::Kernel& kernel_;
   scc::Core& core_;
   std::vector<int> members_;
@@ -171,9 +175,11 @@ class Rcce {
   u32 release_off_ = 0;
 
   // FIFO of pending sends (they share the single comm buffer) and of
-  // pending receives per source rank (channel order must match).
+  // pending receives per source rank (channel order must match). Only
+  // channels with a pending receive have an entry; the map iterates in
+  // source-rank order, which is the order progress() serves them in.
   std::deque<RequestHandle> send_queue_;
-  std::vector<std::deque<RequestHandle>> recv_queues_;  // by source rank
+  std::map<int, std::deque<RequestHandle>> recv_queues_;
   u8 barrier_sense_ = 1;
   u64 scratch_ = 0;
   u32 scratch_bytes_ = 0;

@@ -19,9 +19,9 @@
 
 #include <cassert>
 #include <cstring>
-#include <vector>
 
 #include "sim/types.hpp"
+#include "sim/zero_array.hpp"
 
 namespace msvm::scc {
 
@@ -32,18 +32,12 @@ class Cache {
         assoc_(assoc),
         num_sets_(total_bytes / line_bytes / assoc),
         lines_(static_cast<std::size_t>(num_sets_) * assoc),
-        data_(static_cast<std::size_t>(num_sets_) * assoc * line_bytes, 0) {
+        data_(static_cast<std::size_t>(num_sets_) * assoc * line_bytes) {
     assert(num_sets_ > 0 && (num_sets_ & (num_sets_ - 1)) == 0 &&
            "set count must be a power of two");
     assert((line_bytes & (line_bytes - 1)) == 0 &&
            "line size must be a power of two");
     while ((u32{1} << line_shift_) < line_bytes) ++line_shift_;
-    // Wire each line header to its slice of the flat payload slab. Both
-    // vectors are sized once here and never reallocated, so the interior
-    // pointers stay valid for the cache's lifetime (copying is deleted).
-    for (std::size_t i = 0; i < lines_.size(); ++i) {
-      lines_[i].data = data_.data() + i * line_bytes_;
-    }
   }
 
   Cache(const Cache&) = delete;
@@ -121,7 +115,9 @@ class Cache {
   }
 
   void invalidate_all() {
-    for (auto& line : lines_) line.valid = false;
+    for (auto& line : lines_) {
+      if (line.valid) line.valid = false;
+    }
   }
 
   std::size_t valid_line_count() const {
@@ -137,20 +133,26 @@ class Cache {
   }
 
  private:
-  // Line header: metadata plus a pointer to the line's slice of the flat
-  // payload slab (data_), so a hit finds header and payload address in
-  // one contiguous 32-byte record instead of chasing a per-line heap
-  // allocation or dividing pointer offsets.
-  struct Line {
+  // Line header. Its payload is the line's slice of the flat slab data_,
+  // found from the header's index: the header is padded to 32 bytes, so
+  // the index is the header's byte offset shifted right by 5 and the
+  // payload offset is the index shifted left by line_shift_. All-zero
+  // bytes are an invalid line, which is what a fresh ZeroArray holds.
+  struct alignas(32) Line {
     u64 tag = 0;
     u64 stamp = 0;
-    u8* data = nullptr;
     bool valid = false;
     bool mpbt = false;
   };
+  static_assert(sizeof(Line) == 32, "payload derivation assumes a shift");
 
-  static u8* line_data(Line* line) { return line->data; }
-  static const u8* line_data(const Line* line) { return line->data; }
+  u8* line_data(const Line* line) {
+    const auto index = static_cast<std::size_t>(line - lines_.data());
+    return data_.data() + (index << line_shift_);
+  }
+  const u8* line_data(const Line* line) const {
+    return const_cast<Cache*>(this)->line_data(line);
+  }
 
   u32 set_index(u64 paddr) const {
     return static_cast<u32>((paddr >> line_shift_) & (num_sets_ - 1));
@@ -180,8 +182,8 @@ class Cache {
   u32 assoc_;
   u32 num_sets_;
   u64 tick_ = 0;
-  std::vector<Line> lines_;
-  std::vector<u8> data_;  // flat payload slab, line_bytes_ per line
+  sim::ZeroArray<Line> lines_;
+  sim::ZeroArray<u8> data_;  // flat payload slab, line_bytes_ per line
 };
 
 }  // namespace msvm::scc

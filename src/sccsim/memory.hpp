@@ -4,6 +4,8 @@
 // latency accounting happens in Core — but it is the single source of
 // truth for data, which is what makes the simulated incoherence real:
 // caches keep (possibly stale) copies, this is the memory they drift from.
+// DRAM and MPB storage is zero-on-demand (sim::ZeroArray): it reads as
+// zero until written and costs host memory only where a run writes.
 #pragma once
 
 #include <cstdio>
@@ -15,6 +17,7 @@
 #include "sccsim/config.hpp"
 #include "sccsim/mesh.hpp"
 #include "sim/types.hpp"
+#include "sim/zero_array.hpp"
 
 namespace msvm::scc {
 
@@ -23,11 +26,10 @@ class Memory {
   explicit Memory(const ChipConfig& cfg)
       : cfg_(cfg),
         map_(cfg),
-        shared_(cfg.shared_dram_bytes, 0),
+        shared_(cfg.shared_dram_bytes),
         private_(static_cast<std::size_t>(cfg.num_cores) *
-                     cfg.private_dram_bytes,
-                 0),
-        mpb_(static_cast<std::size_t>(cfg.num_cores) * cfg.mpb_bytes, 0),
+                 cfg.private_dram_bytes),
+        mpb_(static_cast<std::size_t>(cfg.num_cores) * cfg.mpb_bytes),
         // The Test-and-Set register file is a fixed hardware resource of
         // the full die(s), independent of how many cores run programs.
         tas_(static_cast<std::size_t>(map_.topology().max_cores()), 0) {}
@@ -113,9 +115,9 @@ class Memory {
 
   const ChipConfig& cfg_;
   AddrMap map_;
-  std::vector<u8> shared_;
-  std::vector<u8> private_;
-  std::vector<u8> mpb_;
+  sim::ZeroArray<u8> shared_;
+  sim::ZeroArray<u8> private_;
+  sim::ZeroArray<u8> mpb_;
   std::vector<u64> tas_;
 };
 

@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "sccsim/addrmap.hpp"
@@ -213,6 +214,45 @@ TEST(Rcce, QueuedSendsToDistinctPeersDrainInOrder) {
   EXPECT_TRUE(ok2);
 }
 
+TEST(Rcce, ReceivesKeepPerSourceOrderAcrossChannels) {
+  // Rank 0 posts two receives from each of sources 3, 1 and 2, in that
+  // order; each source sends two messages with distinct patterns. Every
+  // buffer must hold its own source's message in send order.
+  RcceRig rig(4);
+  constexpr u32 kBytes = 5000;  // two chunks, so the channels interleave
+  auto seed = [](int source, int i) {
+    return static_cast<u8>(source * 40 + i * 20);
+  };
+  std::vector<bool> ok;
+  rig.run([&](int rank, Rcce& r, kernel::Kernel& k) {
+    if (rank == 0) {
+      std::vector<std::pair<int, int>> posted;  // (source, message index)
+      std::vector<u64> bufs;
+      std::vector<Rcce::RequestHandle> reqs;
+      for (int source : {3, 1, 2}) {
+        for (int i = 0; i < 2; ++i) {
+          bufs.push_back(k.kmalloc(kBytes));
+          reqs.push_back(r.irecv(bufs.back(), kBytes, source));
+          posted.emplace_back(source, i);
+        }
+      }
+      r.wait_all(reqs);
+      for (std::size_t j = 0; j < bufs.size(); ++j) {
+        ok.push_back(check_pattern(
+            k.core(), bufs[j], kBytes,
+            seed(posted[j].first, posted[j].second)));
+      }
+    } else {
+      for (int i = 0; i < 2; ++i) {
+        const u64 buf = k.kmalloc(kBytes);
+        fill_pattern(k.core(), buf, kBytes, seed(rank, i));
+        r.send(buf, kBytes, 0);
+      }
+    }
+  });
+  EXPECT_EQ(ok, std::vector<bool>(6, true));
+}
+
 TEST(Rcce, BarrierSynchronisesAllRanks) {
   constexpr int kCores = 8;
   RcceRig rig(kCores);
@@ -315,6 +355,26 @@ TEST(Rcce, StatsAccumulate) {
   });
   EXPECT_EQ(sent_bytes, 1000u);
   EXPECT_EQ(barriers, 1u);
+}
+
+TEST(RcceDeath, PeerOutsideTheDomainOrSelfAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto post = [](int peer, bool send) {
+    RcceRig rig(2);
+    rig.run([&](int rank, Rcce& r, kernel::Kernel& k) {
+      if (rank != 0) return;
+      const u64 buf = k.kmalloc(64);
+      if (send) {
+        (void)r.isend(buf, 64, peer);
+      } else {
+        (void)r.irecv(buf, 64, peer);
+      }
+    });
+  };
+  ASSERT_DEATH(post(2, true), "isend peer rank 2 is not another member");
+  ASSERT_DEATH(post(-1, false), "irecv peer rank -1 is not another member");
+  ASSERT_DEATH(post(0, true), "isend peer rank 0 is not another member");
+  ASSERT_DEATH(post(0, false), "irecv peer rank 0 is not another member");
 }
 
 }  // namespace

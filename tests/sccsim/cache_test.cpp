@@ -128,6 +128,33 @@ TEST(Cache, GeometryDerivedCorrectly) {
   EXPECT_EQ(l2.num_sets(), 2048u);
 }
 
+TEST(Cache, EveryWayOfTheFirstAndLastSetKeepsItsOwnPayload) {
+  // L2 geometry. Each line's payload is found from its header's index, so
+  // filling both ends of the slab checks that derivation at its limits.
+  Cache c(256 * 1024, 4, kLine);
+  const u32 last = c.num_sets() - 1;
+  const u64 tag_stride = u64{c.num_sets()} * kLine;  // same set, next tag
+  auto addr = [&](u32 set, u32 way) { return set * kLine + way * tag_stride; };
+  auto seed = [&](u32 set, u32 way) {
+    return static_cast<u8>((set == 0 ? 0 : 128) + way * 32);
+  };
+  for (u32 set : {0u, last}) {
+    for (u32 w = 0; w < c.assoc(); ++w) {
+      c.fill(addr(set, w), pattern_line(seed(set, w)).data(), false);
+    }
+  }
+  EXPECT_EQ(c.valid_line_count(), 2u * c.assoc());
+  for (u32 set : {0u, last}) {
+    for (u32 w = 0; w < c.assoc(); ++w) {
+      u8 out[kLine];
+      ASSERT_TRUE(c.read(addr(set, w), out, kLine)) << set << "/" << w;
+      EXPECT_EQ(std::memcmp(out, pattern_line(seed(set, w)).data(), kLine),
+                0)
+          << set << "/" << w;
+    }
+  }
+}
+
 TEST(Cache, CapacityIsRespected) {
   // Fill more distinct lines than the cache holds; valid count must not
   // exceed capacity.

@@ -90,6 +90,33 @@ TEST(Memory, MpbRegionsAreDisjointPerCore) {
   EXPECT_EQ(out, 0x5a);
 }
 
+TEST(Memory, ThousandCoreRegionsStartZeroAndRoundTripAtBothEnds) {
+  ChipConfig cfg;
+  configure_cores(cfg, 1024);
+  Memory mem(cfg);
+  const int last = cfg.num_cores - 1;
+  struct Region {
+    u64 base;
+    u64 bytes;
+  };
+  const Region regions[] = {
+      {mem.map().private_base(last), cfg.private_dram_bytes},
+      {mem.map().mpb_base(last), cfg.mpb_bytes},
+  };
+  for (const Region& r : regions) {
+    const u64 ends[] = {r.base, r.base + r.bytes - 8};
+    for (const u64 at : ends) {
+      u64 out = ~u64{0};
+      mem.read(at, &out, 8);
+      EXPECT_EQ(out, 0u) << std::hex << at;
+      const u64 value = 0x0123456789abcdefull ^ at;
+      mem.write(at, &value, 8);
+      mem.read(at, &out, 8);
+      EXPECT_EQ(out, value) << std::hex << at;
+    }
+  }
+}
+
 TEST(Memory, MaskedWritePreservesUnselectedBytes) {
   ChipConfig cfg = mem_config();
   Memory mem(cfg);
