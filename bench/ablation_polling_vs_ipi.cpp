@@ -37,7 +37,7 @@ TimePs run(bool ack_via_mail, int pairs, u64 pages) {
   cluster::Cluster cl(cfg);
 
   std::vector<TimePs> per_pair(static_cast<std::size_t>(pairs), 0);
-  const u64 page = cfg.chip.page_bytes;
+  const u64 page = scc::kPageBytes;
 
   cl.run([&](cluster::Node& n) {
     scc::Core& core = n.core();

@@ -28,7 +28,7 @@ TimePs map_cost_per_page(bool offdie, u64 pages) {
   cfg.svm.scratchpad_offdie = offdie;
   cluster::Cluster cl(cfg);
   TimePs cost = 0;
-  const u64 page = cfg.chip.page_bytes;
+  const u64 page = scc::kPageBytes;
   cl.run([&](cluster::Node& n) {
     const u64 base = n.svm().alloc(pages * page);
     if (n.rank() == 0) {
@@ -59,7 +59,7 @@ TimePs storm_cost_per_page(u32 stripes, int cores, u64 pages_per_core) {
   cfg.svm.scratchpad_lock_stripes = stripes;
   cluster::Cluster cl(cfg);
   TimePs cost = 0;
-  const u64 page = cfg.chip.page_bytes;
+  const u64 page = scc::kPageBytes;
   cl.run([&](cluster::Node& n) {
     const u64 bytes = pages_per_core * page * static_cast<u64>(n.size());
     const u64 base = n.svm().alloc(bytes);

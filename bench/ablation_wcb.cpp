@@ -31,7 +31,7 @@ Outcome run(bool mpbt, u32 store_bytes, u64 total_bytes) {
   Outcome out;
   chip.spawn_program(0, [&](scc::Core& core) {
     // Map the target region manually (no SVM needed for this ablation).
-    for (u64 off = 0; off < total_bytes; off += cfg.page_bytes) {
+    for (u64 off = 0; off < total_bytes; off += scc::kPageBytes) {
       scc::Pte pte;
       pte.frame_paddr = scc::kSharedBase + off;
       pte.present = true;

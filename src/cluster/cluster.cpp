@@ -35,14 +35,7 @@ Node::Node(scc::Core& core, const std::vector<int>& members, bool use_ipi,
     : core_(core), members_(members) {
   kernel_ = std::make_unique<kernel::Kernel>(core_);
   kernel_->boot();
-  // The mailbox resilience knobs ride on the chip's fault plan so one
-  // spec string configures both the faults and the defences.
-  const sim::FaultPlan& plan = core_.chip().faults().plan();
-  mbox::MailboxConfig mcfg;
-  mcfg.use_ipi = use_ipi;
-  mcfg.sweep_period = plan.sweep_period;
-  mcfg.degrade_after = plan.degrade_after;
-  mbox_ = std::make_unique<mbox::MailboxSystem>(*kernel_, mcfg);
+  mbox_ = std::make_unique<mbox::MailboxSystem>(*kernel_, use_ipi);
   mbox_->set_participants(members_);
   svm_ = std::make_unique<svm::Svm>(*kernel_, *mbox_, domain);
   rcce_ = std::make_unique<rcce::Rcce>(*kernel_, members_);

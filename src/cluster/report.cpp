@@ -97,8 +97,9 @@ std::string format_report(Cluster& cluster, const ReportOptions& options) {
             static_cast<unsigned long long>(fault_total.svm_write_faults),
             static_cast<unsigned long long>(
                 fault_total.svm_mail_roundtrips),
-            static_cast<unsigned long long>(fault_total.svm_inval_sent),
-            static_cast<unsigned long long>(fault_total.svm_inval_recv),
+            static_cast<unsigned long long>(svm_total.invalidations_sent),
+            static_cast<unsigned long long>(
+                svm_total.invalidations_received),
             static_cast<unsigned long long>(svm_total.replica_installs),
             static_cast<unsigned long long>(svm_total.replica_grants),
             ps_to_ms(fault_total.svm_fault_stall_ps));

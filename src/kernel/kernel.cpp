@@ -182,7 +182,7 @@ void Kernel::boot() {
   // MPBT. Mapped eagerly — the private region is the kernel's own memory,
   // there is nothing lazy about it.
   const u64 priv_phys = chip.map().private_base(core_.id());
-  for (u64 off = 0; off < cfg.private_dram_bytes; off += cfg.page_bytes) {
+  for (u64 off = 0; off < cfg.private_dram_bytes; off += scc::kPageBytes) {
     scc::Pte pte;
     pte.frame_paddr = priv_phys + off;
     pte.present = true;

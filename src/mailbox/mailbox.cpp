@@ -42,15 +42,15 @@ constexpr u64 kMailCrcCycles = 40;
 
 }  // namespace
 
-MailboxSystem::MailboxSystem(kernel::Kernel& kernel,
-                             const MailboxConfig& cfg)
+MailboxSystem::MailboxSystem(kernel::Kernel& kernel, bool use_ipi)
     : kernel_(kernel),
       core_(kernel.core()),
-      use_ipi_(cfg.use_ipi),
-      cfg_(cfg),
+      use_ipi_(use_ipi),
+      sweep_period_(kernel.core().chip().faults().plan().sweep_period),
+      degrade_after_(kernel.core().chip().faults().plan().degrade_after),
       handlers_(256),
       integrity_(kernel.core().chip().faults().plan().integrity_armed()),
-      sweep_countdown_(cfg.sweep_period) {
+      sweep_countdown_(sweep_period_) {
   const int n = core_.chip().num_cores();
   participants_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) participants_.push_back(i);
@@ -61,7 +61,7 @@ MailboxSystem::MailboxSystem(kernel::Kernel& kernel,
     kernel_.add_ipi_handler([this](const scc::IpiSourceSet& sources) {
       sources.for_each([this](int src) { poll_from(src); });
     });
-    if (cfg_.sweep_period > 0) {
+    if (sweep_period_ > 0) {
       // Low-rate safety net against lost interrupts: every Nth timer
       // tick, scan all slots anyway. Off by default — a sweep costs
       // slot-check cycles even when every IPI arrives.
@@ -77,7 +77,7 @@ MailboxSystem::MailboxSystem(kernel::Kernel& kernel,
 void MailboxSystem::sweep_tick() {
   if (!degraded_) {
     if (--sweep_countdown_ != 0) return;
-    sweep_countdown_ = cfg_.sweep_period;
+    sweep_countdown_ = sweep_period_;
   }
   const int seen = poll_all();
   if (seen <= 0 || degraded_) return;
@@ -91,8 +91,8 @@ void MailboxSystem::sweep_tick() {
   }
   MSVM_LOG_INFO("core %d: poll sweep recovered %d mail(s) missed by IPI",
                 core_.id(), seen);
-  if (cfg_.degrade_after > 0 &&
-      stats_.sweep_recoveries >= cfg_.degrade_after) {
+  if (degrade_after_ > 0 &&
+      stats_.sweep_recoveries >= degrade_after_) {
     degraded_ = true;
     ++stats_.degradations;
     MSVM_LOG_ERROR(
@@ -210,7 +210,7 @@ void MailboxSystem::send(int dest, const Mail& mail) {
       if (gic.has_pending(core_.id())) {
         const scc::IpiSourceSet sources = gic.take_pending(core_.id());
         sources.for_each([this](int src) { poll_from(src); });
-      } else if (cfg_.sweep_period > 0 && ++stall_spins % 16 == 0) {
+      } else if (sweep_period_ > 0 && ++stall_spins % 16 == 0) {
         // A deposit whose IPI was lost is invisible to the GIC drain,
         // and the timer-driven sweep cannot nest into handler context:
         // two handlers stalled sending ACKs to each other, both wake

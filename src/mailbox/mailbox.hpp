@@ -85,28 +85,12 @@ inline constexpr MailboxStatsField kMailboxStatsFields[] = {
     {"corrupt_drops", &MailboxStats::corrupt_drops},
 };
 
-/// Delivery-mode + resilience knobs for one MailboxSystem. The sweep
-/// fields only matter in IPI mode and default to off (bit-identical):
-/// a missed IPI then wedges the receiver exactly like the real part.
-struct MailboxConfig {
-  bool use_ipi = false;
-  /// Poll-sweep period in timer ticks: every N-th timer interrupt the
-  /// receiver scans all participating slots even in IPI mode, catching
-  /// mails whose interrupt was lost. 0 disables the sweep.
-  u32 sweep_period = 0;
-  /// After this many sweep-recovered mails the mailbox stops trusting
-  /// IPIs and degrades to polling on every timer tick. 0 disables.
-  u32 degrade_after = 0;
-};
-
 class MailboxSystem {
  public:
   /// `use_ipi` selects the delivery mode (see file comment). The mailbox
-  /// registers itself with the kernel's interrupt fabric at construction.
-  MailboxSystem(kernel::Kernel& kernel, bool use_ipi)
-      : MailboxSystem(kernel, MailboxConfig{use_ipi, 0, 0}) {}
-
-  MailboxSystem(kernel::Kernel& kernel, const MailboxConfig& cfg);
+  /// registers itself with the kernel's interrupt fabric at construction
+  /// and takes its IPI-loss defences from the chip's fault plan.
+  MailboxSystem(kernel::Kernel& kernel, bool use_ipi);
 
   MailboxSystem(const MailboxSystem&) = delete;
   MailboxSystem& operator=(const MailboxSystem&) = delete;
@@ -184,7 +168,7 @@ class MailboxSystem {
   void enqueue_inbox(const Mail& mail);
 
   /// True once the IPI-mode mailbox has degraded to poll-every-tick
-  /// after repeated interrupt loss (see MailboxConfig::degrade_after).
+  /// after repeated interrupt loss (see degrade_after_).
   bool degraded() const { return degraded_; }
 
   const MailboxStats& stats() const { return stats_; }
@@ -211,7 +195,17 @@ class MailboxSystem {
   kernel::Kernel& kernel_;
   scc::Core& core_;
   bool use_ipi_;
-  MailboxConfig cfg_;
+  /// Poll-sweep period in timer ticks, latched from the fault plan's
+  /// `sweep=` so one spec string configures both the faults and the
+  /// defences: every N-th timer interrupt the receiver scans all
+  /// participating slots even in IPI mode, catching mails whose
+  /// interrupt was lost. 0 (the default, bit-identical) disables the
+  /// sweep; a missed IPI then wedges the receiver like the real part.
+  u32 sweep_period_ = 0;
+  /// After this many sweep-recovered mails (the plan's `degrade=`) the
+  /// mailbox stops trusting IPIs and degrades to polling on every timer
+  /// tick. 0 disables.
+  u32 degrade_after_ = 0;
   std::vector<int> participants_;
   std::vector<Handler> handlers_;  // indexed by type
   MailRing<Mail> inbox_;

@@ -77,7 +77,7 @@ Chip::Chip(ChipConfig cfg)
   gic_.wake_fn = [this](int target, TimePs at) {
     sim::Actor* actor = core(target).actor();
     if (actor != nullptr) {
-      sched_.wake(*actor, at + cfg_.ipi_wire_ps);
+      sched_.wake(*actor, at + kIpiWirePs);
     }
   };
 }

@@ -1,11 +1,13 @@
 // Chip-level configuration for the simulated Intel SCC.
 //
-// Defaults follow the paper's test platform (Section 7): 48 P54C cores at
-// 533 MHz, mesh and DDR3-800 memory at 800 MHz, 16 KiB L1, 256 KiB L2,
+// The model follows the paper's test platform (Section 7): 48 P54C cores
+// at 533 MHz, mesh and DDR3-800 memory at 800 MHz, 16 KiB L1, 256 KiB L2,
 // 8 KiB on-die message-passing buffer (MPB) per core, 32-byte cache lines,
-// four on-die memory controllers.
+// four on-die memory controllers. Parameters of that one part are named
+// constants below; ChipConfig keeps only the knobs some caller varies.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <string>
 
@@ -15,6 +17,64 @@
 
 namespace msvm::scc {
 
+// ---- clocks ----
+inline constexpr u32 kMeshMhz = 800;
+inline constexpr u32 kDramMhz = 800;
+inline constexpr TimePs kMeshCyclePs = cycle_ps_from_mhz(kMeshMhz);
+inline constexpr TimePs kDramCyclePs = cycle_ps_from_mhz(kDramMhz);
+
+// ---- memory geometry ----
+inline constexpr u32 kPageBytes = 4096;
+inline constexpr u32 kPageShift = std::countr_zero(kPageBytes);  // log2
+inline constexpr u32 kLineBytes = 32;  // P54C cache line
+
+// ---- caches ----
+inline constexpr u32 kL1Bytes = 16 * 1024;
+inline constexpr u32 kL1Assoc = 2;
+inline constexpr u32 kL2Bytes = 256 * 1024;
+inline constexpr u32 kL2Assoc = 4;
+
+// ---- core latencies, in *core* cycles unless stated ----
+inline constexpr u32 kL1HitCycles = 1;
+inline constexpr u32 kL2HitCycles = 18;  // SCC programmer's guide approximation
+inline constexpr u32 kMpbBaseCycles = 15;  // on-die MPB access, excluding hops
+// Loads stall for the full round trip (load-to-use): core-side share
+// plus mesh plus the DRAM access itself. ~270 ns at the default
+// frequencies, within the measured range for uncached DDR3-800 reads
+// on the SCC (the EAS quotes 46 DRAM cycles for the array access alone;
+// bank/page management and clock-domain crossings add the rest).
+inline constexpr u32 kDramCoreCycles = 60;  // core-side share of a DRAM *read*
+// DRAM-side share, in *DRAM* cycles.
+inline constexpr u32 kDramMemCycles = 110;
+// Stores are posted: the core hands the write to the mesh interface and
+// continues; the charged cost is the issue occupancy, not the round
+// trip. (Sustained store streams are additionally throttled by the
+// optional memory-controller contention model.)
+inline constexpr u32 kDramStoreCoreCycles = 20;
+inline constexpr u32 kDramStoreMemCycles = 16;
+// Per hop, per direction, in *mesh* cycles.
+inline constexpr u32 kMeshHopCycles = 4;
+inline constexpr u32 kTasBaseCycles = 15;  // Test-and-Set register access
+inline constexpr u32 kGicBaseCycles = 25;  // system-FPGA register access
+inline constexpr u32 kCl1invmbCycles = 8;  // tag sweep of MPBT-typed L1 lines
+// Store absorbed by the combine buffer.
+inline constexpr u32 kWcbMergeCycles = 1;
+// Write-through update of a present line.
+inline constexpr u32 kStoreHitCycles = 1;
+// Interrupt entry: vector + kernel prologue.
+inline constexpr u32 kIrqEntryCycles = 400;
+inline constexpr u32 kIrqExitCycles = 200;
+// P54C data TLB: 64 entries (Core::kTlbEntries), direct-mapped on the
+// page number; a miss walks the two-level page table (two memory
+// references, mostly cache-resident on the real part).
+inline constexpr u32 kTlbMissCycles = 28;
+
+// ---- interrupt / scheduling model ----
+// Interrupt-delivery granularity.
+inline constexpr u32 kBoundaryCheckCycles = 128;
+// GIC-to-core wire/propagation delay.
+inline constexpr u64 kIpiWirePs = 100 * 1000;
+
 struct ChipConfig {
   // ---- topology ----
   /// Cores actually running programs; must not exceed the die(s) in
@@ -23,56 +83,14 @@ struct ChipConfig {
   /// Geometry of the simulated die(s). Default: the exact SCC 6x4 mesh.
   TopologySpec topology;
   u32 core_mhz = 533;   // paper's benchmark configuration
-  u32 mesh_mhz = 800;
-  u32 dram_mhz = 800;
 
   // ---- memory sizes ----
   u64 shared_dram_bytes = 64ull << 20;   // shared off-die region
   u64 private_dram_bytes = 8ull << 20;   // per-core private region
-  u32 page_bytes = 4096;
-  u32 line_bytes = 32;                   // P54C cache line
   u32 mpb_bytes = 8192;                  // on-die MPB per core
-
-  // ---- caches ----
-  u32 l1_bytes = 16 * 1024;
-  u32 l1_assoc = 2;
-  u32 l2_bytes = 256 * 1024;
-  u32 l2_assoc = 4;
-
-  // ---- core latencies, in *core* cycles unless stated ----
-  u32 l1_hit_cycles = 1;
-  u32 l2_hit_cycles = 18;          // SCC programmer's guide approximation
-  u32 mpb_base_cycles = 15;        // on-die MPB access, excluding hops
-  // Loads stall for the full round trip (load-to-use): core-side share
-  // plus mesh plus the DRAM access itself. ~270 ns at the default
-  // frequencies, within the measured range for uncached DDR3-800 reads
-  // on the SCC (the EAS quotes 46 DRAM cycles for the array access alone;
-  // bank/page management and clock-domain crossings add the rest).
-  u32 dram_core_cycles = 60;       // core-side share of a DRAM *read*
-  u32 dram_mem_cycles = 110;       // DRAM-side share, in *DRAM* cycles
-  // Stores are posted: the core hands the write to the mesh interface and
-  // continues; the charged cost is the issue occupancy, not the round
-  // trip. (Sustained store streams are additionally throttled by the
-  // optional memory-controller contention model.)
-  u32 dram_store_core_cycles = 20;
-  u32 dram_store_mem_cycles = 16;
-  u32 mesh_hop_cycles = 4;         // per hop, per direction, *mesh* cycles
-  u32 tas_base_cycles = 15;        // Test-and-Set register access
-  u32 gic_base_cycles = 25;        // system-FPGA register access
-  u32 cl1invmb_cycles = 8;         // tag sweep of MPBT-typed L1 lines
-  u32 wcb_merge_cycles = 1;        // store absorbed by the combine buffer
-  u32 store_hit_cycles = 1;        // write-through update of a present line
-  u32 irq_entry_cycles = 400;      // interrupt entry: vector + kernel prologue
-  u32 irq_exit_cycles = 200;
-  // P54C data TLB: 64 entries; a miss walks the two-level page table
-  // (two memory references, mostly cache-resident on the real part).
-  u32 tlb_entries = 64;            // direct-mapped on the page number
-  u32 tlb_miss_cycles = 28;
 
   // ---- interrupt / scheduling model ----
   u64 timer_period_us = 1000;      // periodic timer tick per core
-  u32 boundary_check_cycles = 128; // interrupt-delivery granularity
-  u64 ipi_wire_ps = 100 * 1000;    // GIC-to-core wire/propagation delay
 
   // ---- optional memory-controller contention (queueing) model ----
   bool mc_contention = false;
@@ -83,10 +101,6 @@ struct ChipConfig {
 
   // ---- derived helpers ----
   TimePs core_cycle_ps() const { return cycle_ps_from_mhz(core_mhz); }
-  TimePs mesh_cycle_ps() const { return cycle_ps_from_mhz(mesh_mhz); }
-  TimePs dram_cycle_ps() const { return cycle_ps_from_mhz(dram_mhz); }
-
-  u64 num_shared_pages() const { return shared_dram_bytes / page_bytes; }
 };
 
 /// Minimum per-core MPB bytes a `max_cores`-core die needs: the mail-slot
@@ -117,12 +131,6 @@ inline std::string validate_config(const ChipConfig& cfg) {
                " exceeds the configured topology's " +
                std::to_string(topo.max_cores()) +
                " cores; use configure_cores() or enlarge the chip grid");
-  }
-  if (cfg.line_bytes == 0 || cfg.line_bytes > 64) {
-    return err("line_bytes must be in [1, 64]");
-  }
-  if (cfg.page_bytes == 0 || cfg.page_bytes % 4096 != 0) {
-    return err("page_bytes must be a non-zero multiple of 4096");
   }
   if (cfg.mpb_bytes < min_mpb_bytes(topo.max_cores())) {
     return err("mpb_bytes " + std::to_string(cfg.mpb_bytes) +
@@ -161,7 +169,7 @@ inline void configure_cores(ChipConfig& cfg, int cores) {
   if (rounded > cfg.mpb_bytes) cfg.mpb_bytes = static_cast<u32>(rounded);
   const u64 max_priv = (u64{1} << 32) / static_cast<u64>(cores);
   if (cfg.private_dram_bytes > max_priv) {
-    cfg.private_dram_bytes = max_priv / cfg.page_bytes * cfg.page_bytes;
+    cfg.private_dram_bytes = max_priv / kPageBytes * kPageBytes;
   }
 }
 

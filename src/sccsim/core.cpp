@@ -12,9 +12,6 @@ namespace msvm::scc {
 
 namespace {
 
-// Stack buffer bound for one cache line (config asserts line_bytes <= 64).
-constexpr u32 kMaxLineBytes = 64;
-
 [[noreturn]] void die(const char* msg, u64 addr) {
   std::fprintf(stderr, "msvm::scc::Core fatal: %s (addr=0x%llx)\n", msg,
                static_cast<unsigned long long>(addr));
@@ -28,19 +25,14 @@ Core::Core(Chip& chip, int id)
       cfg_(chip.config()),
       topo_(&chip.topology()),
       id_(id),
-      l1_(cfg_.l1_bytes, cfg_.l1_assoc, cfg_.line_bytes),
-      l2_(cfg_.l2_bytes, cfg_.l2_assoc, cfg_.line_bytes),
-      wcb_(cfg_.line_bytes),
-      pagetable_(cfg_.page_bytes) {
+      l1_(kL1Bytes, kL1Assoc, kLineBytes),
+      l2_(kL2Bytes, kL2Assoc, kLineBytes),
+      wcb_(kLineBytes) {
   timer_period_ps_ = cfg_.timer_period_us * kPsPerUs;
-  boundary_interval_ps_ =
-      cfg_.boundary_check_cycles * cfg_.core_cycle_ps();
+  boundary_interval_ps_ = kBoundaryCheckCycles * cfg_.core_cycle_ps();
   lat_l1_hit_ps_ = chip.latency().l1_hit();
   lat_store_hit_ps_ = chip.latency().store_hit();
   lat_wcb_merge_ps_ = chip.latency().wcb_merge();
-  line_off_mask_ = cfg_.line_bytes - 1;
-  page_off_mask_ = cfg_.page_bytes - 1;
-  page_shift_ = pagetable_.page_shift();
 }
 
 void Core::bind_actor(sim::Actor* actor) {
@@ -126,7 +118,7 @@ void Core::compute_cycles(u64 core_cycles) {
   // interrupts are delivered *during* the work, not after it — a single
   // bulk tick would make a 1 ms computation an uninterruptible block.
   while (core_cycles > 0) {
-    const u64 step = std::min<u64>(core_cycles, cfg_.boundary_check_cycles);
+    const u64 step = std::min<u64>(core_cycles, kBoundaryCheckCycles);
     tick(step * cfg_.core_cycle_ps());
     core_cycles -= step;
   }
@@ -202,7 +194,7 @@ Core::Translation Core::translate(u64 vaddr, bool is_write) {
   // TLB miss: the hardware walks the page table (the walk itself is
   // charged; the entries are private-memory resident).
   ++counters_.tlb_misses;
-  tick(cfg_.tlb_miss_cycles * cfg_.core_cycle_ps());
+  tick(kTlbMissCycles * cfg_.core_cycle_ps());
 
   int guard = 0;
   for (;;) {
@@ -239,8 +231,8 @@ void Core::vread(u64 vaddr, void* out, u32 size) {
   ++counters_.loads;
   u8* dst = static_cast<u8*>(out);
   while (size > 0) {
-    const u32 line_off = static_cast<u32>(vaddr & (cfg_.line_bytes - 1));
-    const u32 seg = std::min(size, cfg_.line_bytes - line_off);
+    const u32 line_off = static_cast<u32>(vaddr & (kLineBytes - 1));
+    const u32 seg = std::min(size, kLineBytes - line_off);
     // translate() returns with interrupts masked; the commit below is
     // therefore atomic against interrupt handlers, the way a real load
     // instruction is. Without this, an ownership transfer served
@@ -259,8 +251,8 @@ void Core::vwrite(u64 vaddr, const void* src, u32 size) {
   ++counters_.stores;
   const u8* s = static_cast<const u8*>(src);
   while (size > 0) {
-    const u32 line_off = static_cast<u32>(vaddr & (cfg_.line_bytes - 1));
-    const u32 seg = std::min(size, cfg_.line_bytes - line_off);
+    const u32 line_off = static_cast<u32>(vaddr & (kLineBytes - 1));
+    const u32 seg = std::min(size, kLineBytes - line_off);
     const Translation tr = translate(vaddr, /*is_write=*/true);
     write_path(tr.paddr, s, seg, tr.policy);
     irq_enable();
@@ -289,8 +281,8 @@ void Core::deliver_deferred() {
 void Core::pread(u64 paddr, void* out, u32 size, MemPolicy pol) {
   u8* dst = static_cast<u8*>(out);
   while (size > 0) {
-    const u32 line_off = static_cast<u32>(paddr & (cfg_.line_bytes - 1));
-    const u32 seg = std::min(size, cfg_.line_bytes - line_off);
+    const u32 line_off = static_cast<u32>(paddr & (kLineBytes - 1));
+    const u32 seg = std::min(size, kLineBytes - line_off);
     read_path(paddr, dst, seg, pol);
     paddr += seg;
     dst += seg;
@@ -301,8 +293,8 @@ void Core::pread(u64 paddr, void* out, u32 size, MemPolicy pol) {
 void Core::pwrite(u64 paddr, const void* src, u32 size, MemPolicy pol) {
   const u8* s = static_cast<const u8*>(src);
   while (size > 0) {
-    const u32 line_off = static_cast<u32>(paddr & (cfg_.line_bytes - 1));
-    const u32 seg = std::min(size, cfg_.line_bytes - line_off);
+    const u32 line_off = static_cast<u32>(paddr & (kLineBytes - 1));
+    const u32 seg = std::min(size, kLineBytes - line_off);
     write_path(paddr, s, seg, pol);
     paddr += seg;
     s += seg;
@@ -337,9 +329,9 @@ void Core::read_path(u64 paddr, void* out, u32 size, MemPolicy pol) {
       }
       ++counters_.l1_misses;
       // Read-allocate the full line from the device; MPBT bypasses L2.
-      u8 line[kMaxLineBytes];
+      u8 line[kLineBytes];
       const u64 la = l1_.line_addr(paddr);
-      tick(device_read(la, line, cfg_.line_bytes));
+      tick(device_read(la, line, kLineBytes));
       l1_.fill(la, line, /*mpbt=*/true);
       std::memcpy(out, line + (paddr - la), size);
       return;
@@ -351,14 +343,14 @@ void Core::read_path(u64 paddr, void* out, u32 size, MemPolicy pol) {
         return;
       }
       ++counters_.l1_misses;
-      u8 line[kMaxLineBytes];
+      u8 line[kLineBytes];
       const u64 la = l1_.line_addr(paddr);
-      if (l2_.read(la, line, cfg_.line_bytes)) {
+      if (l2_.read(la, line, kLineBytes)) {
         ++counters_.l2_hits;
         tick(chip_.latency().l2_hit());
       } else {
         ++counters_.l2_misses;
-        tick(device_read(la, line, cfg_.line_bytes));
+        tick(device_read(la, line, kLineBytes));
         l2_.fill(la, line, /*mpbt=*/false);
       }
       l1_.fill(la, line, /*mpbt=*/false);

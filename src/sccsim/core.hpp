@@ -257,13 +257,13 @@ class Core {
   template <typename T>
   [[gnu::always_inline]] inline bool vread_fast(u64 vaddr, T* out) {
     constexpr u32 size = sizeof(T);
-    const u32 off = static_cast<u32>(vaddr & line_off_mask_);
-    if (off + size > line_off_mask_ + 1) return false;  // straddles a line
+    const u32 off = static_cast<u32>(vaddr & kLineOffMask);
+    if (off + size > kLineOffMask + 1) return false;  // straddles a line
     if (tlb_epoch_ != pagetable_.epoch()) return false;
-    const u64 vpage = vaddr >> page_shift_;
+    const u64 vpage = vaddr >> kPageShift;
     const TlbEntry& slot = tlb_[vpage % kTlbEntries];
     if (slot.vpage != vpage || !slot.pte.present) return false;
-    const u64 paddr = slot.pte.frame_paddr + (vaddr & page_off_mask_);
+    const u64 paddr = slot.pte.frame_paddr + (vaddr & kPageOffMask);
     // Buffered stores must be observed; any WCB overlap is slow-path work
     // (forward or drain). Only MPBT loads consult the WCB.
     if (slot.pte.mpbt && wcb_.overlaps(paddr, size)) return false;
@@ -283,10 +283,10 @@ class Core {
   template <typename T>
   [[gnu::always_inline]] inline bool vwrite_fast(u64 vaddr, const T* src) {
     constexpr u32 size = sizeof(T);
-    const u32 off = static_cast<u32>(vaddr & line_off_mask_);
-    if (off + size > line_off_mask_ + 1) return false;  // straddles a line
+    const u32 off = static_cast<u32>(vaddr & kLineOffMask);
+    if (off + size > kLineOffMask + 1) return false;  // straddles a line
     if (tlb_epoch_ != pagetable_.epoch()) return false;
-    const u64 vpage = vaddr >> page_shift_;
+    const u64 vpage = vaddr >> kPageShift;
     const TlbEntry& slot = tlb_[vpage % kTlbEntries];
     if (slot.vpage != vpage || !slot.pte.present || !slot.pte.writable) {
       return false;
@@ -294,10 +294,10 @@ class Core {
     // Only the MPBT write path stays on-core (WCB merge); write-through
     // CachedWT stores always pay a device transaction — slow path.
     if (!slot.pte.mpbt) return false;
-    const u64 paddr = slot.pte.frame_paddr + (vaddr & page_off_mask_);
+    const u64 paddr = slot.pte.frame_paddr + (vaddr & kPageOffMask);
     // Mergeable only when the WCB is empty or already holds this line;
     // anything else must flush downstream first — slow path.
-    if (wcb_.valid() && wcb_.line_addr() != (paddr & ~line_off_mask_)) {
+    if (wcb_.valid() && wcb_.line_addr() != (paddr & ~kLineOffMask)) {
       return false;
     }
     // Bound the cost by the worst case (store-hit + merge) so the check
@@ -312,7 +312,7 @@ class Core {
       std::memcpy(bytes + off, src, size);
       cost += lat_store_hit_ps_;
     }
-    wcb_.merge(paddr & ~line_off_mask_, off, src, size);
+    wcb_.merge(paddr & ~kLineOffMask, off, src, size);
     ++counters_.stores;
     ++counters_.tlb_hits;
     ++counters_.wcb_merges;
@@ -381,13 +381,13 @@ class Core {
   TimePs lat_l1_hit_ps_ = 0;
   TimePs lat_store_hit_ps_ = 0;
   TimePs lat_wcb_merge_ps_ = 0;
-  u64 line_off_mask_ = 0;  // line_bytes - 1
-  u64 page_off_mask_ = 0;  // page_bytes - 1
-  u32 page_shift_ = 0;
+
+  static constexpr u64 kLineOffMask = kLineBytes - 1;
+  static constexpr u64 kPageOffMask = kPageBytes - 1;
 
   // The modelled TLB: 64 entries, direct-mapped on vpage, invalidated
   // wholesale whenever the page table's epoch moves. A hit is free; a miss
-  // charges tlb_miss_cycles for the walk (translate()).
+  // charges kTlbMissCycles for the walk (translate()).
   struct TlbEntry {
     u64 vpage = ~u64{0};
     Pte pte;

@@ -40,8 +40,6 @@ struct CoreCounters {
   // kept here so they aggregate and difference with everything else)
   u64 svm_read_faults = 0;
   u64 svm_write_faults = 0;
-  u64 svm_inval_sent = 0;
-  u64 svm_inval_recv = 0;
   u64 svm_mail_roundtrips = 0;
   TimePs svm_fault_stall_ps = 0;
 
@@ -100,8 +98,6 @@ inline constexpr CoreCounterField kCoreCounterFields[] = {
     {"ipis_sent", &CoreCounters::ipis_sent},
     {"svm_read_faults", &CoreCounters::svm_read_faults},
     {"svm_write_faults", &CoreCounters::svm_write_faults},
-    {"svm_inval_sent", &CoreCounters::svm_inval_sent},
-    {"svm_inval_recv", &CoreCounters::svm_inval_recv},
     {"svm_mail_roundtrips", &CoreCounters::svm_mail_roundtrips},
     {"svm_fault_stall_ps", &CoreCounters::svm_fault_stall_ps},
     {"busy_ps", &CoreCounters::busy_ps},

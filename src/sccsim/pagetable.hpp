@@ -7,9 +7,9 @@
 // memory-type bits (MPBT, L2-enable) to drive the consistency protocols.
 #pragma once
 
-#include <cassert>
 #include <unordered_map>
 
+#include "sccsim/config.hpp"
 #include "sim/types.hpp"
 
 namespace msvm::scc {
@@ -32,16 +32,8 @@ struct Pte {
 
 class PageTable {
  public:
-  explicit PageTable(u32 page_bytes) : page_bytes_(page_bytes) {
-    assert((page_bytes & (page_bytes - 1)) == 0);
-    while ((u32{1} << page_shift_) < page_bytes) ++page_shift_;
-  }
-
-  u32 page_bytes() const { return page_bytes_; }
-  /// log2(page_bytes): hot paths shift instead of dividing.
-  u32 page_shift() const { return page_shift_; }
-  u64 vpage_of(u64 vaddr) const { return vaddr >> page_shift_; }
-  u64 page_offset(u64 vaddr) const { return vaddr & (page_bytes_ - 1); }
+  u64 vpage_of(u64 vaddr) const { return vaddr >> kPageShift; }
+  u64 page_offset(u64 vaddr) const { return vaddr & (kPageBytes - 1); }
 
   /// Epoch increments on every mutation; consumers (the core's host-side
   /// translation cache) use it to invalidate stale snapshots.
@@ -80,8 +72,6 @@ class PageTable {
   std::size_t size() const { return entries_.size(); }
 
  private:
-  u32 page_bytes_;
-  u32 page_shift_ = 0;
   u64 epoch_ = 0;
   std::unordered_map<u64, Pte> entries_;
 };

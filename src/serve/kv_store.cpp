@@ -43,7 +43,7 @@ KvStore::KvStore(svm::Svm& svm, const KvConfig& cfg, int num_members)
   // Page-aligned shard slices: no page is ever shared by two shards, so
   // the only core that touches a shard's pages (its home) is also the
   // only one a fail-stop there can hurt.
-  const u64 page = svm_.core().chip().config().page_bytes;
+  const u64 page = scc::kPageBytes;
   shard_bytes_ = round_up(keys_per_shard_ * entry_bytes_, page);
   base_ = svm_.alloc(shard_bytes_ * shards_);  // collective
 }

@@ -41,7 +41,7 @@ void ReadReplicationPolicy::on_message(const Msg& m, ProtocolEnv& env) {
 
 void ReadReplicationPolicy::acquire_read_replica(u64 page, u16 frame,
                                                  ProtocolEnv& env) {
-  env.cost_cycles(cfg_.ownership_software_cycles);
+  env.cost_cycles(kOwnershipSoftwareCycles);
 
   // Fast path: we are the exclusive owner — remap writable without any
   // protocol traffic (mirrors the ownership fast path).
@@ -123,7 +123,7 @@ void ReadReplicationPolicy::serve_read_request(const Msg& m,
                                                ProtocolEnv& env) {
   const u64 page = m.page;
   const int requester = m.requester;
-  env.cost_cycles(cfg_.ownership_software_cycles);
+  env.cost_cycles(kOwnershipSoftwareCycles);
   const u16 owner = env.meta().owner(page);
   if (owner == requester) {
     // A forward raced with an ownership transfer to the requester
@@ -168,9 +168,8 @@ void ReadReplicationPolicy::serve_invalidation(const Msg& m,
                                                ProtocolEnv& env) {
   const u64 page = m.page;
   const int requester = m.requester;
-  env.cost_cycles(cfg_.ownership_software_cycles);
+  env.cost_cycles(kOwnershipSoftwareCycles);
   ++env.stats().invalidations_received;
-  env.hw_count(HwEvent::kInvalRecv, 1);
   // Drop the replica mapping and its cached lines: the replica is
   // read-only and MPBT-typed, so CL1INVMB discards exactly the lines a
   // future re-read must fetch fresh.

@@ -28,7 +28,7 @@ void StrongOwnerPolicy::on_message(const Msg& m, ProtocolEnv& env) {
 
 void StrongOwnerPolicy::acquire_ownership(u64 page, ProtocolEnv& env) {
   ++env.stats().ownership_acquires;
-  env.cost_cycles(cfg_.ownership_software_cycles);
+  env.cost_cycles(kOwnershipSoftwareCycles);
   const u16 frame = env.meta().frame_of(page);
 
   // Fast path: we already own the page (e.g. a mapping dropped by
@@ -123,7 +123,7 @@ void StrongOwnerPolicy::serve_ownership_request(const Msg& m,
                                                 ProtocolEnv& env) {
   const u64 page = m.page;
   const int requester = m.requester;
-  env.cost_cycles(cfg_.ownership_software_cycles);
+  env.cost_cycles(kOwnershipSoftwareCycles);
   const u16 owner = env.meta().owner(page);
   if (owner == requester) {
     // Transfer already happened (raced with a forward); just confirm.
@@ -175,7 +175,6 @@ void StrongOwnerPolicy::invalidate_sharers(u64 page, ProtocolEnv& env) {
   if (nshare > 0) {
     env.multicast(dests, Msg{MsgType::kInval, page, env.self()});
     env.stats().invalidations_sent += static_cast<u64>(nshare);
-    env.hw_count(HwEvent::kInvalSent, static_cast<u64>(nshare));
     for (int i = 0; i < nshare; ++i) {
       (void)env.wait_match(MsgType::kInvalAck, page);
     }

@@ -103,6 +103,9 @@ struct Sabotage {
   bool skip_acquire_invalidate = false;  // LRC acquire
 };
 
+/// Modelled software cost charged per protocol step (core cycles).
+inline constexpr u32 kOwnershipSoftwareCycles = 400;
+
 /// The slice of SvmConfig the protocol core needs. The binding layer
 /// fills it from SvmConfig; the harness constructs it directly.
 struct PolicyConfig {
@@ -110,8 +113,6 @@ struct PolicyConfig {
   /// requester instead polls the off-die owner vector, reproducing the
   /// authors' earlier prototype [14] that "runs against the memory wall".
   bool ack_via_mail = true;
-  /// Modelled software cost charged per protocol step (core cycles).
-  u32 ownership_software_cycles = 400;
   Sabotage sabotage;
 };
 
@@ -196,8 +197,6 @@ inline constexpr SvmStatsField kSvmStatsFields[] = {
 /// them onto scc::CoreCounters, the harness onto plain tallies.
 enum class HwEvent : u8 {
   kMailRoundtrip,  // one request/ACK (or multicast/ACK-set) round-trip
-  kInvalSent,      // invalidation mails fanned out
-  kInvalRecv,      // invalidation served (replica dropped)
 };
 
 /// Which metadata word a MetaStore access targets (see meta.hpp).

@@ -60,13 +60,12 @@ u64 Svm::page_index_of(u64 vaddr) const {
 // collectives
 
 u64 Svm::alloc(u64 bytes) {
-  const u64 page = core_.chip().config().page_bytes;
+  const u64 page = scc::kPageBytes;
   const u64 pages = (bytes + page - 1) / page;
   const u64 base = domain_.register_alloc(rank_, bytes);
   // Region bookkeeping cost scales with the page count (the paper's
   // Table 1 row 1: reserving 4 MiB costs ~741 us in total).
-  core_.compute_cycles(
-      pages * domain_.config().alloc_region_cycles_per_page);
+  core_.compute_cycles(pages * kAllocRegionCyclesPerPage);
   next_vaddr_ = base + pages * page;
   barrier();
   return base;
@@ -180,7 +179,7 @@ void Svm::protect_readonly(u64 vaddr, u64 bytes) {
   if (region == SvmDomain::kNoRegion) {
     panic("protect_readonly outside any SVM region");
   }
-  const u64 page = core_.chip().config().page_bytes;
+  const u64 page = scc::kPageBytes;
   // Make our writes visible and drop our MPBT lines: the region's lines
   // will re-enter the caches as plain (L2-capable) lines.
   core_.flush_wcb();
@@ -200,7 +199,7 @@ void Svm::protect_readonly(u64 vaddr, u64 bytes) {
 void Svm::unprotect(u64 vaddr, u64 bytes) {
   const u16 region = runtime_->region_of(vaddr);
   if (region == SvmDomain::kNoRegion) panic("unprotect outside any SVM region");
-  const u64 page = core_.chip().config().page_bytes;
+  const u64 page = scc::kPageBytes;
   // Drop all mappings: the next access re-faults through the normal
   // (model-aware) path, which restores MPBT attributes and — under the
   // strong model — re-establishes single ownership.
@@ -231,7 +230,7 @@ void Svm::next_touch(u64 vaddr, u64 bytes) {
   if (runtime_->region_of(vaddr) == SvmDomain::kNoRegion) {
     panic("next_touch outside any SVM region");
   }
-  const u64 page = core_.chip().config().page_bytes;
+  const u64 page = scc::kPageBytes;
   core_.flush_wcb();
   core_.cl1invmb();
   for (u64 off = 0; off < bytes; off += page) {

@@ -109,6 +109,16 @@ enum class BarrierAlgo : u8 {
   kDissemination,   // O(log n) rounds, parity-buffered flags
 };
 
+/// Modelled software path costs (core cycles). The two bigger ones are
+/// calibrated against the paper's Table 1 (row 1: 741 us per 4 MiB
+/// reservation; row 2: ~112 us per physically allocated frame, which
+/// on the original kernel includes the allocator walk and page-table
+/// bookkeeping beyond the 4 KiB zeroing our memory model charges). The
+/// per-step ownership cost is proto::kOwnershipSoftwareCycles.
+inline constexpr u32 kAllocRegionCyclesPerPage = 385;
+inline constexpr u32 kMapSoftwareCycles = 600;
+inline constexpr u32 kFirstTouchSoftwareCycles = 54500;
+
 struct SvmConfig {
   Model model = Model::kLazyRelease;
   BarrierAlgo barrier_algo = BarrierAlgo::kMasterGather;
@@ -130,15 +140,6 @@ struct SvmConfig {
   /// invalidations to all sharers before taking exclusive ownership.
   /// Off by default so every paper-reproduction figure stays bit-identical.
   bool read_replication = false;
-  /// Modelled software path costs (core cycles). The two bigger ones are
-  /// calibrated against the paper's Table 1 (row 1: 741 us per 4 MiB
-  /// reservation; row 2: ~112 us per physically allocated frame, which
-  /// on the original kernel includes the allocator walk and page-table
-  /// bookkeeping beyond the 4 KiB zeroing our memory model charges).
-  u32 alloc_region_cycles_per_page = 385;
-  u32 map_software_cycles = 600;
-  u32 first_touch_software_cycles = 54500;
-  u32 ownership_software_cycles = 400;
 
   /// Fault-injection switches (testing only) — see proto::Sabotage.
   using Sabotage = proto::Sabotage;

@@ -46,7 +46,7 @@ SvmDomain::SvmDomain(scc::Chip& chip, SvmConfig cfg,
   debug_lock_holder_.assign(nlocks, -1);
   debug_lock_page_.assign(nlocks, 0);
   const scc::ChipConfig& ccfg = chip_.config();
-  const u64 page = ccfg.page_bytes;
+  const u64 page = scc::kPageBytes;
 
   entries_per_mpb_ =
       (layout_.scratchpad_bytes - layout_.barrier_header_bytes) / 2;
@@ -106,12 +106,12 @@ SvmDomain::SvmDomain(scc::Chip& chip, SvmConfig cfg,
 }
 
 u64 SvmDomain::vbase() const {
-  return scc::kSvmVBase + page_index_base_ * chip_.config().page_bytes;
+  return scc::kSvmVBase + page_index_base_ * scc::kPageBytes;
 }
 
 std::pair<u16, u16> SvmDomain::frame_range_of_mc(int mc) const {
   const scc::ChipConfig& ccfg = chip_.config();
-  const u64 page = ccfg.page_bytes;
+  const u64 page = scc::kPageBytes;
   const u64 quarter = ccfg.shared_dram_bytes /
                       static_cast<u64>(chip_.topology().num_mem_controllers());
   const u64 frames_limit = meta_base_ / page;  // metadata is off-limits
@@ -152,7 +152,7 @@ u64 SvmDomain::sharer_entry_paddr(u64 page_idx) const {
 }
 
 u64 SvmDomain::total_frames() const {
-  return meta_base_ / chip_.config().page_bytes;
+  return meta_base_ / scc::kPageBytes;
 }
 
 u64 SvmDomain::mc_counter_paddr(int mc) const {
@@ -161,7 +161,7 @@ u64 SvmDomain::mc_counter_paddr(int mc) const {
 
 u64 SvmDomain::frame_paddr(u16 frame_no) const {
   return scc::kSharedBase +
-         static_cast<u64>(frame_no) * chip_.config().page_bytes;
+         static_cast<u64>(frame_no) * scc::kPageBytes;
 }
 
 // The TAS file (one register per core the die provides) is partitioned
@@ -201,7 +201,7 @@ u16 SvmDomain::take_free_frame(int mc) {
 }
 
 u64 SvmDomain::register_alloc(int rank, u64 bytes) {
-  const u64 page = chip_.config().page_bytes;
+  const u64 page = scc::kPageBytes;
   const u64 seq = next_alloc_seq_[static_cast<std::size_t>(rank)]++;
   if (seq == allocs_.size()) {
     // First member to reach this collective call defines the region.

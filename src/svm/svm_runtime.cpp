@@ -37,7 +37,6 @@ static_assert(static_cast<int>(proto::TraceKind::kFault) ==
 std::unique_ptr<proto::CoherencePolicy> make_policy(const SvmConfig& cfg) {
   proto::PolicyConfig pcfg;
   pcfg.ack_via_mail = cfg.ack_via_mail;
-  pcfg.ownership_software_cycles = cfg.ownership_software_cycles;
   pcfg.sabotage = cfg.sabotage;
   if (cfg.model == Model::kStrong) {
     if (cfg.read_replication) {
@@ -102,9 +101,6 @@ SvmRuntime::SvmRuntime(kernel::Kernel& kernel, mbox::MailboxSystem& mbox,
       dir_width_(domain.chip().topology().max_cores()),
       meta_word_(*this, this),
       policy_(make_policy(domain.config())) {
-  const u32 page_bytes = core_.chip().config().page_bytes;
-  while ((u32{1} << page_shift_) < page_bytes) ++page_shift_;
-
   kernel_.set_svm_fault_handler(
       [this](u64 vaddr, bool is_write) { handle_fault(vaddr, is_write); });
   mbox_.set_handler(kMailOwnershipReq,
@@ -184,11 +180,11 @@ std::string proto_trace_dump(const obs::EventRing& ring,
 }
 
 u64 SvmRuntime::page_index_of(u64 vaddr) const {
-  return (vaddr - scc::kSvmVBase) >> page_shift_;
+  return (vaddr - scc::kSvmVBase) >> scc::kPageShift;
 }
 
 u64 SvmRuntime::page_vaddr_of(u64 page_idx) const {
-  return scc::kSvmVBase + (page_idx << page_shift_);
+  return scc::kSvmVBase + (page_idx << scc::kPageShift);
 }
 
 u16 SvmRuntime::region_of(u64 vaddr) const {
@@ -327,9 +323,8 @@ void SvmRuntime::handle_fault(u64 vaddr, bool is_write) {
 }
 
 void SvmRuntime::mapping_fault(u64 vaddr, u64 page_idx, bool is_write) {
-  core_.compute_cycles(domain_.config().map_software_cycles);
-  const u64 page_base =
-      vaddr & ~(u64{core_.chip().config().page_bytes} - 1);
+  core_.compute_cycles(kMapSoftwareCycles);
+  const u64 page_base = vaddr & ~(u64{scc::kPageBytes} - 1);
   const bool readonly = region_readonly(region_of(vaddr));
 
   const int lock_reg = domain_.scratchpad_lock_reg(page_idx);
@@ -344,7 +339,7 @@ void SvmRuntime::mapping_fault(u64 vaddr, u64 page_idx, bool is_write) {
     // First touch chip-wide: allocate near our memory controller, zero it
     // and publish the 16-bit representation.
     ++stats_.first_touch_allocs;
-    core_.compute_cycles(domain_.config().first_touch_software_cycles);
+    core_.compute_cycles(kFirstTouchSoftwareCycles);
     const u16 frame =
         alloc_frame_near(core_.chip().topology().nearest_mc(core_.id()));
     zero_frame(frame);
@@ -380,14 +375,12 @@ void SvmRuntime::mapping_fault(u64 vaddr, u64 page_idx, bool is_write) {
     const u16 old_frame = entry & kFrameMask;
     const int my_mc = core_.chip().topology().nearest_mc(core_.id());
     const u16 new_frame = alloc_frame_near(my_mc);
-    const u32 line = core_.chip().config().line_bytes;
-    const u32 page = core_.chip().config().page_bytes;
-    u8 buf[64];
-    for (u32 off = 0; off < page; off += line) {
-      core_.pread(domain_.frame_paddr(old_frame) + off, buf, line,
+    u8 buf[scc::kLineBytes];
+    for (u32 off = 0; off < scc::kPageBytes; off += scc::kLineBytes) {
+      core_.pread(domain_.frame_paddr(old_frame) + off, buf, scc::kLineBytes,
                   scc::MemPolicy::kUncached);
-      core_.pwrite(domain_.frame_paddr(new_frame) + off, buf, line,
-                   scc::MemPolicy::kUncached);
+      core_.pwrite(domain_.frame_paddr(new_frame) + off, buf,
+                   scc::kLineBytes, scc::MemPolicy::kUncached);
     }
     const scc::PhysTarget old_target =
         core_.chip().map().decode(domain_.frame_paddr(old_frame));
@@ -465,11 +458,9 @@ u16 SvmRuntime::alloc_frame_near(int preferred_mc) {
 
 void SvmRuntime::zero_frame(u16 frame_no) {
   const u64 base = domain_.frame_paddr(frame_no);
-  const u32 line = core_.chip().config().line_bytes;
-  const u32 page = core_.chip().config().page_bytes;
-  const u8 zeros[64] = {0};
-  for (u32 off = 0; off < page; off += line) {
-    core_.pwrite(base + off, zeros, line, scc::MemPolicy::kMpbt);
+  const u8 zeros[scc::kLineBytes] = {0};
+  for (u32 off = 0; off < scc::kPageBytes; off += scc::kLineBytes) {
+    core_.pwrite(base + off, zeros, scc::kLineBytes, scc::MemPolicy::kMpbt);
   }
   core_.flush_wcb();
 }
@@ -756,7 +747,7 @@ bool SvmRuntime::dead_owner_died_dirty(u64 page) {
   // held at death — the page is dirty iff that line is in its frame.
   const u64 base = domain_.frame_paddr(meta_word_.frame_of(page));
   const u64 line = chip.dead_wcb_line(owner);
-  return line >= base && line < base + chip.config().page_bytes;
+  return line >= base && line < base + scc::kPageBytes;
 }
 
 proto::RecoveryAction SvmRuntime::run_page_recovery(u64 page,
@@ -872,12 +863,6 @@ void SvmRuntime::hw_count(proto::HwEvent event, u64 delta) {
     case proto::HwEvent::kMailRoundtrip:
       core_.counters().svm_mail_roundtrips += delta;
       break;
-    case proto::HwEvent::kInvalSent:
-      core_.counters().svm_inval_sent += delta;
-      break;
-    case proto::HwEvent::kInvalRecv:
-      core_.counters().svm_inval_recv += delta;
-      break;
   }
 }
 
@@ -901,18 +886,39 @@ constexpr u32 kCrcCyclesPerByte = 1;
 constexpr u32 kRepairCyclesPerLine = 100;
 constexpr u32 kMetaEccCycles = 200;
 
+// Host-side access to a 16- or 64-bit metadata word as it sits in
+// memory, beside the simulated pload/pstore: the ECC check and repair,
+// the scrubber's fallback read, and flip injection.
+u64 read_raw_word(scc::Memory& mem, u64 paddr, u32 bits) {
+  if (bits == 16) {
+    u16 word = 0;
+    mem.read(paddr, &word, sizeof(word));
+    return word;
+  }
+  u64 word = 0;
+  mem.read(paddr, &word, sizeof(word));
+  return word;
+}
+
+void write_raw_word(scc::Memory& mem, u64 paddr, u64 value, u32 bits) {
+  if (bits == 16) {
+    const u16 word = static_cast<u16>(value);
+    mem.write(paddr, &word, sizeof(word));
+  } else {
+    mem.write(paddr, &value, sizeof(value));
+  }
+}
+
 }  // namespace
 
 u32 SvmRuntime::frame_crc(u64 frame_base) {
   // Host-side read of the whole frame (the simulated cost is charged by
   // the callers, who know whether the pass is a seal, verify or scrub).
   scc::Memory& mem = core_.chip().memory();
-  const u32 page_bytes = core_.chip().config().page_bytes;
   u8 buf[256];
   u32 crc = 0;
-  for (u32 off = 0; off < page_bytes; off += sizeof(buf)) {
-    const u32 chunk =
-        std::min<u32>(sizeof(buf), page_bytes - off);
+  for (u32 off = 0; off < scc::kPageBytes; off += sizeof(buf)) {
+    const u32 chunk = std::min<u32>(sizeof(buf), scc::kPageBytes - off);
     mem.read(frame_base + off, buf, chunk);
     crc = off == 0 ? sim::crc32c(buf, chunk)
                    : sim::crc32c_extend(crc, buf, chunk);
@@ -924,7 +930,6 @@ void SvmRuntime::page_seal(u64 page, bool exclusive) {
   if (!integrity_) return;
   const u64 rel = page - domain_.page_index_base();
   assert(rel < domain_.seals.size() && "sealed page outside the domain");
-  const u32 page_bytes = core_.chip().config().page_bytes;
   const u16 frame = meta_word_.frame_of(page);
   const u64 base = domain_.frame_paddr(frame);
 
@@ -935,7 +940,7 @@ void SvmRuntime::page_seal(u64 page, bool exclusive) {
   seal.valid = true;
   seal.exclusive = exclusive;
   ++stats_.pages_sealed;
-  core_.compute_cycles(page_bytes * kCrcCyclesPerByte);
+  core_.compute_cycles(scc::kPageBytes * kCrcCyclesPerByte);
 
   obs::EventBus& bus = core_.chip().bus();
   if (bus.enabled(obs::kCatIntegrity)) {
@@ -952,7 +957,7 @@ void SvmRuntime::page_seal(u64 page, bool exclusive) {
   // without a verify: exactly the silent-wrong outcome this layer
   // exists to kill, so those seals are verify-only.
   const i64 bit =
-      core_.chip().faults().page_flip_bit(u64{page_bytes} * 8);
+      core_.chip().faults().page_flip_bit(u64{scc::kPageBytes} * 8);
   if (bit < 0) return;
   scc::Memory& mem = core_.chip().memory();
   const u64 paddr = base + static_cast<u64>(bit >> 3);
@@ -971,12 +976,10 @@ bool SvmRuntime::snoop_repair(u64 frame_base,
                               const SvmDomain::PageSeal& seal,
                               bool& used_remote) {
   scc::Chip& chip = core_.chip();
-  const u32 line = chip.config().line_bytes;
-  const u32 page_bytes = chip.config().page_bytes;
   const int ncores = chip.config().num_cores;
   used_remote = false;
   u32 copied = 0;
-  for (u32 off = 0; off < page_bytes; off += line) {
+  for (u32 off = 0; off < scc::kPageBytes; off += scc::kLineBytes) {
     const u64 paddr = frame_base + off;
     const u8* src = nullptr;
     int src_core = -1;
@@ -994,13 +997,13 @@ bool SvmRuntime::snoop_repair(u64 frame_base,
       if (src != nullptr) src_core = i;
     }
     if (src == nullptr) continue;
-    chip.memory().write(paddr, src, line);
+    chip.memory().write(paddr, src, scc::kLineBytes);
     if (src_core != seal.sealer) used_remote = true;
     ++copied;
   }
   if (copied == 0) return false;
   core_.compute_cycles(copied * kRepairCyclesPerLine +
-                       page_bytes * kCrcCyclesPerByte);
+                       scc::kPageBytes * kCrcCyclesPerByte);
   return frame_crc(frame_base) == seal.crc;
 }
 
@@ -1032,32 +1035,37 @@ void SvmRuntime::page_verify(u64 page) {
   SvmDomain::PageSeal& seal = domain_.seals[rel];
   if (!seal.valid) return;  // nothing to check against (e.g. first touch)
   ++stats_.seal_verifies;
-  const u32 page_bytes = core_.chip().config().page_bytes;
-  core_.compute_cycles(page_bytes * kCrcCyclesPerByte);
+  core_.compute_cycles(scc::kPageBytes * kCrcCyclesPerByte);
   const u64 base = domain_.frame_paddr(meta_word_.frame_of(page));
   if (frame_crc(base) == seal.crc) return;
-
-  bool used_remote = false;
-  if (snoop_repair(base, seal, used_remote)) {
-    if (used_remote) {
-      ++stats_.seal_refetches;
-    } else {
-      ++stats_.seal_repairs;
-    }
-    obs::EventBus& bus = core_.chip().bus();
-    if (bus.enabled(obs::kCatIntegrity)) {
-      bus.publish(obs::Event{
-          core_.now(), page, seal.gen,
-          static_cast<u64>(used_remote ? obs::IntegrityAction::kRefetched
-                                       : obs::IntegrityAction::kRepaired),
-          obs::EventKind::kPageCorrupt, core_.id()});
-    }
-    return;
-  }
   // No clean copy anywhere: detect-or-die. The typed throw unwinds to
   // handle_fault, which releases any transfer lock this core holds.
-  poison_page(page, seal.gen);
-  throw proto::SvmIntegrityError(page);
+  if (!repair_or_poison(page, base, seal)) {
+    throw proto::SvmIntegrityError(page);
+  }
+}
+
+bool SvmRuntime::repair_or_poison(u64 page, u64 frame_base,
+                                  const SvmDomain::PageSeal& seal) {
+  bool used_remote = false;
+  if (!snoop_repair(frame_base, seal, used_remote)) {
+    poison_page(page, seal.gen);
+    return false;
+  }
+  if (used_remote) {
+    ++stats_.seal_refetches;
+  } else {
+    ++stats_.seal_repairs;
+  }
+  obs::EventBus& bus = core_.chip().bus();
+  if (bus.enabled(obs::kCatIntegrity)) {
+    bus.publish(obs::Event{
+        core_.now(), page, seal.gen,
+        static_cast<u64>(used_remote ? obs::IntegrityAction::kRefetched
+                                     : obs::IntegrityAction::kRepaired),
+        obs::EventKind::kPageCorrupt, core_.id()});
+  }
+  return true;
 }
 
 void SvmRuntime::scrub_tick() {
@@ -1065,7 +1073,6 @@ void SvmRuntime::scrub_tick() {
   next_scrub_ps_ = core_.now() + scrub_period_ps_;
   const u64 n = domain_.seals.size();
   if (n == 0) return;
-  const u32 page_bytes = core_.chip().config().page_bytes;
   // Bounded per-tick work: the scrubber runs in timer-interrupt context
   // and must not stall the interrupted computation for a whole share.
   constexpr u64 kPagesPerPass = 32;
@@ -1082,43 +1089,20 @@ void SvmRuntime::scrub_tick() {
     // not trust a possibly-flipped scratchpad word), raw memory as the
     // fallback for words never stored since boot.
     const u64 paddr = domain_.scratchpad_entry_paddr(page);
-    u64 entry = 0;
     const auto it = domain_.meta_shadow.find(paddr);
-    if (it != domain_.meta_shadow.end()) {
-      entry = it->second;
-    } else {
-      u16 word = 0;
-      core_.chip().memory().read(paddr, &word, sizeof(word));
-      entry = word;
-    }
+    const u64 entry = it != domain_.meta_shadow.end()
+                          ? it->second
+                          : read_raw_word(core_.chip().memory(), paddr, 16);
     const u16 frame = static_cast<u16>(entry) & kFrameMask;
     if (frame == 0) continue;
     const u64 base = domain_.frame_paddr(frame);
-    core_.compute_cycles(page_bytes * kCrcCyclesPerByte);
+    core_.compute_cycles(scc::kPageBytes * kCrcCyclesPerByte);
     if (frame_crc(base) == seal.crc) continue;
     ++corrupt;
-    bool used_remote = false;
-    if (snoop_repair(base, seal, used_remote)) {
-      if (used_remote) {
-        ++stats_.seal_refetches;
-      } else {
-        ++stats_.seal_repairs;
-      }
-      obs::EventBus& bus = core_.chip().bus();
-      if (bus.enabled(obs::kCatIntegrity)) {
-        bus.publish(obs::Event{
-            core_.now(), page, seal.gen,
-            static_cast<u64>(used_remote
-                                 ? obs::IntegrityAction::kRefetched
-                                 : obs::IntegrityAction::kRepaired),
-            obs::EventKind::kPageCorrupt, core_.id()});
-      }
-      continue;
-    }
-    // Unrepairable from interrupt context too: poison now (no throw — no
-    // access is faulting), so the next toucher gets the typed error
-    // instead of a stale verify.
-    poison_page(page, seal.gen);
+    // Unrepairable from interrupt context too: the page is poisoned (no
+    // throw — no access is faulting), so the next toucher gets the typed
+    // error instead of a stale verify.
+    repair_or_poison(page, base, seal);
   }
   if (walked == 0) return;
   obs::EventBus& bus = core_.chip().bus();
@@ -1149,25 +1133,12 @@ u64 SvmRuntime::meta_load_word(u64 paddr, u32 bits, proto::MetaKind kind,
     const auto it = domain_.meta_shadow.find(paddr);
     if (it != domain_.meta_shadow.end()) {
       scc::Memory& mem = core_.chip().memory();
-      u64 raw = 0;
-      if (bits == 16) {
-        u16 word = 0;
-        mem.read(paddr, &word, sizeof(word));
-        raw = word;
-      } else {
-        mem.read(paddr, &raw, sizeof(raw));
-      }
-      if (raw != it->second) {
+      if (read_raw_word(mem, paddr, bits) != it->second) {
         // No yield may happen between this repair write and the pload's
         // sample below, or a concurrently injected flip could slip past
         // the check — the modelled ECC cost is charged after the load.
         const u64 good = it->second;
-        if (bits == 16) {
-          const u16 word = static_cast<u16>(good);
-          mem.write(paddr, &word, sizeof(word));
-        } else {
-          mem.write(paddr, &good, sizeof(good));
-        }
+        write_raw_word(mem, paddr, good, bits);
         ++stats_.meta_corrections;
         corrected = true;
         obs::EventBus& bus = core_.chip().bus();
@@ -1209,14 +1180,8 @@ void SvmRuntime::meta_store_word(u64 paddr, u64 value, u32 bits,
   // load, so a flipped owner/frame/directory word is never acted upon.
   const int bit = core_.chip().faults().meta_flip_bit(bits);
   if (bit < 0) return;
-  const u64 flipped = value ^ (u64{1} << bit);
-  scc::Memory& mem = core_.chip().memory();
-  if (bits == 16) {
-    const u16 word = static_cast<u16>(flipped);
-    mem.write(paddr, &word, sizeof(word));
-  } else {
-    mem.write(paddr, &flipped, sizeof(flipped));
-  }
+  write_raw_word(core_.chip().memory(), paddr, value ^ (u64{1} << bit),
+                 bits);
   obs::EventBus& bus = core_.chip().bus();
   if (bus.enabled(obs::kCatChaos)) {
     bus.publish(obs::Event{

@@ -189,6 +189,12 @@ class SvmRuntime final : public proto::ProtocolEnv,
   /// traced metadata store, so the auditor and the ECC shadow both see
   /// the poison), publishes kPageCorrupt/kPoisoned.
   void poison_page(u64 page, u32 gen);
+  /// The CRC-mismatch tail of page_verify and scrub_tick: snoop-repairs
+  /// the frame at `frame_base` (counting a repair or a refetch and
+  /// publishing kPageCorrupt) or, with no clean copy left, poisons
+  /// `page`. Returns whether the frame was repaired.
+  bool repair_or_poison(u64 page, u64 frame_base,
+                        const SvmDomain::PageSeal& seal);
   /// One metadata word through the flipmeta + ECC-shadow pipeline.
   u64 meta_load_word(u64 paddr, u32 bits, proto::MetaKind kind, u64 page);
   void meta_store_word(u64 paddr, u64 value, u32 bits, u64 page);
@@ -214,7 +220,6 @@ class SvmRuntime final : public proto::ProtocolEnv,
   u16 frame_batch_end_ = 0;
 
   std::vector<bool> readonly_;  // by region id; grown on first set
-  u32 page_shift_ = 0;          // log2(page_bytes)
 
   // ---- protocol-mail resilience (all host-side bookkeeping) ----
 

@@ -40,7 +40,7 @@ KillMosaicResult run_kill_mosaic(const KillMosaicParams& p,
   cfg.chip.faults = p.faults;
   cluster::Cluster cl(cfg);
 
-  const u64 page_bytes = cl.chip().config().page_bytes;
+  const u64 page_bytes = scc::kPageBytes;
   assert(static_cast<u64>(num_cores) * 8 <= page_bytes &&
          "one 8-byte slot per rank must fit in a page");
 

@@ -15,7 +15,7 @@ SvmOverheadResult run_svm_overhead(const SvmOverheadParams& params) {
   cluster::Cluster cl(cfg);
 
   SvmOverheadResult result;
-  const u64 page = cfg.chip.page_bytes;
+  const u64 page = scc::kPageBytes;
   const u64 pages = params.bytes / page;
   result.pages = pages;
 

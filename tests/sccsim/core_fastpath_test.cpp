@@ -72,7 +72,7 @@ TEST(CoreFastPath, StraddlingAccessFallsBackAndStaysCorrect) {
   Chip chip(small_config());
   chip.spawn_program(0, [&](Core& c) {
     map_page(c, kSvmVBase, kSharedBase, true, true);
-    const u32 line = chip.config().line_bytes;
+    const u32 line = scc::kLineBytes;
     // A u64 spanning the line boundary cannot take the fast path; the
     // slow path must still produce the right bytes.
     c.vstore<u64>(kSvmVBase + line - 4, 0x1122334455667788ull);

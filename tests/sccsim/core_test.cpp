@@ -342,6 +342,34 @@ TEST(Core, CountersTrackTraffic) {
   EXPECT_EQ(total.loads, 1u);
 }
 
+// The modelled P54C data TLB has 64 entries, direct-mapped on the page
+// number: pages 64 apart share a slot and evict each other on every
+// access, pages 63 apart do not. The Laplace TLB-aliasing finding
+// (ROADMAP) rests on exactly this geometry.
+TEST(Core, TlbIsDirectMappedWith64Entries) {
+  Chip chip(small_config());
+  chip.spawn_program(0, [&](Core& c) {
+    const u64 v = kSvmVBase;
+    // Maps pages v and v + `apart`, then loads from them alternately and
+    // returns the TLB-miss count after each load.
+    const auto alternate = [&](u64 apart) {
+      const u64 w = v + apart * kPageBytes;
+      map_page(c, v, kSharedBase, true, true);
+      map_page(c, w, kSharedBase + kPageBytes, true, true);
+      const u64 misses0 = c.counters().tlb_misses;
+      std::vector<u64> misses;
+      for (int i = 0; i < 6; ++i) {
+        (void)c.vload<u32>(i % 2 == 0 ? v : w);
+        misses.push_back(c.counters().tlb_misses - misses0);
+      }
+      return misses;
+    };
+    EXPECT_EQ(alternate(64), (std::vector<u64>{1, 2, 3, 4, 5, 6}));
+    EXPECT_EQ(alternate(63), (std::vector<u64>{1, 2, 2, 2, 2, 2}));
+  });
+  chip.run();
+}
+
 TEST(Core, MakespanReported) {
   Chip chip(small_config());
   chip.spawn_program(0, [&](Core& c) { c.compute_cycles(1000); });

@@ -65,7 +65,7 @@ TEST(KvStoreCluster, ShardMapCoversAllRanksAndKeys) {
     }
     EXPECT_EQ(homes.size(), 8u);  // every member homes some traffic
     // Page-aligned slices: no page shared by two shards.
-    const u64 page = cl.chip().config().page_bytes;
+    const u64 page = scc::kPageBytes;
     EXPECT_EQ(store.shard_bytes() % page, 0u);
   });
 }

@@ -67,7 +67,7 @@ TEST(ProtocolStrong, FastPathRemapsWithoutAnyTraffic) {
   EXPECT_EQ(h.inbox_size(1), 0u);
   EXPECT_EQ(h.state_of(0, 3), PageState::kOwnedRW);
   // Exactly one modelled software step, no round-trip cost.
-  EXPECT_EQ(h.cost(0), h.policy(0).config().ownership_software_cycles);
+  EXPECT_EQ(h.cost(0), proto::kOwnershipSoftwareCycles);
 }
 
 // Two write faults contending for one page, with a third core as the

@@ -246,7 +246,7 @@ class Harness final : public proto::MetaStore {
     u64 cost = 0;
     u64 flushes = 0;
     u64 invmbs = 0;
-    u64 hw[3] = {0, 0, 0};
+    u64 hw[1] = {0};
     int irq_depth = 0;
   };
 

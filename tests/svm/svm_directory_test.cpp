@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "cluster/report.hpp"
 #include "sccsim/addrmap.hpp"
 
 namespace msvm::svm {
@@ -118,6 +119,8 @@ TEST(SvmDirectory, WriteUpgradeInvalidatesAllSharers) {
                 cl.node(3).svm().stats().invalidations_received,
             2u);
   EXPECT_EQ(cl.node(0).svm().stats().ownership_serves, 1u);
+  EXPECT_NE(cluster::format_report(cl).find("inval tx 2 rx 2,"),
+            std::string::npos);
 }
 
 TEST(SvmDirectory, InvalidationDropsReplicaMappings) {
