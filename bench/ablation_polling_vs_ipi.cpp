@@ -26,9 +26,6 @@ TimePs run(bool ack_via_mail, int pairs, u64 pages) {
   cfg.chip.shared_dram_bytes = 32 << 20;
   cfg.chip.private_dram_bytes = 1 << 20;
   cfg.chip.mc_contention = true;
-  // Random DDR3 reads with bank management occupy the controller for
-  // ~60 ns, not the streaming-burst default.
-  cfg.chip.mc_service_mesh_cycles = 48;
   cfg.svm.model = svm::Model::kStrong;
   cfg.svm.ack_via_mail = ack_via_mail;
   for (int p = 0; p < pairs; ++p) {

@@ -32,8 +32,11 @@ int main(int argc, char** argv) {
   p.read_replication = false;
   const double expect = workloads::matmul_reference_checksum(p);
 
+  auto right = [&](const workloads::MatmulResult& r) {
+    return std::abs(r.checksum - expect) < 1e-6 * expect;
+  };
   auto correct = [&](const workloads::MatmulResult& r) {
-    return std::abs(r.checksum - expect) < 1e-6 * expect ? "yes" : "NO";
+    return right(r) ? "yes" : "NO";
   };
   std::printf("\n%-28s %14s %14s %14s\n", "", "protected", "unprotected",
               "replication");
@@ -78,5 +81,5 @@ int main(int argc, char** argv) {
     }
     n.svm().barrier();
   });
-  return 0;
+  return right(with) && right(without) && right(repl) ? 0 : 1;
 }

@@ -22,9 +22,10 @@ int main() {
   cfg.svm.model = svm::Model::kLazyRelease;
 
   cluster::Cluster cluster(cfg);
+  bool all_sums_right = true;
 
   // 2. Run the same program on every member core (SPMD, like RCCE).
-  cluster.run([](cluster::Node& n) {
+  cluster.run([&](cluster::Node& n) {
     svm::Svm& svm = n.svm();
 
     // Collective: every member calls alloc with the same size and gets
@@ -41,9 +42,12 @@ int main() {
     svm.barrier();
 
     u64 sum = 0;
+    u64 expect = 0;
     for (int r = 0; r < n.size(); ++r) {
       sum += svm.read<u64>(counters + 8 * static_cast<u64>(r));
+      expect += 100 + static_cast<u64>(r);
     }
+    if (sum != expect) all_sums_right = false;
 
     std::printf("core %2d (rank %d): sum of all slots = %llu at t=%.3f us\n",
                 n.core_id(), n.rank(),
@@ -54,5 +58,5 @@ int main() {
 
   // 3. Inspect what the hardware and the SVM system actually did.
   std::printf("\n%s", cluster::format_report(cluster).c_str());
-  return 0;
+  return all_sums_right ? 0 : 1;
 }

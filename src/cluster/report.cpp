@@ -81,13 +81,12 @@ std::string format_report(Cluster& cluster, const ReportOptions& options) {
     }
     appendf(out,
             "svm: first-touch %llu, map %llu, own-acq %llu, own-serve "
-            "%llu, fwd %llu, migrate %llu, barriers %llu, locks %llu\n",
+            "%llu, fwd %llu, barriers %llu, locks %llu\n",
             static_cast<unsigned long long>(svm_total.first_touch_allocs),
             static_cast<unsigned long long>(svm_total.map_faults),
             static_cast<unsigned long long>(svm_total.ownership_acquires),
             static_cast<unsigned long long>(svm_total.ownership_serves),
             static_cast<unsigned long long>(svm_total.ownership_forwards),
-            static_cast<unsigned long long>(svm_total.migrations),
             static_cast<unsigned long long>(svm_total.barriers),
             static_cast<unsigned long long>(svm_total.lock_acquires));
     appendf(out,

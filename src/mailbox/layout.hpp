@@ -11,7 +11,7 @@
 // With a parameterized topology the carve is computed at runtime from the
 // die's maximum core count (Layout::make); at the SCC's 48 cores it
 // reproduces the historical constants below byte for byte. Chips past 48
-// cores need a larger MPB (scc::min_mpb_bytes / configure_cores size it).
+// cores need a larger MPB (scc::mpb_bytes_for sizes it).
 #pragma once
 
 #include <cstdio>
@@ -82,7 +82,7 @@ struct Layout {
     if (mpb_bytes != 0 && mpb_bytes < need) {
       std::fprintf(stderr,
                    "msvm::mbox::Layout: mpb_bytes=%u too small for a "
-                   "%d-core die (need %u; see scc::configure_cores)\n",
+                   "%d-core die (need %u; see scc::mpb_bytes_for)\n",
                    mpb_bytes, max_cores, need);
       std::abort();
     }

@@ -164,7 +164,6 @@ bool MailboxSystem::try_send(int dest, const Mail& mail) {
 }
 
 void MailboxSystem::send(int dest, const Mail& mail) {
-  const u64 slot = slot_paddr(dest, core_.id());
   sim::BlockScope scope(core_.chip().scheduler().current(), "mbox.send",
                         static_cast<u64>(dest), mail.type);
   TimePs stall_t0 = 0;  // clock at the first full-slot observation
@@ -172,17 +171,10 @@ void MailboxSystem::send(int dest, const Mail& mail) {
   // Wait for the destination slot to drain. Keep consuming our own
   // incoming traffic meanwhile: the peer may be blocked sending to *us*.
   for (;;) {
-    // Check-and-claim atomically w.r.t. our own handlers (see try_send).
-    core_.irq_disable();
-    const u8 flag = core_.pload<u8>(slot + kFlagOff,
-                                    scc::MemPolicy::kUncached);
-    if (flag == 0) {
-      deposit(slot, mail, dest);
-      core_.irq_enable();
+    if (try_send(dest, mail)) {
       if (stall_t0 != 0) stats_.send_stall_ps += core_.now() - stall_t0;
       return;
     }
-    core_.irq_enable();
     // Fail fast on a dead destination: its inbound slot will never drain
     // again, so stalling here would hang until the watchdog. The mail is
     // dropped — exactly what the wire does to a dead receiver — and the

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "sccsim/addrmap.hpp"
 #include "sccsim/chip.hpp"
@@ -16,12 +15,11 @@ constexpr u64 kProgressCycles = 40;
 }  // namespace
 
 Rcce::Rcce(kernel::Kernel& kernel, std::vector<int> members)
-    : kernel_(kernel),
-      core_(kernel.core()),
+    : core_(kernel.core()),
       members_(std::move(members)) {
   const scc::Chip& chip = core_.chip();
-  const mbox::Layout layout = mbox::Layout::make(
-      chip.topology().max_cores(), chip.config().mpb_bytes);
+  const mbox::Layout layout =
+      mbox::Layout::make(chip.topology().max_cores(), chip.map().mpb_size());
   const u32 n = static_cast<u32>(layout.max_cores);
   comm_off_ = layout.rcce_offset;
   sent_off_ = comm_off_ + kChunkBytes;
@@ -52,39 +50,6 @@ void Rcce::wait_own_flag(u32 off, u8 v, const kernel::SpinWaitOpts& opts) {
                     scc::WatchedWord::mpb_byte(mpb_paddr(core_.id(), off), v,
                                                &stats_.flag_polls),
                     opts);
-}
-
-// ---------------------------------------------------------------------------
-// one-sided
-
-void Rcce::put(int target_rank, u32 mpb_off, u64 src_vaddr, u32 bytes) {
-  assert(mpb_off + bytes <= kChunkBytes);
-  const int target_core = core_of(target_rank);
-  u8 buf[256];
-  while (bytes > 0) {
-    const u32 seg = std::min<u32>(bytes, sizeof(buf));
-    core_.vread(src_vaddr, buf, seg);
-    core_.pwrite(mpb_paddr(target_core, comm_off_ + mpb_off), buf,
-                 seg, scc::MemPolicy::kUncached);
-    src_vaddr += seg;
-    mpb_off += seg;
-    bytes -= seg;
-  }
-}
-
-void Rcce::get(u64 dst_vaddr, int source_rank, u32 mpb_off, u32 bytes) {
-  assert(mpb_off + bytes <= kChunkBytes);
-  const int source_core = core_of(source_rank);
-  u8 buf[256];
-  while (bytes > 0) {
-    const u32 seg = std::min<u32>(bytes, sizeof(buf));
-    core_.pread(mpb_paddr(source_core, comm_off_ + mpb_off), buf, seg,
-                scc::MemPolicy::kUncached);
-    core_.vwrite(dst_vaddr, buf, seg);
-    dst_vaddr += seg;
-    mpb_off += seg;
-    bytes -= seg;
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -181,19 +146,8 @@ bool Rcce::progress_send(Request& req) {
   if (!req.chunk_in_flight_ && req.progress_ < req.bytes_) {
     // Deposit the next chunk into our own MPB buffer and flag the peer.
     const u32 chunk = std::min(kChunkBytes, req.bytes_ - req.progress_);
-    u8 buf[256];
-    u64 src = req.vaddr_ + req.progress_;
-    u32 left = chunk;
-    u32 off = comm_off_;
-    while (left > 0) {
-      const u32 seg = std::min<u32>(left, sizeof(buf));
-      core_.vread(src, buf, seg);
-      core_.pwrite(mpb_paddr(core_.id(), off), buf, seg,
-                   scc::MemPolicy::kUncached);
-      src += seg;
-      off += seg;
-      left -= seg;
-    }
+    copy_chunk(req.vaddr_ + req.progress_, mpb_paddr(core_.id(), comm_off_),
+               chunk, /*to_mpb=*/true);
     mpb_write8(dest_core, sent_off_ + static_cast<u32>(core_.id()),
                1);
     ++stats_.chunks;
@@ -212,25 +166,31 @@ bool Rcce::progress_recv(Request& req) {
   mpb_write8(core_.id(), sent_off_ + static_cast<u32>(source_core),
              0);
   const u32 chunk = std::min(kChunkBytes, req.bytes_ - req.progress_);
-  u8 buf[256];
-  u64 dst = req.vaddr_ + req.progress_;
-  u32 left = chunk;
-  u32 off = comm_off_;
-  while (left > 0) {
-    const u32 seg = std::min<u32>(left, sizeof(buf));
-    core_.pread(mpb_paddr(source_core, off), buf, seg,
-                scc::MemPolicy::kUncached);
-    core_.vwrite(dst, buf, seg);
-    dst += seg;
-    off += seg;
-    left -= seg;
-  }
+  copy_chunk(req.vaddr_ + req.progress_, mpb_paddr(source_core, comm_off_),
+             chunk, /*to_mpb=*/false);
   // Tell the sender its buffer is free again.
   mpb_write8(source_core, ack_off_ + static_cast<u32>(core_.id()),
              1);
   req.progress_ += chunk;
   if (req.progress_ >= req.bytes_) req.done_ = true;
   return true;
+}
+
+void Rcce::copy_chunk(u64 vaddr, u64 mpb, u32 bytes, bool to_mpb) {
+  u8 buf[256];
+  while (bytes > 0) {
+    const u32 seg = std::min<u32>(bytes, sizeof(buf));
+    if (to_mpb) {
+      core_.vread(vaddr, buf, seg);
+      core_.pwrite(mpb, buf, seg, scc::MemPolicy::kUncached);
+    } else {
+      core_.pread(mpb, buf, seg, scc::MemPolicy::kUncached);
+      core_.vwrite(vaddr, buf, seg);
+    }
+    vaddr += seg;
+    mpb += seg;
+    bytes -= seg;
+  }
 }
 
 void Rcce::wait(const RequestHandle& req) {
@@ -244,18 +204,7 @@ void Rcce::wait_all(const std::vector<RequestHandle>& reqs) {
 }
 
 // ---------------------------------------------------------------------------
-// two-sided blocking
-
-void Rcce::send(u64 src_vaddr, u32 bytes, int dest_rank) {
-  wait(isend(src_vaddr, bytes, dest_rank));
-}
-
-void Rcce::recv(u64 dst_vaddr, u32 bytes, int source_rank) {
-  wait(irecv(dst_vaddr, bytes, source_rank));
-}
-
-// ---------------------------------------------------------------------------
-// collectives
+// barrier
 
 void Rcce::barrier() {
   ++stats_.barriers;
@@ -282,123 +231,6 @@ void Rcce::barrier() {
     opts.site = "rcce.barrier_release";
     opts.site_arg = static_cast<u64>(master_core);
     wait_own_flag(release_off_, sense, opts);
-  }
-}
-
-void Rcce::bcast(u64 vaddr, u32 bytes, int root_rank) {
-  if (rank_ == root_rank) {
-    for (int r = 0; r < size(); ++r) {
-      if (r != root_rank) send(vaddr, bytes, r);
-    }
-  } else {
-    recv(vaddr, bytes, root_rank);
-  }
-}
-
-
-// ---------------------------------------------------------------------------
-// reduction collectives
-
-u64 Rcce::scratch_vaddr(u32 bytes) {
-  if (scratch_bytes_ < bytes) {
-    scratch_ = kernel_.kmalloc(bytes, 64);
-    scratch_bytes_ = bytes;
-  }
-  return scratch_;
-}
-
-template <typename T>
-void Rcce::reduce(u64 vaddr, u32 count, ReduceOp op, int root_rank) {
-  const u32 bytes = count * static_cast<u32>(sizeof(T));
-  if (rank_ != root_rank) {
-    send(vaddr, bytes, root_rank);
-    return;
-  }
-  const u64 tmp = scratch_vaddr(bytes);
-  for (int r = 0; r < size(); ++r) {
-    if (r == root_rank) continue;
-    recv(tmp, bytes, r);
-    for (u32 i = 0; i < count; ++i) {
-      const T a = core_.vload<T>(vaddr + i * sizeof(T));
-      const T b = core_.vload<T>(tmp + i * sizeof(T));
-      T out = a;
-      switch (op) {
-        case ReduceOp::kSum:
-          out = a + b;
-          break;
-        case ReduceOp::kMin:
-          out = b < a ? b : a;
-          break;
-        case ReduceOp::kMax:
-          out = a < b ? b : a;
-          break;
-      }
-      core_.vstore<T>(vaddr + i * sizeof(T), out);
-      core_.compute_cycles(3);
-    }
-  }
-}
-
-template <typename T>
-void Rcce::allreduce(u64 vaddr, u32 count, ReduceOp op) {
-  reduce<T>(vaddr, count, op, /*root_rank=*/0);
-  bcast(vaddr, count * static_cast<u32>(sizeof(T)), /*root_rank=*/0);
-}
-
-template void Rcce::reduce<double>(u64, u32, Rcce::ReduceOp, int);
-template void Rcce::reduce<u64>(u64, u32, Rcce::ReduceOp, int);
-template void Rcce::reduce<i32>(u64, u32, Rcce::ReduceOp, int);
-template void Rcce::allreduce<double>(u64, u32, Rcce::ReduceOp);
-template void Rcce::allreduce<u64>(u64, u32, Rcce::ReduceOp);
-template void Rcce::allreduce<i32>(u64, u32, Rcce::ReduceOp);
-
-// ---------------------------------------------------------------------------
-// data-movement collectives
-
-void Rcce::gather(u64 src_vaddr, u32 bytes_each, u64 dst_vaddr,
-                  int root_rank) {
-  if (rank_ != root_rank) {
-    send(src_vaddr, bytes_each, root_rank);
-    return;
-  }
-  u8 buf[256];
-  for (int r = 0; r < size(); ++r) {
-    const u64 dst = dst_vaddr + static_cast<u64>(r) * bytes_each;
-    if (r == root_rank) {
-      // Local copy of the root's own contribution.
-      u64 off = 0;
-      while (off < bytes_each) {
-        const u32 seg = std::min<u32>(bytes_each - off, sizeof(buf));
-        core_.vread(src_vaddr + off, buf, seg);
-        core_.vwrite(dst + off, buf, seg);
-        off += seg;
-      }
-    } else {
-      recv(dst, bytes_each, r);
-    }
-  }
-}
-
-void Rcce::scatter(u64 src_vaddr, u32 bytes_each, u64 dst_vaddr,
-                   int root_rank) {
-  u8 buf[256];
-  if (rank_ != root_rank) {
-    recv(dst_vaddr, bytes_each, root_rank);
-    return;
-  }
-  for (int r = 0; r < size(); ++r) {
-    const u64 src = src_vaddr + static_cast<u64>(r) * bytes_each;
-    if (r == root_rank) {
-      u64 off = 0;
-      while (off < bytes_each) {
-        const u32 seg = std::min<u32>(bytes_each - off, sizeof(buf));
-        core_.vread(src + off, buf, seg);
-        core_.vwrite(dst_vaddr + off, buf, seg);
-        off += seg;
-      }
-    } else {
-      send(src, bytes_each, r);
-    }
   }
 }
 

@@ -1,6 +1,6 @@
-// Reimplementation of the RCCE subset MetalSVM builds on, plus the iRCCE
-// non-blocking extension used as the paper's message-passing baseline
-// (Figure 9's "iRCCE variant").
+// Reimplementation of the slice of RCCE/iRCCE that the paper's
+// message-passing baseline uses (Figure 9's "iRCCE variant"): the iRCCE
+// non-blocking isend/irecv with its progress engine, plus RCCE's barrier.
 //
 // RCCE (Mattson & van der Wijngaart) is Intel's bare-metal communication
 // library for the SCC. The two-sided protocol is the classic MPB pipeline:
@@ -10,13 +10,13 @@
 // sender's MPB. Flags are always *polled locally* (each side spins on a
 // flag inside its own MPB), which is what made RCCE efficient on the SCC.
 //
-// iRCCE adds non-blocking isend/irecv with a progress engine; both sides
+// iRCCE makes isend/irecv non-blocking with a progress engine; both sides
 // must still drive the transfer ("working coevally in a non-blocking but
 // synchronizing manner", Section 5) — the asynchrony the mailbox system
 // adds is exactly what this layer lacks, which is the paper's argument
 // for building the mailbox at all.
 //
-// MPB sub-layout within the RCCE share [rcce_offset, mpb_bytes), computed
+// MPB sub-layout within the RCCE share [rcce_offset, MPB size), computed
 // at runtime from the die's maximum core count n (mbox::Layout; at the
 // 48-core SCC this is [3584, 8192) with the historical constants):
 //   +0         .. +4096      : communication buffer (one in-flight chunk)
@@ -62,22 +62,7 @@ class Rcce {
     return members_[static_cast<std::size_t>(rank)];
   }
 
-  // ---- one-sided (RCCE_put / RCCE_get) ----
-
-  /// Copies `bytes` from local (virtual) memory into `target_rank`'s MPB
-  /// communication buffer at `mpb_off`.
-  void put(int target_rank, u32 mpb_off, u64 src_vaddr, u32 bytes);
-
-  /// Copies `bytes` from `source_rank`'s MPB communication buffer into
-  /// local (virtual) memory.
-  void get(u64 dst_vaddr, int source_rank, u32 mpb_off, u32 bytes);
-
-  // ---- two-sided blocking (RCCE_send / RCCE_recv) ----
-
-  void send(u64 src_vaddr, u32 bytes, int dest_rank);
-  void recv(u64 dst_vaddr, u32 bytes, int source_rank);
-
-  // ---- iRCCE non-blocking extension ----
+  // ---- iRCCE non-blocking point-to-point ----
 
   class Request {
    public:
@@ -110,33 +95,8 @@ class Rcce {
   /// Waits for all listed requests.
   void wait_all(const std::vector<RequestHandle>& reqs);
 
-  // ---- collectives ----
-
   /// Master-gather / release barrier with sense reversal, flags in MPB.
   void barrier();
-
-  /// Root's buffer is replicated to all members (chunked through send).
-  void bcast(u64 vaddr, u32 bytes, int root_rank);
-
-  enum class ReduceOp { kSum, kMin, kMax };
-
-  /// Element-wise reduction of every member's buffer into the root's
-  /// buffer (non-roots' buffers are unchanged). T: double, u64 or i32.
-  template <typename T>
-  void reduce(u64 vaddr, u32 count, ReduceOp op, int root_rank);
-
-  /// reduce() followed by bcast(): every member ends with the result.
-  template <typename T>
-  void allreduce(u64 vaddr, u32 count, ReduceOp op);
-
-  /// Root collects `bytes_each` from every member, rank-ordered, into
-  /// its buffer at `dst_vaddr` (size() * bytes_each bytes).
-  void gather(u64 src_vaddr, u32 bytes_each, u64 dst_vaddr,
-              int root_rank);
-
-  /// Root distributes rank-ordered slices of `src_vaddr` to everyone.
-  void scatter(u64 src_vaddr, u32 bytes_each, u64 dst_vaddr,
-               int root_rank);
 
   const RcceStats& stats() const { return stats_; }
 
@@ -145,9 +105,6 @@ class Rcce {
   u8 mpb_read8(int core, u32 off);
   void mpb_write8(int core, u32 off, u8 v);
 
-  /// Lazily-allocated private staging buffer for collectives.
-  u64 scratch_vaddr(u32 bytes);
-
   /// Spins until this core's own MPB byte at `off` equals `v`. Local
   /// poll, as RCCE flags are designed to be.
   void wait_own_flag(u32 off, u8 v, const kernel::SpinWaitOpts& opts);
@@ -155,12 +112,15 @@ class Rcce {
   // Progress sub-steps; return true when they moved a request forward.
   bool progress_send(Request& req);
   bool progress_recv(Request& req);
+  /// Copies `bytes` between local virtual memory at `vaddr` and the MPB
+  /// at `mpb` through a 256-byte bounce buffer: into the MPB when
+  /// `to_mpb`, out of it otherwise.
+  void copy_chunk(u64 vaddr, u64 mpb, u32 bytes, bool to_mpb);
   void activate_heads();
 
   /// Aborts with a message unless `peer_rank` names another member.
   void check_peer(int peer_rank, const char* op) const;
 
-  kernel::Kernel& kernel_;
   scc::Core& core_;
   std::vector<int> members_;
   int rank_ = -1;
@@ -181,8 +141,6 @@ class Rcce {
   std::deque<RequestHandle> send_queue_;
   std::map<int, std::deque<RequestHandle>> recv_queues_;
   u8 barrier_sense_ = 1;
-  u64 scratch_ = 0;
-  u32 scratch_bytes_ = 0;
 };
 
 }  // namespace msvm::rcce

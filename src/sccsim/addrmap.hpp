@@ -5,7 +5,7 @@
 // DESIGN.md):
 //   [kSharedBase,  +shared_dram_bytes)            shared off-die DRAM
 //   [kPrivBase  + i*private_dram_bytes, ...)      core i's private DRAM
-//   [kMpbBase   + i*mpb_bytes, ...)               core i's on-die MPB
+//   [kMpbBase   + i*mpb_size(), ...)              core i's on-die MPB
 //   [kTasBase   + i*8, ...)                       core i's Test-and-Set reg
 //
 // Virtual space (per core, private page tables):
@@ -50,7 +50,9 @@ struct PhysTarget {
 class AddrMap {
  public:
   explicit AddrMap(const ChipConfig& cfg)
-      : cfg_(cfg), topo_(cfg.topology) {}
+      : cfg_(cfg),
+        topo_(cfg.topology),
+        mpb_bytes_(mpb_bytes_for(topo_.max_cores())) {}
 
   /// The runtime topology backing this map (and, via Chip::topology(),
   /// the whole chip: the map is constructed first and owns the instance).
@@ -63,9 +65,10 @@ class AddrMap {
   }
   u64 private_size() const { return cfg_.private_dram_bytes; }
   u64 mpb_base(int core) const {
-    return kMpbBase + static_cast<u64>(core) * cfg_.mpb_bytes;
+    return kMpbBase + static_cast<u64>(core) * mpb_bytes_;
   }
-  u64 mpb_size() const { return cfg_.mpb_bytes; }
+  /// Per-core MPB bytes, derived from the die's core count.
+  u32 mpb_size() const { return mpb_bytes_; }
   u64 tas_addr(int core) const {
     return kTasBase + static_cast<u64>(core) * 8;
   }
@@ -106,10 +109,10 @@ class AddrMap {
     }
     if (paddr >= kMpbBase &&
         paddr <
-            kMpbBase + static_cast<u64>(cfg_.num_cores) * cfg_.mpb_bytes) {
+            kMpbBase + static_cast<u64>(cfg_.num_cores) * mpb_bytes_) {
       const u64 off = paddr - kMpbBase;
-      return {MemKind::kMpb, static_cast<int>(off / cfg_.mpb_bytes),
-              off % cfg_.mpb_bytes};
+      return {MemKind::kMpb, static_cast<int>(off / mpb_bytes_),
+              off % mpb_bytes_};
     }
     // The TAS register file is a die resource: all max_cores() registers
     // exist even when fewer cores run programs (application locks use the
@@ -132,6 +135,7 @@ class AddrMap {
  private:
   const ChipConfig& cfg_;
   Topology topo_;
+  u32 mpb_bytes_;
 };
 
 }  // namespace msvm::scc

@@ -7,6 +7,7 @@
 // constants below; ChipConfig keeps only the knobs some caller varies.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <string>
@@ -75,6 +76,15 @@ inline constexpr u32 kBoundaryCheckCycles = 128;
 // GIC-to-core wire/propagation delay.
 inline constexpr u64 kIpiWirePs = 100 * 1000;
 
+// ---- optional memory-controller contention model ----
+// Controller occupancy per transaction, in *mesh* cycles: random DDR3
+// reads with bank management keep the controller busy for ~60 ns, not
+// the streaming-burst figure.
+inline constexpr u32 kMcServiceMeshCycles = 48;
+
+// ---- on-die message-passing buffer ----
+inline constexpr u32 kSccMpbBytes = 8192;  // per core on the SCC die
+
 struct ChipConfig {
   // ---- topology ----
   /// Cores actually running programs; must not exceed the die(s) in
@@ -84,17 +94,15 @@ struct ChipConfig {
   TopologySpec topology;
   u32 core_mhz = 533;   // paper's benchmark configuration
 
-  // ---- memory sizes ----
+  // ---- memory sizes (the per-core MPB is derived: mpb_bytes_for) ----
   u64 shared_dram_bytes = 64ull << 20;   // shared off-die region
   u64 private_dram_bytes = 8ull << 20;   // per-core private region
-  u32 mpb_bytes = 8192;                  // on-die MPB per core
 
   // ---- interrupt / scheduling model ----
   u64 timer_period_us = 1000;      // periodic timer tick per core
 
   // ---- optional memory-controller contention (queueing) model ----
-  bool mc_contention = false;
-  u32 mc_service_mesh_cycles = 8;  // bus occupancy per 32-byte transaction
+  bool mc_contention = false;  // occupancy: kMcServiceMeshCycles
 
   // ---- chaos layer (default: no faults, no watchdog; bit-identical) ----
   sim::FaultPlan faults;
@@ -103,15 +111,18 @@ struct ChipConfig {
   TimePs core_cycle_ps() const { return cycle_ps_from_mhz(core_mhz); }
 };
 
-/// Minimum per-core MPB bytes a `max_cores`-core die needs: the mail-slot
-/// region (one 32-byte slot per sender), the SVM scratchpad (2 KiB,
-/// holding the barrier flag block plus page entries), the RCCE comm
-/// buffer (4 KiB) and the RCCE flag/barrier bytes (3 per core + 1).
-/// Mirrors mbox::Layout; kept here so config validation needs no
-/// mailbox-layer include.
-inline u64 min_mpb_bytes(int max_cores) {
+/// Per-core MPB bytes of a `max_cores`-core die. The die needs the
+/// mail-slot region (one 32-byte slot per sender), the SVM scratchpad
+/// (2 KiB, holding the barrier flag block plus page entries), the RCCE
+/// comm buffer (4 KiB) and the RCCE flag/barrier bytes (3 per core + 1);
+/// this mirrors mbox::Layout, kept here so the chip model needs no
+/// mailbox-layer include. That fits the SCC's 8 KiB up to 48 cores;
+/// wider dies get the need rounded up to whole pages.
+inline u32 mpb_bytes_for(int max_cores) {
   const u64 n = static_cast<u64>(max_cores);
-  return n * 32 + 2048 + 4096 + 3 * n + 1;
+  const u64 need = n * 32 + 2048 + 4096 + 3 * n + 1;
+  return static_cast<u32>(
+      std::max<u64>(kSccMpbBytes, (need + 4095) / 4096 * 4096));
 }
 
 /// Validates a chip configuration; returns an empty string when the
@@ -132,13 +143,6 @@ inline std::string validate_config(const ChipConfig& cfg) {
                std::to_string(topo.max_cores()) +
                " cores; use configure_cores() or enlarge the chip grid");
   }
-  if (cfg.mpb_bytes < min_mpb_bytes(topo.max_cores())) {
-    return err("mpb_bytes " + std::to_string(cfg.mpb_bytes) +
-               " too small for a " + std::to_string(topo.max_cores()) +
-               "-core die (need " +
-               std::to_string(min_mpb_bytes(topo.max_cores())) +
-               "); use configure_cores()");
-  }
   // The physical map gives each region a 4 GiB window (see addrmap.hpp).
   const u64 window = u64{1} << 32;
   if (cfg.shared_dram_bytes > window) {
@@ -148,25 +152,21 @@ inline std::string validate_config(const ChipConfig& cfg) {
     return err("num_cores * private_dram_bytes exceeds the 4 GiB private "
                "window; shrink private_dram_bytes");
   }
-  if (static_cast<u64>(cfg.num_cores) * cfg.mpb_bytes > window) {
-    return err("num_cores * mpb_bytes exceeds the 4 GiB MPB window");
+  if (static_cast<u64>(cfg.num_cores) * mpb_bytes_for(topo.max_cores()) >
+      window) {
+    return err("num_cores * MPB bytes exceeds the 4 GiB MPB window");
   }
   return {};
 }
 
 /// One-stop scaling knob: sizes the topology (growing a near-square grid
-/// of SCC dies once past 48 cores), sets `num_cores`, enlarges the
-/// per-core MPB when the die needs more than the SCC's 8 KiB, and shrinks
-/// the per-core private region when the full count would overflow its
-/// 4 GiB physical window. At `cores` <= 48 this leaves every default
+/// of SCC dies once past 48 cores), sets `num_cores`, and shrinks the
+/// per-core private region when the full count would overflow its 4 GiB
+/// physical window. At `cores` <= 48 this leaves every default
 /// untouched, so default runs stay byte-identical.
 inline void configure_cores(ChipConfig& cfg, int cores) {
   cfg.topology = TopologySpec::for_cores(cores);
   cfg.num_cores = cores;
-  const Topology topo(cfg.topology);
-  const u64 need = min_mpb_bytes(topo.max_cores());
-  const u64 rounded = (need + 4095) / 4096 * 4096;
-  if (rounded > cfg.mpb_bytes) cfg.mpb_bytes = static_cast<u32>(rounded);
   const u64 max_priv = (u64{1} << 32) / static_cast<u64>(cores);
   if (cfg.private_dram_bytes > max_priv) {
     cfg.private_dram_bytes = max_priv / kPageBytes * kPageBytes;

@@ -82,7 +82,7 @@ class LatencyModel {
   /// Service (occupancy) time a memory controller is busy per transaction;
   /// used by the optional contention model.
   TimePs mc_service() const {
-    return mesh_cycles(cfg_.mc_service_mesh_cycles);
+    return mesh_cycles(kMcServiceMeshCycles);
   }
 
  private:

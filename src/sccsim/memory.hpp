@@ -24,12 +24,11 @@ namespace msvm::scc {
 class Memory {
  public:
   explicit Memory(const ChipConfig& cfg)
-      : cfg_(cfg),
-        map_(cfg),
+      : map_(cfg),
         shared_(cfg.shared_dram_bytes),
         private_(static_cast<std::size_t>(cfg.num_cores) *
                  cfg.private_dram_bytes),
-        mpb_(static_cast<std::size_t>(cfg.num_cores) * cfg.mpb_bytes),
+        mpb_(static_cast<std::size_t>(cfg.num_cores) * map_.mpb_size()),
         // The Test-and-Set register file is a fixed hardware resource of
         // the full die(s), independent of how many cores run programs.
         tas_(static_cast<std::size_t>(map_.topology().max_cores()), 0) {}
@@ -91,9 +90,9 @@ class Memory {
         bounds_check(t.offset, size, private_.size());
         return private_.data() + t.offset;
       case MemKind::kMpb:
-        bounds_check(static_cast<u64>(t.owner) * cfg_.mpb_bytes + t.offset,
+        bounds_check(static_cast<u64>(t.owner) * map_.mpb_size() + t.offset,
                      size, mpb_.size());
-        return mpb_.data() + static_cast<u64>(t.owner) * cfg_.mpb_bytes +
+        return mpb_.data() + static_cast<u64>(t.owner) * map_.mpb_size() +
                t.offset;
       case MemKind::kTas:
       case MemKind::kInvalid:
@@ -113,7 +112,6 @@ class Memory {
     }
   }
 
-  const ChipConfig& cfg_;
   AddrMap map_;
   sim::ZeroArray<u8> shared_;
   sim::ZeroArray<u8> private_;

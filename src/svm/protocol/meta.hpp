@@ -68,11 +68,10 @@ class MetaStore {
   }
 };
 
-/// Scratchpad entry bit 15 marks a page for next-touch migration, which
-/// is why allocatable frame numbers are 15-bit (the paper's plain 16-bit
-/// representation caps shared memory at 256 MiB; the migration extension
-/// halves that to 128 MiB — still far beyond what we simulate).
-inline constexpr u16 kMigrateBit = 0x8000;
+/// Allocatable frame numbers are 15-bit: a scratchpad entry's bit 15 is
+/// unused and masked off on every read, so frame numbers never exceed
+/// 0x7fff (128 MiB of shared memory, half the paper's 256 MiB — still far
+/// beyond what we simulate).
 inline constexpr u16 kFrameMask = 0x7fff;
 
 /// Typed facade over a MetaStore. Reads are free of side effects; every

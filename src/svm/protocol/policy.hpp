@@ -60,7 +60,7 @@ class CoherencePolicy {
   virtual void on_acquire(ProtocolEnv& env) { (void)env; }
 
   /// The binding layer installs mappings outside the protocol (first
-  /// touch, migration, read-only regions); this keeps the state machine
+  /// touch, read-only regions); this keeps the state machine
   /// and the trace in step with those installs.
   void note_mapped(u64 page, bool writable, ProtocolEnv& env) {
     transition(page, writable ? PageState::kOwnedRW : PageState::kSharedRO,

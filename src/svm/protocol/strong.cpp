@@ -31,11 +31,10 @@ void StrongOwnerPolicy::acquire_ownership(u64 page, ProtocolEnv& env) {
   env.cost_cycles(kOwnershipSoftwareCycles);
   const u16 frame = env.meta().frame_of(page);
 
-  // Fast path: we already own the page (e.g. a mapping dropped by
-  // unprotect or next_touch on a page we kept owning). Under read
-  // replication the directory word must also be clear — a Shared page
-  // (even with an empty sharer set) needs the locked path below to
-  // invalidate replicas and reset the state to Exclusive.
+  // Fast path: we already own the page but hold no writable mapping of
+  // it. Under read replication the directory word must also be clear —
+  // a Shared page (even with an empty sharer set) needs the locked path
+  // below to invalidate replicas and reset the state to Exclusive.
   env.irq_off();
   if (env.meta().owner(page) == env.self() &&
       (!read_replication_ || env.meta().dir_entry(page).none())) {

@@ -125,7 +125,6 @@ struct SvmStats {
   u64 ownership_acquires = 0;  // strong-model permission retrievals
   u64 ownership_serves = 0;    // requests this core answered as owner
   u64 ownership_forwards = 0;  // stale requests forwarded onward
-  u64 migrations = 0;          // next-touch frame moves
   u64 barriers = 0;
   u64 lock_acquires = 0;
   u64 protect_calls = 0;
@@ -168,7 +167,6 @@ inline constexpr SvmStatsField kSvmStatsFields[] = {
     {"ownership_acquires", &SvmStats::ownership_acquires},
     {"ownership_serves", &SvmStats::ownership_serves},
     {"ownership_forwards", &SvmStats::ownership_forwards},
-    {"migrations", &SvmStats::migrations},
     {"barriers", &SvmStats::barriers},
     {"lock_acquires", &SvmStats::lock_acquires},
     {"protect_calls", &SvmStats::protect_calls},
@@ -203,7 +201,7 @@ enum class HwEvent : u8 {
 /// Lives here so trace formatting can name metadata writes.
 enum class MetaKind : u8 {
   kOwner = 0,       // u16: owning core id
-  kScratchpad = 1,  // u16: frame number | kMigrateBit
+  kScratchpad = 1,  // u16: frame number (bit 15 unused, masked)
   kDirectory = 2,   // u64: sharer bitmask | kDirSharedBit
 };
 

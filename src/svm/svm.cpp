@@ -1,7 +1,7 @@
 // Svm — the thin per-core endpoint. Everything protocol-shaped lives in
 // the protocol core (svm/protocol/) and the binding layer (svm_runtime);
 // this file keeps only what the application calls directly: collectives
-// (alloc / barrier / protect / next_touch), locks, and the glue that
+// (alloc / barrier / protect_readonly), locks, and the glue that
 // routes their consistency semantics through the CoherencePolicy hooks.
 #include "svm/svm.hpp"
 
@@ -16,9 +16,6 @@
 namespace msvm::svm {
 
 namespace {
-
-using proto::kFrameMask;
-using proto::kMigrateBit;
 
 [[noreturn]] void panic(const char* msg) {
   std::fprintf(stderr, "msvm::svm panic: %s\n", msg);
@@ -50,10 +47,6 @@ const obs::EventRing& Svm::trace() const { return runtime_->trace_ring(); }
 
 const proto::CoherencePolicy& Svm::policy() const {
   return runtime_->policy();
-}
-
-u64 Svm::page_index_of(u64 vaddr) const {
-  return runtime_->page_index_of(vaddr);
 }
 
 // ---------------------------------------------------------------------------
@@ -192,70 +185,8 @@ void Svm::protect_readonly(u64 vaddr, u64 bytes) {
     });
     core_.compute_cycles(40);
   }
-  runtime_->set_region_readonly(region, true);
+  runtime_->set_region_readonly(region);
   barrier();
-}
-
-void Svm::unprotect(u64 vaddr, u64 bytes) {
-  const u16 region = runtime_->region_of(vaddr);
-  if (region == SvmDomain::kNoRegion) panic("unprotect outside any SVM region");
-  const u64 page = scc::kPageBytes;
-  // Drop all mappings: the next access re-faults through the normal
-  // (model-aware) path, which restores MPBT attributes and — under the
-  // strong model — re-establishes single ownership.
-  for (u64 off = 0; off < bytes; off += page) {
-    core_.pagetable().update(vaddr + off,
-                             [](scc::Pte& p) { p.present = false; });
-    core_.compute_cycles(40);
-  }
-  // Stale L2/L1 copies of the region must not survive into the writable
-  // regime.
-  core_.l2().invalidate_all();
-  core_.l1().invalidate_all();
-  core_.compute_cycles(2000);  // software L2 flush is expensive (Sec. 3)
-  if (domain_.config().read_replication && model() == Model::kStrong &&
-      rank_ == 0) {
-    // Every core just dropped its mappings, so no replica survives; a
-    // stale Shared bit would let a future reader join the sharer set
-    // without a grant while the owner re-faults a writable mapping.
-    for (u64 off = 0; off < bytes; off += page) {
-      runtime_->meta().clear_dir(page_index_of(vaddr + off));
-    }
-  }
-  runtime_->set_region_readonly(region, false);
-  barrier();
-}
-
-void Svm::next_touch(u64 vaddr, u64 bytes) {
-  if (runtime_->region_of(vaddr) == SvmDomain::kNoRegion) {
-    panic("next_touch outside any SVM region");
-  }
-  const u64 page = scc::kPageBytes;
-  core_.flush_wcb();
-  core_.cl1invmb();
-  for (u64 off = 0; off < bytes; off += page) {
-    core_.pagetable().update(vaddr + off,
-                             [](scc::Pte& p) { p.present = false; });
-  }
-  barrier();  // everyone unmapped
-  if (rank_ == 0) {
-    proto::MetaWord& meta = runtime_->meta();
-    for (u64 off = 0; off < bytes; off += page) {
-      const u64 idx = page_index_of(vaddr + off);
-      const u16 entry = meta.scratchpad(idx);
-      if ((entry & kFrameMask) != 0) {
-        meta.set_scratchpad(idx, entry | kMigrateBit);
-      }
-      // Migration installs a writable mapping without a directory
-      // transition; reset the entry to Exclusive so no reader trusts a
-      // stale Shared bit.
-      if (domain_.config().read_replication &&
-          model() == Model::kStrong) {
-        meta.clear_dir(idx);
-      }
-    }
-  }
-  barrier();  // marks visible before anyone touches
 }
 
 // ---------------------------------------------------------------------------

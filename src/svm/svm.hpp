@@ -132,12 +132,12 @@ struct SvmConfig {
   /// Number of TAS-striped scratchpad locks (1 = the paper's single lock).
   u32 scratchpad_lock_stripes = 1;
   /// MSI-style read replication for the Strong model (an extension beyond
-  /// the paper, like Affinity-on-Next-Touch): the off-die owner vector is
-  /// upgraded to a directory entry {owner, sharer bitmask, Exclusive |
-  /// Shared}. A read fault installs a read-only replica after a single
-  /// grant from the owner (no ownership transfer, no CL1INVMB on the
-  /// owner — its write-through L1 is not stale); a write fault multicasts
-  /// invalidations to all sharers before taking exclusive ownership.
+  /// the paper): the off-die owner vector is upgraded to a directory entry
+  /// {owner, sharer bitmask, Exclusive | Shared}. A read fault installs a
+  /// read-only replica after a single grant from the owner (no ownership
+  /// transfer, no CL1INVMB on the owner — its write-through L1 is not
+  /// stale); a write fault multicasts invalidations to all sharers before
+  /// taking exclusive ownership.
   /// Off by default so every paper-reproduction figure stays bit-identical.
   bool read_replication = false;
 
@@ -147,9 +147,8 @@ struct SvmConfig {
 };
 
 /// Chip-wide SVM bookkeeping shared by all per-core Svm endpoints:
-/// the simulated-memory layout of the owner vector, the scratchpad, the
-/// per-MC frame allocators, and the (host-side) free lists used by page
-/// migration.
+/// the simulated-memory layout of the owner vector, the scratchpad and
+/// the per-MC frame allocators.
 ///
 /// Several *coherency domains* may coexist on one chip (the paper's
 /// Section 1 goal: "a dynamic partitioning of the SCC's computing
@@ -234,12 +233,6 @@ class SvmDomain {
     return dir_words_ == 0 ? 8u : 8u * static_cast<u32>(1 + dir_words_);
   }
 
-  // ---- host-side migration free lists (guarded by the scratchpad
-  // lock while simulated) ----
-  void free_frame(int mc, u16 frame_no);
-  /// Returns 0 when the free list for `mc` is empty.
-  u16 take_free_frame(int mc);
-
   /// Collective-call symmetry check: every member must allocate the same
   /// region sequence. Returns the canonical base for allocation number
   /// `seq` of `bytes`, recording it (and its pages in the region map) on
@@ -269,8 +262,6 @@ class SvmDomain {
   u64 svm_page_capacity_ = 0;   // this domain's share
   u64 page_index_base_ = 0;     // first global page index of the share
   u32 entries_per_mpb_ = 0;
-
-  std::vector<std::vector<u16>> free_frames_;  // per MC
 
  public:
   // Host-side diagnostics (no simulated cost): who holds each transfer
@@ -370,15 +361,9 @@ class Svm {
   /// Release) after release.
   void barrier();
 
-  /// Marks [vaddr, vaddr+bytes) read-only and L2-cacheable (Section 6.4).
+  /// Marks [vaddr, vaddr+bytes) read-only and L2-cacheable (Section 6.4)
+  /// for the rest of the run.
   void protect_readonly(u64 vaddr, u64 bytes);
-
-  /// Reverts protect_readonly(): pages become writable SVM pages again.
-  void unprotect(u64 vaddr, u64 bytes);
-
-  /// Affinity-on-Next-Touch: unmaps the range everywhere and marks each
-  /// page so its next toucher migrates the frame near itself.
-  void next_touch(u64 vaddr, u64 bytes);
 
   // ---- locks (Lazy Release acquire/release points) ----
 
@@ -402,8 +387,6 @@ class Svm {
   // Barrier algorithm bodies.
   void barrier_master_gather();
   void barrier_dissemination();
-
-  u64 page_index_of(u64 vaddr) const;
 
   kernel::Kernel& kernel_;
   mbox::MailboxSystem& mbox_;

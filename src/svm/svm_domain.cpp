@@ -31,9 +31,7 @@ SvmDomain::SvmDomain(scc::Chip& chip, SvmConfig cfg,
       cfg_(cfg),
       members_(std::move(members)),
       layout_(mbox::Layout::make(chip.topology().max_cores(),
-                                 chip.config().mpb_bytes)),
-      free_frames_(
-          static_cast<std::size_t>(chip.topology().num_mem_controllers())),
+                                 chip.map().mpb_size())),
       next_alloc_seq_(members_.size(), 0) {
   assert(num_slots >= 1 && slot >= 0 && slot < num_slots);
   const scc::Topology& topo = chip_.topology();
@@ -186,18 +184,6 @@ int SvmDomain::transfer_lock_reg(u64 page_idx) const {
 int SvmDomain::app_lock_reg(int lock_id) const {
   const int half = chip_.topology().max_cores() / 2;
   return half + lock_id % half;
-}
-
-void SvmDomain::free_frame(int mc, u16 frame_no) {
-  free_frames_[static_cast<std::size_t>(mc)].push_back(frame_no);
-}
-
-u16 SvmDomain::take_free_frame(int mc) {
-  auto& list = free_frames_[static_cast<std::size_t>(mc)];
-  if (list.empty()) return 0;
-  const u16 f = list.back();
-  list.pop_back();
-  return f;
 }
 
 u64 SvmDomain::register_alloc(int rank, u64 bytes) {

@@ -14,7 +14,6 @@ namespace msvm::svm {
 namespace {
 
 using proto::kFrameMask;
-using proto::kMigrateBit;
 
 [[noreturn]] void panic(const char* msg) {
   std::fprintf(stderr, "msvm::svm panic: %s\n", msg);
@@ -192,9 +191,9 @@ u16 SvmRuntime::region_of(u64 vaddr) const {
   return domain_.region_of_page(page_index_of(vaddr));
 }
 
-void SvmRuntime::set_region_readonly(u16 id, bool readonly) {
+void SvmRuntime::set_region_readonly(u16 id) {
   if (id >= readonly_.size()) readonly_.resize(id + std::size_t{1});
-  readonly_[id] = readonly;
+  readonly_[id] = true;
 }
 
 void SvmRuntime::append_hang_report(std::string& out) {
@@ -333,7 +332,7 @@ void SvmRuntime::mapping_fault(u64 vaddr, u64 page_idx, bool is_write) {
   const auto break_dead = [&] { maybe_break_dead_lock(lock_reg); };
   lock_opts.on_miss = break_dead;
   kernel::spin_wait(core_, scc::WatchedWord::tas(lock_reg), lock_opts);
-  u16 entry = meta_word_.scratchpad(page_idx);
+  const u16 entry = meta_word_.scratchpad(page_idx);
 
   if ((entry & kFrameMask) == 0) {
     // First touch chip-wide: allocate near our memory controller, zero it
@@ -352,44 +351,6 @@ void SvmRuntime::mapping_fault(u64 vaddr, u64 page_idx, bool is_write) {
       install_mapping(page_base, frame, /*writable=*/true);
     }
     policy_->note_mapped(page_idx, !readonly, *this);
-    return;
-  }
-
-  if ((entry & kMigrateBit) != 0) {
-    // Affinity-on-next-touch: we are the first toucher after the mark —
-    // move the frame next to our own controller.
-    ++stats_.migrations;
-    if (integrity_) {
-      // The old frame may carry a sealed-and-flipped image; copying it
-      // into a writable mapping without a check would be the one silent-
-      // wrong path left. Verify while the scratchpad lock is held — and
-      // release it on the typed throw, or the poison wedges every later
-      // toucher in the TAS spin instead of faulting them.
-      try {
-        page_verify(page_idx);
-      } catch (...) {
-        core_.tas_release(lock_reg);
-        throw;
-      }
-    }
-    const u16 old_frame = entry & kFrameMask;
-    const int my_mc = core_.chip().topology().nearest_mc(core_.id());
-    const u16 new_frame = alloc_frame_near(my_mc);
-    u8 buf[scc::kLineBytes];
-    for (u32 off = 0; off < scc::kPageBytes; off += scc::kLineBytes) {
-      core_.pread(domain_.frame_paddr(old_frame) + off, buf, scc::kLineBytes,
-                  scc::MemPolicy::kUncached);
-      core_.pwrite(domain_.frame_paddr(new_frame) + off, buf,
-                   scc::kLineBytes, scc::MemPolicy::kUncached);
-    }
-    const scc::PhysTarget old_target =
-        core_.chip().map().decode(domain_.frame_paddr(old_frame));
-    domain_.free_frame(old_target.owner, old_frame);
-    meta_word_.set_scratchpad(page_idx, new_frame);
-    meta_word_.set_owner(page_idx, static_cast<u16>(core_.id()));
-    core_.tas_release(lock_reg);
-    install_mapping(page_base, new_frame, /*writable=*/true);
-    policy_->note_mapped(page_idx, /*writable=*/true, *this);
     return;
   }
 
@@ -418,8 +379,6 @@ u16 SvmRuntime::alloc_frame_near(int preferred_mc) {
   // physically contiguous: interleaving allocations from several cores
   // would give every core's data an 8+ KiB physical stride, which maps
   // whole row-streams onto the same L1 sets (the page-coloring problem).
-  const u16 freed = domain_.take_free_frame(preferred_mc);
-  if (freed != 0) return freed;
   if (frame_batch_next_ < frame_batch_end_) {
     core_.compute_cycles(20);
     return frame_batch_next_++;
@@ -450,8 +409,6 @@ u16 SvmRuntime::alloc_frame_near(int preferred_mc) {
       frame_batch_end_ = static_cast<u16>(next + take);
       return frame_batch_next_++;
     }
-    const u16 fallback = domain_.take_free_frame(mc);
-    if (fallback != 0) return fallback;
   }
   panic("out of shared SVM memory (all frame pools exhausted)");
 }
@@ -481,7 +438,7 @@ void SvmRuntime::install_mapping(u64 page_vaddr, u16 frame_no,
   if (integrity_ && writable) {
     // A writable mapping ends the frame's quiescence: the seal no longer
     // describes what DRAM will hold, so retire it (covers the ownership
-    // fast paths, migration's frame swap, and LRC's free remaps alike).
+    // fast paths and LRC's free remaps alike).
     const u64 rel = page_index_of(page_vaddr) - domain_.page_index_base();
     if (rel < domain_.seals.size()) domain_.seals[rel].valid = false;
   }

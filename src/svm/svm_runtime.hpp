@@ -8,7 +8,7 @@
 //     CL1INVMB/WCB callbacks, the transfer lock to its TAS register, and
 //     modelled costs to Core::compute_cycles,
 //   * owns the fault path: the kernel's SVM fault handler enters here,
-//     the model-independent first-touch / migration / remap machinery
+//     the model-independent first-touch / remap machinery
 //     runs here, and everything protocol-shaped is delegated to the
 //     CoherencePolicy instance selected from SvmConfig.
 //
@@ -41,11 +41,12 @@ class SvmRuntime final : public proto::ProtocolEnv,
   u16 region_of(u64 vaddr) const;
   /// This core's read-only bit for region `id`. It is per core because
   /// protect_readonly takes effect on each core at its own call: a core
-  /// that has not reached the call yet may still write the region.
+  /// that has not reached the call yet may still write the region. Once
+  /// set, the bit stays set.
   bool region_readonly(u16 id) const {
     return id < readonly_.size() && readonly_[id];
   }
-  void set_region_readonly(u16 id, bool readonly);
+  void set_region_readonly(u16 id);
 
   // ---- fault path (installed as the kernel's SVM fault handler) ----
 
@@ -58,12 +59,6 @@ class SvmRuntime final : public proto::ProtocolEnv,
 
   /// This core's protocol-event ring on the chip's observability bus.
   const obs::EventRing& trace_ring() const;
-
-  // ---- helpers shared with the Svm collectives ----
-
-  u64 page_index_of(u64 vaddr) const;
-  /// Installs the read-only-region mapping (L2-cacheable, Section 6.4).
-  void map_readonly(u64 page_vaddr, u16 frame_no);
 
   // ---- proto::ProtocolEnv ----
 
@@ -163,7 +158,7 @@ class SvmRuntime final : public proto::ProtocolEnv,
   /// unwinding out of a protocol flow that is not exception-aware).
   void release_held_transfer_locks();
 
-  /// Mapping fault: first touch, migration, or plain (re)mapping; the
+  /// Mapping fault: first touch or plain (re)mapping; the
   /// model-dependent tail is delegated to the policy.
   void mapping_fault(u64 vaddr, u64 page_idx, bool is_write);
 
@@ -172,6 +167,9 @@ class SvmRuntime final : public proto::ProtocolEnv,
   u16 alloc_frame_near(int preferred_mc);
   void zero_frame(u16 frame_no);
   void install_mapping(u64 page_vaddr, u16 frame_no, bool writable);
+  /// Installs the read-only-region mapping (L2-cacheable, Section 6.4).
+  void map_readonly(u64 page_vaddr, u16 frame_no);
+  u64 page_index_of(u64 vaddr) const;
   u64 page_vaddr_of(u64 page_idx) const;
 
   // ---- integrity layer (armed only; see DESIGN.md §15) ----

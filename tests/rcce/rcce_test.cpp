@@ -1,5 +1,5 @@
-// RCCE / iRCCE tests: one-sided put/get, two-sided blocking transfers,
-// chunked large messages, non-blocking overlap, barrier and bcast.
+// RCCE / iRCCE tests: two-sided transfers, chunked large messages,
+// non-blocking overlap, channel order, barrier and stats.
 #include "rcce/rcce.hpp"
 
 #include <gtest/gtest.h>
@@ -84,43 +84,6 @@ TEST(Rcce, RankAssignment) {
   EXPECT_EQ(ranks, (std::vector<int>{0, 1, 2, 3}));
 }
 
-TEST(Rcce, PutGetRoundTrip) {
-  RcceRig rig(2);
-  bool ok = false;
-  rig.run([&](int rank, Rcce& r, kernel::Kernel& k) {
-    if (rank == 0) {
-      const u64 buf = k.kmalloc(128);
-      fill_pattern(k.core(), buf, 128, 5);
-      r.put(1, 0, buf, 128);
-      r.barrier();
-      r.barrier();
-    } else {
-      r.barrier();  // put completed
-      const u64 buf = k.kmalloc(128);
-      r.get(buf, 1, 0, 128);  // read own MPB (rank 1's buffer)
-      ok = check_pattern(k.core(), buf, 128, 5);
-      r.barrier();
-    }
-  });
-  EXPECT_TRUE(ok);
-}
-
-TEST(Rcce, BlockingSendRecvSmall) {
-  RcceRig rig(2);
-  bool ok = false;
-  rig.run([&](int rank, Rcce& r, kernel::Kernel& k) {
-    const u64 buf = k.kmalloc(256);
-    if (rank == 0) {
-      fill_pattern(k.core(), buf, 256, 9);
-      r.send(buf, 256, 1);
-    } else {
-      r.recv(buf, 256, 0);
-      ok = check_pattern(k.core(), buf, 256, 9);
-    }
-  });
-  EXPECT_TRUE(ok);
-}
-
 TEST(Rcce, LargeMessageIsChunked) {
   // 20 KiB > 4 KiB chunk size: the pipeline must run multiple rounds.
   RcceRig rig(2);
@@ -131,10 +94,10 @@ TEST(Rcce, LargeMessageIsChunked) {
     const u64 buf = k.kmalloc(kBytes);
     if (rank == 0) {
       fill_pattern(k.core(), buf, kBytes, 3);
-      r.send(buf, kBytes, 1);
+      r.wait(r.isend(buf, kBytes, 1));
       chunks = r.stats().chunks;
     } else {
-      r.recv(buf, kBytes, 0);
+      r.wait(r.irecv(buf, kBytes, 0));
       ok = check_pattern(k.core(), buf, kBytes, 3);
     }
   });
@@ -201,7 +164,7 @@ TEST(Rcce, QueuedSendsToDistinctPeersDrainInOrder) {
       auto b = r.isend(buf, 5000, 2);  // queued behind `a`
       r.wait_all({a, b});
     } else {
-      r.recv(buf, 5000, 0);
+      r.wait(r.irecv(buf, 5000, 0));
       const bool ok = check_pattern(k.core(), buf, 5000, 21);
       if (rank == 1) {
         ok1 = ok;
@@ -246,7 +209,7 @@ TEST(Rcce, ReceivesKeepPerSourceOrderAcrossChannels) {
       for (int i = 0; i < 2; ++i) {
         const u64 buf = k.kmalloc(kBytes);
         fill_pattern(k.core(), buf, kBytes, seed(rank, i));
-        r.send(buf, kBytes, 0);
+        r.wait(r.isend(buf, kBytes, 0));
       }
     }
   });
@@ -292,20 +255,6 @@ TEST(Rcce, RepeatedBarriersStaySynchronised) {
   EXPECT_TRUE(monotone);
 }
 
-TEST(Rcce, BcastReplicatesRootBuffer) {
-  constexpr int kCores = 4;
-  RcceRig rig(kCores);
-  std::vector<bool> ok(kCores, false);
-  rig.run([&](int rank, Rcce& r, kernel::Kernel& k) {
-    const u64 buf = k.kmalloc(2048);
-    if (rank == 2) fill_pattern(k.core(), buf, 2048, 33);
-    r.bcast(buf, 2048, /*root_rank=*/2);
-    ok[static_cast<std::size_t>(rank)] =
-        check_pattern(k.core(), buf, 2048, 33);
-  });
-  for (int i = 0; i < kCores; ++i) EXPECT_TRUE(ok[static_cast<std::size_t>(i)]);
-}
-
 TEST(Rcce, SubsetDomainUsesRanksNotCoreIds) {
   // Domain = cores {1, 3}: rank 0 is core 1.
   scc::Chip chip(small_config(4));
@@ -326,10 +275,10 @@ TEST(Rcce, SubsetDomainUsesRanksNotCoreIds) {
       if (r.rank() == 0) {
         EXPECT_EQ(core, 1);
         fill_pattern(c, buf, 64, 2);
-        r.send(buf, 64, 1);
+        r.wait(r.isend(buf, 64, 1));
       } else {
         EXPECT_EQ(core, 3);
-        r.recv(buf, 64, 0);
+        r.wait(r.irecv(buf, 64, 0));
         ok = check_pattern(c, buf, 64, 2);
       }
     });
@@ -345,10 +294,10 @@ TEST(Rcce, StatsAccumulate) {
   rig.run([&](int rank, Rcce& r, kernel::Kernel& k) {
     const u64 buf = k.kmalloc(1000);
     if (rank == 0) {
-      r.send(buf, 1000, 1);
+      r.wait(r.isend(buf, 1000, 1));
       sent_bytes = r.stats().bytes_sent;
     } else {
-      r.recv(buf, 1000, 0);
+      r.wait(r.irecv(buf, 1000, 0));
     }
     r.barrier();
     if (rank == 0) barriers = r.stats().barriers;

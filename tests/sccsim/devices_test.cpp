@@ -101,7 +101,7 @@ TEST(Memory, ThousandCoreRegionsStartZeroAndRoundTripAtBothEnds) {
   };
   const Region regions[] = {
       {mem.map().private_base(last), cfg.private_dram_bytes},
-      {mem.map().mpb_base(last), cfg.mpb_bytes},
+      {mem.map().mpb_base(last), mem.map().mpb_size()},
   };
   for (const Region& r : regions) {
     const u64 ends[] = {r.base, r.base + r.bytes - 8};

@@ -175,7 +175,7 @@ TEST(Topology, ConfigureCoresKeepsSccDefaultsBelow48) {
   configure_cores(cfg, 48);
   EXPECT_EQ(cfg.num_cores, before.num_cores);
   EXPECT_EQ(cfg.topology, before.topology);
-  EXPECT_EQ(cfg.mpb_bytes, before.mpb_bytes);
+  EXPECT_EQ(AddrMap(cfg).mpb_size(), 8192u);
 }
 
 // ---- AddrMap over the runtime topology ------------------------------------

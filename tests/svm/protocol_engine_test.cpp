@@ -57,7 +57,7 @@ TEST(ProtocolStrong, OwnershipTransferMovesDataAndState) {
 TEST(ProtocolStrong, FastPathRemapsWithoutAnyTraffic) {
   Harness h(2, Model::kStrong);
   h.seed_page(3, /*owner=*/0);
-  h.drop_mapping(0, 3);  // what unprotect / next_touch do
+  h.drop_mapping(0, 3);  // a mapping dropped outside the protocol
 
   h.write(0, 3 * kPageBytes, 1);
 
@@ -390,14 +390,14 @@ TEST(ProtocolTrace, MetaWordRecordsEveryWrite) {
   proto::MetaWord meta(store, &sink);
 
   meta.set_owner(3, 7);
-  meta.set_scratchpad(1, proto::kMigrateBit | 5);
+  meta.set_scratchpad(1, 0x8000 | 5);
   proto::DirEntry entry(store.sharer_width());
   entry.shared = true;
   entry.sharers.set(4);
   meta.store_dir_entry(2, entry);
 
   EXPECT_EQ(meta.owner(3), 7);
-  EXPECT_EQ(meta.frame_of(1), 5);  // migrate bit masked off
+  EXPECT_EQ(meta.frame_of(1), 5);  // unused bit 15 masked off
   const proto::DirEntry back = meta.dir_entry(2);
   EXPECT_TRUE(back.shared);
   EXPECT_TRUE(back.sharers.test(4));

@@ -96,8 +96,8 @@ class Harness final : public proto::MetaStore {
   /// "already in flight" ingredient of scripted races.
   void inject(int dest, const Msg& m) { core(dest).inbox.push_back(m); }
 
-  /// Drops a core's mapping without telling its policy (what unprotect /
-  /// next_touch do from outside the protocol).
+  /// Drops a core's mapping without telling its policy (a page-table
+  /// change from outside the protocol).
   void drop_mapping(int id, u64 page) { core(id).pt.erase(page); }
 
   // ---- application-level accesses (fault on demand) ------------------

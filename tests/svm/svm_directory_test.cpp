@@ -236,29 +236,5 @@ TEST(SvmDirectory, FaultCountersTrackReadsAndWrites) {
   EXPECT_GT(cl.node(1).core().counters().svm_fault_stall_ps, 0u);
 }
 
-TEST(SvmDirectory, ReplicationSurvivesUnprotectCycle) {
-  // protect_readonly()/unprotect() interact with the directory: after
-  // unprotect the state must be Exclusive again (a reader needs a fresh
-  // grant, a writer exclusive ownership — no stale Shared bit).
-  constexpr int kCores = 4;
-  Cluster cl(rr_config(kCores));
-  bool ok = true;
-  cl.run([&](Node& n) {
-    const u64 base = n.svm().alloc(4096);
-    if (n.rank() == 0) n.svm().write<u64>(base, 1);
-    n.svm().barrier();
-    (void)n.svm().read<u64>(base);  // everyone shares
-    n.svm().barrier();
-    n.svm().protect_readonly(base, 4096);
-    if (n.svm().read<u64>(base) != 1) ok = false;
-    n.svm().unprotect(base, 4096);
-    if (n.rank() == 2) n.svm().write<u64>(base, 2);
-    n.svm().barrier();
-    if (n.svm().read<u64>(base) != 2) ok = false;
-    n.svm().barrier();
-  });
-  EXPECT_TRUE(ok);
-}
-
 }  // namespace
 }  // namespace msvm::svm

@@ -1,6 +1,6 @@
 // Edge-case and misuse tests for the SVM subsystem: collective-call
-// contract violations, protection round trips under both models,
-// next-touch interactions, and capacity behaviour.
+// contract violations, protection under both models, and capacity
+// behaviour.
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.hpp"
@@ -86,65 +86,6 @@ TEST(SvmEdge, ReadOnlyUnderStrongModelThrowsOnWrite) {
     n.svm().barrier();
   });
   EXPECT_TRUE(threw);
-}
-
-TEST(SvmEdge, ProtectUnprotectCycleKeepsData) {
-  Cluster cl(base_config(3, Model::kLazyRelease));
-  bool ok = true;
-  cl.run([&](Node& n) {
-    const u64 base = n.svm().alloc(2 * 4096);
-    if (n.rank() == 0) {
-      for (u64 off = 0; off < 2 * 4096; off += 8) {
-        n.svm().write<u64>(base + off, off * 3 + 1);
-      }
-    }
-    n.svm().barrier();
-    for (int cycle = 0; cycle < 3; ++cycle) {
-      n.svm().protect_readonly(base, 2 * 4096);
-      for (u64 off = 0; off < 2 * 4096; off += 512) {
-        if (n.svm().read<u64>(base + off) != off * 3 + 1) ok = false;
-      }
-      n.svm().unprotect(base, 2 * 4096);
-    }
-    n.svm().barrier();
-  });
-  EXPECT_TRUE(ok);
-}
-
-TEST(SvmEdge, NextTouchUnderStrongModel) {
-  ClusterConfig cfg = base_config(4, Model::kStrong);
-  cfg.chip.num_cores = 48;
-  cfg.members = {0, 1, 24, 47};
-  Cluster cl(cfg);
-  u32 after = 0;
-  cl.run([&](Node& n) {
-    const u64 base = n.svm().alloc(4096);
-    if (n.rank() == 0) n.svm().write<u32>(base, 0xabc);
-    n.svm().barrier();
-    n.svm().next_touch(base, 4096);
-    if (n.core_id() == 47) {
-      after = n.svm().read<u32>(base);  // migrates + acquires ownership
-      n.svm().write<u32>(base, 0xdef);  // and can write it
-    }
-    n.svm().barrier();
-  });
-  EXPECT_EQ(after, 0xabcu);
-  EXPECT_EQ(cl.node(47).svm().stats().migrations, 1u);
-}
-
-TEST(SvmEdge, NextTouchWithoutRetouchIsHarmless) {
-  Cluster cl(base_config(2, Model::kLazyRelease));
-  u32 got = 0;
-  cl.run([&](Node& n) {
-    const u64 base = n.svm().alloc(4096);
-    if (n.rank() == 0) n.svm().write<u32>(base, 5);
-    n.svm().barrier();
-    n.svm().next_touch(base, 4096);
-    n.svm().barrier();  // nobody touches in between
-    if (n.rank() == 0) got = n.svm().read<u32>(base);  // migrate to self
-    n.svm().barrier();
-  });
-  EXPECT_EQ(got, 5u);
 }
 
 TEST(SvmEdge, ManyRegionsStayIndependent) {

@@ -1,8 +1,7 @@
 // SVM subsystem tests: collective allocation, first-touch affinity,
-// strong-model single ownership, lazy release consistency, read-only
-// regions, and next-touch migration. These run over the full stack
-// (kernel + mailbox + caches), so they validate the protocols against the
-// simulator's real incoherence.
+// strong-model single ownership, lazy release consistency and read-only
+// regions. These run over the full stack (kernel + mailbox + caches), so
+// they validate the protocols against the simulator's real incoherence.
 #include "svm/svm.hpp"
 
 #include <gtest/gtest.h>
@@ -104,6 +103,44 @@ TEST(SvmFirstTouch, OnlyOneCoreAllocatesEachPage) {
   }
   EXPECT_EQ(total_first_touches, kPages);
   EXPECT_TRUE(all_zero);
+}
+
+TEST(SvmFirstTouch, FallsBackToTheNextMcWhenItsQuarterIsFull) {
+  // 1 MiB of shared DRAM gives each MC a 64-frame quarter; MC 0's loses
+  // frame 0 (the unallocated sentinel). Core 0 first-touches more pages
+  // than that, so the allocator must move on to MC 1.
+  constexpr u64 kShared = 1 << 20;
+  constexpr u64 kMc0Frames = kShared / 4 / 4096 - 1;
+  constexpr u64 kPages = kMc0Frames + 17;
+  ClusterConfig cfg = base_config(2, Model::kLazyRelease);
+  cfg.chip.shared_dram_bytes = kShared;
+  Cluster cl(cfg);
+  std::vector<u64> frames;
+  bool all_read_back = true;
+  cl.run([&](Node& n) {
+    const u64 base = n.svm().alloc(kPages * 4096);
+    if (n.rank() == 0) {
+      for (u64 p = 0; p < kPages; ++p) {
+        const u64 va = base + p * 4096;
+        n.svm().write<u64>(va, 3 * p + 1);
+        frames.push_back(n.core().pagetable().find(va)->frame_paddr);
+      }
+    }
+    n.svm().barrier();
+    for (u64 p = 0; p < kPages; ++p) {
+      if (n.svm().read<u64>(base + p * 4096) != 3 * p + 1) {
+        all_read_back = false;
+      }
+    }
+    n.svm().barrier();
+  });
+  EXPECT_TRUE(all_read_back);
+  ASSERT_EQ(frames.size(), kPages);
+  scc::AddrMap map(cfg.chip);
+  for (u64 p = 0; p < kPages; ++p) {
+    EXPECT_EQ(map.decode(frames[p]).owner, p < kMc0Frames ? 0 : 1)
+        << "page " << p;
+  }
 }
 
 TEST(SvmFirstTouch, TableOneShapeLazyMappingIsCheaperThanStrong) {
@@ -429,76 +466,6 @@ TEST(SvmReadOnly, ValuesReadableOnAllCoresAfterProtect) {
     n.svm().barrier();
   });
   EXPECT_TRUE(ok);
-}
-
-TEST(SvmReadOnly, UnprotectRestoresWritability) {
-  Cluster cl(base_config(2, Model::kLazyRelease));
-  u32 after = 0;
-  cl.run([&](Node& n) {
-    const u64 base = n.svm().alloc(4096);
-    if (n.rank() == 0) n.svm().write<u32>(base, 1);
-    n.svm().barrier();
-    n.svm().protect_readonly(base, 4096);
-    n.svm().unprotect(base, 4096);
-    if (n.rank() == 1) n.svm().write<u32>(base, 2);
-    n.svm().barrier();
-    if (n.rank() == 0) after = n.svm().read<u32>(base);
-    n.svm().barrier();
-  });
-  EXPECT_EQ(after, 2u);
-}
-
-TEST(SvmNextTouch, PageMigratesToToucher) {
-  Cluster cl(base_config(48, Model::kLazyRelease));
-  u64 frame_before = 0;
-  u64 frame_after = 0;
-  u64 migrations = 0;
-  u32 value_after = 0;
-  cl.run([&](Node& n) {
-    const u64 base = n.svm().alloc(4096);
-    if (n.core_id() == 0) {
-      n.svm().write<u32>(base, 99);  // allocated near MC 0
-      frame_before = n.core().pagetable().find(base)->frame_paddr;
-    }
-    n.svm().barrier();
-    n.svm().next_touch(base, 4096);
-    if (n.core_id() == 47) {
-      value_after = n.svm().read<u32>(base);  // migrates near MC 3
-      frame_after = n.core().pagetable().find(base)->frame_paddr;
-    }
-    n.svm().barrier();
-  });
-  migrations = cl.node(47).svm().stats().migrations;
-  EXPECT_EQ(migrations, 1u);
-  EXPECT_EQ(value_after, 99u);  // data survived the move
-  scc::ChipConfig ccfg = base_config(48, Model::kLazyRelease).chip;
-  scc::AddrMap map(ccfg);
-  EXPECT_EQ(map.decode(frame_before).owner, 0);
-  EXPECT_EQ(map.decode(frame_after).owner, scc::Topology::scc_default().nearest_mc(47));
-}
-
-TEST(SvmNextTouch, FreedFrameIsReused) {
-  Cluster cl(base_config(2, Model::kLazyRelease));
-  u64 first_frame = 0;
-  u64 reused_frame = 0;
-  cl.run([&](Node& n) {
-    const u64 a = n.svm().alloc(4096);
-    if (n.rank() == 0) {
-      n.svm().write<u32>(a, 1);
-      first_frame = n.core().pagetable().find(a)->frame_paddr;
-    }
-    n.svm().barrier();
-    n.svm().next_touch(a, 4096);
-    if (n.rank() == 1) (void)n.svm().read<u32>(a);  // migrate, free old
-    n.svm().barrier();
-    const u64 b = n.svm().alloc(4096);
-    if (n.rank() == 0) {
-      n.svm().write<u32>(b, 2);  // must reuse the freed frame (same MC)
-      reused_frame = n.core().pagetable().find(b)->frame_paddr;
-    }
-    n.svm().barrier();
-  });
-  EXPECT_EQ(reused_frame, first_frame);
 }
 
 TEST(SvmModes, WorksWithPollingMailboxes) {
