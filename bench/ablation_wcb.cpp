@@ -37,7 +37,6 @@ Outcome run(bool mpbt, u32 store_bytes, u64 total_bytes) {
       pte.present = true;
       pte.writable = true;
       pte.mpbt = mpbt;
-      pte.l2_enable = !mpbt;
       core.pagetable().map(scc::kSvmVBase + off, pte);
     }
     const TimePs t0 = core.now();

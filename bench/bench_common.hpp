@@ -21,7 +21,7 @@
 #include "obs/chrome_trace.hpp"
 #include "obs/heatmap.hpp"
 #include "obs/metrics.hpp"
-#include "sccsim/config.hpp"
+#include "sccsim/mesh.hpp"
 #include "sim/faults.hpp"
 #include "sim/rng.hpp"
 #include "sim/types.hpp"
@@ -211,7 +211,7 @@ class JsonReport {
   JsonReport(std::string name, int argc, char** argv)
       : JsonReport(std::move(name), arg_seed(argc, argv)) {
     obs_setup(argc, argv);
-    topology(scc::TopologySpec{}, 48);
+    topology(48);
   }
   JsonReport(const JsonReport&) = delete;
   JsonReport& operator=(const JsonReport&) = delete;
@@ -230,8 +230,8 @@ class JsonReport {
   /// Records the chip geometry (mesh columns/rows, cores per tile, chip
   /// count, core count) so every stored BENCH_*.json names the die(s) it
   /// ran on and baselines are self-describing.
-  void topology(const scc::TopologySpec& spec, int cores) {
-    const scc::Topology topo(spec);
+  void topology(int cores) {
+    const scc::Topology topo(cores);
     config("cores", static_cast<u64>(cores));
     config("mesh_cols", static_cast<u64>(topo.cols()));
     config("mesh_rows", static_cast<u64>(topo.rows()));

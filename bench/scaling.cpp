@@ -1,7 +1,7 @@
 // Scaling bench: SVM consistency models past the SCC's 48 cores.
 //
 // The paper evaluates on one 48-core die — the hardware's ceiling, not
-// the model's. This sweep grows the chip grid (configure_cores) and runs
+// the model's. This sweep grows the chip grid (scc::Topology) and runs
 // {Strong, Strong+read-replication, LRC} on the Laplace and matmul
 // workloads at 48..1024 cores, the range where DiSquawk-style systems
 // operate, emitting the scaling curves into BENCH_scaling.json (one
@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
     json.config("cores_swept", swept);
   }
   if (only > 0) {
-    json.topology(scc::TopologySpec::for_cores(only), only);
+    json.topology(only);
   }
 
   std::printf("%6s | %12s %12s %12s | %12s %12s %12s\n", "cores",

@@ -188,7 +188,6 @@ void Kernel::boot() {
     pte.present = true;
     pte.writable = true;
     pte.mpbt = false;
-    pte.l2_enable = true;
     core_.pagetable().map(scc::kPrivVBase + off, pte);
   }
   heap_next_ = scc::kPrivVBase;

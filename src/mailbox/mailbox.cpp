@@ -11,6 +11,8 @@ namespace msvm::mbox {
 
 namespace {
 
+using scc::kMailBytes;
+
 // Byte layout of a 32-byte mailbox line.
 constexpr u32 kFlagOff = 0;
 constexpr u32 kTypeOff = 1;
@@ -108,7 +110,8 @@ void MailboxSystem::set_participants(std::vector<int> cores) {
 }
 
 u64 MailboxSystem::slot_paddr(int receiver, int sender) const {
-  return core_.chip().map().mpb_base(receiver) + mail_slot_offset(sender);
+  const scc::AddrMap& map = core_.chip().map();
+  return map.mpb_base(receiver) + map.layout().mail_slot(sender);
 }
 
 void MailboxSystem::deposit(u64 slot, const Mail& mail, int dest) {

@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "kernel/kernel.hpp"
-#include "mailbox/layout.hpp"
 #include "mailbox/mail_ring.hpp"
 #include "sim/fnref.hpp"
 #include "sim/types.hpp"

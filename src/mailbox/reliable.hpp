@@ -19,12 +19,11 @@
 // a hot `acks_evicted` tally means the window assumption is under
 // pressure and the ring should grow.
 //
-// Sequence wraparound: seq numbers are u16 and 0 is reserved (the
-// unbounded-path placeholder). When the counter wraps, keys remembered
-// from the previous sequence epoch could collide with fresh identities
-// and silently swallow a legitimate ACK — so the ring is cleared at the
-// wrap point, trading at worst one redundant retransmission for the
-// collision hazard.
+// Sequence wraparound: seq numbers are u16 and 0 is never issued. When
+// the counter wraps, keys remembered from the previous sequence epoch
+// could collide with fresh identities and silently swallow a legitimate
+// ACK — so the ring is cleared at the wrap point, trading at worst one
+// redundant retransmission for the collision hazard.
 #pragma once
 
 #include <array>

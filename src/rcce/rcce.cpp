@@ -17,15 +17,6 @@ constexpr u64 kProgressCycles = 40;
 Rcce::Rcce(kernel::Kernel& kernel, std::vector<int> members)
     : core_(kernel.core()),
       members_(std::move(members)) {
-  const scc::Chip& chip = core_.chip();
-  const mbox::Layout layout =
-      mbox::Layout::make(chip.topology().max_cores(), chip.map().mpb_size());
-  const u32 n = static_cast<u32>(layout.max_cores);
-  comm_off_ = layout.rcce_offset;
-  sent_off_ = comm_off_ + kChunkBytes;
-  ack_off_ = sent_off_ + n;
-  arrive_off_ = ack_off_ + n;
-  release_off_ = arrive_off_ + n;
   for (std::size_t i = 0; i < members_.size(); ++i) {
     if (members_[i] == core_.id()) rank_ = static_cast<int>(i);
   }
@@ -124,12 +115,12 @@ bool Rcce::progress() {
 bool Rcce::progress_send(Request& req) {
   bool moved = false;
   const int dest_core = core_of(req.peer_rank_);
+  const scc::MpbLayout& mpb = core_.chip().map().layout();
   if (req.chunk_in_flight_) {
     // Has the receiver drained the previous chunk?
-    if (mpb_read8(core_.id(),
-                  ack_off_ + static_cast<u32>(dest_core)) == 1) {
-      mpb_write8(core_.id(), ack_off_ + static_cast<u32>(dest_core),
-                 0);
+    if (mpb_read8(core_.id(), mpb.rcce_ack + static_cast<u32>(dest_core)) ==
+        1) {
+      mpb_write8(core_.id(), mpb.rcce_ack + static_cast<u32>(dest_core), 0);
       const u32 chunk =
           std::min(kChunkBytes, req.bytes_ - req.progress_);
       req.progress_ += chunk;
@@ -146,10 +137,9 @@ bool Rcce::progress_send(Request& req) {
   if (!req.chunk_in_flight_ && req.progress_ < req.bytes_) {
     // Deposit the next chunk into our own MPB buffer and flag the peer.
     const u32 chunk = std::min(kChunkBytes, req.bytes_ - req.progress_);
-    copy_chunk(req.vaddr_ + req.progress_, mpb_paddr(core_.id(), comm_off_),
+    copy_chunk(req.vaddr_ + req.progress_, mpb_paddr(core_.id(), mpb.rcce_comm),
                chunk, /*to_mpb=*/true);
-    mpb_write8(dest_core, sent_off_ + static_cast<u32>(core_.id()),
-               1);
+    mpb_write8(dest_core, mpb.rcce_sent + static_cast<u32>(core_.id()), 1);
     ++stats_.chunks;
     req.chunk_in_flight_ = true;
     moved = true;
@@ -159,18 +149,17 @@ bool Rcce::progress_send(Request& req) {
 
 bool Rcce::progress_recv(Request& req) {
   const int source_core = core_of(req.peer_rank_);
-  if (mpb_read8(core_.id(),
-                sent_off_ + static_cast<u32>(source_core)) != 1) {
+  const scc::MpbLayout& mpb = core_.chip().map().layout();
+  if (mpb_read8(core_.id(), mpb.rcce_sent + static_cast<u32>(source_core)) !=
+      1) {
     return false;
   }
-  mpb_write8(core_.id(), sent_off_ + static_cast<u32>(source_core),
-             0);
+  mpb_write8(core_.id(), mpb.rcce_sent + static_cast<u32>(source_core), 0);
   const u32 chunk = std::min(kChunkBytes, req.bytes_ - req.progress_);
-  copy_chunk(req.vaddr_ + req.progress_, mpb_paddr(source_core, comm_off_),
+  copy_chunk(req.vaddr_ + req.progress_, mpb_paddr(source_core, mpb.rcce_comm),
              chunk, /*to_mpb=*/false);
   // Tell the sender its buffer is free again.
-  mpb_write8(source_core, ack_off_ + static_cast<u32>(core_.id()),
-             1);
+  mpb_write8(source_core, mpb.rcce_ack + static_cast<u32>(core_.id()), 1);
   req.progress_ += chunk;
   if (req.progress_ >= req.bytes_) req.done_ = true;
   return true;
@@ -211,6 +200,7 @@ void Rcce::barrier() {
   const u8 sense = barrier_sense_;
   barrier_sense_ = sense == 1 ? 2 : 1;
   const int master_core = core_of(0);
+  const scc::MpbLayout& mpb = core_.chip().map().layout();
   kernel::SpinWaitOpts opts;
   opts.start_ps = 200 * kPsPerNs;
   opts.cap_ps = 50 * kPsPerUs;
@@ -219,18 +209,19 @@ void Rcce::barrier() {
     opts.site = "rcce.barrier_gather";
     for (int r = 1; r < size(); ++r) {
       opts.site_arg = static_cast<u64>(core_of(r));
-      wait_own_flag(arrive_off_ + static_cast<u32>(core_of(r)), sense, opts);
+      wait_own_flag(mpb.rcce_arrive + static_cast<u32>(core_of(r)), sense,
+                    opts);
     }
     // Release everyone.
     for (int r = 1; r < size(); ++r) {
-      mpb_write8(core_of(r), release_off_, sense);
+      mpb_write8(core_of(r), mpb.rcce_release, sense);
     }
   } else {
-    mpb_write8(master_core,
-               arrive_off_ + static_cast<u32>(core_.id()), sense);
+    mpb_write8(master_core, mpb.rcce_arrive + static_cast<u32>(core_.id()),
+               sense);
     opts.site = "rcce.barrier_release";
     opts.site_arg = static_cast<u64>(master_core);
-    wait_own_flag(release_off_, sense, opts);
+    wait_own_flag(mpb.rcce_release, sense, opts);
   }
 }
 

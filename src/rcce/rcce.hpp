@@ -16,14 +16,8 @@
 // adds is exactly what this layer lacks, which is the paper's argument
 // for building the mailbox at all.
 //
-// MPB sub-layout within the RCCE share [rcce_offset, MPB size), computed
-// at runtime from the die's maximum core count n (mbox::Layout; at the
-// 48-core SCC this is [3584, 8192) with the historical constants):
-//   +0         .. +4096      : communication buffer (one in-flight chunk)
-//   +4096      .. +4096+n    : sent flags, byte per source core
-//   +4096+n    .. +4096+2n   : ack flags, byte per destination core
-//   +4096+2n   .. +4096+3n   : barrier arrival bytes (master-resident)
-//   +4096+3n   .. +4096+3n+1 : barrier release byte
+// The RCCE share of each MPB (communication buffer, sent/ack flags and
+// barrier bytes) is part of the one MPB carve, scc::MpbLayout.
 #pragma once
 
 #include <cassert>
@@ -33,12 +27,13 @@
 #include <vector>
 
 #include "kernel/kernel.hpp"
-#include "mailbox/layout.hpp"
+#include "sccsim/addrmap.hpp"
 #include "sim/types.hpp"
 
 namespace msvm::rcce {
 
-inline constexpr u32 kChunkBytes = 4096;
+/// One in-flight chunk fills the sender's communication buffer.
+inline constexpr u32 kChunkBytes = scc::MpbLayout::kRcceCommBytes;
 
 struct RcceStats {
   u64 sends = 0;
@@ -125,14 +120,6 @@ class Rcce {
   std::vector<int> members_;
   int rank_ = -1;
   RcceStats stats_;
-
-  // Runtime MPB offsets of the RCCE share (see file comment), derived
-  // from mbox::Layout at construction. Identical on every member.
-  u32 comm_off_ = 0;
-  u32 sent_off_ = 0;
-  u32 ack_off_ = 0;
-  u32 arrive_off_ = 0;
-  u32 release_off_ = 0;
 
   // FIFO of pending sends (they share the single comm buffer) and of
   // pending receives per source rank (channel order must match). Only

@@ -6,6 +6,7 @@
 //   [kSharedBase,  +shared_dram_bytes)            shared off-die DRAM
 //   [kPrivBase  + i*private_dram_bytes, ...)      core i's private DRAM
 //   [kMpbBase   + i*mpb_size(), ...)              core i's on-die MPB
+//                                                 (carved by MpbLayout)
 //   [kTasBase   + i*8, ...)                       core i's Test-and-Set reg
 //
 // Virtual space (per core, private page tables):
@@ -13,7 +14,9 @@
 //   [kSvmVBase, ...)                    SVM regions (allocated collectively)
 #pragma once
 
+#include <algorithm>
 #include <cassert>
+#include <string>
 #include <utility>
 
 #include "sccsim/config.hpp"
@@ -38,6 +41,74 @@ enum class MemKind : u8 {
   kInvalid,
 };
 
+inline constexpr u32 kSccMpbBytes = 8192;  // per core on the SCC die
+inline constexpr u32 kMailBytes = 32;      // one cache line per mailbox
+
+/// The one carve of a core's on-die MPB, shared by the mailbox system,
+/// the SVM scratchpad and RCCE. Paper, Section 5: "For each communication
+/// path between two cores a mailbox of one cache-line size is reserved at
+/// each local MPB. Thus, the mailbox system takes 48 * 32 Bytes = 1.5
+/// kByte of MPB space per core ... RCCE provides a memory allocation
+/// scheme to manage the remaining 6.5 kByte". Section 6.3 additionally
+/// parks the first-touch scratchpad in on-die memory; it is carved out of
+/// the RCCE share. Offsets for a die of n = max_cores potential senders
+/// (in brackets: the 48-core SCC):
+///   [0, 32n)                    mail slots, one per sender   [0, 1536)
+///   SVM scratchpad, 2 KiB                                 [1536, 3584)
+///     barrier_arrive            arrive bytes, one per core      [1536]
+///     barrier_release           release byte                    [1584]
+///     barrier_diss              2 parity sets of diss_rounds    [1585]
+///                               bytes; the header rounds up to a line
+///     entries                   16-bit page entries             [1600]
+///   RCCE share
+///     rcce_comm                 4 KiB communication buffer      [3584]
+///     rcce_sent                 sent flags, byte per source     [7680]
+///     rcce_ack                  ack flags, byte per destination [7728]
+///     rcce_arrive               barrier arrival bytes           [7776]
+///     rcce_release              barrier release byte            [7824]
+/// The MPB is the SCC's 8 KiB, or the carve rounded up to whole pages on
+/// wider dies.
+struct MpbLayout {
+  static constexpr u32 kScratchpadBytes = 2048;
+  static constexpr u32 kRcceCommBytes = 4096;
+
+  explicit MpbLayout(int max_cores) {
+    const u32 n = static_cast<u32>(max_cores);
+    while ((1u << diss_rounds) < n) ++diss_rounds;
+    diss_rounds = std::max(diss_rounds, 6u);
+    barrier_arrive = n * kMailBytes;
+    barrier_release = barrier_arrive + n;
+    barrier_diss = barrier_release + 1;
+    const u32 header = n + 1 + 2 * diss_rounds;
+    entries = barrier_arrive + (header + 63) / 64 * 64;
+    rcce_comm = barrier_arrive + kScratchpadBytes;
+    rcce_sent = rcce_comm + kRcceCommBytes;
+    rcce_ack = rcce_sent + n;
+    rcce_arrive = rcce_ack + n;
+    rcce_release = rcce_arrive + n;
+    mpb_bytes = std::max(kSccMpbBytes,
+                         (rcce_release + 1 + kPageBytes - 1) / kPageBytes *
+                             kPageBytes);
+  }
+
+  /// Offset of the mailbox written by `sender` within the receiver's MPB.
+  u32 mail_slot(int sender) const {
+    return static_cast<u32>(sender) * kMailBytes;
+  }
+
+  u32 diss_rounds = 0;
+  u32 barrier_arrive = 0;
+  u32 barrier_release = 0;
+  u32 barrier_diss = 0;
+  u32 entries = 0;  // up to rcce_comm
+  u32 rcce_comm = 0;
+  u32 rcce_sent = 0;
+  u32 rcce_ack = 0;
+  u32 rcce_arrive = 0;
+  u32 rcce_release = 0;
+  u32 mpb_bytes = 0;
+};
+
 /// Result of decoding a simulated physical address.
 struct PhysTarget {
   MemKind kind = MemKind::kInvalid;
@@ -50,13 +121,13 @@ struct PhysTarget {
 class AddrMap {
  public:
   explicit AddrMap(const ChipConfig& cfg)
-      : cfg_(cfg),
-        topo_(cfg.topology),
-        mpb_bytes_(mpb_bytes_for(topo_.max_cores())) {}
+      : cfg_(cfg), topo_(cfg.num_cores), layout_(topo_.max_cores()) {}
 
   /// The runtime topology backing this map (and, via Chip::topology(),
   /// the whole chip: the map is constructed first and owns the instance).
   const Topology& topology() const { return topo_; }
+  /// The MPB carve of this die, identical in every core's MPB.
+  const MpbLayout& layout() const { return layout_; }
 
   u64 shared_base() const { return kSharedBase; }
   u64 shared_size() const { return cfg_.shared_dram_bytes; }
@@ -65,10 +136,10 @@ class AddrMap {
   }
   u64 private_size() const { return cfg_.private_dram_bytes; }
   u64 mpb_base(int core) const {
-    return kMpbBase + static_cast<u64>(core) * mpb_bytes_;
+    return kMpbBase + static_cast<u64>(core) * mpb_size();
   }
   /// Per-core MPB bytes, derived from the die's core count.
-  u32 mpb_size() const { return mpb_bytes_; }
+  u32 mpb_size() const { return layout_.mpb_bytes; }
   u64 tas_addr(int core) const {
     return kTasBase + static_cast<u64>(core) * 8;
   }
@@ -109,10 +180,10 @@ class AddrMap {
     }
     if (paddr >= kMpbBase &&
         paddr <
-            kMpbBase + static_cast<u64>(cfg_.num_cores) * mpb_bytes_) {
+            kMpbBase + static_cast<u64>(cfg_.num_cores) * mpb_size()) {
       const u64 off = paddr - kMpbBase;
-      return {MemKind::kMpb, static_cast<int>(off / mpb_bytes_),
-              off % mpb_bytes_};
+      return {MemKind::kMpb, static_cast<int>(off / mpb_size()),
+              off % mpb_size()};
     }
     // The TAS register file is a die resource: all max_cores() registers
     // exist even when fewer cores run programs (application locks use the
@@ -135,7 +206,30 @@ class AddrMap {
  private:
   const ChipConfig& cfg_;
   Topology topo_;
-  u32 mpb_bytes_;
+  MpbLayout layout_;
 };
+
+/// Validates a chip configuration; returns an empty string when the
+/// config is runnable, otherwise a human-readable error.
+inline std::string validate_config(const ChipConfig& cfg) {
+  if (cfg.num_cores < 1) return "num_cores must be >= 1";
+  if (cfg.num_cores > 1024) {
+    return "num_cores " + std::to_string(cfg.num_cores) +
+           " exceeds the supported maximum of 1024";
+  }
+  // The physical map gives each region a 4 GiB window.
+  const u64 window = u64{1} << 32;
+  if (cfg.shared_dram_bytes > window) {
+    return "shared_dram_bytes exceeds the 4 GiB shared window";
+  }
+  if (static_cast<u64>(cfg.num_cores) * cfg.private_dram_bytes > window) {
+    return "num_cores * private_dram_bytes exceeds the 4 GiB private "
+           "window; shrink private_dram_bytes";
+  }
+  if (static_cast<u64>(cfg.num_cores) * AddrMap(cfg).mpb_size() > window) {
+    return "num_cores * MPB bytes exceeds the 4 GiB MPB window";
+  }
+  return {};
+}
 
 }  // namespace msvm::scc

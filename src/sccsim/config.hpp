@@ -7,12 +7,8 @@
 // constants below; ChipConfig keeps only the knobs some caller varies.
 #pragma once
 
-#include <algorithm>
 #include <bit>
-#include <cstddef>
-#include <string>
 
-#include "sccsim/mesh.hpp"
 #include "sim/faults.hpp"
 #include "sim/types.hpp"
 
@@ -82,19 +78,13 @@ inline constexpr u64 kIpiWirePs = 100 * 1000;
 // the streaming-burst figure.
 inline constexpr u32 kMcServiceMeshCycles = 48;
 
-// ---- on-die message-passing buffer ----
-inline constexpr u32 kSccMpbBytes = 8192;  // per core on the SCC die
-
 struct ChipConfig {
-  // ---- topology ----
-  /// Cores actually running programs; must not exceed the die(s) in
-  /// `topology` (48 on the default SCC mesh, more on multi-chip grids).
+  /// Cores running programs; the only input that shapes the die. Up to
+  /// 48 is the exact SCC mesh, more grows a grid of SCC dies (Topology).
   int num_cores = 48;
-  /// Geometry of the simulated die(s). Default: the exact SCC 6x4 mesh.
-  TopologySpec topology;
   u32 core_mhz = 533;   // paper's benchmark configuration
 
-  // ---- memory sizes (the per-core MPB is derived: mpb_bytes_for) ----
+  // ---- memory sizes (the per-core MPB is derived: AddrMap::layout) ----
   u64 shared_dram_bytes = 64ull << 20;   // shared off-die region
   u64 private_dram_bytes = 8ull << 20;   // per-core private region
 
@@ -111,66 +101,9 @@ struct ChipConfig {
   TimePs core_cycle_ps() const { return cycle_ps_from_mhz(core_mhz); }
 };
 
-/// Per-core MPB bytes of a `max_cores`-core die. The die needs the
-/// mail-slot region (one 32-byte slot per sender), the SVM scratchpad
-/// (2 KiB, holding the barrier flag block plus page entries), the RCCE
-/// comm buffer (4 KiB) and the RCCE flag/barrier bytes (3 per core + 1);
-/// this mirrors mbox::Layout, kept here so the chip model needs no
-/// mailbox-layer include. That fits the SCC's 8 KiB up to 48 cores;
-/// wider dies get the need rounded up to whole pages.
-inline u32 mpb_bytes_for(int max_cores) {
-  const u64 n = static_cast<u64>(max_cores);
-  const u64 need = n * 32 + 2048 + 4096 + 3 * n + 1;
-  return static_cast<u32>(
-      std::max<u64>(kSccMpbBytes, (need + 4095) / 4096 * 4096));
-}
-
-/// Validates a chip configuration; returns an empty string when the
-/// config is runnable, otherwise a human-readable error. Replaces the
-/// old `assert(num_cores <= 48)` hard caps: release builds get a clear
-/// message instead of UB.
-inline std::string validate_config(const ChipConfig& cfg) {
-  const Topology topo(cfg.topology);
-  const auto err = [](std::string msg) { return msg; };
-  if (cfg.num_cores < 1) return err("num_cores must be >= 1");
-  if (cfg.num_cores > 1024) {
-    return err("num_cores " + std::to_string(cfg.num_cores) +
-               " exceeds the supported maximum of 1024");
-  }
-  if (cfg.num_cores > topo.max_cores()) {
-    return err("num_cores " + std::to_string(cfg.num_cores) +
-               " exceeds the configured topology's " +
-               std::to_string(topo.max_cores()) +
-               " cores; use configure_cores() or enlarge the chip grid");
-  }
-  // The physical map gives each region a 4 GiB window (see addrmap.hpp).
-  const u64 window = u64{1} << 32;
-  if (cfg.shared_dram_bytes > window) {
-    return err("shared_dram_bytes exceeds the 4 GiB shared window");
-  }
-  if (static_cast<u64>(cfg.num_cores) * cfg.private_dram_bytes > window) {
-    return err("num_cores * private_dram_bytes exceeds the 4 GiB private "
-               "window; shrink private_dram_bytes");
-  }
-  if (static_cast<u64>(cfg.num_cores) * mpb_bytes_for(topo.max_cores()) >
-      window) {
-    return err("num_cores * MPB bytes exceeds the 4 GiB MPB window");
-  }
-  return {};
-}
-
-/// One-stop scaling knob: sizes the topology (growing a near-square grid
-/// of SCC dies once past 48 cores), sets `num_cores`, and shrinks the
-/// per-core private region when the full count would overflow its 4 GiB
-/// physical window. At `cores` <= 48 this leaves every default
-/// untouched, so default runs stay byte-identical.
+/// Sets `num_cores`. Kept because perfbench calls it.
 inline void configure_cores(ChipConfig& cfg, int cores) {
-  cfg.topology = TopologySpec::for_cores(cores);
   cfg.num_cores = cores;
-  const u64 max_priv = (u64{1} << 32) / static_cast<u64>(cores);
-  if (cfg.private_dram_bytes > max_priv) {
-    cfg.private_dram_bytes = max_priv / kPageBytes * kPageBytes;
-  }
 }
 
 }  // namespace msvm::scc

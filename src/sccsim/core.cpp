@@ -165,11 +165,9 @@ void Core::halt() {
 // translation
 
 MemPolicy Core::policy_of(const Pte& pte) {
-  if (pte.mpbt) return MemPolicy::kMpbt;
-  if (pte.l2_enable) return MemPolicy::kCachedWT;
-  // Present, non-MPBT, no-L2 pages behave as L1+L2 write-through on the
-  // real part; private memory uses this default.
-  return MemPolicy::kCachedWT;
+  // Non-MPBT pages are L1+L2 write-through on the real part: private
+  // memory and read-only SVM regions.
+  return pte.mpbt ? MemPolicy::kMpbt : MemPolicy::kCachedWT;
 }
 
 // Returns WITH interrupts masked: the caller commits the access and then

@@ -25,6 +25,7 @@
 #include "sccsim/config.hpp"
 #include "sccsim/counters.hpp"
 #include "sccsim/gic.hpp"
+#include "sccsim/mesh.hpp"
 #include "sccsim/pagetable.hpp"
 #include "sccsim/wcb.hpp"
 #include "sim/scheduler.hpp"

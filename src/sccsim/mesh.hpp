@@ -1,4 +1,4 @@
-// On-die mesh topology, parameterized at runtime.
+// On-die mesh topology, derived from the core count.
 //
 // The default instance is the Intel SCC: 6x4 tiles, two cores per tile,
 // four memory controllers attached at the mesh edges (tiles (0,0), (5,0),
@@ -11,7 +11,7 @@
 // chip-major (cores 0..47 fill chip 0, 48..95 chip 1, ...), so each chip
 // keeps a contiguous core range next to its own four memory controllers
 // (ids also chip-major). Crossing a chip boundary costs
-// `interchip_hop_cost` extra hops per boundary in each dimension
+// kInterchipHopCost extra hops per boundary in each dimension
 // (modelling an off-die link as a slower mesh segment). With one chip the
 // math reduces exactly to the classic SCC mesh.
 #pragma once
@@ -30,51 +30,34 @@ struct TileCoord {
   bool operator==(const TileCoord&) const = default;
 };
 
-/// Plain-data description of a chip topology; ChipConfig carries one.
-/// The default is the exact SCC die.
-struct TopologySpec {
-  int tile_cols = 6;        // tiles per chip, X
-  int tile_rows = 4;        // tiles per chip, Y
-  int cores_per_tile = 2;
-  int chips_x = 1;          // chips in the super-mesh, X
-  int chips_y = 1;          // chips in the super-mesh, Y
-  int interchip_hop_cost = 4;  // extra hops per chip boundary crossed
-
-  bool operator==(const TopologySpec&) const = default;
-
-  /// Smallest chip grid of SCC dies that provides at least `cores` cores
-  /// (near-square, X grows first). `cores` <= 48 keeps the single die.
-  static TopologySpec for_cores(int cores) {
-    TopologySpec spec;
-    const int per_chip = spec.tile_cols * spec.tile_rows * spec.cores_per_tile;
-    if (cores <= per_chip) return spec;
-    const int chips = (cores + per_chip - 1) / per_chip;
-    int cx = 1;
-    while (cx * cx < chips) ++cx;
-    spec.chips_x = cx;
-    spec.chips_y = (chips + cx - 1) / cx;
-    return spec;
-  }
-};
+// Fixed geometry of one SCC die; only the chip grid varies with the core
+// count.
+inline constexpr int kTileCols = 6;  // tiles per chip, X
+inline constexpr int kTileRows = 4;  // tiles per chip, Y
+inline constexpr int kCoresPerTile = 2;
+inline constexpr int kInterchipHopCost = 4;  // extra hops per boundary
 
 /// Runtime topology: geometry queries plus precomputed per-core tables on
 /// the hot paths (nearest MC, hops to each MC, hops to the system IF).
 /// Construction is cheap enough to do once per Chip.
 class Topology {
  public:
-  explicit Topology(const TopologySpec& spec = {}) : spec_(spec) {
-    assert(spec_.tile_cols >= 1 && spec_.tile_rows >= 1 &&
-           spec_.cores_per_tile >= 1 && spec_.chips_x >= 1 &&
-           spec_.chips_y >= 1 && spec_.interchip_hop_cost >= 0);
-    const int cores = max_cores();
+  /// Smallest near-square grid of SCC dies (X grows first) that provides
+  /// at least `cores` cores; `cores` <= 48 is the single SCC die.
+  explicit Topology(int cores) {
+    constexpr int per_chip = kTileCols * kTileRows * kCoresPerTile;
+    const int chips = cores <= per_chip ? 1 : (cores + per_chip - 1) / per_chip;
+    while (chips_x_ * chips_x_ < chips) ++chips_x_;
+    chips_y_ = (chips + chips_x_ - 1) / chips_x_;
+    const int max = max_cores();
     const int mcs = num_mem_controllers();
-    coord_of_core_.reserve(static_cast<std::size_t>(cores));
-    nearest_mc_.reserve(static_cast<std::size_t>(cores));
-    hops_sysif_.reserve(static_cast<std::size_t>(cores));
-    hops_mc_.reserve(static_cast<std::size_t>(cores) *
+    coord_of_core_.reserve(static_cast<std::size_t>(max));
+    nearest_mc_.reserve(static_cast<std::size_t>(max));
+    hops_sysif_.reserve(static_cast<std::size_t>(max));
+    hops_mc_.reserve(static_cast<std::size_t>(max) *
                      static_cast<std::size_t>(mcs));
-    for (int c = 0; c < cores; ++c) {
-      const TileCoord at = coord_of_tile(c / spec_.cores_per_tile);
+    for (int c = 0; c < max; ++c) {
+      const TileCoord at = coord_of_tile(c / kCoresPerTile);
       coord_of_core_.push_back(at);
       int best = 0;
       int best_hops = hops(at, mem_controller_coord(0));
@@ -92,18 +75,16 @@ class Topology {
     }
   }
 
-  const TopologySpec& spec() const { return spec_; }
-
   // ---- geometry ----
 
   /// Total mesh columns/rows across the whole chip grid.
-  int cols() const { return spec_.tile_cols * spec_.chips_x; }
-  int rows() const { return spec_.tile_rows * spec_.chips_y; }
+  int cols() const { return kTileCols * chips_x_; }
+  int rows() const { return kTileRows * chips_y_; }
   int tiles() const { return cols() * rows(); }
-  int cores_per_tile() const { return spec_.cores_per_tile; }
+  int cores_per_tile() const { return kCoresPerTile; }
   /// Cores the die(s) provide; ChipConfig::num_cores may use fewer.
   int max_cores() const { return tiles() * cores_per_tile(); }
-  int num_chips() const { return spec_.chips_x * spec_.chips_y; }
+  int num_chips() const { return chips_x_ * chips_y_; }
   /// Four DDR3 controllers per chip, ids chip-major.
   int num_mem_controllers() const { return 4 * num_chips(); }
 
@@ -111,7 +92,7 @@ class Topology {
   /// as on the SCC.
   int tile_of_core(int core) const {
     assert(core >= 0 && core < max_cores());
-    return core / spec_.cores_per_tile;
+    return core / kCoresPerTile;
   }
 
   /// Tile numbering is chip-major: each chip's tiles are numbered locally
@@ -119,12 +100,11 @@ class Topology {
   /// plain row-major mesh.
   TileCoord coord_of_tile(int tile) const {
     assert(tile >= 0 && tile < tiles());
-    const int per_chip = spec_.tile_cols * spec_.tile_rows;
+    const int per_chip = kTileCols * kTileRows;
     const int chip = tile / per_chip;
     const int local = tile % per_chip;
-    return TileCoord{
-        (chip % spec_.chips_x) * spec_.tile_cols + local % spec_.tile_cols,
-        (chip / spec_.chips_x) * spec_.tile_rows + local / spec_.tile_cols};
+    return TileCoord{(chip % chips_x_) * kTileCols + local % kTileCols,
+                     (chip / chips_x_) * kTileRows + local / kTileCols};
   }
 
   TileCoord coord_of_core(int core) const {
@@ -133,17 +113,17 @@ class Topology {
 
   /// Chip hosting a tile coordinate (chip-grid coordinates).
   TileCoord chip_of_coord(TileCoord at) const {
-    return TileCoord{at.x / spec_.tile_cols, at.y / spec_.tile_rows};
+    return TileCoord{at.x / kTileCols, at.y / kTileRows};
   }
 
   /// XY-routed distance: Manhattan hops plus the inter-chip penalty per
   /// chip boundary crossed in each dimension.
   int hops(TileCoord a, TileCoord b) const {
     int h = std::abs(a.x - b.x) + std::abs(a.y - b.y);
-    if (spec_.interchip_hop_cost != 0 && num_chips() > 1) {
+    if (num_chips() > 1) {
       const TileCoord ca = chip_of_coord(a);
       const TileCoord cb = chip_of_coord(b);
-      h += spec_.interchip_hop_cost *
+      h += kInterchipHopCost *
            (std::abs(ca.x - cb.x) + std::abs(ca.y - cb.y));
     }
     return h;
@@ -160,17 +140,17 @@ class Topology {
     assert(mc >= 0 && mc < num_mem_controllers());
     const int chip = mc / 4;
     const int local = mc % 4;
-    const int base_x = (chip % spec_.chips_x) * spec_.tile_cols;
-    const int base_y = (chip / spec_.chips_x) * spec_.tile_rows;
-    const int lx = (local == 0 || local == 2) ? 0 : spec_.tile_cols - 1;
-    const int ly = local < 2 ? 0 : spec_.tile_rows / 2;
+    const int base_x = (chip % chips_x_) * kTileCols;
+    const int base_y = (chip / chips_x_) * kTileRows;
+    const int lx = (local == 0 || local == 2) ? 0 : kTileCols - 1;
+    const int ly = local < 2 ? 0 : kTileRows / 2;
     return TileCoord{base_x + lx, base_y + ly};
   }
 
   /// Router where the system interface (FPGA / GIC) attaches: the SCC
   /// position (3,0) on chip 0 of the grid.
   TileCoord system_interface_coord() const {
-    return TileCoord{spec_.tile_cols / 2, 0};
+    return TileCoord{kTileCols / 2, 0};
   }
 
   /// Memory controller closest to a core (ties broken by lower MC id);
@@ -193,12 +173,13 @@ class Topology {
   /// The process-wide default-SCC instance, for contexts with no Chip at
   /// hand (tests, examples). Chips own their instance.
   static const Topology& scc_default() {
-    static const Topology topo{};
+    static const Topology topo(48);
     return topo;
   }
 
  private:
-  TopologySpec spec_;
+  int chips_x_ = 1;  // chips in the super-mesh, X
+  int chips_y_ = 1;  // chips in the super-mesh, Y
   std::vector<TileCoord> coord_of_core_;
   std::vector<int> nearest_mc_;
   std::vector<int> hops_sysif_;

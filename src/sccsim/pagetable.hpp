@@ -4,7 +4,7 @@
 // "the page tables are located in the private memory and, consequently,
 // each core possesses its own version of the page tables" (Section 6.3).
 // The SVM layer manipulates PTE permission bits (present / writable) and
-// memory-type bits (MPBT, L2-enable) to drive the consistency protocols.
+// the MPBT memory-type bit to drive the consistency protocols.
 #pragma once
 
 #include <unordered_map>
@@ -23,11 +23,9 @@ struct Pte {
   bool writable = false;
   /// MPBT memory type: L1-only write-through with the write-combine
   /// buffer; lines are tagged so CL1INVMB can invalidate them selectively.
+  /// Clear, the page also uses the L2 cache (the read-only-region
+  /// optimisation of Section 6.4 sets present=1, writable=0, mpbt=0).
   bool mpbt = false;
-  /// When clear together with mpbt, the page may use the L2 cache (the
-  /// read-only-region optimisation of Section 6.4 sets present=1,
-  /// writable=0, mpbt=0, l2_enable=1).
-  bool l2_enable = false;
 };
 
 class PageTable {

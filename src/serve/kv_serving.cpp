@@ -52,7 +52,7 @@ struct CoreTally {
 KvServingResult run_kv_serving(const KvServingParams& p, svm::Model model,
                                int num_cores) {
   cluster::ClusterConfig cfg;
-  scc::configure_cores(cfg.chip, num_cores);
+  cfg.chip.num_cores = num_cores;
   cfg.chip.shared_dram_bytes = 32 << 20;
   cfg.chip.private_dram_bytes = 1 << 20;
   cfg.svm.model = model;

@@ -87,6 +87,7 @@ void Svm::barrier_master_gather() {
   const auto& members = domain_.members();
   const int master_core = members.front();
   const scc::AddrMap& map = core_.chip().map();
+  const scc::MpbLayout& mpb = map.layout();
   // Arrival and release flags are polled with the same backoff: 200 ns,
   // doubling to a 50 us cap.
   kernel::SpinWaitOpts opts;
@@ -95,24 +96,20 @@ void Svm::barrier_master_gather() {
   if (rank_ == 0) {
     opts.site = "svm.barrier_gather";
     for (std::size_t i = 1; i < members.size(); ++i) {
-      const u64 flag = map.mpb_base(master_core) +
-                       domain_.barrier_arrive_off() +
+      const u64 flag = map.mpb_base(master_core) + mpb.barrier_arrive +
                        static_cast<u32>(members[i]);
       opts.site_arg = static_cast<u64>(members[i]);
       kernel::spin_wait(core_, scc::WatchedWord::mpb_byte(flag, sense), opts);
     }
     for (std::size_t i = 1; i < members.size(); ++i) {
-      core_.pstore<u8>(
-          map.mpb_base(members[i]) + domain_.barrier_release_off(), sense,
-          scc::MemPolicy::kUncached);
+      core_.pstore<u8>(map.mpb_base(members[i]) + mpb.barrier_release,
+                       sense, scc::MemPolicy::kUncached);
     }
   } else {
-    core_.pstore<u8>(map.mpb_base(master_core) +
-                         domain_.barrier_arrive_off() +
+    core_.pstore<u8>(map.mpb_base(master_core) + mpb.barrier_arrive +
                          static_cast<u32>(core_.id()),
                      sense, scc::MemPolicy::kUncached);
-    const u64 flag =
-        map.mpb_base(core_.id()) + domain_.barrier_release_off();
+    const u64 flag = map.mpb_base(core_.id()) + mpb.barrier_release;
     opts.site = "svm.barrier_release";
     opts.site_arg = static_cast<u64>(master_core);
     kernel::spin_wait(core_, scc::WatchedWord::mpb_byte(flag, sense), opts);
@@ -132,28 +129,28 @@ void Svm::barrier_dissemination() {
   // The algorithm is exact for any n (power of two or not): ceil(log2 n)
   // rounds of signal/wait at distances 1, 2, 4, ... — but each round
   // needs its own flag byte, and the MPB layout reserves exactly
-  // barrier_diss_rounds() per parity. Fail loudly rather than silently
+  // diss_rounds per parity. Fail loudly rather than silently
   // corrupting a neighbouring flag if a domain ever exceeds 2^rounds
   // members.
+  const scc::AddrMap& map = core_.chip().map();
+  const scc::MpbLayout& mpb = map.layout();
   u32 rounds = 0;
   while ((1 << rounds) < n) ++rounds;
-  if (rounds > domain_.barrier_diss_rounds()) {
+  if (rounds > mpb.diss_rounds) {
     panic("dissemination barrier: domain has more members than the MPB "
-          "flag layout supports (barrier_diss_rounds() rounds)");
+          "flag layout supports (diss_rounds rounds)");
   }
   const u64 seq = diss_seq_++;
   const u32 parity = static_cast<u32>(seq % 2);
   const u8 sense = static_cast<u8>((seq / 2) % 2 + 1);
-  const scc::AddrMap& map = core_.chip().map();
   int distance = 1;
   for (u32 round = 0; distance < n; ++round, distance *= 2) {
     const int to =
         members[static_cast<std::size_t>((rank_ + distance) % n)];
-    core_.pstore<u8>(map.mpb_base(to) + domain_.barrier_diss_off() +
-                         parity * domain_.barrier_diss_rounds() + round,
-                     sense, scc::MemPolicy::kUncached);
-    const u64 own = map.mpb_base(core_.id()) + domain_.barrier_diss_off() +
-                    parity * domain_.barrier_diss_rounds() + round;
+    const u32 flag = mpb.barrier_diss + parity * mpb.diss_rounds + round;
+    core_.pstore<u8>(map.mpb_base(to) + flag, sense,
+                     scc::MemPolicy::kUncached);
+    const u64 own = map.mpb_base(core_.id()) + flag;
     // Rounds are short (one flag write away); a large backoff cap would
     // compound oversleeps across the log2(n) rounds.
     kernel::SpinWaitOpts opts;
@@ -181,7 +178,6 @@ void Svm::protect_readonly(u64 vaddr, u64 bytes) {
     core_.pagetable().update(vaddr + off, [](scc::Pte& p) {
       p.writable = false;
       p.mpbt = false;
-      p.l2_enable = true;
     });
     core_.compute_cycles(40);
   }

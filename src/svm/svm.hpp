@@ -200,29 +200,6 @@ class SvmDomain {
   /// TAS register for application-level SVM locks.
   int app_lock_reg(int lock_id) const;
 
-  /// The runtime MPB layout this domain's barrier flags and scratchpad
-  /// entries live in (derived from the chip topology; equal to the
-  /// historical constants on the 48-core SCC).
-  const mbox::Layout& layout() const { return layout_; }
-
-  /// Offsets of the SVM barrier flags within the scratchpad MPB carve.
-  /// At 48 cores these are the historical 1536 / 1584 / 1585 / 1600.
-  u32 barrier_arrive_off() const { return layout_.scratchpad_offset; }
-  u32 barrier_release_off() const {
-    return layout_.scratchpad_offset + static_cast<u32>(layout_.max_cores);
-  }
-  /// Dissemination flags: two parity sets of barrier_diss_rounds() rounds
-  /// each. The round count bounds the member count to 2^rounds;
-  /// Svm::barrier_dissemination() checks this instead of silently letting
-  /// round offsets spill into the scratchpad entries.
-  u32 barrier_diss_rounds() const {
-    return static_cast<u32>(layout_.diss_rounds);
-  }
-  u32 barrier_diss_off() const { return barrier_release_off() + 1; }
-  u32 entries_off() const {
-    return layout_.scratchpad_offset + layout_.barrier_header_bytes;
-  }
-
   /// Read-replication directory encoding: 0 = the historical single-word
   /// entry (sharer bits below the state bit, chips up to 63 cores);
   /// otherwise the number of 64-bit sharer words in a wide entry, which
@@ -254,7 +231,6 @@ class SvmDomain {
   SvmConfig cfg_;
   std::vector<int> members_;
 
-  mbox::Layout layout_;      // runtime MPB layout for the chip topology
   int dir_words_ = 0;        // wide-directory sharer words (0 = legacy)
   u64 mc_area_bytes_ = 64;   // per-MC frame counters (64 on the SCC)
   u64 meta_base_ = 0;        // shared-DRAM offset of the metadata area

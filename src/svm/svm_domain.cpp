@@ -30,8 +30,6 @@ SvmDomain::SvmDomain(scc::Chip& chip, SvmConfig cfg,
     : chip_(chip),
       cfg_(cfg),
       members_(std::move(members)),
-      layout_(mbox::Layout::make(chip.topology().max_cores(),
-                                 chip.map().mpb_size())),
       next_alloc_seq_(members_.size(), 0) {
   assert(num_slots >= 1 && slot >= 0 && slot < num_slots);
   const scc::Topology& topo = chip_.topology();
@@ -46,8 +44,8 @@ SvmDomain::SvmDomain(scc::Chip& chip, SvmConfig cfg,
   const scc::ChipConfig& ccfg = chip_.config();
   const u64 page = scc::kPageBytes;
 
-  entries_per_mpb_ =
-      (layout_.scratchpad_bytes - layout_.barrier_header_bytes) / 2;
+  const scc::MpbLayout& mpb = chip_.map().layout();
+  entries_per_mpb_ = (mpb.rcce_comm - mpb.entries) / 2;
   page_capacity_total_ =
       static_cast<u64>(ccfg.num_cores) * entries_per_mpb_;
   // Wide chips: the scratchpad-addressable capacity grows with the core
@@ -137,7 +135,7 @@ u64 SvmDomain::scratchpad_entry_paddr(u64 page_idx) const {
   }
   const int core = static_cast<int>(page_idx / entries_per_mpb_);
   const u32 off = static_cast<u32>(page_idx % entries_per_mpb_) * 2;
-  return chip_.map().mpb_base(core) + entries_off() + off;
+  return chip_.map().mpb_base(core) + chip_.map().layout().entries + off;
 }
 
 u64 SvmDomain::sharer_entry_paddr(u64 page_idx) const {

@@ -432,7 +432,6 @@ void SvmRuntime::install_mapping(u64 page_vaddr, u16 frame_no,
   pte.present = true;
   pte.writable = writable;
   pte.mpbt = true;  // SVM pages are MPBT-typed: L1 WT + WCB, no L2
-  pte.l2_enable = false;
   core_.pagetable().map(page_vaddr, pte);
   core_.compute_cycles(80);
   if (integrity_ && writable) {
@@ -450,7 +449,6 @@ void SvmRuntime::map_readonly(u64 page_vaddr, u16 frame_no) {
   pte.present = true;
   pte.writable = false;
   pte.mpbt = false;  // read-only regions may use the L2 (Section 6.4)
-  pte.l2_enable = true;
   core_.pagetable().map(page_vaddr, pte);
   core_.compute_cycles(80);
 }
@@ -569,62 +567,61 @@ proto::Msg SvmRuntime::wait_match(proto::MsgType type, u64 page) {
   sim::BlockScope scope(core_.chip().scheduler().current(),
                         "svm.wait_match", static_cast<u64>(mail_type),
                         page);
+  // Every protocol wait follows the send or multicast that set a
+  // matching pending_. Only an ACK echoing that request's sequence number
+  // counts, so stray ACKs from abandoned earlier rounds rot in the inbox
+  // instead of satisfying this wait. On timeout, retransmit idempotently
+  // with exponential backoff.
+  if (!pending_ || pending_->ack_type != mail_type || pending_->page != page) {
+    char msg[96];
+    std::snprintf(msg, sizeof(msg),
+                  "wait_match type %u page %llu without a matching request",
+                  static_cast<unsigned>(mail_type),
+                  static_cast<unsigned long long>(page));
+    panic(msg);
+  }
   mbox::Mail mail;
-  const bool bounded = pending_ && pending_->ack_type == mail_type &&
-                       pending_->page == page;
-  if (!bounded) {
-    // No matching in-flight request of our own (e.g. harness-driven or
-    // legacy paths): the historical unbounded wait.
-    mail = mbox_.recv_match([mail_type, page](const mbox::Mail& m) {
-      return m.type == mail_type && m.p0 == page;
-    });
-  } else {
-    // Bounded wait: only an ACK echoing our request's sequence number
-    // counts, so stray ACKs from abandoned earlier rounds rot in the
-    // inbox instead of satisfying this wait. On timeout, retransmit
-    // idempotently with exponential backoff.
-    const u16 seq = pending_->seq;
-    const auto pred = [mail_type, page, seq](const mbox::Mail& m) {
-      return m.type == mail_type && m.p0 == page && m.arg16 == seq;
-    };
-    const TimePs plan_retry = core_.chip().faults().plan().retry_ps;
-    const TimePs base = plan_retry > 0 ? plan_retry : kRetryBasePs;
-    const TimePs cap = plan_retry > 0 ? plan_retry * 8 : kRetryCapPs;
-    TimePs timeout = base;
-    const TimePs t0 = core_.now();
-    for (;;) {
-      const auto m = mbox_.recv_match_until(pred, core_.now() + timeout);
-      if (m) {
-        mail = *m;
+  const u16 seq = pending_->seq;
+  const auto pred = [mail_type, page, seq](const mbox::Mail& m) {
+    return m.type == mail_type && m.p0 == page && m.arg16 == seq;
+  };
+  const TimePs plan_retry = core_.chip().faults().plan().retry_ps;
+  const TimePs base = plan_retry > 0 ? plan_retry : kRetryBasePs;
+  const TimePs cap = plan_retry > 0 ? plan_retry * 8 : kRetryCapPs;
+  TimePs timeout = base;
+  const TimePs t0 = core_.now();
+  for (;;) {
+    const auto m = mbox_.recv_match_until(pred, core_.now() + timeout);
+    if (m) {
+      mail = *m;
+      break;
+    }
+    if (core_.chip().watchdog().check(core_.now(), t0, "svm.wait_match",
+                                      core_.id())) {
+      core_.chip().scheduler().block();  // parked until teardown
+    }
+    // Failure detection: an ACK that will never come because the peer
+    // fail-stopped. Repair the page (we hold its transfer lock) and
+    // satisfy the wait with a synthesized ACK — the acquire loops all
+    // re-verify owner/directory state after wait_match returns, so a
+    // synthesized ACK is no stronger a claim than a real one.
+    if (core_.chip().dead_count() > 0 && core_.chip().lease_enabled()) {
+      const std::optional<mbox::Mail> synth = try_dead_peer_recovery();
+      if (synth) {
+        mail = *synth;
         break;
       }
-      if (core_.chip().watchdog().check(core_.now(), t0, "svm.wait_match",
-                                        core_.id())) {
-        core_.chip().scheduler().block();  // parked until teardown
-      }
-      // Failure detection: an ACK that will never come because the peer
-      // fail-stopped. Repair the page (we hold its transfer lock) and
-      // satisfy the wait with a synthesized ACK — the acquire loops all
-      // re-verify owner/directory state after wait_match returns, so a
-      // synthesized ACK is no stronger a claim than a real one.
-      if (core_.chip().dead_count() > 0 && core_.chip().lease_enabled()) {
-        const std::optional<mbox::Mail> synth = try_dead_peer_recovery();
-        if (synth) {
-          mail = *synth;
-          break;
-        }
-      }
-      retransmit_pending();
-      timeout = std::min<TimePs>(timeout * 2, cap);
     }
-    if (mail_type == kMailInvalAck) {
-      // Multicast wait: retire this responder; keep the entry while
-      // other sharers still owe their ACK.
-      if (mail.sender >= 0) pending_->awaiting.clear(mail.sender);
-      if (pending_->awaiting.none()) pending_.reset();
-    } else {
-      pending_.reset();
-    }
+    retransmit_pending();
+    timeout = std::min<TimePs>(timeout * 2, cap);
+  }
+  if (mail_type == kMailInvalAck) {
+    // Multicast wait: retire this responder; keep the entry while
+    // other sharers still owe their ACK.
+    if (mail.sender >= 0) pending_->awaiting.clear(mail.sender);
+    if (pending_->awaiting.none()) pending_.reset();
+  } else {
+    pending_.reset();
   }
   const proto::Msg msg{type, mail.p0, static_cast<int>(mail.p1)};
   trace(proto::TraceEvent{proto::TraceKind::kMsgRecv, msg.page,

@@ -31,7 +31,7 @@ KillMosaicResult run_kill_mosaic(const KillMosaicParams& p,
   svm::ShadowDirectory shadow(scfg);
 
   cluster::ClusterConfig cfg;
-  scc::configure_cores(cfg.chip, num_cores);  // grows the grid past 48
+  cfg.chip.num_cores = num_cores;  // grows the grid past 48
   cfg.chip.shared_dram_bytes = 32 << 20;
   cfg.chip.private_dram_bytes = 1 << 20;
   cfg.svm.model = model;

@@ -60,9 +60,9 @@ LaplaceResult run_laplace_svm(const LaplaceParams& p, svm::Model model,
   // The full die is always simulated — the first-touch scratchpad is
   // distributed over every MPB on the chip — while only `num_cores`
   // members run the program, exactly like using part of a real SCC.
-  // Past 48 members the chip grid grows to fit (configure_cores), and at
+  // Past 48 members the chip grid grows to fit (scc::Topology), and at
   // 48 or fewer it stays the exact default SCC die.
-  scc::configure_cores(cfg.chip, std::max(num_cores, 48));
+  cfg.chip.num_cores = std::max(num_cores, 48);
   cfg.chip.core_mhz = p.core_mhz;
   for (int c = 0; c < num_cores; ++c) cfg.members.push_back(c);
   const u64 grid_bytes = static_cast<u64>(p.ny) * p.nx * 8;

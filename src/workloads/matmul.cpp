@@ -29,8 +29,8 @@ double matmul_reference_checksum(const MatmulParams& p) {
 MatmulResult run_matmul(const MatmulParams& p, svm::Model model,
                         int num_cores) {
   cluster::ClusterConfig cfg;
-  // Sizes the chip grid to the member count (a no-op below 48 cores).
-  scc::configure_cores(cfg.chip, num_cores);
+  // The chip grid follows the member count (the SCC die up to 48 cores).
+  cfg.chip.num_cores = num_cores;
   const u64 mat_bytes = static_cast<u64>(p.n) * p.n * 8;
   // As in laplace: 64 KiB of shared DRAM per core past the 48-core die
   // keeps the per-MC frame pools ahead of the allocation batches.

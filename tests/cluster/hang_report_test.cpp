@@ -17,7 +17,7 @@ namespace {
 // each now checks that the one-heap scheduler prints no lane table.
 TEST(HangReport, MultiLaneDeadlockNamesWaitSitesAndLanes) {
   ClusterConfig cfg;
-  scc::configure_cores(cfg.chip, 96);
+  cfg.chip.num_cores = 96;
   cfg.chip.shared_dram_bytes = 32 << 20;
   cfg.chip.private_dram_bytes = 1 << 20;
   // Short virtual-time watchdog so the deadlock is detected quickly.

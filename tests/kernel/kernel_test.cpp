@@ -31,7 +31,6 @@ TEST(Kernel, BootMapsPrivateMemory) {
     EXPECT_TRUE(pte->present);
     EXPECT_TRUE(pte->writable);
     EXPECT_FALSE(pte->mpbt);
-    EXPECT_TRUE(pte->l2_enable);
     const u64 last =
         scc::kPrivVBase + chip.config().private_dram_bytes - 1;
     EXPECT_NE(c.pagetable().find(last), nullptr);

@@ -100,7 +100,7 @@ scc::ChipConfig config_for(int cores) {
   scc::ChipConfig cfg;
   cfg.shared_dram_bytes = 4 << 20;
   cfg.private_dram_bytes = 1 << 20;
-  scc::configure_cores(cfg, cores);
+  cfg.num_cores = cores;
   return cfg;
 }
 

@@ -23,13 +23,12 @@ ChipConfig small_config(int cores = 2) {
 
 /// Maps one page at `vaddr` on `core` with the given attributes.
 void map_page(Core& core, u64 vaddr, u64 frame_paddr, bool writable,
-              bool mpbt, bool l2 = false) {
+              bool mpbt) {
   Pte pte;
   pte.frame_paddr = frame_paddr;
   pte.present = true;
   pte.writable = writable;
   pte.mpbt = mpbt;
-  pte.l2_enable = l2;
   core.pagetable().map(vaddr, pte);
 }
 

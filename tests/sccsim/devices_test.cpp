@@ -92,7 +92,8 @@ TEST(Memory, MpbRegionsAreDisjointPerCore) {
 
 TEST(Memory, ThousandCoreRegionsStartZeroAndRoundTripAtBothEnds) {
   ChipConfig cfg;
-  configure_cores(cfg, 1024);
+  cfg.num_cores = 1024;
+  cfg.private_dram_bytes = 4 << 20;  // 1024 of them fill the 4 GiB window
   Memory mem(cfg);
   const int last = cfg.num_cores - 1;
   struct Region {

@@ -1,9 +1,11 @@
 // Topology tests: core/tile mapping, hop distances, memory-controller and
-// system-interface placement — on the default SCC die, on non-SCC single
-// chips, and on multi-chip super-meshes.
+// system-interface placement — on the default SCC die and on multi-chip
+// super-meshes — plus the address map and its MPB carve.
 #include "sccsim/mesh.hpp"
 
 #include <gtest/gtest.h>
+
+#include <utility>
 
 #include "sccsim/addrmap.hpp"
 #include "sccsim/config.hpp"
@@ -80,36 +82,10 @@ TEST(Topology, CornersMapToTheirOwnMc) {
   EXPECT_EQ(scc().nearest_mc(34), 3);   // core 34 -> tile 17 = (5,2)
 }
 
-// ---- non-SCC single-chip shapes -------------------------------------------
-
-TEST(Topology, NonSccShapeGeometry) {
-  TopologySpec spec;
-  spec.tile_cols = 8;
-  spec.tile_rows = 8;
-  spec.cores_per_tile = 4;
-  const Topology t(spec);
-  EXPECT_EQ(t.max_cores(), 256);
-  EXPECT_EQ(t.num_mem_controllers(), 4);
-  EXPECT_EQ(t.tile_of_core(0), 0);
-  EXPECT_EQ(t.tile_of_core(3), 0);
-  EXPECT_EQ(t.tile_of_core(4), 1);
-  EXPECT_EQ(t.tile_of_core(255), 63);
-  EXPECT_EQ(t.coord_of_tile(63), (TileCoord{7, 7}));
-  // Opposite corners of an 8x8 mesh.
-  EXPECT_EQ(t.hops_between_cores(0, 255), 14);
-  // MCs at local (0,0), (7,0), (0,4), (7,4).
-  EXPECT_EQ(t.mem_controller_coord(0), (TileCoord{0, 0}));
-  EXPECT_EQ(t.mem_controller_coord(1), (TileCoord{7, 0}));
-  EXPECT_EQ(t.mem_controller_coord(2), (TileCoord{0, 4}));
-  EXPECT_EQ(t.mem_controller_coord(3), (TileCoord{7, 4}));
-}
-
 // ---- multi-chip super-meshes ----------------------------------------------
 
 TEST(Topology, TwoChipGridGeometry) {
-  TopologySpec spec;  // two SCC dies side by side
-  spec.chips_x = 2;
-  const Topology t(spec);
+  const Topology t(96);  // two SCC dies side by side
   EXPECT_EQ(t.cols(), 12);
   EXPECT_EQ(t.rows(), 4);
   EXPECT_EQ(t.max_cores(), 96);
@@ -128,54 +104,54 @@ TEST(Topology, TwoChipGridGeometry) {
 }
 
 TEST(Topology, InterchipHopPenalty) {
-  TopologySpec spec;
-  spec.chips_x = 2;
-  spec.interchip_hop_cost = 4;
-  const Topology t(spec);
+  const Topology t(96);
   // Tiles (5,0) and (6,0) are mesh neighbours but sit on different
   // chips: 1 Manhattan hop + the 4-hop boundary penalty.
   EXPECT_EQ(t.hops({5, 0}, {6, 0}), 5);
-  // Same pair with the penalty disabled degenerates to plain Manhattan.
-  spec.interchip_hop_cost = 0;
-  const Topology flat(spec);
-  EXPECT_EQ(flat.hops({5, 0}, {6, 0}), 1);
   // Intra-chip distances never pay the penalty.
   EXPECT_EQ(t.hops({0, 0}, {5, 3}), 8);
 }
 
 TEST(Topology, ForCoresGrowsNearSquareGrids) {
-  EXPECT_EQ(TopologySpec::for_cores(48), TopologySpec{});
-  const TopologySpec two = TopologySpec::for_cores(96);
-  EXPECT_EQ(two.chips_x * two.chips_y, 2);
-  const TopologySpec big = TopologySpec::for_cores(1024);
-  EXPECT_GE(big.chips_x * big.chips_y * 48, 1024);
-  const Topology t(big);
-  EXPECT_GE(t.max_cores(), 1024);
+  const Topology one(48);
+  EXPECT_EQ(one.num_chips(), 1);
+  EXPECT_EQ(one.cols(), scc().cols());
+  EXPECT_EQ(one.rows(), scc().rows());
+  EXPECT_EQ(Topology(96).num_chips(), 2);
+  const Topology big(1024);
+  EXPECT_GE(big.num_chips() * 48, 1024);
+  EXPECT_GE(big.max_cores(), 1024);
   // Near-square: neither dimension more than twice the other.
-  EXPECT_LE(big.chips_y, 2 * big.chips_x);
-  EXPECT_LE(big.chips_x, 2 * big.chips_y);
+  const int chips_x = big.cols() / scc().cols();
+  const int chips_y = big.rows() / scc().rows();
+  EXPECT_LE(chips_y, 2 * chips_x);
+  EXPECT_LE(chips_x, 2 * chips_y);
 }
 
 TEST(Topology, ValidateConfigCatchesBadCounts) {
   ChipConfig cfg;
   EXPECT_EQ(validate_config(cfg), "");
-  cfg.num_cores = 96;  // exceeds the default single die
+  cfg.num_cores = 0;
   EXPECT_NE(validate_config(cfg), "");
-  configure_cores(cfg, 96);
+  cfg.num_cores = 96;
   EXPECT_EQ(validate_config(cfg), "");
-  configure_cores(cfg, 1024);
+  cfg.num_cores = 1024;  // 1024 x 8 MiB overflows the private window
+  EXPECT_NE(validate_config(cfg), "");
+  cfg.private_dram_bytes = 4 << 20;
   EXPECT_EQ(validate_config(cfg), "");
   cfg.num_cores = 2000;
   EXPECT_NE(validate_config(cfg), "");
 }
 
 TEST(Topology, ConfigureCoresKeepsSccDefaultsBelow48) {
-  ChipConfig cfg;
-  const ChipConfig before = cfg;
-  configure_cores(cfg, 48);
-  EXPECT_EQ(cfg.num_cores, before.num_cores);
-  EXPECT_EQ(cfg.topology, before.topology);
-  EXPECT_EQ(AddrMap(cfg).mpb_size(), 8192u);
+  for (const int cores : {1, 8, 48}) {
+    ChipConfig cfg;
+    cfg.num_cores = cores;
+    const AddrMap map(cfg);
+    EXPECT_EQ(map.topology().max_cores(), 48);
+    EXPECT_EQ(map.topology().num_chips(), 1);
+    EXPECT_EQ(map.mpb_size(), 8192u);
+  }
 }
 
 // ---- AddrMap over the runtime topology ------------------------------------
@@ -239,7 +215,7 @@ TEST(AddrMap, SharedRangeOfMcRoundTrips) {
 
 TEST(AddrMap, MultiChipSharedDramStripesOverAllMcs) {
   ChipConfig cfg;
-  configure_cores(cfg, 192);  // 4 chips, 16 MCs
+  cfg.num_cores = 192;  // 4 chips, 16 MCs
   AddrMap map(cfg);
   const int nmc = map.topology().num_mem_controllers();
   EXPECT_EQ(nmc, 16);
@@ -252,6 +228,60 @@ TEST(AddrMap, MultiChipSharedDramStripesOverAllMcs) {
   const PhysTarget t = map.decode(map.tas_addr(191));
   EXPECT_EQ(t.kind, MemKind::kTas);
   EXPECT_EQ(t.owner, 191);
+}
+
+// ---- the one MPB carve -----------------------------------------------------
+
+TEST(AddrMap, MpbCarveAt48CoresKeepsTheSccOffsets) {
+  ChipConfig cfg;
+  const AddrMap map(cfg);
+  const MpbLayout& l = map.layout();
+  EXPECT_EQ(l.mail_slot(0), 0u);
+  EXPECT_EQ(l.mail_slot(47) + kMailBytes, 1536u);
+  EXPECT_EQ(l.barrier_arrive, 1536u);
+  EXPECT_EQ(l.barrier_release, 1584u);
+  EXPECT_EQ(l.barrier_diss, 1585u);
+  EXPECT_EQ(l.diss_rounds, 6u);
+  EXPECT_EQ(l.entries, 1600u);
+  EXPECT_EQ(l.rcce_comm, 3584u);
+  EXPECT_EQ(l.rcce_sent, 7680u);
+  EXPECT_EQ(l.rcce_ack, 7728u);
+  EXPECT_EQ(l.rcce_arrive, 7776u);
+  EXPECT_EQ(l.rcce_release, 7824u);
+  EXPECT_EQ(map.mpb_size(), 8192u);
+}
+
+TEST(AddrMap, WideDieCarveIsOrderedDisjointAndFits) {
+  for (const int cores : {96, 256, 1024}) {
+    SCOPED_TRACE(cores);
+    ChipConfig cfg;
+    cfg.num_cores = cores;
+    const AddrMap map(cfg);
+    const MpbLayout& l = map.layout();
+    const u32 n = static_cast<u32>(map.topology().max_cores());
+    // Each region as [begin, end), in carve order.
+    const std::pair<u32, u32> regions[] = {
+        {l.mail_slot(0), l.mail_slot(static_cast<int>(n) - 1) + kMailBytes},
+        {l.barrier_arrive, l.barrier_arrive + n},
+        {l.barrier_release, l.barrier_release + 1},
+        {l.barrier_diss, l.barrier_diss + 2 * l.diss_rounds},
+        {l.entries, l.rcce_comm},
+        {l.rcce_comm, l.rcce_comm + MpbLayout::kRcceCommBytes},
+        {l.rcce_sent, l.rcce_sent + n},
+        {l.rcce_ack, l.rcce_ack + n},
+        {l.rcce_arrive, l.rcce_arrive + n},
+        {l.rcce_release, l.rcce_release + 1},
+    };
+    u32 end = 0;
+    for (const auto& [begin, stop] : regions) {
+      EXPECT_LE(end, begin);
+      EXPECT_LT(begin, stop);
+      end = stop;
+    }
+    EXPECT_LE(end, map.mpb_size());
+    // Enough dissemination rounds for every core of the die.
+    EXPECT_GE(1u << l.diss_rounds, n);
+  }
 }
 
 }  // namespace
