@@ -15,7 +15,7 @@
 //            mail, page frames and SVM metadata (detect-or-die). Every
 //            flip must reconcile against the detection ledger:
 //              mail_flips == mail_corrupt_drops                  (exact)
-//              seal_repairs+seal_refetches+pages_poisoned <= page_flips
+//              pages_poisoned <= page_flips
 //              meta_corrections <= meta_flips
 //            (a flipped frame or word nobody reloads stays latent, but
 //            can never be *read* undetected). A hang fails the campaign.
@@ -40,6 +40,7 @@
 #include <cstdio>
 #include <map>
 #include <optional>
+#include <set>
 #include <span>
 #include <string>
 #include <string_view>
@@ -282,6 +283,18 @@ Outcome mosaic_outcome(const workloads::KillMosaicResult& r,
   return o;
 }
 
+/// When ranks were lost: how many distinct pages the typed losses came
+/// from, and the first loss as core/page. Empty on a run with no loss.
+std::string loss_fields(const workloads::KillMosaicResult& r) {
+  if (r.failures.empty()) return "";
+  std::set<u64> pages;
+  for (const auto& f : r.failures) pages.insert(f.page);
+  const auto& first = r.failures.front();
+  return " " + fields("loss_pages", pages.size()) + " first_loss=core" +
+         std::to_string(first.core_id) + "/page" +
+         std::to_string(first.page);
+}
+
 Verdict kill_run(const Run& run, Ledger& ledger) {
   const workloads::KillMosaicResult r = run_mosaic(run);
   ledger["recoveries"] += r.recoveries;
@@ -289,23 +302,22 @@ Verdict kill_run(const Run& run, Ledger& ledger) {
           fields("verified", r.ranks_verified, "lost", r.ranks_lost,
                  "recoveries", r.recoveries, "rehomed", r.pages_rehomed,
                  "refetched", r.pages_refetched, "poisoned", r.pages_lost,
-                 "locks_broken", r.locks_broken)};
+                 "locks_broken", r.locks_broken) +
+              loss_fields(r)};
 }
 
 Verdict flip_run(const Run& run, Ledger& ledger) {
   const workloads::KillMosaicResult r = run_mosaic(run);
   Outcome o = mosaic_outcome(r, ledger);
-  const u64 page_accounted =
-      r.seal_repairs + r.seal_refetches + r.pages_poisoned;
   if (r.mail_flips != r.mail_corrupt_drops ||
-      page_accounted > r.page_flips || r.meta_corrections > r.meta_flips) {
+      r.pages_poisoned > r.page_flips || r.meta_corrections > r.meta_flips) {
     std::fprintf(stderr,
                  "  LEDGER: mail %llu/%llu drops, page %llu flips / %llu "
-                 "accounted, meta %llu flips / %llu corrections\n",
+                 "poisoned, meta %llu flips / %llu corrections\n",
                  static_cast<ull>(r.mail_flips),
                  static_cast<ull>(r.mail_corrupt_drops),
                  static_cast<ull>(r.page_flips),
-                 static_cast<ull>(page_accounted),
+                 static_cast<ull>(r.pages_poisoned),
                  static_cast<ull>(r.meta_flips),
                  static_cast<ull>(r.meta_corrections));
     ++ledger["ledger_violations"];
@@ -315,8 +327,6 @@ Verdict flip_run(const Run& run, Ledger& ledger) {
   ledger["mail_flips"] += r.mail_flips;
   ledger["mail_drops"] += r.mail_corrupt_drops;
   ledger["page_flips"] += r.page_flips;
-  ledger["page_repairs"] += r.seal_repairs;
-  ledger["page_refetches"] += r.seal_refetches;
   ledger["pages_poisoned"] += r.pages_poisoned;
   ledger["meta_flips"] += r.meta_flips;
   ledger["meta_corrections"] += r.meta_corrections;
@@ -324,9 +334,8 @@ Verdict flip_run(const Run& run, Ledger& ledger) {
                     "corrupt", r.ranks_corrupt, "mail_flips", r.mail_flips,
                     "page_flips", r.page_flips, "meta_flips", r.meta_flips,
                     "drops", r.mail_corrupt_drops, "sealed", r.pages_sealed,
-                    "repaired", r.seal_repairs, "refetched",
-                    r.seal_refetches, "poisoned", r.pages_poisoned, "ecc",
-                    r.meta_corrections)};
+                    "poisoned", r.pages_poisoned, "ecc", r.meta_corrections) +
+                 loss_fields(r)};
 }
 
 /// Every reply is verified against the self-verifying value scheme, so
@@ -382,10 +391,9 @@ struct Campaign {
 
 constexpr const char* kKillSeries[] = {"recoveries", "audit_violations"};
 constexpr const char* kFlipSeries[] = {
-    "verified_ranks", "mail_flips",       "mail_drops",
-    "page_flips",     "page_repairs",     "page_refetches",
-    "pages_poisoned", "meta_flips",       "meta_corrections",
-    "audit_violations", "ledger_violations"};
+    "verified_ranks",   "mail_flips",      "mail_drops",
+    "page_flips",       "pages_poisoned",  "meta_flips",
+    "meta_corrections", "audit_violations", "ledger_violations"};
 constexpr const char* kKvSeries[] = {"completed", "shed"};
 
 constexpr Campaign kCampaigns[] = {
@@ -401,8 +409,7 @@ constexpr Campaign kCampaigns[] = {
      "clean_hangs", kKillSeries},
     {"flip", "corruption",
      "corruption campaign: bit flips in mail, frames and metadata",
-     "contract: detect-or-die — flips repaired, dropped or typed, never "
-     "read",
+     "contract: detect-or-die — flips dropped or typed, never read",
      126, kFlipCombos, false, flip_plan, flip_run, false, "typed_loss",
      "hangs", kFlipSeries},
     {"kv-kill", "kv_kill",

@@ -70,27 +70,10 @@ enum class EventKind : u8 {
   // sealed pages turning corruption into detection-and-recovery.
   kMailCorruptDrop,  // a: sender core, b: packed mail, c: computed crc
   kPageSeal,         // a: page, b: seal generation, c: crc32c
-  kPageCorrupt,      // a: page, b: seal generation, c: IntegrityAction
+  kPageCorrupt,      // a: page, b: seal generation; the page is poisoned
   kMetaCorrupt,      // a: page, b: MetaKind, c: corrected value
   kScrubPass,        // a: pages walked, b: corruptions found
 };
-
-/// What became of a page whose seal failed verification (payload `c`
-/// of kPageCorrupt).
-enum class IntegrityAction : u8 {
-  kRepaired = 0,   // rebuilt from a clean cached copy, seal re-verified
-  kRefetched = 1,  // re-read from the owner's clean copy
-  kPoisoned = 2,   // no clean copy anywhere: page poisoned, access throws
-};
-
-inline const char* to_string(IntegrityAction a) {
-  switch (a) {
-    case IntegrityAction::kRepaired: return "repaired";
-    case IntegrityAction::kRefetched: return "refetched";
-    case IntegrityAction::kPoisoned: return "poisoned";
-  }
-  return "?";
-}
 
 /// What the chaos layer injected (payload `a` of kFaultInject).
 enum class InjectKind : u8 {

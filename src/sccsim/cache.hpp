@@ -126,12 +126,6 @@ class Cache {
     return n;
   }
 
-  /// Test hook: directly inspect a cached line's bytes (nullptr if absent).
-  const u8* peek_line(u64 paddr) const {
-    const Line* line = find(paddr);
-    return line ? line_data(line) : nullptr;
-  }
-
  private:
   // Line header. Its payload is the line's slice of the flat slab data_,
   // found from the header's index: the header is padded to 32 bytes, so

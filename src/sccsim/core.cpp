@@ -170,24 +170,28 @@ MemPolicy Core::policy_of(const Pte& pte) {
   return pte.mpbt ? MemPolicy::kMpbt : MemPolicy::kCachedWT;
 }
 
+void Core::tlb_fill(u64 vpage, const Pte& pte) {
+  if (tlb_epoch_ != pagetable_.epoch()) {
+    for (auto& e : tlb_) e.vpage = ~u64{0};
+    tlb_epoch_ = pagetable_.epoch();
+  }
+  TlbEntry& slot = tlb_[vpage % kTlbEntries];
+  slot.vpage = vpage;
+  slot.pte = pte;
+}
+
 // Returns WITH interrupts masked: the caller commits the access and then
 // unmasks. This makes the translation+commit pair atomic against served
 // ownership transfers (which may unmap the page) — the same guarantee a
 // real instruction has.
 Core::Translation Core::translate(u64 vaddr, bool is_write) {
   irq_disable();
-  // Host-side translation cache, invalidated on page-table epoch change.
-  if (tlb_epoch_ != pagetable_.epoch()) {
-    for (auto& e : tlb_) e.vpage = ~u64{0};
-    tlb_epoch_ = pagetable_.epoch();
-  }
   const u64 vpage = pagetable_.vpage_of(vaddr);
-  TlbEntry& slot = tlb_[vpage % kTlbEntries];
-  if (slot.vpage == vpage && slot.pte.present &&
-      (!is_write || slot.pte.writable)) {
+  const Pte* hit = tlb_probe(vpage);
+  if (hit != nullptr && (!is_write || hit->writable)) {
     ++counters_.tlb_hits;
-    return {slot.pte.frame_paddr + pagetable_.page_offset(vaddr),
-            policy_of(slot.pte)};
+    return {hit->frame_paddr + pagetable_.page_offset(vaddr),
+            policy_of(*hit)};
   }
   // TLB miss: the hardware walks the page table (the walk itself is
   // charged; the entries are private-memory resident).
@@ -198,14 +202,7 @@ Core::Translation Core::translate(u64 vaddr, bool is_write) {
   for (;;) {
     const Pte* pte = pagetable_.find(vaddr);
     if (pte != nullptr && pte->present && (!is_write || pte->writable)) {
-      // Re-sync the TLB slot (the epoch may have moved inside a handler).
-      if (tlb_epoch_ != pagetable_.epoch()) {
-        for (auto& e : tlb_) e.vpage = ~u64{0};
-        tlb_epoch_ = pagetable_.epoch();
-      }
-      TlbEntry& fresh = tlb_[vpage % kTlbEntries];
-      fresh.vpage = vpage;
-      fresh.pte = *pte;
+      tlb_fill(vpage, *pte);
       return {pte->frame_paddr + pagetable_.page_offset(vaddr),
               policy_of(*pte)};
     }

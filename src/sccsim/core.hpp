@@ -260,14 +260,12 @@ class Core {
     constexpr u32 size = sizeof(T);
     const u32 off = static_cast<u32>(vaddr & kLineOffMask);
     if (off + size > kLineOffMask + 1) return false;  // straddles a line
-    if (tlb_epoch_ != pagetable_.epoch()) return false;
-    const u64 vpage = vaddr >> kPageShift;
-    const TlbEntry& slot = tlb_[vpage % kTlbEntries];
-    if (slot.vpage != vpage || !slot.pte.present) return false;
-    const u64 paddr = slot.pte.frame_paddr + (vaddr & kPageOffMask);
+    const Pte* pte = tlb_probe(vaddr >> kPageShift);
+    if (pte == nullptr) return false;
+    const u64 paddr = pte->frame_paddr + (vaddr & kPageOffMask);
     // Buffered stores must be observed; any WCB overlap is slow-path work
     // (forward or drain). Only MPBT loads consult the WCB.
-    if (slot.pte.mpbt && wcb_.overlaps(paddr, size)) return false;
+    if (pte->mpbt && wcb_.overlaps(paddr, size)) return false;
     if (actor_->clock() + lat_l1_hit_ps_ >= next_boundary_) return false;
     const u8* bytes = l1_.hit_bytes(paddr);
     if (bytes == nullptr) return false;
@@ -286,16 +284,12 @@ class Core {
     constexpr u32 size = sizeof(T);
     const u32 off = static_cast<u32>(vaddr & kLineOffMask);
     if (off + size > kLineOffMask + 1) return false;  // straddles a line
-    if (tlb_epoch_ != pagetable_.epoch()) return false;
-    const u64 vpage = vaddr >> kPageShift;
-    const TlbEntry& slot = tlb_[vpage % kTlbEntries];
-    if (slot.vpage != vpage || !slot.pte.present || !slot.pte.writable) {
-      return false;
-    }
+    const Pte* pte = tlb_probe(vaddr >> kPageShift);
+    if (pte == nullptr || !pte->writable) return false;
     // Only the MPBT write path stays on-core (WCB merge); write-through
     // CachedWT stores always pay a device transaction — slow path.
-    if (!slot.pte.mpbt) return false;
-    const u64 paddr = slot.pte.frame_paddr + (vaddr & kPageOffMask);
+    if (!pte->mpbt) return false;
+    const u64 paddr = pte->frame_paddr + (vaddr & kPageOffMask);
     // Mergeable only when the WCB is empty or already holds this line;
     // anything else must flush downstream first — slow path.
     if (wcb_.valid() && wcb_.line_addr() != (paddr & ~kLineOffMask)) {
@@ -329,6 +323,18 @@ class Core {
   };
 
   Translation translate(u64 vaddr, bool is_write);
+
+  /// The one TLB probe (fast paths and translate()): the present mapping
+  /// cached for `vpage`, or nullptr. Every entry is stale while the page
+  /// table's epoch differs from the one the TLB was filled under.
+  [[gnu::always_inline]] inline const Pte* tlb_probe(u64 vpage) const {
+    if (tlb_epoch_ != pagetable_.epoch()) return nullptr;
+    const TlbEntry& slot = tlb_[vpage % kTlbEntries];
+    return slot.vpage == vpage && slot.pte.present ? &slot.pte : nullptr;
+  }
+  /// The one TLB fill, after a walk: first the epoch sync (drop every
+  /// entry cached under an older epoch), then the slot for `vpage`.
+  void tlb_fill(u64 vpage, const Pte& pte);
 
   /// Access latency of one test-and-set of register `reg`.
   TimePs tas_cost(int reg) const;
@@ -387,8 +393,9 @@ class Core {
   static constexpr u64 kPageOffMask = kPageBytes - 1;
 
   // The modelled TLB: 64 entries, direct-mapped on vpage, invalidated
-  // wholesale whenever the page table's epoch moves. A hit is free; a miss
-  // charges kTlbMissCycles for the walk (translate()).
+  // wholesale whenever the page table's epoch moves (tlb_probe/tlb_fill).
+  // A hit is free; a miss charges kTlbMissCycles for the walk
+  // (translate()).
   struct TlbEntry {
     u64 vpage = ~u64{0};
     Pte pte;

@@ -87,9 +87,8 @@ class ProtocolEnv : public TraceSink {
 
   /// Verifies `page`'s frame against its seal before this core starts
   /// trusting the data (ownership acquired, replica granted). On a
-  /// mismatch the binding layer repairs from a clean copy when one
-  /// exists, else poisons the page and throws SvmIntegrityError — a
-  /// verify never returns with bad data mapped.
+  /// mismatch the binding layer poisons the page and throws
+  /// SvmIntegrityError — a verify never returns with bad data mapped.
   virtual void page_verify([[maybe_unused]] u64 page) {}
 
   // ---- serialisation ----

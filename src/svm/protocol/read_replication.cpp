@@ -62,16 +62,7 @@ void ReadReplicationPolicy::acquire_read_replica(u64 page, u16 frame,
 
   for (;;) {
     const u16 owner = env.meta().owner(page);
-    if (owner == kOwnerLost) {
-      // Poisoned by fail-stop recovery: typed loss, never silent garbage.
-      env.transfer_unlock(page);
-      throw SvmDataLossError(page, kOwnerLost);
-    }
-    if (owner == kOwnerCorrupt) {
-      // Poisoned by a failed integrity check: same contract.
-      env.transfer_unlock(page);
-      throw SvmIntegrityError(page);
-    }
+    if (poisoned(owner)) throw_poisoned(env, page, owner);
     if (owner == env.self()) {
       // We own the page after all (a transfer raced ahead of the
       // fault). Shared: our mapping was downgraded — stay read-only so
@@ -96,9 +87,9 @@ void ReadReplicationPolicy::acquire_read_replica(u64 page, u16 frame,
       // entered and cannot have written since (its mapping is read-only),
       // so the frame is clean in DRAM — join the sharer set without
       // contacting anyone. Verify the frame against the downgrade seal
-      // before trusting it (may repair from the owner's cache, or
-      // poison and throw). Stale MPBT lines from an earlier ownership
-      // of this page must not shadow the fresh data.
+      // before trusting it (may poison and throw). Stale MPBT lines from
+      // an earlier ownership of this page must not shadow the fresh
+      // data.
       env.page_verify(page);
       entry.sharers.set(env.self());
       env.meta().store_dir_entry(page, entry);
@@ -131,12 +122,7 @@ void ReadReplicationPolicy::serve_read_request(const Msg& m,
     env.send(requester, Msg{MsgType::kReadAck, page, 0});
     return;
   }
-  if (owner == kOwnerLost || owner == kOwnerCorrupt) {
-    // Poisoned page (fail-stop recovery or a failed integrity check):
-    // no ACK — the requester's own path discovers the poison sentinel
-    // and throws the typed error.
-    return;
-  }
+  if (poisoned(owner)) return;  // no ACK: the requester throws
   if (owner != env.self()) {
     // We gave the page away before this request arrived: chase the
     // current owner.
@@ -151,8 +137,6 @@ void ReadReplicationPolicy::serve_read_request(const Msg& m,
   ++env.stats().replica_grants;
   env.flush_wcb();
   // Frame now clean in DRAM; seal it for the replicas about to read it.
-  // Our write-through L1 keeps clean copies of the sealed lines (no
-  // CL1INVMB on this path), which is the repair source if DRAM rots.
   // Not exclusive: we stay mapped read-only, so this seal is verify-
   // only — the injector must not target it.
   env.page_seal(page, /*exclusive=*/false);

@@ -49,9 +49,8 @@ inline constexpr u16 kOwnerLost = 0xffff;
 
 /// Owner-word sentinel for a page whose frame failed its integrity
 /// check (checksum mismatch against the seal taken at the last
-/// ownership handoff) with no clean copy left to repair from. Distinct
-/// from kOwnerLost so reports can tell "owner died dirty" from "bits
-/// rotted in DRAM".
+/// ownership handoff). Distinct from kOwnerLost so reports can tell
+/// "owner died dirty" from "bits rotted in DRAM".
 inline constexpr u16 kOwnerCorrupt = 0xfffe;
 
 /// Typed, never-silent result of touching a poisoned page. Thrown out
@@ -92,6 +91,24 @@ class SvmIntegrityError : public SvmDataLossError {
                              "clean copy to recover from",
                          page, /*dead_owner=*/-1) {}
 };
+
+/// The one poison check of the protocol core: whether `owner` is one of
+/// the two sentinels above. A serving core drops a request for such a
+/// page without an ACK (the requester's own path finds the sentinel);
+/// a requester calls throw_poisoned.
+inline bool poisoned(u16 owner) {
+  return owner == kOwnerLost || owner == kOwnerCorrupt;
+}
+
+/// A requester that read a poisoned owner word under the page's transfer
+/// lock: releases the lock and throws the sentinel's typed error —
+/// never silent garbage.
+[[noreturn]] inline void throw_poisoned(ProtocolEnv& env, u64 page,
+                                        u16 owner) {
+  env.transfer_unlock(page);
+  if (owner == kOwnerLost) throw SvmDataLossError(page, kOwnerLost);
+  throw SvmIntegrityError(page);
+}
 
 /// What recover_page did to the page.
 enum class RecoveryAction : u8 {

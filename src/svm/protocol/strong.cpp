@@ -71,23 +71,11 @@ void StrongOwnerPolicy::acquire_ownership(u64 page, ProtocolEnv& env) {
       env.warn(msg);
     }
     const u16 owner = env.meta().owner(page);
-    if (owner == kOwnerLost) {
-      // The page was poisoned by fail-stop recovery (its last owner died
-      // with unflushed writes). Never silent garbage: surface the typed
-      // loss to the faulting access.
-      env.transfer_unlock(page);
-      throw SvmDataLossError(page, kOwnerLost);
-    }
-    if (owner == kOwnerCorrupt) {
-      // Poisoned by a failed integrity check (frame checksum mismatch
-      // with no clean copy left). Same contract: typed, never silent.
-      env.transfer_unlock(page);
-      throw SvmIntegrityError(page);
-    }
+    if (poisoned(owner)) throw_poisoned(env, page, owner);
     if (owner == env.self()) {
       // The frame just changed hands: check it against the seal the
       // previous owner took at the handoff before trusting the data.
-      // May repair, or poison and throw (lock released by the unwind).
+      // May poison and throw (lock released by the unwind).
       env.page_verify(page);
       // Close the window between learning we own the page and mapping
       // it: an incoming request handled in between would unmap it again.
@@ -131,12 +119,7 @@ void StrongOwnerPolicy::serve_ownership_request(const Msg& m,
     }
     return;
   }
-  if (owner == kOwnerLost || owner == kOwnerCorrupt) {
-    // Poisoned page (fail-stop recovery or a failed integrity check):
-    // no ACK — the requester's own path discovers the poison sentinel
-    // and throws the typed error.
-    return;
-  }
+  if (poisoned(owner)) return;  // no ACK: the requester throws
   if (owner != env.self()) {
     // We gave the page away before this request arrived: forward it to
     // the core we handed it to.

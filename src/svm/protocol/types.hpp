@@ -147,9 +147,7 @@ struct SvmStats {
   // Data integrity (all zero unless the integrity layer is armed).
   u64 pages_sealed = 0;        // frame checksums recorded at handoff
   u64 seal_verifies = 0;       // frame checksums checked before trusting
-  u64 seal_repairs = 0;        // corrupt frames rebuilt from a clean cache
-  u64 seal_refetches = 0;      // corrupt frames re-read from a clean copy
-  u64 pages_poisoned = 0;      // corrupt frames with no clean copy left
+  u64 pages_poisoned = 0;      // frames that failed their seal check
   u64 meta_corrections = 0;    // metadata words caught and corrected
 };
 
@@ -185,8 +183,6 @@ inline constexpr SvmStatsField kSvmStatsFields[] = {
     {"locks_broken", &SvmStats::locks_broken},
     {"pages_sealed", &SvmStats::pages_sealed},
     {"seal_verifies", &SvmStats::seal_verifies},
-    {"seal_repairs", &SvmStats::seal_repairs},
-    {"seal_refetches", &SvmStats::seal_refetches},
     {"pages_poisoned", &SvmStats::pages_poisoned},
     {"meta_corrections", &SvmStats::meta_corrections},
 };

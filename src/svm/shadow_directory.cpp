@@ -114,14 +114,10 @@ void ShadowDirectory::on_event(const Event& e) {
       ++mail_corrupt_drops_;
       break;
 
-    case EventKind::kPageCorrupt: {
+    case EventKind::kPageCorrupt:
       ++page_corruptions_;
-      if (static_cast<obs::IntegrityAction>(e.c) ==
-          obs::IntegrityAction::kPoisoned) {
-        poisoned_.insert(e.a);
-      }
+      poisoned_.insert(e.a);
       break;
-    }
 
     case EventKind::kMetaCorrupt:
       ++meta_corruptions_;

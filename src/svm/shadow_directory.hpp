@@ -18,8 +18,8 @@
 //     page's transfer lock);
 //   * dead-core silence — a fail-stopped core publishes no protocol
 //     events after its kCoreKill injection record;
-//   * poison finality — a page the integrity layer poisoned (kPageCorrupt
-//     with IntegrityAction::kPoisoned) never re-enters OwnedRW or
+//   * poison finality — a page the integrity layer poisoned (every
+//     kPageCorrupt event is a poisoning) never re-enters OwnedRW or
 //     SharedRO: there is no un-poison transition, so any later mapping
 //     of that page means some core trusted known-bad data. Needs
 //     obs::kCatIntegrity enabled alongside kCatProto

@@ -263,7 +263,6 @@ class SvmDomain {
   struct PageSeal {
     u32 crc = 0;
     u32 gen = 0;        // bumped per reseal; echoed in kPageSeal/kPageCorrupt
-    int sealer = -1;    // core that took the seal (preferred repair source)
     bool valid = false;
     bool exclusive = false;
   };

@@ -826,18 +826,16 @@ void SvmRuntime::warn(const char* message) {
 }
 
 // ---------------------------------------------------------------------------
-// integrity layer — generation-stamped frame seals, snoop repair,
-// detect-or-die poisoning, and the background scrubber. Every function
-// here returns immediately unless the fault plan armed the layer, so a
-// flag-off run is byte-identical to one built before this code existed.
+// integrity layer — generation-stamped frame seals, detect-or-die
+// poisoning, and the background scrubber. Every function here returns
+// immediately unless the fault plan armed the layer, so a flag-off run
+// is byte-identical to one built before this code existed.
 
 namespace {
 
 // Modelled software costs (core cycles). The CRC is a table-driven
-// byte-at-a-time loop (~1 cycle/byte on the P54C-class core); a repair
-// line costs an MPB-order round-trip.
+// byte-at-a-time loop (~1 cycle/byte on the P54C-class core).
 constexpr u32 kCrcCyclesPerByte = 1;
-constexpr u32 kRepairCyclesPerLine = 100;
 constexpr u32 kMetaEccCycles = 200;
 
 // Host-side access to a 16- or 64-bit metadata word as it sits in
@@ -890,7 +888,6 @@ void SvmRuntime::page_seal(u64 page, bool exclusive) {
   SvmDomain::PageSeal& seal = domain_.seals[rel];
   seal.crc = frame_crc(base);
   ++seal.gen;
-  seal.sealer = core_.id();
   seal.valid = true;
   seal.exclusive = exclusive;
   ++stats_.pages_sealed;
@@ -926,45 +923,14 @@ void SvmRuntime::page_seal(u64 page, bool exclusive) {
   }
 }
 
-bool SvmRuntime::snoop_repair(u64 frame_base,
-                              const SvmDomain::PageSeal& seal,
-                              bool& used_remote) {
-  scc::Chip& chip = core_.chip();
-  const int ncores = chip.config().num_cores;
-  used_remote = false;
-  u32 copied = 0;
-  for (u32 off = 0; off < scc::kPageBytes; off += scc::kLineBytes) {
-    const u64 paddr = frame_base + off;
-    const u8* src = nullptr;
-    int src_core = -1;
-    // Prefer the sealer's L1 (write-through: anything it still caches is
-    // exactly what it sealed), then any other live core holding the line
-    // (a read replica installed before the corruption).
-    if (seal.sealer >= 0 && seal.sealer < ncores &&
-        !chip.core_dead(seal.sealer)) {
-      src = chip.core(seal.sealer).l1().peek_line(paddr);
-      if (src != nullptr) src_core = seal.sealer;
-    }
-    for (int i = 0; src == nullptr && i < ncores; ++i) {
-      if (i == seal.sealer || chip.core_dead(i)) continue;
-      src = chip.core(i).l1().peek_line(paddr);
-      if (src != nullptr) src_core = i;
-    }
-    if (src == nullptr) continue;
-    chip.memory().write(paddr, src, scc::kLineBytes);
-    if (src_core != seal.sealer) used_remote = true;
-    ++copied;
-  }
-  if (copied == 0) return false;
-  core_.compute_cycles(copied * kRepairCyclesPerLine +
-                       scc::kPageBytes * kCrcCyclesPerByte);
-  return frame_crc(frame_base) == seal.crc;
-}
-
 void SvmRuntime::poison_page(u64 page, u32 gen) {
-  // Traced metadata store: the coherence auditor sees the sentinel, and
-  // the ECC shadow records it — so a later "correction" can never
-  // resurrect the pre-poison owner word.
+  // The only outcome of a failed seal check. The injector flips frames
+  // only behind exclusive seals, and no cache can hold a clean line of
+  // such a frame: the seal is taken after the owner flushed its WCB, ran
+  // CL1INVMB and unmapped the page, and after every sharer ran CL1INVMB
+  // on invalidation. Traced metadata store: the coherence auditor sees
+  // the sentinel, and the ECC shadow records it — so a later
+  // "correction" can never resurrect the pre-poison owner word.
   meta_word_.set_owner(page, kOwnerCorrupt);
   const u64 rel = page - domain_.page_index_base();
   if (rel < domain_.seals.size()) {
@@ -975,10 +941,8 @@ void SvmRuntime::poison_page(u64 page, u32 gen) {
   ++stats_.pages_poisoned;
   obs::EventBus& bus = core_.chip().bus();
   if (bus.enabled(obs::kCatIntegrity)) {
-    bus.publish(obs::Event{
-        core_.now(), page, gen,
-        static_cast<u64>(obs::IntegrityAction::kPoisoned),
-        obs::EventKind::kPageCorrupt, core_.id()});
+    bus.publish(obs::Event{core_.now(), page, gen, 0,
+                           obs::EventKind::kPageCorrupt, core_.id()});
   }
 }
 
@@ -992,34 +956,11 @@ void SvmRuntime::page_verify(u64 page) {
   core_.compute_cycles(scc::kPageBytes * kCrcCyclesPerByte);
   const u64 base = domain_.frame_paddr(meta_word_.frame_of(page));
   if (frame_crc(base) == seal.crc) return;
-  // No clean copy anywhere: detect-or-die. The typed throw unwinds to
-  // handle_fault, which releases any transfer lock this core holds.
-  if (!repair_or_poison(page, base, seal)) {
-    throw proto::SvmIntegrityError(page);
-  }
-}
-
-bool SvmRuntime::repair_or_poison(u64 page, u64 frame_base,
-                                  const SvmDomain::PageSeal& seal) {
-  bool used_remote = false;
-  if (!snoop_repair(frame_base, seal, used_remote)) {
-    poison_page(page, seal.gen);
-    return false;
-  }
-  if (used_remote) {
-    ++stats_.seal_refetches;
-  } else {
-    ++stats_.seal_repairs;
-  }
-  obs::EventBus& bus = core_.chip().bus();
-  if (bus.enabled(obs::kCatIntegrity)) {
-    bus.publish(obs::Event{
-        core_.now(), page, seal.gen,
-        static_cast<u64>(used_remote ? obs::IntegrityAction::kRefetched
-                                     : obs::IntegrityAction::kRepaired),
-        obs::EventKind::kPageCorrupt, core_.id()});
-  }
-  return true;
+  // Detect-or-die: no clean copy can exist (see poison_page), so the
+  // page is poisoned. The typed throw unwinds to handle_fault, which
+  // releases any transfer lock this core holds.
+  poison_page(page, seal.gen);
+  throw proto::SvmIntegrityError(page);
 }
 
 void SvmRuntime::scrub_tick() {
@@ -1053,10 +994,10 @@ void SvmRuntime::scrub_tick() {
     core_.compute_cycles(scc::kPageBytes * kCrcCyclesPerByte);
     if (frame_crc(base) == seal.crc) continue;
     ++corrupt;
-    // Unrepairable from interrupt context too: the page is poisoned (no
-    // throw — no access is faulting), so the next toucher gets the typed
-    // error instead of a stale verify.
-    repair_or_poison(page, base, seal);
+    // Poisoned from interrupt context too (no throw — no access is
+    // faulting), so the next toucher gets the typed error instead of a
+    // stale verify.
+    poison_page(page, seal.gen);
   }
   if (walked == 0) return;
   obs::EventBus& bus = core_.chip().bus();

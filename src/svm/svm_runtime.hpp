@@ -176,31 +176,19 @@ class SvmRuntime final : public proto::ProtocolEnv,
 
   /// Host-side CRC32C of the frame at simulated physical `frame_base`.
   u32 frame_crc(u64 frame_base);
-  /// Tries to rebuild a corrupted frame from clean cached copies in live
-  /// cores' L1s (write-through: any MPBT line still cached is clean).
-  /// Returns true when the rebuilt frame matches the seal; `used_remote`
-  /// reports whether any repair line came from a core other than the
-  /// sealer. Host-side writes; modelled cost charged per copied line.
-  bool snoop_repair(u64 frame_base, const SvmDomain::PageSeal& seal,
-                    bool& used_remote);
-  /// Marks `page` permanently lost: owner word := kOwnerCorrupt (a
-  /// traced metadata store, so the auditor and the ECC shadow both see
-  /// the poison), publishes kPageCorrupt/kPoisoned.
+  /// The CRC-mismatch tail of page_verify and scrub_tick: marks `page`
+  /// permanently lost. Owner word := kOwnerCorrupt (a traced metadata
+  /// store, so the auditor and the ECC shadow both see the poison);
+  /// publishes kPageCorrupt.
   void poison_page(u64 page, u32 gen);
-  /// The CRC-mismatch tail of page_verify and scrub_tick: snoop-repairs
-  /// the frame at `frame_base` (counting a repair or a refetch and
-  /// publishing kPageCorrupt) or, with no clean copy left, poisons
-  /// `page`. Returns whether the frame was repaired.
-  bool repair_or_poison(u64 page, u64 frame_base,
-                        const SvmDomain::PageSeal& seal);
   /// One metadata word through the flipmeta + ECC-shadow pipeline.
   u64 meta_load_word(u64 paddr, u32 bits, proto::MetaKind kind, u64 page);
   void meta_store_word(u64 paddr, u64 value, u32 bits, u64 page);
   /// Simulated physical address of `page`'s metadata word of `kind`.
   u64 meta_paddr(proto::MetaKind kind, u64 page) const;
   /// Timer hook (registered only when the plan sets scrub_ps): walks a
-  /// bounded slice of this core's sealed pages per period, repairing or
-  /// poisoning any frame that no longer matches its seal.
+  /// bounded slice of this core's sealed pages per period, poisoning any
+  /// frame that no longer matches its seal.
   void scrub_tick();
 
   kernel::Kernel& kernel_;

@@ -109,8 +109,6 @@ KillMosaicResult run_kill_mosaic(const KillMosaicParams& p,
     const svm::SvmStats& s = cl.node(c).svm().stats();
     result.pages_sealed += s.pages_sealed;
     result.seal_verifies += s.seal_verifies;
-    result.seal_repairs += s.seal_repairs;
-    result.seal_refetches += s.seal_refetches;
     result.pages_poisoned += s.pages_poisoned;
     result.meta_corrections += s.meta_corrections;
     result.mail_corrupt_drops += cl.node(c).mbox().stats().corrupt_drops;

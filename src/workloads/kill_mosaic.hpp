@@ -57,7 +57,7 @@ struct KillMosaicResult {
   // member (dead cores included — their tallies froze at death, but the
   // flips they detected before dying must still reconcile):
   //   mail_flips == mail_corrupt_drops            (every flip dropped)
-  //   seal_repairs + seal_refetches + pages_poisoned <= page_flips
+  //   pages_poisoned <= page_flips                (poisoned on detection)
   //   meta_corrections <= meta_flips               (corrected on reload)
   u64 mail_flips = 0;
   u64 page_flips = 0;
@@ -65,8 +65,6 @@ struct KillMosaicResult {
   u64 mail_corrupt_drops = 0;
   u64 pages_sealed = 0;
   u64 seal_verifies = 0;
-  u64 seal_repairs = 0;
-  u64 seal_refetches = 0;
   u64 pages_poisoned = 0;
   u64 meta_corrections = 0;
   int ranks_corrupt = 0;  // typed SvmIntegrityError aborts (subset of lost)

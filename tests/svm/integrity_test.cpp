@@ -1,11 +1,10 @@
 // Acceptance tests for the data-integrity layer, driven through the full
 // cluster stack. The kill-mosaic workload provides the end-to-end runs
 // (inject -> detect -> account, with the coherence auditor attached);
-// the hand-rolled read-replication clusters pin down the two repair
-// paths — snoop repair from the sealer's write-through L1, and the
-// background scrubber — with surgical host-side corruption of exactly
-// one byte, so each test knows precisely which line is dirty and who
-// still caches a clean copy.
+// the hand-rolled read-replication clusters pin down the two detection
+// points that no injected flip reaches — the shared seal checked at a
+// replica join, and the background scrubber — with surgical host-side
+// corruption of exactly one byte. Either way the outcome is poisoning.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -27,10 +26,11 @@ using workloads::KillMosaicResult;
 constexpr int kCores = 8;
 constexpr u64 kPageBytes = 4096;
 
-KillMosaicResult run_mosaic(const char* spec) {
+KillMosaicResult run_mosaic(const char* spec, bool read_replication = false) {
   KillMosaicParams p;
   p.pages = 8;
   p.seed = 1234;
+  p.read_replication = read_replication;
   p.audit = true;  // every run under the coherence auditor
   p.faults = sim::FaultPlan::parse(spec);
   return workloads::run_kill_mosaic(p, Model::kStrong, kCores);
@@ -38,7 +38,7 @@ KillMosaicResult run_mosaic(const char* spec) {
 
 TEST(SvmIntegrity, CleanIntegrityPlanStaysCorrectAndQuiet) {
   // Integrity armed but nothing injected: pages seal and verify on every
-  // ownership handoff, yet no repair/poison/correction may ever fire —
+  // ownership handoff, yet no poison/correction may ever fire —
   // the checking layer must be a pure observer on a clean run.
   const KillMosaicResult r = run_mosaic(
       "integrity=1,watchdog=500ms,sweep=2,retry=2ms");
@@ -47,8 +47,6 @@ TEST(SvmIntegrity, CleanIntegrityPlanStaysCorrectAndQuiet) {
   EXPECT_EQ(r.slot_mismatches, 0u);
   EXPECT_GT(r.pages_sealed, 0u) << "no handoff ever took a seal";
   EXPECT_GT(r.seal_verifies, 0u) << "no migration ever checked a seal";
-  EXPECT_EQ(r.seal_repairs, 0u);
-  EXPECT_EQ(r.seal_refetches, 0u);
   EXPECT_EQ(r.pages_poisoned, 0u);
   EXPECT_EQ(r.meta_corrections, 0u);
   EXPECT_EQ(r.mail_corrupt_drops, 0u);
@@ -87,38 +85,43 @@ TEST(SvmIntegrity, MetaEccCorrectsEveryReloadedFlip) {
 }
 
 TEST(SvmIntegrity, PageFlipsPoisonButNeverGoSilent) {
-  // Every exclusive seal flipped: under the Strong model the owner's
-  // caches were invalidated before the handoff, so there is no clean
-  // copy and detect-or-die must poison. The contract is typed loss only:
-  // zero wrong values, every lost rank aborted with the integrity error,
-  // and the ledger accounts each flip at most once.
-  const KillMosaicResult r = run_mosaic(
-      "seed=3,flippage=1,watchdog=500ms,sweep=2,retry=2ms");
-  EXPECT_GT(r.page_flips, 0u) << "plan failed to inject anything";
-  EXPECT_EQ(r.slot_mismatches, 0u) << "a flipped page was read as good data";
-  EXPECT_GT(r.pages_poisoned, 0u);
-  EXPECT_GT(r.ranks_lost, 0);
-  EXPECT_EQ(r.ranks_corrupt, r.ranks_lost);
-  EXPECT_EQ(r.ranks_verified + r.ranks_lost, kCores);
-  EXPECT_LE(r.seal_repairs + r.seal_refetches + r.pages_poisoned,
-            r.page_flips);
-  for (const auto& f : r.failures) {
-    EXPECT_NE(f.what.find("integrity"), std::string::npos) << f.what;
+  // Every exclusive seal flipped: the owner's caches (and, under read
+  // replication, every sharer's) were invalidated before the handoff, so
+  // there is no clean copy and detect-or-die must poison. The contract is
+  // typed loss only: zero wrong values, every lost rank aborted with the
+  // integrity error, and every flip poisons exactly one page.
+  for (const bool read_replication : {false, true}) {
+    SCOPED_TRACE(read_replication ? "strong+rr" : "strong");
+    const KillMosaicResult r = run_mosaic(
+        "seed=3,flippage=1,watchdog=500ms,sweep=2,retry=2ms",
+        read_replication);
+    EXPECT_GT(r.page_flips, 0u) << "plan failed to inject anything";
+    EXPECT_EQ(r.slot_mismatches, 0u)
+        << "a flipped page was read as good data";
+    EXPECT_EQ(r.pages_poisoned, r.page_flips);
+    EXPECT_GT(r.ranks_lost, 0);
+    EXPECT_EQ(r.ranks_corrupt, r.ranks_lost);
+    EXPECT_EQ(r.ranks_verified + r.ranks_lost, kCores);
+    for (const auto& f : r.failures) {
+      EXPECT_NE(f.what.find("integrity"), std::string::npos) << f.what;
+    }
+    EXPECT_EQ(r.audit_violations, 0u) << r.audit_report;
   }
-  EXPECT_EQ(r.audit_violations, 0u) << r.audit_report;
 }
 
 // ---------------------------------------------------------------------------
-// Hand-rolled repair-path tests. Roles on a 4-core read-replication
+// Hand-rolled detection tests. Roles on a 4-core read-replication
 // cluster sharing one page:
 //   rank 0  writes the page, then re-reads it so its L1 holds the lines
 //           (MPBT stores are no-write-allocate; only the read-back after
 //           the WCB-flushing barrier fills the cache with clean data);
 //   rank 1  takes a read replica, forcing rank 0 to seal the frame on
-//           the Exclusive -> Shared downgrade (rank 0 is the sealer);
+//           the Exclusive -> Shared downgrade (a shared seal, which the
+//           injector never flips);
 //   rank 0  then corrupts one byte of the DRAM frame host-side;
-//   recovery is exercised either by rank 2's later replica join (verify
-//   -> snoop repair) or by the background scrubber.
+//   detection comes either from rank 2's later replica join (verify of
+//   the shared seal) or from the background scrubber. Rank 0's L1 still
+//   caches clean lines, yet the only outcome is poisoning.
 
 u64 slot_val(u64 i) { return 0xfeedfacecafe0000ull + i * 0x9e37ull; }
 
@@ -151,7 +154,7 @@ void corrupt_frame_byte(Cluster& cl, u64 base, u64 off) {
 }
 
 struct IntegritySums {
-  u64 sealed = 0, verifies = 0, repairs = 0, refetches = 0, poisoned = 0;
+  u64 sealed = 0, verifies = 0, poisoned = 0;
 };
 
 IntegritySums sum_stats(Cluster& cl) {
@@ -160,106 +163,65 @@ IntegritySums sum_stats(Cluster& cl) {
     const SvmStats& s = cl.node(c).svm().stats();
     t.sealed += s.pages_sealed;
     t.verifies += s.seal_verifies;
-    t.repairs += s.seal_repairs;
-    t.refetches += s.seal_refetches;
     t.poisoned += s.pages_poisoned;
   }
   return t;
 }
 
-TEST(SvmIntegrity, SnoopRepairServesCleanCopyFromSealersCache) {
+/// The shared phase of the rig: rank 0 writes and re-reads the page,
+/// rank 1 joins as a replica (rank 0 seals), rank 0 corrupts byte `off`.
+u64 seal_then_corrupt(Cluster& cl, Node& n, u64 off) {
+  Svm& svm = n.svm();
+  const int rank = n.rank();
+  const u64 base = svm.alloc(kPageBytes);
+  svm.barrier();
+  if (rank == 0) {
+    for (u64 i = 0; i < 8; ++i) svm.write<u64>(base + i * 8, slot_val(i));
+  }
+  svm.barrier();
+  if (rank == 0) {
+    for (u64 i = 0; i < 8; ++i) (void)svm.read<u64>(base + i * 8);
+  }
+  svm.barrier();
+  if (rank == 1) (void)svm.read<u64>(base);  // downgrade: rank 0 seals
+  svm.barrier();
+  if (rank == 0) corrupt_frame_byte(cl, base, off);
+  svm.barrier();
+  return base;
+}
+
+TEST(SvmIntegrity, ReplicaJoinPoisonsCorruptSharedSeal) {
   RepairRig rig("integrity=1,watchdog=500ms,sweep=2,retry=2ms");
   Cluster cl(rig.cfg);
 
   std::vector<u64> got(8, 0);
+  bool threw = false;
   cl.run([&](Node& n) {
-    Svm& svm = n.svm();
-    const int rank = n.rank();
-    const u64 base = svm.alloc(kPageBytes);
-    svm.barrier();
-    if (rank == 0) {
-      for (u64 i = 0; i < 8; ++i) svm.write<u64>(base + i * 8, slot_val(i));
+    const u64 base = seal_then_corrupt(cl, n, 3);
+    if (n.rank() == 2) {
+      // Replica join verifies the shared seal and finds the flipped
+      // byte. Rank 0's L1 still caches the clean line, but a failed seal
+      // check has one outcome: the page is poisoned and the read throws.
+      try {
+        for (u64 i = 0; i < 8; ++i) {
+          got[i] = n.svm().read<u64>(base + i * 8);
+        }
+      } catch (const SvmIntegrityError&) {
+        threw = true;
+      }
     }
-    svm.barrier();
-    if (rank == 0) {
-      for (u64 i = 0; i < 8; ++i) (void)svm.read<u64>(base + i * 8);
-    }
-    svm.barrier();
-    if (rank == 1) (void)svm.read<u64>(base);  // downgrade: rank 0 seals
-    svm.barrier();
-    if (rank == 0) corrupt_frame_byte(cl, base, 3);
-    svm.barrier();
-    if (rank == 2) {
-      // Replica join verifies the seal, finds the flipped byte, and must
-      // rebuild the frame from rank 0's still-clean L1 lines.
-      for (u64 i = 0; i < 8; ++i) got[i] = svm.read<u64>(base + i * 8);
-    }
-    svm.barrier();
+    n.svm().barrier();
   });
 
   EXPECT_TRUE(cl.failures().empty());
+  EXPECT_TRUE(threw) << "a corrupt shared seal was trusted";
   for (u64 i = 0; i < 8; ++i) {
-    EXPECT_EQ(got[i], slot_val(i)) << "slot " << i;
+    EXPECT_EQ(got[i], 0u) << "slot " << i << " returned data";
   }
   const IntegritySums t = sum_stats(cl);
   EXPECT_GE(t.sealed, 1u);
   EXPECT_GE(t.verifies, 2u);  // rank 1's clean join + rank 2's dirty one
-  EXPECT_EQ(t.repairs, 1u) << "repair did not come from the sealer's L1";
-  EXPECT_EQ(t.refetches, 0u);
-  EXPECT_EQ(t.poisoned, 0u);
-}
-
-TEST(SvmIntegrity, ScrubberRepairsCorruptSealedPageInBackground) {
-  RepairRig rig("integrity=1,scrub=100us,watchdog=500ms,sweep=2,retry=2ms");
-  Cluster cl(rig.cfg);
-
-  u64 repairs_before_touch = 0;
-  u64 poisoned_before_touch = 0;
-  std::vector<u64> got(8, 0);
-  cl.run([&](Node& n) {
-    Svm& svm = n.svm();
-    scc::Core& core = n.core();
-    const int rank = n.rank();
-    const u64 base = svm.alloc(kPageBytes);
-    svm.barrier();
-    if (rank == 0) {
-      for (u64 i = 0; i < 8; ++i) svm.write<u64>(base + i * 8, slot_val(i));
-    }
-    svm.barrier();
-    if (rank == 0) {
-      for (u64 i = 0; i < 8; ++i) (void)svm.read<u64>(base + i * 8);
-    }
-    svm.barrier();
-    if (rank == 1) (void)svm.read<u64>(base);  // downgrade: rank 0 seals
-    svm.barrier();
-    if (rank == 0) corrupt_frame_byte(cl, base, 3);
-    svm.barrier();
-    // Nobody touches the page: only the scrubber can find the flip. The
-    // per-core timer ticks every 1 ms, so spin a few periods of pure
-    // compute to let a scrub pass land on the sealed page.
-    const TimePs deadline = core.now() + 4 * kPsPerMs;
-    while (core.now() < deadline) core.compute_cycles(10000);
-    svm.barrier();
-    if (rank == 0) {
-      const IntegritySums t = sum_stats(cl);
-      repairs_before_touch = t.repairs + t.refetches;
-      poisoned_before_touch = t.poisoned;
-    }
-    svm.barrier();
-    if (rank == 2) {
-      for (u64 i = 0; i < 8; ++i) got[i] = svm.read<u64>(base + i * 8);
-    }
-    svm.barrier();
-  });
-
-  EXPECT_TRUE(cl.failures().empty());
-  EXPECT_GE(repairs_before_touch, 1u)
-      << "scrubber never repaired the page before anyone touched it";
-  EXPECT_EQ(poisoned_before_touch, 0u);
-  for (u64 i = 0; i < 8; ++i) {
-    EXPECT_EQ(got[i], slot_val(i)) << "slot " << i;
-  }
-  EXPECT_EQ(sum_stats(cl).poisoned, 0u);
+  EXPECT_EQ(t.poisoned, 1u);
 }
 
 TEST(SvmIntegrity, ScrubberPoisonsWhenNoCleanCopyExists) {
@@ -267,40 +229,22 @@ TEST(SvmIntegrity, ScrubberPoisonsWhenNoCleanCopyExists) {
   Cluster cl(rig.cfg);
 
   cl.run([&](Node& n) {
-    Svm& svm = n.svm();
-    scc::Core& core = n.core();
-    const int rank = n.rank();
-    const u64 base = svm.alloc(kPageBytes);
-    svm.barrier();
-    if (rank == 0) {
-      for (u64 i = 0; i < 8; ++i) svm.write<u64>(base + i * 8, slot_val(i));
-    }
-    svm.barrier();
-    if (rank == 0) {
-      for (u64 i = 0; i < 8; ++i) (void)svm.read<u64>(base + i * 8);
-    }
-    svm.barrier();
-    if (rank == 1) (void)svm.read<u64>(base);  // downgrade: rank 0 seals
-    svm.barrier();
     // Flip a byte in a line no core ever cached (offset 2000 — only the
-    // first 64 bytes were written and read back): snoop repair can fix
-    // the lines it finds, but the final CRC still fails, so the scrubber
-    // must poison the page from interrupt context without throwing.
-    if (rank == 0) corrupt_frame_byte(cl, base, 2000);
-    svm.barrier();
+    // first 64 bytes were written and read back). Nobody touches the page
+    // again, so only the scrubber can find the flip: it must poison the
+    // page from interrupt context without throwing. The per-core timer
+    // ticks every 1 ms, so spin a few periods of pure compute to let a
+    // scrub pass land on the sealed page.
+    (void)seal_then_corrupt(cl, n, 2000);
+    scc::Core& core = n.core();
     const TimePs deadline = core.now() + 4 * kPsPerMs;
     while (core.now() < deadline) core.compute_cycles(10000);
-    svm.barrier();
-    // Deliberately nobody reads the page again: poisoning must stand on
-    // its own, not ride on a later fault.
+    n.svm().barrier();
   });
 
   EXPECT_TRUE(cl.failures().empty())
       << "scrub-context poisoning must not throw into anyone";
-  const IntegritySums t = sum_stats(cl);
-  EXPECT_EQ(t.poisoned, 1u);
-  EXPECT_EQ(t.repairs, 0u);
-  EXPECT_EQ(t.refetches, 0u);
+  EXPECT_EQ(sum_stats(cl).poisoned, 1u);
 }
 
 }  // namespace

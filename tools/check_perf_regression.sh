@@ -125,6 +125,8 @@ for base in "$BASE_DIR"/BENCH_*.json; do
     # fails. Both directions share TOLERANCE: deterministic runs
     # reproduce the baselines exactly, so the margin only gives an
     # intentional remodelling one documented way to move the numbers.
+    # A lower-is-better series whose baseline is 0 (wrong, hangs, audit
+    # violations, ...) fails on any growth: no margin of 0 is above 0.
     # First pass (FNR==NR) collects baseline medians, second compares.
     if ! awk -v tol="$TOLERANCE" -v file="$name" '
       function higher_is_better(s) {
@@ -145,9 +147,11 @@ for base in "$BASE_DIR"/BENCH_*.json; do
               b = base[series]
               c = med + 0
               if (higher_is_better(series) ? (b > 0 && c * tol < b) \
-                                           : (b > 0 && c > b * tol)) {
-                printf "perf-gate: FAIL %s %s: median %g -> %g (%+.1f%%)\n",
-                       file, series, b, c, (c / b - 1) * 100
+                                           : (b >= 0 && c > b * tol)) {
+                note = "grew from 0"
+                if (b != 0) note = sprintf("%+.1f%%", (c / b - 1) * 100)
+                printf "perf-gate: FAIL %s %s: median %g -> %g (%s)\n",
+                       file, series, b, c, note
                 bad = 1
               } else {
                 printf "perf-gate: ok   %s %-24s %g -> %g\n",
