@@ -115,8 +115,7 @@ sim::PollStep SpinWait::step(TimePs at, bool timed_out, TimePs others) {
           core_.word_ready(word_)) {
         return kRun;
       }
-      core_.actor()->advance_to(at);
-      core_.wake_from_relax(slept_at_);  // delivers nothing (can_step_poll)
+      core_.wake_quiet(at, slept_at_);
       if (!tas) core_.charge_failed_poll(word_);
       if (core_.tick_quiet(cost_) && others < core_.now()) {
         // The fiber would yield mid-tick: re-queue at the tick's end, as

@@ -56,10 +56,12 @@ SpinWaitOpts tas_spin_opts(scc::Core& core, const char* site,
 /// without resuming the fiber: it charges the wake-up, the access tick
 /// and the failed poll's counters, and re-keys the entry at the next poll
 /// instant, or at the end of the tick where the fiber would yield
-/// mid-tick. Any poll that might succeed, meet an interrupt, a fault, a
-/// trace event, an on_stuck call or a watchdog trip resumes the fiber
-/// instead, so every clock and counter is what the plain loop produces
-/// (DESIGN.md §11, "Failed polls run in the scheduler").
+/// mid-tick. The scheduler parks such re-keys on its timing wheel, off
+/// the binary heap, in the same (time, id) order. Any poll that might
+/// succeed, meet an interrupt, a fault, a trace event, an on_stuck call
+/// or a watchdog trip resumes the fiber instead, so every clock and
+/// counter is what the plain loop produces (DESIGN.md §11, "Failed polls
+/// run in the scheduler").
 void spin_wait(scc::Core& core, const scc::WatchedWord& word,
                const SpinWaitOpts& opts);
 

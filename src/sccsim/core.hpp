@@ -160,9 +160,17 @@ class Core {
 
   /// True when the relax wake-up at `at` and a poll costing `cost` would
   /// deliver no interrupt, inject no fault and publish no event, so a
-  /// scheduler poll hook may charge them with wake_from_relax and
-  /// tick_quiet instead of resuming the fiber.
+  /// scheduler poll hook may charge them with wake_quiet and tick_quiet
+  /// instead of resuming the fiber.
   bool can_step_poll(TimePs at, TimePs cost) const;
+
+  /// wake_from_relax() for a caller that can_step_poll ruled in: moves
+  /// the clock to `at` and accounts the sleep since `slept_at` as spin
+  /// time; there is nothing to deliver.
+  void wake_quiet(TimePs at, TimePs slept_at) {
+    actor_->advance_to(at);
+    counters_.busy_ps += actor_->clock() - slept_at;
+  }
 
   /// tick() for a caller that can_step_poll ruled in: charges `cost` and,
   /// at a boundary, only re-arms it. Returns true when a boundary passed,

@@ -1,14 +1,15 @@
 #include "sim/scheduler.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "sim/log.hpp"
 
 namespace msvm::sim {
 
-Actor::Actor(Scheduler& sched, int id, std::string name,
-             std::function<void()> body, std::size_t stack_bytes)
-    : sched_(sched), id_(id), name_(std::move(name)) {
+Actor::Actor(int id, std::string name, std::function<void()> body,
+             std::size_t stack_bytes)
+    : id_(id), name_(std::move(name)) {
   fiber_ = std::make_unique<Fiber>(
       [this, body = std::move(body)] {
         try {
@@ -62,10 +63,13 @@ void Scheduler::cancel_all() {
       }
     }
     // The unwound actor may still own a queue entry (it was scheduled, or
-    // blocked with a timeout); drop it so the heap holds live actors only.
-    if (a->state_ == Actor::State::kFinished &&
-        a->heap_pos_ != Actor::kNotInHeap) {
-      heap_remove_at(a->heap_pos_);
+    // blocked with a timeout); drop it so the queue holds live actors only.
+    if (a->state_ == Actor::State::kFinished) {
+      if (a->in_wheel_) {
+        wheel_unlink(*a);
+      } else if (a->heap_pos_ != Actor::kNotInHeap) {
+        heap_remove_at(a->heap_pos_);
+      }
     }
   }
   cancelling_ = false;
@@ -75,7 +79,7 @@ Actor& Scheduler::spawn(std::string name, std::function<void()> body,
                         TimePs start, std::size_t stack_bytes) {
   const int id = static_cast<int>(actors_.size());
   actors_.push_back(std::unique_ptr<Actor>(
-      new Actor(*this, id, std::move(name), std::move(body), stack_bytes)));
+      new Actor(id, std::move(name), std::move(body), stack_bytes)));
   Actor& a = *actors_.back();
   a.clock_ = start;
   a.state_ = Actor::State::kScheduled;
@@ -149,36 +153,135 @@ void Scheduler::heap_move(Actor& a, TimePs at) {
   }
 }
 
+// ---- timing wheel ----
+
+bool Scheduler::wheel_insert(Actor& a, TimePs at) {
+  assert(!a.in_wheel_);
+  if (at < wheel_floor_ ||
+      (at >> kWheelShift) - (wheel_floor_ >> kWheelShift) >= kWheelBuckets) {
+    return false;
+  }
+  const std::size_t b = (at >> kWheelShift) & (kWheelBuckets - 1);
+  // Buckets are kept sorted by (time, id), so a bucket's head is its
+  // earliest entry.
+  Actor* prev = nullptr;
+  Actor* next = wheel_[b];
+  while (next != nullptr &&
+         key_less(next->wheel_time_, next->id_, at, a.id_)) {
+    prev = next;
+    next = next->wheel_next_;
+  }
+  a.in_wheel_ = true;
+  a.wheel_time_ = at;
+  a.wheel_prev_ = prev;
+  a.wheel_next_ = next;
+  (prev != nullptr ? prev->wheel_next_ : wheel_[b]) = &a;
+  if (next != nullptr) next->wheel_prev_ = &a;
+  wheel_bits_[b / 64] |= u64{1} << (b % 64);
+  ++wheel_size_;
+  if (wheel_min_ == nullptr ||
+      key_less(at, a.id_, wheel_min_->wheel_time_, wheel_min_->id_)) {
+    wheel_min_ = &a;
+  }
+  return true;
+}
+
+void Scheduler::wheel_unlink(Actor& a) {
+  assert(a.in_wheel_);
+  const std::size_t b = (a.wheel_time_ >> kWheelShift) & (kWheelBuckets - 1);
+  if (a.wheel_prev_ != nullptr) {
+    a.wheel_prev_->wheel_next_ = a.wheel_next_;
+  } else {
+    wheel_[b] = a.wheel_next_;
+    if (a.wheel_next_ == nullptr) {
+      wheel_bits_[b / 64] &= ~(u64{1} << (b % 64));
+    }
+  }
+  if (a.wheel_next_ != nullptr) a.wheel_next_->wheel_prev_ = a.wheel_prev_;
+  a.wheel_prev_ = a.wheel_next_ = nullptr;
+  a.in_wheel_ = false;
+  --wheel_size_;
+  if (&a == wheel_min_) wheel_find_min();
+}
+
+void Scheduler::wheel_find_min() {
+  wheel_min_ = nullptr;
+  if (wheel_size_ == 0) return;
+  // Every entry lies within one horizon of the floor, so the first
+  // non-empty bucket at or after the floor's, circularly, holds the
+  // earliest ones.
+  const std::size_t start =
+      (wheel_floor_ >> kWheelShift) & (kWheelBuckets - 1);
+  std::size_t w = start / 64;
+  u64 bits = wheel_bits_[w] & (~u64{0} << (start % 64));
+  while (bits == 0) {
+    w = (w + 1) % kWheelWords;
+    bits = wheel_bits_[w];  // after a full lap: the buckets before start
+  }
+  wheel_min_ =
+      wheel_[w * 64 + static_cast<std::size_t>(__builtin_ctzll(bits))];
+}
+
 // ---- run loop and suspension points ----
 
-Actor* Scheduler::take_next() {
-  // Finished actors never hold heap entries during a run (they finish
-  // while running, i.e. dequeued); the skip only matters for a heap
-  // inspected after cancel_all tore actors down mid-flight.
-  //
-  // A poll hook sees its actor's entry while it is still the root, so a
-  // re-key is one sift_down.
-  while (!heap_.empty()) {
-    Actor* root = heap_[0].actor;
+Actor* Scheduler::take_next(Actor* pending) {
+  // Finished actors never hold entries during a run (they finish while
+  // running, i.e. dequeued); the skip only matters for a queue inspected
+  // after cancel_all tore actors down mid-flight.
+  for (;;) {
+    // The earliest entry: the wheel's, the heap root, or `pending`'s
+    // unqueued one at its clock.
+    Actor* root = earliest();
+    if (pending != nullptr &&
+        (root == nullptr || key_less(pending->clock_, pending->id_,
+                                     entry_time(*root), root->id_))) {
+      root = pending;
+    }
+    if (root == nullptr) return nullptr;
+    assert(root != pending || !root->poll_hook_);
+    const bool parked = root->in_wheel_;
+    const bool queued = root != pending;
+    const TimePs at = parked   ? root->wheel_time_
+                      : queued ? heap_[0].time
+                               : root->clock_;
+    if (at < wheel_floor_) {
+      ++backward_pops_;  // a timeout queued before its caller's clock
+    } else {
+      wheel_floor_ = at;
+    }
+    if (parked) wheel_unlink(*root);
     if (root->poll_hook_) {
-      TimePs others = kTimeNever;
-      if (heap_.size() > 1) others = heap_[1].time;
-      if (heap_.size() > 2 && heap_[2].time < others) others = heap_[2].time;
-      const PollStep step =
-          root->poll_hook_(heap_[0].time,
-                           root->state_ == Actor::State::kBlocked, others);
+      // The earliest other entry: the heap root or its children, the
+      // wheel's earliest (the root already left the wheel), or pending.
+      TimePs others = pending != nullptr ? pending->clock_ : kTimeNever;
+      if (parked) {
+        if (!heap_.empty()) others = std::min(others, heap_[0].time);
+      } else {
+        if (heap_.size() > 1) others = std::min(others, heap_[1].time);
+        if (heap_.size() > 2) others = std::min(others, heap_[2].time);
+      }
+      if (wheel_min_ != nullptr) {
+        others = std::min(others, wheel_min_->wheel_time_);
+      }
+      const PollStep step = root->poll_hook_(
+          at, root->state_ == Actor::State::kBlocked, others);
       if (step.at != kTimeNever) {
         root->state_ = step.timeout ? Actor::State::kBlocked
                                     : Actor::State::kScheduled;
-        heap_[0].time = step.at;
-        sift_down(0);
+        if (parked) {
+          if (!wheel_insert(*root, step.at)) heap_push(*root, step.at);
+        } else if (wheel_insert(*root, step.at)) {
+          heap_remove_at(0);
+        } else {
+          heap_[0].time = step.at;
+          sift_down(0);
+        }
         ++elided_polls_;
         continue;
       }
     }
-    const HeapEntry top = heap_[0];
-    heap_remove_at(0);
-    Actor* next = top.actor;
+    if (queued && !parked) heap_remove_at(0);
+    Actor* next = root;
     if (next->state_ == Actor::State::kFinished ||
         next->state_ == Actor::State::kKilled) {
       continue;
@@ -187,12 +290,11 @@ Actor* Scheduler::take_next() {
     next->wake_reason_ = next->state_ == Actor::State::kBlocked
                              ? WakeReason::kTimeout
                              : WakeReason::kWoken;
-    next->advance_to(top.time);
+    next->advance_to(at);
     next->state_ = Actor::State::kRunning;
     ++dispatched_;
     return next;
   }
-  return nullptr;
 }
 
 std::string Scheduler::describe_blocked_actors() const {
@@ -214,8 +316,8 @@ std::string Scheduler::describe_blocked_actors() const {
 void Scheduler::kill_self() {
   Actor* self = current_;
   assert(self != nullptr && "kill_self() outside an actor");
-  assert(self->heap_pos_ == Actor::kNotInHeap &&
-         "running actor unexpectedly holds a heap entry");
+  assert(self->heap_pos_ == Actor::kNotInHeap && !self->in_wheel_ &&
+         "running actor unexpectedly holds an entry");
   self->state_ = Actor::State::kKilled;
   ++finished_count_;  // the run loop treats the dead core as done
   dispatch_from(self);
@@ -275,6 +377,18 @@ void Scheduler::dispatch_from(Actor* self) {
 
 void Scheduler::yield_switch(Actor* self) {
   self->state_ = Actor::State::kScheduled;
+  if (!stop_requested_) {
+    // Self competes for the pop without a queue entry. Once the hook
+    // entries ahead of it are stepped it is usually next, and then it
+    // never touches the heap.
+    Actor* next = take_next(self);
+    if (next == self) return;
+    heap_push(*self, self->clock_);
+    current_ = next;
+    Fiber::transfer(*self->fiber_, *next->fiber_);
+    if (cancelling_) throw CancelledError{};
+    return;
+  }
   heap_push(*self, self->clock_);
   dispatch_from(self);
 }
@@ -290,8 +404,13 @@ WakeReason Scheduler::block() {
 WakeReason Scheduler::block_until(TimePs deadline) {
   Actor* self = current_;
   assert(self != nullptr && "block_until() outside an actor");
+  if (deadline < self->clock_) ++late_timeouts_;
   self->state_ = Actor::State::kBlocked;
-  heap_push(*self, deadline);  // timeout entry
+  // The timeout entry. A poll hook's actor (a spin wait's sleep) parks it
+  // on the wheel, as the hook's own re-keys will be.
+  if (!self->poll_hook_ || !wheel_insert(*self, deadline)) {
+    heap_push(*self, deadline);
+  }
   dispatch_from(self);
   return self->wake_reason_;
 }
@@ -300,7 +419,10 @@ void Scheduler::wake(Actor& target, TimePs at) {
   if (target.state_ != Actor::State::kBlocked) return;
   target.state_ = Actor::State::kScheduled;
   const TimePs t = at > target.clock_ ? at : target.clock_;
-  if (target.heap_pos_ != Actor::kNotInHeap) {
+  if (target.in_wheel_) {
+    wheel_unlink(target);  // the pending timeout, re-queued on the heap
+    heap_push(target, t);
+  } else if (target.heap_pos_ != Actor::kNotInHeap) {
     heap_move(target, t);  // re-key the pending timeout entry in place
   } else {
     heap_push(target, t);

@@ -19,19 +19,19 @@
 // stored in each Actor. Entries are moved in place (sift up/down) when an
 // actor is re-keyed by wake(), so the heap holds at most one entry per
 // live actor at all times: no stale-generation tombstones, no pop-time
-// skip loops, and someone_earlier()/maybe_yield() are an O(1) read of the
-// root entry, which is always live and exact. Actor switches transfer
-// fiber-to-fiber directly (one context switch), only falling back to the
-// main run() loop when the heap empties or a stop is requested; yield()
-// by an actor that is still the earliest runnable is a plain return with
-// no heap traffic at all.
+// skip loops, and maybe_yield() is an O(1) read of the root entry and of
+// the timing wheel's earliest (below), both always live and exact. Actor
+// switches transfer fiber-to-fiber directly (one context switch), only
+// falling back to the main run() loop when no entry is queued or a stop
+// is requested; yield() by an actor that is still the earliest runnable
+// is a plain return with no queue traffic at all.
 //
-// One heap, always: every actor of a run shares this single exact heap,
-// whatever the core count. Shared functional state (TAS registers, MPB
-// flags, DRAM owner/directory words) is read and written at access time,
-// so only a global (time, id) order keeps the simulated answer a function
-// of the modelled machine and the seed alone. DESIGN.md §12 explains why
-// the heap is not sharded.
+// One order, always: every actor of a run shares this single exact
+// (time, id) order, whatever the core count. Shared functional state
+// (TAS registers, MPB flags, DRAM owner/directory words) is read and
+// written at access time, so only a global (time, id) order keeps the
+// simulated answer a function of the modelled machine and the seed alone.
+// DESIGN.md §12 explains why the heap is not sharded.
 //
 // Poll hooks (set_poll_hook): an actor that is spin-waiting on a word may
 // install a hook that the scheduler calls when it pops the actor's entry.
@@ -39,6 +39,24 @@
 // the entry at the next poll instant) and so spare the two fiber switches
 // a resume would cost. See DESIGN.md §11, "Failed polls run in the
 // scheduler".
+//
+// The timing wheel: a hook re-key lands at the next poll instant, a full
+// backoff gap ahead, or at the end of a split poll's tick, so in a lock
+// convoy the binary heap paid a deep, badly predicted sift_down twice per
+// failed poll. A re-key within the wheel's horizon (kWheelBuckets buckets
+// of 2^kWheelShift ps), and a spin wait's own sleep, is *parked* off the
+// heap in the bucket of its time instead: a short sorted insert to park,
+// O(1) to pop. A yielding actor is not queued at all: it competes for
+// the next pop at its (clock, id). The run order is the (time, id) order
+// over heap, wheel and yielder together, so every pop, every hook's view
+// of the other entries and every dispatch is exactly what one heap gives.
+// The wheel's floor is the latest pop time so far; no entry is parked
+// before it, so every wheel entry lies within one horizon of the floor
+// and a bucket never holds two laps. Pops are in time order except after
+// a timeout queued before its caller's clock (a halt that finds its timer
+// tick overdue, under fault injection): that entry goes to the heap and
+// pops behind the floor. backward_pops() and late_timeouts() count both,
+// so tests can pin that neither happens without faults.
 #pragma once
 
 #include <array>
@@ -58,7 +76,7 @@ namespace msvm::sim {
 class Scheduler;
 
 /// Why a blocked actor resumed.
-enum class WakeReason { kWoken, kTimeout };
+enum class WakeReason : u8 { kWoken, kTimeout };
 
 /// One entry of an actor's wait-site stack: a static label plus two
 /// free-form operands (e.g. a mail type and a page index). Pushed by the
@@ -85,18 +103,18 @@ struct PollStep {
 /// Steps a waiting actor's popped entry without resuming its fiber.
 /// `at` is the entry's time; `timed_out` is true when the entry is the
 /// actor's own block_until timeout (false: a wake() or a yield queued
-/// it); `others` is the earliest time of any other queued entry
-/// (kTimeNever when there is none).
+/// it); `others` is the earliest time of any other queued entry, heap or
+/// timing wheel (kTimeNever when there is none).
 using PollHook = FnRef<PollStep(TimePs at, bool timed_out, TimePs others)>;
 
 /// A schedulable fiber with a virtual clock.
-class Actor {
+class alignas(64) Actor {
  public:
   // kKilled models a fail-stop death: the fiber is parked mid-stack
   // forever (its frames are unwound at teardown by cancel_all), it holds
   // no heap entry, and wake() ignores it. From the run loop's point of
   // view a killed actor counts as finished.
-  enum class State { kScheduled, kRunning, kBlocked, kFinished, kKilled };
+  enum class State : u8 { kScheduled, kRunning, kBlocked, kFinished, kKilled };
 
   int id() const { return id_; }
   const std::string& name() const { return name_; }
@@ -141,21 +159,28 @@ class Actor {
  private:
   friend class Scheduler;
 
-  /// Sentinel heap position for an actor with no queue entry.
+  /// Sentinel heap position for an actor with no heap entry.
   static constexpr std::size_t kNotInHeap = ~std::size_t{0};
 
-  Actor(Scheduler& sched, int id, std::string name,
-        std::function<void()> body, std::size_t stack_bytes);
+  Actor(int id, std::string name, std::function<void()> body,
+        std::size_t stack_bytes);
 
-  Scheduler& sched_;
-  int id_;
-  std::string name_;
+  // What a pop, a park or a poll hook's step touches comes first, in one
+  // cache line (the class is cache-line aligned).
   TimePs clock_ = 0;
-  State state_ = State::kScheduled;
   std::size_t heap_pos_ = kNotInHeap;  // index into the scheduler's heap
-  WakeReason wake_reason_ = WakeReason::kWoken;
-  std::unique_ptr<Fiber> fiber_;
+  // The entry when it is parked on the timing wheel instead (Scheduler).
+  TimePs wheel_time_ = 0;
+  Actor* wheel_prev_ = nullptr;  // bucket list, sorted by (time, id)
+  Actor* wheel_next_ = nullptr;
   PollHook poll_hook_;
+  int id_;
+  State state_ = State::kScheduled;
+  bool in_wheel_ = false;
+  WakeReason wake_reason_ = WakeReason::kWoken;
+
+  std::string name_;
+  std::unique_ptr<Fiber> fiber_;
   std::array<BlockSite, kMaxBlockSites> sites_{};
   std::size_t site_depth_ = 0;
 };
@@ -195,9 +220,18 @@ class Scheduler {
     (void)i;
     return dispatched_;
   }
-  /// Entries a poll hook re-keyed instead of resuming the fiber. Not
-  /// part of the dispatch count.
+  /// Polls charged without resuming the fiber: the entries a poll hook
+  /// re-keyed instead of handing them back. A stepped poll counts once,
+  /// or twice when it re-keys at a mid-tick yield and again after its
+  /// read (kernel::spin_wait). Not part of the dispatch count.
   u64 elided_polls() const { return elided_polls_; }
+
+  /// Pops, dispatched or stepped by a poll hook, earlier than an earlier
+  /// pop; and block_until calls with a deadline before the caller's
+  /// clock. The second causes the first. Exposed so tests can pin that
+  /// both stay 0 without fault injection.
+  u64 backward_pops() const { return backward_pops_; }
+  u64 late_timeouts() const { return late_timeouts_; }
 
   /// Runs until every actor has finished. Throws DeadlockError if all
   /// remaining actors are blocked without timeouts.
@@ -215,10 +249,10 @@ class Scheduler {
     Actor* self = current_;
     assert(self != nullptr && "yield() outside an actor");
     if (!stop_requested_) {
-      if (heap_.empty()) return;  // nobody else could run before us
-      const HeapEntry& top = heap_[0];
-      if (top.time > self->clock_ ||
-          (top.time == self->clock_ && top.id > self->id_)) {
+      const Actor* first = earliest();
+      if (first == nullptr) return;  // nobody else could run before us
+      const TimePs t = entry_time(*first);
+      if (t > self->clock_ || (t == self->clock_ && first->id_ > self->id_)) {
         return;  // re-queueing self would pop self right back
       }
     }
@@ -231,15 +265,12 @@ class Scheduler {
   bool maybe_yield() {
     Actor* self = current_;
     assert(self != nullptr);
-    if (heap_.empty() || heap_[0].time >= self->clock_) return false;
+    if ((heap_.empty() || heap_[0].time >= self->clock_) &&
+        (wheel_min_ == nullptr || wheel_min_->wheel_time_ >= self->clock_)) {
+      return false;
+    }
     yield_switch(self);
     return true;
-  }
-
-  /// True when another schedulable actor has a strictly earlier clock than
-  /// time `t`. Exact: the heap root is always a live entry.
-  bool someone_earlier(TimePs t) const {
-    return !heap_.empty() && heap_[0].time < t;
   }
 
   /// Fail-stop death of the *current* actor: marks it kKilled, counts it
@@ -282,9 +313,10 @@ class Scheduler {
   std::size_t num_actors() const { return actors_.size(); }
   Actor& actor(std::size_t i) { return *actors_.at(i); }
 
-  /// Live entry count. At most one entry per unfinished actor by
-  /// construction — exposed so tests can pin that bound.
-  std::size_t heap_size() const { return heap_.size(); }
+  /// Live entry count, heap and wheel. At most one entry per
+  /// unfinished actor by construction — exposed so tests can pin that
+  /// bound.
+  std::size_t heap_size() const { return heap_.size() + wheel_size_; }
 
  private:
   /// One indexed-heap entry. The tie-break id is stored inline so the
@@ -296,8 +328,18 @@ class Scheduler {
   };
 
   static bool entry_less(const HeapEntry& a, const HeapEntry& b) {
-    return a.time != b.time ? a.time < b.time : a.id < b.id;
+    return key_less(a.time, a.id, b.time, b.id);
   }
+  static bool key_less(TimePs at, int aid, TimePs bt, int bid) {
+    return at != bt ? at < bt : aid < bid;
+  }
+
+  // The timing wheel: 1024 buckets of 65.536 ns, a 67.1 us horizon. The
+  // 4096-cycle cap of a TAS backoff (7.7 us at 533 MHz) and the 50 us cap
+  // of the MPB barrier waits both fit.
+  static constexpr int kWheelShift = 16;
+  static constexpr std::size_t kWheelBuckets = 1024;
+  static constexpr std::size_t kWheelWords = kWheelBuckets / 64;
 
   // ---- indexed-heap primitives (maintain Actor::heap_pos_) ----
   void heap_place(std::size_t i, const HeapEntry& e) {
@@ -310,11 +352,37 @@ class Scheduler {
   void heap_remove_at(std::size_t i);
   void heap_move(Actor& a, TimePs at);  // re-key the existing entry
 
+  // ---- timing wheel (maintain Actor::in_wheel_ and wheel_min_) ----
+  /// Parks `a`'s entry at `at` on the wheel; false (nothing changed)
+  /// when `at` lies beyond the horizon.
+  bool wheel_insert(Actor& a, TimePs at);
+  void wheel_unlink(Actor& a);
+  /// Points wheel_min_ at the earliest wheel entry: the head of the
+  /// first non-empty bucket from the floor's on.
+  void wheel_find_min();
+
+  /// The actor owning the earliest queued entry, or nullptr.
+  Actor* earliest() const {
+    if (wheel_min_ == nullptr) {
+      return heap_.empty() ? nullptr : heap_[0].actor;
+    }
+    if (heap_.empty() ||
+        key_less(wheel_min_->wheel_time_, wheel_min_->id_, heap_[0].time,
+                 heap_[0].id)) {
+      return wheel_min_;
+    }
+    return heap_[0].actor;
+  }
+  TimePs entry_time(const Actor& a) const {
+    return a.in_wheel_ ? a.wheel_time_ : heap_[a.heap_pos_].time;
+  }
+
   /// Pops the earliest live entry and prepares its actor to run (wake
   /// reason, clock, state). An entry whose actor has a poll hook goes to
   /// the hook first and stays queued when the hook re-keys it. Returns
-  /// nullptr when the heap is empty.
-  Actor* take_next();
+  /// nullptr when nothing is queued. `pending`, when set, is a yielding
+  /// actor that competes at (clock, id) as if it were queued.
+  Actor* take_next(Actor* pending = nullptr);
 
   /// Suspension point: picks the next actor and transfers to it directly,
   /// or falls back to the main context when the heap is empty or a stop
@@ -326,8 +394,15 @@ class Scheduler {
 
   std::vector<std::unique_ptr<Actor>> actors_;
   std::vector<HeapEntry> heap_;
+  std::array<Actor*, kWheelBuckets> wheel_{};
+  std::array<u64, kWheelWords> wheel_bits_{};  // non-empty buckets
+  Actor* wheel_min_ = nullptr;
+  std::size_t wheel_size_ = 0;
   u64 dispatched_ = 0;
   u64 elided_polls_ = 0;
+  TimePs wheel_floor_ = 0;  // the latest pop time so far
+  u64 backward_pops_ = 0;
+  u64 late_timeouts_ = 0;
   Actor* current_ = nullptr;
   std::size_t finished_count_ = 0;
   bool running_ = false;

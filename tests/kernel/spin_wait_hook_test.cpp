@@ -5,16 +5,20 @@
 // and the two runs must agree on every core's clock and counters and on
 // the order in which the waiters got through. One case per condition
 // under which the hook must hand the poll back to the fiber checks that
-// the fiber did run it.
+// the fiber did run it. Entries the hook re-keys are parked on the
+// scheduler's timing wheel, so every case also checks that the wheel
+// hands them out in the heap's (time, id) order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "kernel/kernel.hpp"
 #include "sccsim/addrmap.hpp"
 #include "sim/faults.hpp"
+#include "sim/rng.hpp"
 
 namespace msvm::kernel {
 namespace {
@@ -232,6 +236,100 @@ TEST_P(SpinWaitConvoy, HookSteppedWaitMatchesPlainLoop) {
 INSTANTIATE_TEST_SUITE_P(Waiters, SpinWaitConvoy,
                          ::testing::Values(3, 47, 95, 255));
 
+/// A convoy with jittered timing: every core draws its start delay, its
+/// hold cycles per round and its gap between rounds from `seed`.
+Outcome run_jittered(Loop loop, u64 seed, int waiters) {
+  const scc::ChipConfig cfg = config_for(waiters + 1);
+  sim::Rng rng(seed);
+  std::vector<std::vector<u64>> draws(static_cast<std::size_t>(waiters + 1));
+  for (std::vector<u64>& d : draws) {
+    for (int k = 0; k < 7; ++k) d.push_back(rng.next_range(1, 3'000));
+  }
+  scc::Chip chip(cfg);
+  Outcome out;
+  for (int id = 0; id <= waiters; ++id) {
+    chip.spawn_program(id, [&, id](scc::Core& c) {
+      const std::vector<u64>& d = draws[static_cast<std::size_t>(id)];
+      const SpinWaitOpts opts = tas_spin_opts(c, "test.jitter");
+      c.compute_cycles(d[0]);
+      for (int r = 0; r < 3; ++r) {
+        wait_word(loop, c, scc::WatchedWord::tas(0), opts);
+        out.order.push_back(id);
+        c.compute_cycles(d[static_cast<std::size_t>(1 + 2 * r)]);
+        c.tas_release(0);
+        c.compute_cycles(d[static_cast<std::size_t>(2 + 2 * r)]);
+      }
+    });
+  }
+  chip.run();
+  for (int id = 0; id <= waiters; ++id) {
+    out.clocks.push_back(chip.core(id).now());
+    out.counters.push_back(chip.core(id).counters());
+  }
+  out.elided = chip.scheduler().elided_polls();
+  return out;
+}
+
+class SpinWaitJitter
+    : public ::testing::TestWithParam<std::tuple<u64, int>> {};
+
+TEST_P(SpinWaitJitter, JitteredConvoyMatchesPlainLoop) {
+  const auto [seed, waiters] = GetParam();
+  const Outcome hooked = run_jittered(Loop::kSpinWait, seed, waiters);
+  const Outcome plain = run_jittered(Loop::kReference, seed, waiters);
+  expect_same(hooked, plain);
+  EXPECT_EQ(hooked.order.size(), static_cast<std::size_t>(3 * (waiters + 1)));
+  EXPECT_GT(hooked.elided, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedsTimesWaiters, SpinWaitJitter,
+    ::testing::Combine(::testing::Values(u64{11}, u64{12}, u64{13}),
+                       ::testing::Values(3, 47, 255)));
+
+TEST(SpinWaitHook, TiedWaitersPopInIdOrder) {
+  // Cores 2 and 3 share a tile, so they sit at the same distance from
+  // register 0, and they start together: every poll of one ties on time
+  // with a poll of the other until one gets the lock, and the wheel must
+  // order each tie as the heap does. (SchedulerWheel tests force the
+  // wheel's ties directly.)
+  const scc::ChipConfig cfg = config_for(4);
+  const auto run = [&](Loop loop) {
+    scc::Chip chip(cfg);
+    Outcome out;
+    for (int id = 0; id < 4; ++id) {
+      chip.spawn_program(id, [&, id](scc::Core& c) {
+        const SpinWaitOpts opts = tas_spin_opts(c, "test.tie");
+        if (id == 1) return;
+        if (id == 0) {
+          wait_word(loop, c, scc::WatchedWord::tas(0), opts);
+          c.compute_cycles(30'000);
+          c.tas_release(0);
+          return;
+        }
+        c.compute_cycles(200);
+        wait_word(loop, c, scc::WatchedWord::tas(0), opts);
+        out.order.push_back(id);
+        c.compute_cycles(500);
+        c.tas_release(0);
+      });
+    }
+    chip.run();
+    for (int id = 0; id < 4; ++id) {
+      out.clocks.push_back(chip.core(id).now());
+      out.counters.push_back(chip.core(id).counters());
+    }
+    out.elided = chip.scheduler().elided_polls();
+    return out;
+  };
+  const Outcome hooked = run(Loop::kSpinWait);
+  expect_same(hooked, run(Loop::kReference));
+  EXPECT_EQ(hooked.order, (std::vector<int>{3, 2}));
+  // Core 2 lost and failed on until core 3 released.
+  EXPECT_GT(hooked.counters[2].tas_spins, hooked.counters[3].tas_spins);
+  EXPECT_GT(hooked.elided, 0u);
+}
+
 TEST(SpinWaitHook, MidTickYieldStepIsExact) {
   // With 255 waiters nearly every poll wakes after a relax longer than
   // the boundary interval, so its tick passes a boundary while another
@@ -325,6 +423,24 @@ TEST(SpinWaitHook, TimerTickDueRunsTheFiber) {
   EXPECT_GT(hooked.elided, 0u);
 }
 
+TEST(SpinWaitHook, TimerTickAndIpiOnParkedWaiters) {
+  // 47 waiters parked on the wheel while core 0 holds for two timer
+  // ticks and raises an IPI on waiter 5 mid-hold: the IPI's wake pulls a
+  // parked entry off the wheel, and every tick that falls due hands a
+  // parked waiter back to its fiber.
+  Convoy k;
+  k.waiters = 47;
+  k.hold_cycles = 1'400'000;
+  k.rounds = 1;
+  k.ipi_target = 5;
+  const scc::ChipConfig cfg = config_for(k.waiters + 1);
+  const Outcome hooked = run_convoy(Loop::kSpinWait, k, cfg);
+  expect_same(hooked, run_convoy(Loop::kReference, k, cfg));
+  EXPECT_EQ(hooked.counters[5].ipi_irqs, 1u);
+  EXPECT_GE(hooked.counters[47].timer_irqs, 2u);
+  EXPECT_GT(hooked.elided, 0u);
+}
+
 TEST(SpinWaitHook, WarnEveryRunsTheFiber) {
   Convoy k;
   k.warn_every = 4;
@@ -346,8 +462,11 @@ TEST(SpinWaitHook, FaultsOnRunTheFiber) {
 
 TEST(SpinWaitHook, WatchdogTripRunsTheFiber) {
   // The holder never releases: the watchdog must trip on a waiter's
-  // fiber at the same virtual moment, with the same report.
-  scc::ChipConfig cfg = config_for(4);
+  // fiber at the same virtual moment, with the same report, taken while
+  // the other waiters are parked on the wheel.
+  for (int cores : {4, 48}) {
+  SCOPED_TRACE(cores);
+  scc::ChipConfig cfg = config_for(cores);
   cfg.faults.watchdog_ps = 500 * kPsPerUs;
   const auto hung = [&](Loop loop) {
     scc::Chip chip(cfg);
@@ -375,6 +494,7 @@ TEST(SpinWaitHook, WatchdogTripRunsTheFiber) {
   expect_same(hooked, hung(Loop::kReference));
   EXPECT_NE(hooked.hang_report.find("test.hang"), std::string::npos);
   EXPECT_GT(hooked.elided, 0u);
+  }
 }
 
 }  // namespace

@@ -1,11 +1,18 @@
 // Unit tests for the discrete-event scheduler: ordering, determinism,
-// block/wake semantics, timeouts and deadlock detection.
+// block/wake semantics, timeouts and deadlock detection, and the timing
+// wheel that parks poll-hook re-keys off the heap.
 #include "sim/scheduler.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "kernel/kernel.hpp"
+#include "sccsim/addrmap.hpp"
+#include "sim/rng.hpp"
 
 namespace msvm::sim {
 namespace {
@@ -310,6 +317,250 @@ TEST(Scheduler, WakeStormKeepsHeapBounded) {
   // +1 for the storm actor itself. The old implementation peaked at
   // thousands of entries under this load.
   EXPECT_LE(max_heap, static_cast<std::size_t>(kSleepers) + 1);
+}
+
+
+/// One poll-hook call: the entry's time and actor id, and the `others`
+/// time the scheduler passed.
+struct HookCall {
+  TimePs at;
+  int id;
+  TimePs others;
+  bool operator<(const HookCall& o) const {
+    return at != o.at ? at < o.at : id < o.id;
+  }
+};
+
+/// A sleeper that a poll hook steps `steps` times before it lets the
+/// fiber run: each step re-keys the entry `gaps[k % gaps.size()]` ps
+/// later, and `seen` records every call.
+struct HookedSleeper {
+  std::vector<TimePs> gaps;
+  int steps = 0;
+  std::vector<HookCall>* seen = nullptr;
+  int id = 0;
+  int done = 0;
+
+  PollStep operator()(TimePs at, bool timed_out, TimePs others) {
+    seen->push_back({at, id, others});
+    if (!timed_out || done == steps) return {};
+    const TimePs gap = gaps[static_cast<std::size_t>(done) % gaps.size()];
+    ++done;
+    return {at + gap, /*timeout=*/true};
+  }
+};
+
+TEST(SchedulerWheel, PopsInTimeAndIdOrderAcrossHeapAndWheel) {
+  // Sleepers re-key through their hooks by gaps that put some entries on
+  // the wheel (within its 2^26 ps horizon) and some on the heap (at or
+  // beyond it). Sleepers i, i+4 and i+8 (i < 4) start together with the
+  // same gaps, so their entries tie on time at every step; sleeper 12
+  // (heap) and sleeper 13 (wheel) tie on time every other step of 13.
+  // The hooks must see every entry in (time, id) order, as one heap
+  // would hand them out, each with the earliest other entry as `others`.
+  constexpr TimePs kHorizon = TimePs{1} << 26;
+  Scheduler s;
+  std::vector<HookCall> seen;
+  const std::vector<std::vector<TimePs>> gap_sets = {
+      {1'000, 7'000'000},          // both on the wheel
+      {1'000, 2 * kHorizon},       // the wheel, then past the horizon
+      {7'000'000, 1'000},          // the first set, other phase
+      {65'536, kHorizon - 1, kHorizon},  // up to the horizon
+  };
+  constexpr int kSleepers = 14;
+  std::vector<HookedSleeper> hooks(kSleepers);
+  for (int i = 0; i < kSleepers; ++i) {
+    HookedSleeper& h = hooks[static_cast<std::size_t>(i)];
+    h.gaps = i < 12 ? gap_sets[static_cast<std::size_t>(i % 4)]
+                    : std::vector<TimePs>{i == 12 ? 80'000'000u
+                                                  : 40'000'000u};
+    h.steps = 40;
+    h.seen = &seen;
+    h.id = i;
+    s.spawn("sleeper" + std::to_string(i), [&s, &h] {
+      s.current()->set_poll_hook(h);
+      s.block_until(s.current()->clock() + 5'000);
+      s.current()->set_poll_hook({});
+    }, /*start=*/i < 12 ? 100 * static_cast<TimePs>(i % 2) : 0);
+  }
+  s.run();
+  ASSERT_EQ(seen.size(), static_cast<std::size_t>(kSleepers) * 41u);
+  EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end()));
+  std::size_t ties = 0;
+  for (std::size_t i = 1; i < seen.size(); ++i) {
+    if (seen[i].at == seen[i - 1].at) ++ties;
+  }
+  EXPECT_GT(ties, 100u);  // the id tie-break decided many pops
+  // Every sleeper holds one entry until its last call, so `others` must
+  // be the earliest next call of any other sleeper.
+  std::vector<TimePs> next(kSleepers, kTimeNever);
+  for (std::size_t i = seen.size(); i-- > 0;) {
+    TimePs expect = kTimeNever;
+    for (int j = 0; j < kSleepers; ++j) {
+      if (j != seen[i].id) {
+        expect = std::min(expect, next[static_cast<std::size_t>(j)]);
+      }
+    }
+    EXPECT_EQ(seen[i].others, expect) << "call " << i;
+    next[static_cast<std::size_t>(seen[i].id)] = seen[i].at;
+  }
+  EXPECT_EQ(s.elided_polls(), static_cast<u64>(kSleepers) * 40u);
+  EXPECT_EQ(s.heap_size(), 0u);
+}
+
+TEST(SchedulerWheel, YieldAndWakeSeeAParkedEntry) {
+  // The sleeper's hook parks its timeout 1 us ahead, over and over. The
+  // waker's yield() at 2.5 us must run the parked step at 2 us first;
+  // then its wake() at 2.5 us pulls the entry parked at 3 us onto the
+  // heap, and the sleeper resumes as woken, at the wake time.
+  Scheduler s;
+  std::vector<HookCall> seen;
+  HookedSleeper h;
+  h.gaps = {1'000'000};
+  h.steps = 1'000;
+  h.seen = &seen;
+  WakeReason reason = WakeReason::kTimeout;
+  TimePs resumed_at = 0;
+  Actor& sleeper = s.spawn("sleeper", [&] {
+    s.current()->set_poll_hook(h);
+    reason = s.block_until(1'000'000);
+    s.current()->set_poll_hook({});
+    resumed_at = s.current()->clock();
+  });
+  s.spawn("waker", [&] {
+    s.current()->advance(1'500'000);
+    s.yield();  // the step at 1 us
+    s.current()->advance(1'000'000);
+    s.yield();  // the parked step at 2 us
+    EXPECT_EQ(s.heap_size(), 1u);  // the sleeper, parked at 3 us
+    s.wake(sleeper, s.current()->clock());
+  });
+  s.run();
+  EXPECT_EQ(reason, WakeReason::kWoken);
+  EXPECT_EQ(resumed_at, 2'500'000u);
+  ASSERT_EQ(seen.size(), 3u);
+  EXPECT_EQ(seen[0].at, 1'000'000u);
+  EXPECT_EQ(seen[1].at, 2'000'000u);
+  EXPECT_EQ(seen[2].at, 2'500'000u);  // the wake, handed to the fiber
+}
+
+TEST(SchedulerWheel, YielderLosesTimeTiesToLowerIds) {
+  // A core that yields competes for the next pop at its (clock, id)
+  // without a queue entry. At 2 us the sleeper's parked entry (id 0)
+  // ties with the yielder (id 1) and must be stepped first.
+  Scheduler s;
+  std::vector<HookCall> seen;
+  HookedSleeper h;
+  h.gaps = {1'000'000};
+  h.steps = 3;
+  h.seen = &seen;
+  TimePs last_seen_at_resume = 0;
+  s.spawn("sleeper", [&] {
+    s.current()->set_poll_hook(h);
+    s.block_until(1'000'000);
+    s.current()->set_poll_hook({});
+  });
+  s.spawn("yielder", [&] {
+    s.current()->advance(2'000'000);
+    EXPECT_TRUE(s.maybe_yield());  // the sleeper's entry at 1 us is earlier
+    last_seen_at_resume = seen.back().at;
+  });
+  s.run();
+  EXPECT_EQ(last_seen_at_resume, 2'000'000u);
+}
+
+TEST(SchedulerWheel, LateTimeoutIsCountedAndPopsBehind) {
+  // A timeout before the caller's clock is the one way a pop goes back
+  // in time (a halt that finds its timer tick overdue, under fault
+  // injection). Both are counted.
+  Scheduler s;
+  std::vector<char> order;
+  s.spawn("late", [&] {
+    s.current()->advance(1'000);
+    s.yield();  // "other" runs; this pop at 1000 ps raises the floor
+    s.block_until(400);  // already past
+    order.push_back('l');
+  });
+  s.spawn("other", [&] { order.push_back('o'); });
+  s.run();
+  EXPECT_EQ(s.late_timeouts(), 1u);
+  EXPECT_EQ(s.backward_pops(), 1u);
+  EXPECT_EQ(order, (std::vector<char>{'o', 'l'}));
+}
+
+TEST(SchedulerWheel, MixedRunPopsNeverGoBackInTime) {
+  // The two properties the wheel's floor relies on, over a mixed run: a
+  // TAS convoy (cores 0-15), a master-gather MPB-flag barrier (cores
+  // 16-31) and an IPI storm from core 32 onto the convoy's waiters.
+  // Without fault injection no block_until deadline lies before its
+  // caller's clock, and popped entry times never decrease; every actor
+  // also checks, whenever it runs, that the clock it resumed with is not
+  // behind any pop it saw before.
+  scc::ChipConfig cfg;
+  cfg.shared_dram_bytes = 4 << 20;
+  cfg.private_dram_bytes = 1 << 20;
+  cfg.num_cores = 48;
+  scc::Chip chip(cfg);
+  Rng rng(7);
+  std::vector<u64> jitter(48);
+  for (u64& j : jitter) j = rng.next_below(400);
+  int ipis = 0;
+  for (int id = 0; id < 33; ++id) {
+    chip.spawn_program(id, [&, id](scc::Core& c) {
+      c.set_ipi_handler([&ipis](scc::Core&, const scc::IpiSourceSet&) {
+        ++ipis;
+      });
+      c.compute_cycles(50 + jitter[static_cast<std::size_t>(id)]);
+      if (id < 16) {
+        for (int r = 0; r < 3; ++r) {
+          kernel::TasSpinlock lock(0);
+          kernel::TasLockGuard guard(lock, c);
+          c.compute_cycles(900 + jitter[static_cast<std::size_t>(id + r)]);
+        }
+        return;
+      }
+      const scc::AddrMap& map = c.chip().map();
+      kernel::SpinWaitOpts opts;
+      opts.start_ps = 200 * kPsPerNs;
+      opts.cap_ps = 50 * kPsPerUs;
+      if (id < 32) {
+        for (int r = 0; r < 3; ++r) {
+          const u8 sense = static_cast<u8>(r % 2 + 1);
+          c.compute_cycles(3'000 * static_cast<u64>((id + r) % 5));
+          if (id == 16) {
+            for (int m = 17; m < 32; ++m) {
+              kernel::spin_wait(
+                  c,
+                  scc::WatchedWord::mpb_byte(
+                      map.mpb_base(16) + static_cast<u32>(m), sense),
+                  opts);
+            }
+            for (int m = 17; m < 32; ++m) {
+              c.pstore<u8>(map.mpb_base(m) + 1024, sense,
+                           scc::MemPolicy::kUncached);
+            }
+          } else {
+            c.pstore<u8>(map.mpb_base(16) + static_cast<u32>(id), sense,
+                         scc::MemPolicy::kUncached);
+            kernel::spin_wait(
+                c, scc::WatchedWord::mpb_byte(map.mpb_base(id) + 1024, sense),
+                opts);
+          }
+        }
+        return;
+      }
+      for (int k = 0; k < 60; ++k) {  // core 32: the IPI storm
+        c.compute_cycles(200 + jitter[static_cast<std::size_t>(k % 48)]);
+        c.raise_ipi(1 + k % 15);
+      }
+    });
+  }
+  chip.run();
+  Scheduler& s = chip.scheduler();
+  EXPECT_EQ(s.late_timeouts(), 0u);
+  EXPECT_EQ(s.backward_pops(), 0u);
+  EXPECT_GT(s.elided_polls(), 0u);  // the hooks parked entries
+  EXPECT_GT(ipis, 0);
 }
 
 }  // namespace
