@@ -206,8 +206,9 @@ class JsonReport {
   /// Preferred form: records the --seed, wires up the uniform
   /// observability flag block (--trace/--metrics/--heatmap), and stamps
   /// the default 48-core SCC topology into the header — every
-  /// fixed-topology bench runs that die. Sweeping benches (scaling) use
-  /// the seed constructor and record their own topology block.
+  /// fixed-topology bench runs that die. Benches that take --cores
+  /// (scaling, degraded_throughput) use the seed constructor and record
+  /// their own topology block.
   JsonReport(std::string name, int argc, char** argv)
       : JsonReport(std::move(name), arg_seed(argc, argv)) {
     obs_setup(argc, argv);

@@ -26,8 +26,9 @@ int main(int argc, char** argv) {
       "degraded-mode throughput under fail-stop core deaths",
       "verified slots per virtual ms as 0..3 cores die mid-run");
 
-  bench::JsonReport json("degraded_throughput", argc, argv);
-  json.config("cores", static_cast<u64>(cores));
+  bench::JsonReport json("degraded_throughput", seed);
+  bench::obs_setup(argc, argv);
+  json.topology(cores);
   json.config("pages", static_cast<u64>(pages));
 
   struct ModelRow {

@@ -167,6 +167,42 @@ void spin_wait(scc::Core& core, const scc::WatchedWord& word,
   SpinWait(core, word, opts).run();
 }
 
+void master_gather_barrier(scc::Core& core, const std::vector<int>& members,
+                           u8& sense, const GatherBarrierFlags& flags) {
+  const u8 want = sense;
+  sense = want == 1 ? 2 : 1;
+  const scc::AddrMap& map = core.chip().map();
+  const int master = members.front();
+  SpinWaitOpts opts;
+  opts.start_ps = 200 * kPsPerNs;
+  opts.cap_ps = 50 * kPsPerUs;
+  if (core.id() == master) {
+    opts.site = flags.gather_site;
+    for (std::size_t i = 1; i < members.size(); ++i) {
+      const u64 flag = map.mpb_base(master) + flags.arrive +
+                       static_cast<u32>(members[i]);
+      opts.site_arg = static_cast<u64>(members[i]);
+      spin_wait(core, scc::WatchedWord::mpb_byte(flag, want, flags.polls),
+                opts);
+    }
+    for (std::size_t i = 1; i < members.size(); ++i) {
+      core.pstore<u8>(map.mpb_base(members[i]) + flags.release, want,
+                      scc::MemPolicy::kUncached);
+    }
+  } else {
+    core.pstore<u8>(map.mpb_base(master) + flags.arrive +
+                        static_cast<u32>(core.id()),
+                    want, scc::MemPolicy::kUncached);
+    opts.site = flags.release_site;
+    opts.site_arg = static_cast<u64>(master);
+    spin_wait(core,
+              scc::WatchedWord::mpb_byte(map.mpb_base(core.id()) +
+                                             flags.release,
+                                         want, flags.polls),
+              opts);
+  }
+}
+
 Kernel::Kernel(scc::Core& core) : core_(core) {}
 
 void Kernel::boot() {

@@ -65,6 +65,24 @@ SpinWaitOpts tas_spin_opts(scc::Core& core, const char* site,
 void spin_wait(scc::Core& core, const scc::WatchedWord& word,
                const SpinWaitOpts& opts);
 
+/// One endpoint's flag bytes and labels for master_gather_barrier.
+struct GatherBarrierFlags {
+  u32 arrive = 0;   // MPB offset of the arrival bytes, by core id
+  u32 release = 0;  // MPB offset of each member's release byte
+  const char* gather_site = "";   // member 0's wait site
+  const char* release_site = "";  // every other member's wait site
+  u64* polls = nullptr;           // counts every flag poll, if set
+};
+
+/// The sense-reversing master-gather barrier over MPB flag bytes. Member
+/// 0 waits until every other member's arrival byte in its own MPB holds
+/// `sense`, then writes `sense` to each one's release byte; every other
+/// member writes its arrival byte and waits on its own release byte.
+/// Both waits back off from 200 ns, doubling to a 50 us cap. `sense`
+/// flips between 1 and 2 on every call.
+void master_gather_barrier(scc::Core& core, const std::vector<int>& members,
+                           u8& sense, const GatherBarrierFlags& flags);
+
 class Kernel {
  public:
   explicit Kernel(scc::Core& core);

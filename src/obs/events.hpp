@@ -32,7 +32,7 @@ enum class EventKind : u8 {
   kProtoTransition = 0,  // b: old PageState, c: new PageState
   kProtoMsgSend = 1,     // b: MsgType, c: destination core / multicast mask
   kProtoMsgRecv = 2,     // b: MsgType, c: requester id
-  kProtoMetaWrite = 3,   // b: MetaKind, c: value written
+  kProtoMetaWrite = 3,   // b: MetaKind | word index << 8, c: value
   kProtoFault = 4,       // b: 1 = write fault, c: fault-path tag
 
   // SVM runtime spans and instants.

@@ -36,13 +36,6 @@ void Rcce::mpb_write8(int core, u32 off, u8 v) {
   core_.pstore<u8>(mpb_paddr(core, off), v, scc::MemPolicy::kUncached);
 }
 
-void Rcce::wait_own_flag(u32 off, u8 v, const kernel::SpinWaitOpts& opts) {
-  kernel::spin_wait(core_,
-                    scc::WatchedWord::mpb_byte(mpb_paddr(core_.id(), off), v,
-                                               &stats_.flag_polls),
-                    opts);
-}
-
 // ---------------------------------------------------------------------------
 // iRCCE requests & progress engine
 
@@ -197,32 +190,11 @@ void Rcce::wait_all(const std::vector<RequestHandle>& reqs) {
 
 void Rcce::barrier() {
   ++stats_.barriers;
-  const u8 sense = barrier_sense_;
-  barrier_sense_ = sense == 1 ? 2 : 1;
-  const int master_core = core_of(0);
   const scc::MpbLayout& mpb = core_.chip().map().layout();
-  kernel::SpinWaitOpts opts;
-  opts.start_ps = 200 * kPsPerNs;
-  opts.cap_ps = 50 * kPsPerUs;
-  if (rank_ == 0) {
-    // Gather: wait for every member's arrival byte to carry this sense.
-    opts.site = "rcce.barrier_gather";
-    for (int r = 1; r < size(); ++r) {
-      opts.site_arg = static_cast<u64>(core_of(r));
-      wait_own_flag(mpb.rcce_arrive + static_cast<u32>(core_of(r)), sense,
-                    opts);
-    }
-    // Release everyone.
-    for (int r = 1; r < size(); ++r) {
-      mpb_write8(core_of(r), mpb.rcce_release, sense);
-    }
-  } else {
-    mpb_write8(master_core, mpb.rcce_arrive + static_cast<u32>(core_.id()),
-               sense);
-    opts.site = "rcce.barrier_release";
-    opts.site_arg = static_cast<u64>(master_core);
-    wait_own_flag(mpb.rcce_release, sense, opts);
-  }
+  kernel::master_gather_barrier(
+      core_, members_, barrier_sense_,
+      {mpb.rcce_arrive, mpb.rcce_release, "rcce.barrier_gather",
+       "rcce.barrier_release", &stats_.flag_polls});
 }
 
 }  // namespace msvm::rcce

@@ -100,10 +100,6 @@ class Rcce {
   u8 mpb_read8(int core, u32 off);
   void mpb_write8(int core, u32 off, u8 v);
 
-  /// Spins until this core's own MPB byte at `off` equals `v`. Local
-  /// poll, as RCCE flags are designed to be.
-  void wait_own_flag(u32 off, u8 v, const kernel::SpinWaitOpts& opts);
-
   // Progress sub-steps; return true when they moved a request forward.
   bool progress_send(Request& req);
   bool progress_recv(Request& req);

@@ -1,8 +1,8 @@
 // ReadReplicationPolicy — the read-replication directory protocol
 // (SvmConfig::read_replication).
 //
-// The owner vector is extended by a per-page directory word holding the
-// sharer bitmask and the Exclusive/Shared state (see kDirSharedBit). All
+// The owner vector is extended by a per-page directory entry holding the
+// sharer set and the Exclusive/Shared state (layout: kDirSharedBit). All
 // directory transitions happen under the page's transfer lock, except the
 // Exclusive->Shared downgrade the owner performs on behalf of the lock
 // holder while serving its read request.

@@ -13,7 +13,7 @@ RecoveryAction recover_page(ProtocolEnv& env, u64 page,
 
   // Prune dead sharers: their read-only replicas died with them, and a
   // later write upgrade must not wait for an InvalAck no one will send.
-  DirEntry entry(meta.store().sharer_width());
+  DirEntry entry(meta.dir_width());
   bool entry_changed = false;
   if (has_directory) {
     entry = meta.dir_entry(page);
@@ -37,7 +37,7 @@ RecoveryAction recover_page(ProtocolEnv& env, u64 page,
       // the owner word; every later access throws SvmDataLossError.
       meta.set_owner(page, kOwnerLost);
       if (has_directory && !entry.none()) {
-        entry = DirEntry(meta.store().sharer_width());
+        entry = DirEntry(meta.dir_width());
         entry_changed = true;
       }
       ++env.stats().pages_lost;

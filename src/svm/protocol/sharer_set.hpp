@@ -66,7 +66,7 @@ class SharerSet {
     for (auto& w : spill_) w = 0;
   }
 
-  /// Raw word access for (de)serialisation by MetaStore implementations.
+  /// Raw word access for MetaWord's directory packing.
   u64 word(int i) const {
     assert(i >= 0 && i < num_words());
     return width_ <= 64 ? inline_ : spill_[static_cast<std::size_t>(i)];

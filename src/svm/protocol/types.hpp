@@ -80,14 +80,21 @@ struct Msg {
   int requester = 0;  // payload core id (requester / upgrader)
 };
 
-/// Directory word layout (read-replication mode; one u64 per page).
-/// Bits [0, 48): sharer bitmask — cores holding a read-only replica,
-/// never including the owner. Bit 63: the page is in the Shared state,
-/// i.e. the owner downgraded its own mapping to read-only and the frame
-/// in DRAM is clean.
+/// Read-replication directory entry layout, one rule on every die: the
+/// entry of a page is a bit vector of dir_words(n) 64-bit words. Sharer
+/// i — a core holding a read-only replica, never the owner — is bit
+/// i % 64 of word i / 64. Bit 63 of the last word (kDirSharedBit) marks
+/// the Shared state: the owner downgraded its own mapping to read-only
+/// and the frame in DRAM is clean.
 inline constexpr u64 kDirSharedBit = u64{1} << 63;
-inline constexpr u64 kDirSharerMask = (u64{1} << 48) - 1;
 inline constexpr u64 dir_bit(int core_id) { return u64{1} << core_id; }
+
+/// Words per directory entry on an n-core die: one below 64 cores
+/// (sharers in bits [0, 63)), else one word per 64 sharers plus a last
+/// word that holds only the Shared bit.
+inline constexpr int dir_words(int num_cores) {
+  return num_cores < 64 ? 1 : 1 + (num_cores + 63) / 64;
+}
 
 /// Fault-injection switches (testing only): each one removes a single
 /// step of the consistency protocols. Because the simulated caches
@@ -198,7 +205,7 @@ enum class HwEvent : u8 {
 enum class MetaKind : u8 {
   kOwner = 0,       // u16: owning core id
   kScratchpad = 1,  // u16: frame number (bit 15 unused, masked)
-  kDirectory = 2,   // u64: sharer bitmask | kDirSharedBit
+  kDirectory = 2,   // u64 words: sharer bits, kDirSharedBit in the last
 };
 
 inline const char* to_string(MetaKind k) {
@@ -208,6 +215,20 @@ inline const char* to_string(MetaKind k) {
     case MetaKind::kDirectory: return "dir";
   }
   return "?";
+}
+
+/// What a metadata write record names: the MetaKind in the low byte and
+/// the index of the word written above it. Owner and scratchpad entries
+/// and single-word directories only have word 0, so their tag is the
+/// bare MetaKind.
+inline constexpr u64 meta_tag(MetaKind kind, int word) {
+  return static_cast<u64>(kind) | static_cast<u64>(word) << 8;
+}
+inline constexpr MetaKind meta_tag_kind(u64 tag) {
+  return static_cast<MetaKind>(tag & 0xff);
+}
+inline constexpr int meta_tag_word(u64 tag) {
+  return static_cast<int>(tag >> 8);
 }
 
 // ---------------------------------------------------------------------------
@@ -223,7 +244,7 @@ enum class TraceKind : u8 {
   kTransition = 0,  // a: old PageState, b: new PageState
   kMsgSend = 1,     // a: MsgType, b: destination core (or multicast mask)
   kMsgRecv = 2,     // a: MsgType, b: requester id
-  kMetaWrite = 3,   // a: MetaKind, b: value written
+  kMetaWrite = 3,   // a: meta_tag(MetaKind, word), b: value written
   kFault = 4,       // a: 1 = write fault, b: fault-path tag
 };
 
@@ -268,12 +289,17 @@ inline std::string to_string(const TraceEvent& e) {
                     to_string(static_cast<MsgType>(e.a)),
                     static_cast<unsigned long long>(e.b));
       break;
-    case TraceKind::kMetaWrite:
-      std::snprintf(buf, sizeof(buf), "page %llu %s := 0x%llx",
+    case TraceKind::kMetaWrite: {
+      char word[16] = "";  // word 0 prints bare
+      if (meta_tag_word(e.a) != 0) {
+        std::snprintf(word, sizeof(word), "[%d]", meta_tag_word(e.a));
+      }
+      std::snprintf(buf, sizeof(buf), "page %llu %s%s := 0x%llx",
                     static_cast<unsigned long long>(e.page),
-                    to_string(static_cast<MetaKind>(e.a)),
+                    to_string(meta_tag_kind(e.a)), word,
                     static_cast<unsigned long long>(e.b));
       break;
+    }
     case TraceKind::kFault:
       std::snprintf(buf, sizeof(buf), "page %llu %s fault",
                     static_cast<unsigned long long>(e.page),

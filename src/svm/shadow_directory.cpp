@@ -74,22 +74,22 @@ void ShadowDirectory::on_event(const Event& e) {
         }
         shadow.writer = e.core;
       } else if (to == proto::PageState::kSharedRO) {
-        // Subset check needs the single-word directory view: owner
-        // exemption covers downgrades and first touches; chips wider
-        // than 64 cores spill the entry across words (cfg_.subset_check
-        // off), so only single-word directories are checked.
-        if (cfg_.subset_check && shadow.dir_known && shadow.owner_known &&
-            e.core >= 0 && e.core < 64) {
+        // Owner exemption covers downgrades and first touches. Sharer c
+        // is bit c % 64 of word c / 64. No core's bit is the Shared bit
+        // (bit 63 of the last word): below 64 cores sharers stop at bit
+        // 62, above they fill every word but the last.
+        if (!shadow.dir.empty() && shadow.owner_known && e.core >= 0) {
           const bool is_owner =
               shadow.owner_word == static_cast<u64>(e.core);
-          const bool in_dir = (shadow.dir_word >> e.core) & 1;
+          const auto w = static_cast<std::size_t>(e.core / 64);
+          const bool in_dir =
+              w < shadow.dir.size() && ((shadow.dir[w] >> (e.core % 64)) & 1);
           if (!is_owner && !in_dir) {
             record_violation(
                 e, "sharer-subset",
                 page_str(page) + ": entering SharedRO while neither owner (" +
                     std::to_string(shadow.owner_word) +
-                    ") nor in directory word " +
-                    std::to_string(shadow.dir_word));
+                    ") nor in the directory entry");
           }
         }
       }
@@ -98,14 +98,15 @@ void ShadowDirectory::on_event(const Event& e) {
 
     case EventKind::kProtoMetaWrite: {
       const u64 page = e.a;
-      const auto kind = static_cast<proto::MetaKind>(e.b);
+      const proto::MetaKind kind = proto::meta_tag_kind(e.b);
       PageShadow& shadow = pages_[page];
       if (kind == proto::MetaKind::kOwner) {
         shadow.owner_word = e.c;
         shadow.owner_known = true;
       } else if (kind == proto::MetaKind::kDirectory) {
-        shadow.dir_word = e.c & ~proto::kDirSharedBit;
-        shadow.dir_known = true;
+        const auto w = static_cast<std::size_t>(proto::meta_tag_word(e.b));
+        if (shadow.dir.size() <= w) shadow.dir.resize(w + 1);
+        shadow.dir[w] = e.c;
       }
       break;
     }

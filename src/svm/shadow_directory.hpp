@@ -10,9 +10,9 @@
 //     causal instant (Strong and read-replication; LRC is exempt by
 //     design: every core maps pages writable);
 //   * sharer subset — a core entering SharedRO is either the page's
-//     recorded owner (downgrade) or a member of the directory word it
-//     just joined (single-word directories, i.e. cores below 64 — the
-//     traced view of wider entries is word 0 only);
+//     recorded owner (downgrade) or a member of the directory entry it
+//     just joined, rebuilt word by word from the traced writes, so every
+//     core on every die is checked;
 //   * recovery-epoch monotonicity — kRecoveryBegin events carry a
 //     strictly increasing epoch (each per-page repair runs under that
 //     page's transfer lock);
@@ -55,10 +55,6 @@ class ShadowDirectory final : public obs::EventSink {
     /// Writer-exclusivity and sharer-subset checks; disable under LRC,
     /// where every core legitimately maps pages writable.
     bool single_writer = true;
-    /// Sharer-subset check; disable on chips wider than 64 cores, whose
-    /// directory entries spill across words — the traced single-word
-    /// view is no longer the whole sharer set.
-    bool subset_check = true;
   };
 
   ShadowDirectory() = default;
@@ -87,8 +83,7 @@ class ShadowDirectory final : public obs::EventSink {
     int writer = -1;        // core currently in OwnedRW, -1 when none
     u64 owner_word = 0;     // last written owner-vector value
     bool owner_known = false;
-    u64 dir_word = 0;       // last written directory word (word 0 view)
-    bool dir_known = false;
+    std::vector<u64> dir;   // last written directory entry, by word
   };
 
   void record_violation(const obs::Event& e, const char* invariant,

@@ -73,47 +73,16 @@ void Svm::barrier() {
   if (domain_.config().barrier_algo == BarrierAlgo::kDissemination) {
     barrier_dissemination();
   } else {
-    barrier_master_gather();
+    const scc::MpbLayout& mpb = core_.chip().map().layout();
+    kernel::master_gather_barrier(
+        core_, domain_.members(), barrier_sense_,
+        {mpb.barrier_arrive, mpb.barrier_release, "svm.barrier_gather",
+         "svm.barrier_release"});
   }
 
   // Acquire semantics: under Lazy Release the data written by others
   // before the barrier must not be shadowed by stale cache lines.
   runtime_->policy().on_acquire(*runtime_);
-}
-
-void Svm::barrier_master_gather() {
-  const u8 sense = barrier_sense_;
-  barrier_sense_ = sense == 1 ? 2 : 1;
-  const auto& members = domain_.members();
-  const int master_core = members.front();
-  const scc::AddrMap& map = core_.chip().map();
-  const scc::MpbLayout& mpb = map.layout();
-  // Arrival and release flags are polled with the same backoff: 200 ns,
-  // doubling to a 50 us cap.
-  kernel::SpinWaitOpts opts;
-  opts.start_ps = 200 * kPsPerNs;
-  opts.cap_ps = 50 * kPsPerUs;
-  if (rank_ == 0) {
-    opts.site = "svm.barrier_gather";
-    for (std::size_t i = 1; i < members.size(); ++i) {
-      const u64 flag = map.mpb_base(master_core) + mpb.barrier_arrive +
-                       static_cast<u32>(members[i]);
-      opts.site_arg = static_cast<u64>(members[i]);
-      kernel::spin_wait(core_, scc::WatchedWord::mpb_byte(flag, sense), opts);
-    }
-    for (std::size_t i = 1; i < members.size(); ++i) {
-      core_.pstore<u8>(map.mpb_base(members[i]) + mpb.barrier_release,
-                       sense, scc::MemPolicy::kUncached);
-    }
-  } else {
-    core_.pstore<u8>(map.mpb_base(master_core) + mpb.barrier_arrive +
-                         static_cast<u32>(core_.id()),
-                     sense, scc::MemPolicy::kUncached);
-    const u64 flag = map.mpb_base(core_.id()) + mpb.barrier_release;
-    opts.site = "svm.barrier_release";
-    opts.site_arg = static_cast<u64>(master_core);
-    kernel::spin_wait(core_, scc::WatchedWord::mpb_byte(flag, sense), opts);
-  }
 }
 
 void Svm::barrier_dissemination() {

@@ -66,11 +66,10 @@ inline constexpr u8 kMailReadAck = 0x23;
 inline constexpr u8 kMailInval = 0x24;
 inline constexpr u8 kMailInvalAck = 0x25;
 
-/// Directory word layout (read-replication mode) — canonical definitions
+/// Directory entry layout (read-replication mode) — canonical definitions
 /// live in the protocol core; re-exported here for the full-stack tests.
 using proto::dir_bit;
 using proto::kDirSharedBit;
-using proto::kDirSharerMask;
 
 /// Per-core protocol/runtime statistics (defined in the protocol core so
 /// policies can update their slice without seeing runtime headers).
@@ -174,9 +173,10 @@ class SvmDomain {
   u64 vbase() const;
   u64 owner_entry_paddr(u64 page_idx) const;
   u64 scratchpad_entry_paddr(u64 page_idx) const;
-  /// Directory sharer word of `page_idx` (read-replication mode only; the
-  /// area exists only when the mode is configured, keeping the metadata
-  /// layout — and thus every flag-off run — bit-identical to the paper's).
+  /// First word of `page_idx`'s directory entry (read-replication mode
+  /// only; the area exists only when the mode is configured, keeping the
+  /// metadata layout — and thus every flag-off run — bit-identical to the
+  /// paper's).
   u64 sharer_entry_paddr(u64 page_idx) const;
   u64 mc_counter_paddr(int mc) const;
   u64 frame_paddr(u16 frame_no) const;
@@ -200,14 +200,11 @@ class SvmDomain {
   /// TAS register for application-level SVM locks.
   int app_lock_reg(int lock_id) const;
 
-  /// Read-replication directory encoding: 0 = the historical single-word
-  /// entry (sharer bits below the state bit, chips up to 63 cores);
-  /// otherwise the number of 64-bit sharer words in a wide entry, which
-  /// is then laid out as one flags word (bit 0 = Shared) followed by the
-  /// sharer words.
-  int sharer_words() const { return dir_words_; }
+  /// Bytes per read-replication directory entry: proto::dir_words() of
+  /// the die's core count, 8 bytes each.
   u32 dir_entry_stride() const {
-    return dir_words_ == 0 ? 8u : 8u * static_cast<u32>(1 + dir_words_);
+    return 8u * static_cast<u32>(
+                    proto::dir_words(chip_.topology().max_cores()));
   }
 
   /// Collective-call symmetry check: every member must allocate the same
@@ -231,7 +228,6 @@ class SvmDomain {
   SvmConfig cfg_;
   std::vector<int> members_;
 
-  int dir_words_ = 0;        // wide-directory sharer words (0 = legacy)
   u64 mc_area_bytes_ = 64;   // per-MC frame counters (64 on the SCC)
   u64 meta_base_ = 0;        // shared-DRAM offset of the metadata area
   u64 page_capacity_total_ = 0;  // chip-wide SVM page capacity
@@ -359,8 +355,7 @@ class Svm {
   scc::Core& core() { return core_; }
 
  private:
-  // Barrier algorithm bodies.
-  void barrier_master_gather();
+  // The master-gather body is kernel::master_gather_barrier.
   void barrier_dissemination();
 
   kernel::Kernel& kernel_;

@@ -33,10 +33,6 @@ SvmDomain::SvmDomain(scc::Chip& chip, SvmConfig cfg,
       next_alloc_seq_(members_.size(), 0) {
   assert(num_slots >= 1 && slot >= 0 && slot < num_slots);
   const scc::Topology& topo = chip_.topology();
-  // Directory encoding: the historical single word carries the sharer
-  // bits below the state bit, which caps it at 63 cores; wider chips
-  // spill into a flags word plus ceil(n/64) sharer words.
-  dir_words_ = topo.max_cores() > 63 ? (topo.max_cores() + 63) / 64 : 0;
   const std::size_t nlocks =
       static_cast<std::size_t>(std::max(64, topo.max_cores()));
   debug_lock_holder_.assign(nlocks, -1);

@@ -97,8 +97,7 @@ SvmRuntime::SvmRuntime(kernel::Kernel& kernel, mbox::MailboxSystem& mbox,
       mbox_(mbox),
       domain_(domain),
       core_(kernel.core()),
-      dir_width_(domain.chip().topology().max_cores()),
-      meta_word_(*this, this),
+      meta_word_(*this, domain.chip().topology().max_cores(), this),
       policy_(make_policy(domain.config())) {
   kernel_.set_svm_fault_handler(
       [this](u64 vaddr, bool is_write) { handle_fault(vaddr, is_write); });
@@ -488,7 +487,7 @@ void SvmRuntime::send(int dest, const proto::Msg& m) {
     // A fresh request this core originates: stamp a new sequence number
     // and remember it for bounded-wait retransmission.
     mail.arg16 = acks_.next_seq();
-    proto::SharerSet awaiting(dir_width_);
+    proto::SharerSet awaiting(meta_word_.dir_width());
     awaiting.set(dest);
     pending_ = PendingRequest{mail, awaiting, m.page, mail.arg16,
                               ack_of(mail.type)};
@@ -709,7 +708,7 @@ proto::RecoveryAction SvmRuntime::run_page_recovery(u64 page,
   scc::Chip& chip = core_.chip();
   // Ground truth for *who* is dead comes from the chip; the lease only
   // gated *when* the survivors were allowed to act on it.
-  proto::SharerSet dead(dir_width_);
+  proto::SharerSet dead(meta_word_.dir_width());
   for (int i = 0; i < chip.config().num_cores; ++i) {
     if (chip.core_dead(i)) dead.set(i);
   }
@@ -1085,56 +1084,28 @@ void SvmRuntime::meta_store_word(u64 paddr, u64 value, u32 bits,
   }
 }
 
-u64 SvmRuntime::meta_paddr(proto::MetaKind kind, u64 page) const {
+u64 SvmRuntime::meta_paddr(proto::MetaKind kind, u64 page,
+                           int word) const {
   switch (kind) {
     case proto::MetaKind::kOwner:
       return domain_.owner_entry_paddr(page);
     case proto::MetaKind::kScratchpad:
       return domain_.scratchpad_entry_paddr(page);
     case proto::MetaKind::kDirectory:
-      return domain_.sharer_entry_paddr(page);
+      return domain_.sharer_entry_paddr(page) + 8 * static_cast<u64>(word);
   }
   panic("unknown MetaKind");
 }
 
-u64 SvmRuntime::load(proto::MetaKind kind, u64 page) {
+u64 SvmRuntime::load(proto::MetaKind kind, u64 page, int word) {
   const u32 bits = kind == proto::MetaKind::kDirectory ? 64 : 16;
-  return meta_load_word(meta_paddr(kind, page), bits, kind, page);
+  return meta_load_word(meta_paddr(kind, page, word), bits, kind, page);
 }
 
-proto::DirEntry SvmRuntime::load_dir(u64 page) {
-  if (domain_.sharer_words() == 0) return proto::MetaStore::load_dir(page);
-  // Wide entry: one flags word (bit 0 = Shared) then the sharer words,
-  // each its own uncached simulated transaction.
-  const u64 base = domain_.sharer_entry_paddr(page);
-  proto::DirEntry e(dir_width_);
-  e.shared =
-      (meta_load_word(base, 64, proto::MetaKind::kDirectory, page) & 1) !=
-      0;
-  for (int w = 0; w < domain_.sharer_words(); ++w) {
-    e.sharers.set_word(
-        w, meta_load_word(base + 8 * static_cast<u64>(w + 1), 64,
-                          proto::MetaKind::kDirectory, page));
-  }
-  return e;
-}
-
-void SvmRuntime::store_dir(u64 page, const proto::DirEntry& e) {
-  if (domain_.sharer_words() == 0) {
-    proto::MetaStore::store_dir(page, e);
-    return;
-  }
-  const u64 base = domain_.sharer_entry_paddr(page);
-  meta_store_word(base, e.shared ? u64{1} : u64{0}, 64, page);
-  for (int w = 0; w < domain_.sharer_words(); ++w) {
-    meta_store_word(base + 8 * static_cast<u64>(w + 1), e.sharers.word(w),
-                    64, page);
-  }
-}
-
-void SvmRuntime::store(proto::MetaKind kind, u64 page, u64 value) {
+void SvmRuntime::store(proto::MetaKind kind, u64 page, int word,
+                       u64 value) {
   const u32 bits = kind == proto::MetaKind::kDirectory ? 64 : 16;
-  meta_store_word(meta_paddr(kind, page), value, bits, page);
+  meta_store_word(meta_paddr(kind, page, word), value, bits, page);
 }
 
 }  // namespace msvm::svm

@@ -90,16 +90,10 @@ class SvmRuntime final : public proto::ProtocolEnv,
 
   // ---- proto::MetaStore (uncached simulated-memory words) ----
 
-  u64 load(proto::MetaKind kind, u64 page) override;
-  void store(proto::MetaKind kind, u64 page, u64 value) override;
-  /// Directory width = the die's core count. Up to 63 cores the entry is
-  /// the historical single word (handled by the MetaStore defaults via
-  /// load/store above); wider chips use the spilled multi-word entry, so
-  /// the typed accessors are overridden to issue one simulated
-  /// transaction per entry word.
-  int sharer_width() const override { return dir_width_; }
-  proto::DirEntry load_dir(u64 page) override;
-  void store_dir(u64 page, const proto::DirEntry& e) override;
+  /// One uncached simulated transaction per word; a directory entry's
+  /// words sit 8 bytes apart from sharer_entry_paddr(page).
+  u64 load(proto::MetaKind kind, u64 page, int word) override;
+  void store(proto::MetaKind kind, u64 page, int word, u64 value) override;
 
   /// Spin-site breaker: when the TAS register's holder fail-stopped,
   /// force the register open so the spinning survivors can proceed.
@@ -184,8 +178,9 @@ class SvmRuntime final : public proto::ProtocolEnv,
   /// One metadata word through the flipmeta + ECC-shadow pipeline.
   u64 meta_load_word(u64 paddr, u32 bits, proto::MetaKind kind, u64 page);
   void meta_store_word(u64 paddr, u64 value, u32 bits, u64 page);
-  /// Simulated physical address of `page`'s metadata word of `kind`.
-  u64 meta_paddr(proto::MetaKind kind, u64 page) const;
+  /// Simulated physical address of word `word` of `page`'s metadata
+  /// entry of `kind`.
+  u64 meta_paddr(proto::MetaKind kind, u64 page, int word) const;
   /// Timer hook (registered only when the plan sets scrub_ps): walks a
   /// bounded slice of this core's sealed pages per period, poisoning any
   /// frame that no longer matches its seal.
@@ -195,7 +190,6 @@ class SvmRuntime final : public proto::ProtocolEnv,
   mbox::MailboxSystem& mbox_;
   SvmDomain& domain_;
   scc::Core& core_;
-  int dir_width_ = 48;  // directory sharer width = the die's core count
 
   proto::MetaWord meta_word_;
   proto::SvmStats stats_;

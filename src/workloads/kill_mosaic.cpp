@@ -25,9 +25,6 @@ KillMosaicResult run_kill_mosaic(const KillMosaicParams& p,
   // LRC maps every writer RW by design; only the epoch and dead-silence
   // invariants apply there.
   scfg.single_writer = model != svm::Model::kLazyRelease;
-  // Chips past 64 cores spill directory entries across words; the
-  // traced single-word view stops being the whole sharer set.
-  scfg.subset_check = num_cores <= 64;
   svm::ShadowDirectory shadow(scfg);
 
   cluster::ClusterConfig cfg;

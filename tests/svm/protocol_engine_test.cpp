@@ -370,10 +370,10 @@ TEST(ProtocolTrace, RecordsFaultsMessagesAndTransitions) {
 TEST(ProtocolTrace, MetaWordRecordsEveryWrite) {
   struct ToyStore final : proto::MetaStore {
     u64 words[3][16] = {};
-    u64 load(proto::MetaKind kind, u64 page) override {
+    u64 load(proto::MetaKind kind, u64 page, int) override {
       return words[static_cast<int>(kind)][page];
     }
-    void store(proto::MetaKind kind, u64 page, u64 value) override {
+    void store(proto::MetaKind kind, u64 page, int, u64 value) override {
       words[static_cast<int>(kind)][page] = value;
     }
   };
@@ -387,11 +387,11 @@ TEST(ProtocolTrace, MetaWordRecordsEveryWrite) {
 
   ToyStore store;
   VecSink sink;
-  proto::MetaWord meta(store, &sink);
+  proto::MetaWord meta(store, /*dir_width=*/48, &sink);
 
   meta.set_owner(3, 7);
   meta.set_scratchpad(1, 0x8000 | 5);
-  proto::DirEntry entry(store.sharer_width());
+  proto::DirEntry entry(meta.dir_width());
   entry.shared = true;
   entry.sharers.set(4);
   meta.store_dir_entry(2, entry);

@@ -74,7 +74,8 @@ class Harness final : public proto::MetaStore {
       : model_(model) {
     cores_.reserve(static_cast<std::size_t>(num_cores));
     for (int id = 0; id < num_cores; ++id) {
-      cores_.push_back(std::make_unique<Core>(*this, id, model, cfg));
+      cores_.push_back(
+          std::make_unique<Core>(*this, id, num_cores, model, cfg));
     }
   }
 
@@ -197,7 +198,8 @@ class Harness final : public proto::MetaStore {
 
   // ---- proto::MetaStore (shared across all cores) --------------------
 
-  u64 load(proto::MetaKind kind, u64 page) override {
+  // Harness dies are below 64 cores, so every entry is word 0 alone.
+  u64 load(proto::MetaKind kind, u64 page, int /*word*/) override {
     switch (kind) {
       case proto::MetaKind::kOwner: return owner(page);
       case proto::MetaKind::kScratchpad: {
@@ -209,7 +211,8 @@ class Harness final : public proto::MetaStore {
     return 0;
   }
 
-  void store(proto::MetaKind kind, u64 page, u64 value) override {
+  void store(proto::MetaKind kind, u64 page, int /*word*/,
+             u64 value) override {
     switch (kind) {
       case proto::MetaKind::kOwner:
         owner_[page] = static_cast<u16>(value);
@@ -231,7 +234,7 @@ class Harness final : public proto::MetaStore {
   class CoreEnv;
 
   struct Core {
-    Core(Harness& h, int id, Model model, PolicyConfig cfg);
+    Core(Harness& h, int id, int num_cores, Model model, PolicyConfig cfg);
 
     std::unique_ptr<proto::CoherencePolicy> policy;
     TraceLog trace;
@@ -453,9 +456,10 @@ class Harness final : public proto::MetaStore {
   int idle_yields_ = 0;
 };
 
-inline Harness::Core::Core(Harness& h, int id, Model model,
+inline Harness::Core::Core(Harness& h, int id, int num_cores, Model model,
                            PolicyConfig cfg)
-    : env(std::make_unique<CoreEnv>(h, id)), meta(h, env.get()) {
+    : env(std::make_unique<CoreEnv>(h, id)),
+      meta(h, num_cores, env.get()) {
   switch (model) {
     case Model::kStrong:
       policy = std::make_unique<proto::StrongOwnerPolicy>(cfg);

@@ -47,7 +47,7 @@ TEST(Recovery, NoneWhenNothingDeadTouchesThePage) {
 TEST(Recovery, PrunesDeadSharersAndKeepsLiveOwner) {
   Harness h(6, Model::kReadReplication);
   h.seed_page(kPage, /*owner=*/0);
-  h.store(proto::MetaKind::kDirectory, kPage, dir_word({2, 3, 4}));
+  h.store(proto::MetaKind::kDirectory, kPage, 0, dir_word({2, 3, 4}));
   const RecoveryAction a = proto::recover_page(
       h.env(1), kPage, dead_set({3}), false, true);
   EXPECT_EQ(a, RecoveryAction::kPruned);
@@ -60,7 +60,7 @@ TEST(Recovery, PrunesDeadSharersAndKeepsLiveOwner) {
 TEST(Recovery, RehomesDeadOwnerToLowestSurvivingSharer) {
   Harness h(6, Model::kReadReplication);
   h.seed_page(kPage, /*owner=*/1);
-  h.store(proto::MetaKind::kDirectory, kPage, dir_word({2, 4}));
+  h.store(proto::MetaKind::kDirectory, kPage, 0, dir_word({2, 4}));
   const RecoveryAction a = proto::recover_page(
       h.env(5), kPage, dead_set({1}), /*owner_died_dirty=*/false, true);
   EXPECT_EQ(a, RecoveryAction::kRehomed);
@@ -86,7 +86,7 @@ TEST(Recovery, RefetchesWhenNoSharerSurvives) {
 TEST(Recovery, DirtyOwnerDeathPoisonsThePage) {
   Harness h(6, Model::kReadReplication);
   h.seed_page(kPage, /*owner=*/1);
-  h.store(proto::MetaKind::kDirectory, kPage, dir_word({2, 4}));
+  h.store(proto::MetaKind::kDirectory, kPage, 0, dir_word({2, 4}));
   const RecoveryAction a = proto::recover_page(
       h.env(5), kPage, dead_set({1}), /*owner_died_dirty=*/true, true);
   EXPECT_EQ(a, RecoveryAction::kLost);
@@ -99,7 +99,7 @@ TEST(Recovery, DirtyOwnerDeathPoisonsThePage) {
 TEST(Recovery, RepairIsIdempotent) {
   Harness h(6, Model::kReadReplication);
   h.seed_page(kPage, /*owner=*/1);
-  h.store(proto::MetaKind::kDirectory, kPage, dir_word({2}));
+  h.store(proto::MetaKind::kDirectory, kPage, 0, dir_word({2}));
   ASSERT_EQ(proto::recover_page(h.env(4), kPage, dead_set({1}), false,
                                 true),
             RecoveryAction::kRehomed);

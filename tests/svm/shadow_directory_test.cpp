@@ -25,9 +25,20 @@ Event transition(u64 page, proto::PageState from, proto::PageState to,
             static_cast<u64>(to), core);
 }
 
-Event meta_write(u64 page, proto::MetaKind kind, u64 value, int core) {
-  return ev(EventKind::kProtoMetaWrite, page, static_cast<u64>(kind),
+Event meta_write(u64 page, proto::MetaKind kind, u64 value, int core,
+                 int word = 0) {
+  return ev(EventKind::kProtoMetaWrite, page, proto::meta_tag(kind, word),
             value, core);
+}
+
+/// A 96-core directory entry as traced: two sharer words, then the word
+/// holding the Shared bit.
+void wide_dir_write(ShadowDirectory& shadow, u64 page, u64 w0, u64 w1) {
+  const u64 words[] = {w0, w1, proto::kDirSharedBit};
+  for (int w = 0; w < 3; ++w) {
+    shadow.on_event(
+        meta_write(page, proto::MetaKind::kDirectory, words[w], 0, w));
+  }
 }
 
 Event kill(int core) {
@@ -93,13 +104,26 @@ TEST(ShadowDirectory, SubsetCheckNeedsBothMetaWordsObserved) {
   EXPECT_TRUE(shadow.clean());
 }
 
-TEST(ShadowDirectory, SubsetCheckCanBeDisabledForWideChips) {
-  ShadowDirectory::Config cfg;
-  cfg.subset_check = false;  // >64-core chips: multi-word directory
-  ShadowDirectory shadow(cfg);
+TEST(ShadowDirectory, SubsetCheckCoversWideChips) {
+  ShadowDirectory shadow;
+  // 96 cores: core 69 is bit 5 of word 1; core 70 is in no word.
   shadow.on_event(meta_write(9, proto::MetaKind::kOwner, 0, 0));
-  shadow.on_event(meta_write(9, proto::MetaKind::kDirectory, 0, 0));
-  shadow.on_event(transition(9, kInvalid, kSharedRO, 3));
+  wide_dir_write(shadow, 9, proto::dir_bit(3), proto::dir_bit(69 - 64));
+  shadow.on_event(transition(9, kInvalid, kSharedRO, 69));
+  EXPECT_TRUE(shadow.clean());
+  shadow.on_event(transition(9, kInvalid, kSharedRO, 70));
+  ASSERT_EQ(shadow.violation_count(), 1u);
+  EXPECT_NE(shadow.violations()[0].find("sharer-subset"),
+            std::string::npos);
+}
+
+TEST(ShadowDirectory, CoreSixtyThreeIsASharerOfAWideDirectory) {
+  ShadowDirectory shadow;
+  // Past 63 cores bit 63 of word 0 is sharer 63; the Shared bit is bit
+  // 63 of the last word.
+  shadow.on_event(meta_write(9, proto::MetaKind::kOwner, 0, 0));
+  wide_dir_write(shadow, 9, proto::dir_bit(63), 0);
+  shadow.on_event(transition(9, kInvalid, kSharedRO, 63));
   EXPECT_TRUE(shadow.clean());
 }
 

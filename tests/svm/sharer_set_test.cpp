@@ -1,7 +1,8 @@
-// SharerSet and wide-directory tests: the inline-word encoding at SCC
-// widths, the spilled multi-word encoding at 65 and 1024 cores, and the
-// DirEntry round-trip through both the narrow (single packed word) and
-// wide (flags word + sharer words) MetaStore serialisations.
+// SharerSet and directory-entry tests: the inline-word set at SCC
+// widths, the spilled multi-word set at 65 and 1024 cores, and the
+// DirEntry round-trip through MetaWord's one packing rule (sharer i in
+// bit i % 64 of word i / 64, Shared in bit 63 of the last word) at 63,
+// 65 and 1024 cores.
 //
 // Links the protocol library only — the sharer set must stay free of
 // simulator dependencies.
@@ -10,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <tuple>
 #include <vector>
 
 #include "svm/protocol/meta.hpp"
@@ -90,111 +92,68 @@ TEST(SharerSet, SpillRoundTripAtTenTwentyFour) {
   EXPECT_EQ(b.count(), 0);
 }
 
-// ---- DirEntry round-trips through MetaStore serialisations ----
+// ---- DirEntry round-trips through MetaWord's packing ----
 
-/// Narrow store: the default single-word packing over a plain map.
+/// Word-indexed store over a plain map: the raw words MetaWord packed.
 class MapStore : public MetaStore {
  public:
-  explicit MapStore(int width) : width_(width) {}
-  int sharer_width() const override { return width_; }
-  u64 load(MetaKind kind, u64 page) override {
-    return words_[{static_cast<u64>(kind), page}];
+  u64 load(MetaKind kind, u64 page, int word) override {
+    const auto it = words_.find({kind, page, word});
+    return it == words_.end() ? 0 : it->second;
   }
-  void store(MetaKind kind, u64 page, u64 value) override {
-    words_[{static_cast<u64>(kind), page}] = value;
+  void store(MetaKind kind, u64 page, int word, u64 value) override {
+    words_[{kind, page, word}] = value;
   }
+  std::size_t size() const { return words_.size(); }
 
  private:
-  int width_;
-  std::map<std::pair<u64, u64>, u64> words_;
+  std::map<std::tuple<MetaKind, u64, int>, u64> words_;
 };
 
-/// Wide store: flags word + ceil(width/64) sharer words per page, the
-/// same format SvmRuntime lays out in simulated DRAM past 64 cores.
-class WideMapStore : public MapStore {
- public:
-  explicit WideMapStore(int width) : MapStore(width) {}
-  DirEntry load_dir(u64 page) override {
-    DirEntry e(sharer_width());
-    e.shared = (row_[page].flags & 1) != 0;
-    for (int w = 0; w < e.sharers.num_words(); ++w) {
-      e.sharers.set_word(w, word_of(page, w));
-    }
-    return e;
-  }
-  void store_dir(u64 page, const DirEntry& e) override {
-    row_[page].flags = e.shared ? 1 : 0;
-    row_[page].words.assign(
-        static_cast<std::size_t>(e.sharers.num_words()), 0);
-    for (int w = 0; w < e.sharers.num_words(); ++w) {
-      row_[page].words[static_cast<std::size_t>(w)] = e.sharers.word(w);
-    }
-  }
+class DirEntryRoundTrip : public ::testing::TestWithParam<int> {};
 
- private:
-  u64 word_of(u64 page, int w) {
-    const auto& v = row_[page].words;
-    return static_cast<std::size_t>(w) < v.size()
-               ? v[static_cast<std::size_t>(w)]
-               : 0;
-  }
-  struct Row {
-    u64 flags = 0;
-    std::vector<u64> words;
-  };
-  std::map<u64, Row> row_;
-};
-
-TEST(DirEntry, NarrowPackingKeepsSharersUpToSixtyThree) {
-  // The single-word encoding must carry sharer ids 48..62 — dies of up
-  // to 63 cores still use it.
-  MapStore store(63);
-  MetaWord meta(store);
-  DirEntry e(63);
+TEST_P(DirEntryRoundTrip, OneBitVector) {
+  const int cores = GetParam();
+  MapStore store;
+  MetaWord meta(store, cores);
+  DirEntry e(cores);
   e.shared = true;
-  e.sharers.set(4);
-  e.sharers.set(62);
+  for (const int id : {0, 4, 62, 63, 64, 129, 511, 1023}) e.sharers.set(id);
   meta.store_dir_entry(7, e);
+  EXPECT_EQ(store.size(), static_cast<std::size_t>(dir_words(cores)))
+      << "one store per entry word, no more";
+
   const DirEntry back = meta.dir_entry(7);
   EXPECT_TRUE(back.shared);
-  EXPECT_TRUE(back.sharers.test(4));
-  EXPECT_TRUE(back.sharers.test(62));
-  EXPECT_EQ(back.sharers.count(), 2);
-  // And the raw packed word is the historical layout.
-  EXPECT_EQ(store.load(MetaKind::kDirectory, 7),
-            kDirSharedBit | dir_bit(4) | dir_bit(62));
-}
-
-TEST(DirEntry, WideRoundTripAtSixtyFive) {
-  WideMapStore store(65);
-  MetaWord meta(store);
-  DirEntry e(65);
-  e.shared = true;
-  e.sharers.set(63);
-  e.sharers.set(64);
-  meta.store_dir_entry(3, e);
-  const DirEntry back = meta.dir_entry(3);
-  EXPECT_TRUE(back.shared);
-  EXPECT_TRUE(back.sharers.test(63));
-  EXPECT_TRUE(back.sharers.test(64));
-  EXPECT_EQ(back.sharers.count(), 2);
-  meta.clear_dir(3);
-  EXPECT_TRUE(meta.dir_entry(3).none());
-}
-
-TEST(DirEntry, WideRoundTripAtTenTwentyFour) {
-  WideMapStore store(1024);
-  MetaWord meta(store);
-  DirEntry e(1024);
-  e.shared = true;
-  for (int id = 0; id < 1024; id += 129) e.sharers.set(id);
-  meta.store_dir_entry(11, e);
-  const DirEntry back = meta.dir_entry(11);
-  EXPECT_TRUE(back.shared);
   EXPECT_EQ(back.sharers.count(), e.sharers.count());
-  for (int id = 0; id < 1024; ++id) {
+  for (int id = 0; id < cores; ++id) {
     ASSERT_EQ(back.sharers.test(id), e.sharers.test(id)) << "id " << id;
   }
+  meta.clear_dir(7);
+  EXPECT_TRUE(meta.dir_entry(7).none());
+}
+
+INSTANTIATE_TEST_SUITE_P(Dies, DirEntryRoundTrip,
+                         ::testing::Values(63, 65, 1024),
+                         ::testing::PrintToStringParamName());
+
+TEST(DirEntry, RawWordsFollowTheOneRule) {
+  DirEntry e63(63), e65(65);
+  e63.shared = e65.shared = true;
+  for (const int id : {4, 62}) e63.sharers.set(id);
+  for (const int id : {63, 64}) e65.sharers.set(id);
+  MapStore narrow, wide;
+  MetaWord(narrow, 63).store_dir_entry(7, e63);
+  MetaWord(wide, 65).store_dir_entry(7, e65);
+  // Below 64 cores: one word, sharers under the Shared bit.
+  EXPECT_EQ(narrow.size(), 1u);
+  EXPECT_EQ(narrow.load(MetaKind::kDirectory, 7, 0),
+            kDirSharedBit | dir_bit(4) | dir_bit(62));
+  // 65 cores: two sharer words, then a last word with only Shared.
+  EXPECT_EQ(wide.size(), 3u);
+  EXPECT_EQ(wide.load(MetaKind::kDirectory, 7, 0), dir_bit(63));
+  EXPECT_EQ(wide.load(MetaKind::kDirectory, 7, 1), dir_bit(0));
+  EXPECT_EQ(wide.load(MetaKind::kDirectory, 7, 2), kDirSharedBit);
 }
 
 }  // namespace
