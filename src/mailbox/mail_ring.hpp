@@ -11,9 +11,10 @@
 //
 // Order-preserving middle erase is provided for predicate-based takes
 // (recv_match consumes the first matching mail, not necessarily the
-// oldest one); mails behind the erased slot shift forward by one, which
-// for the tiny depths seen in practice is cheaper than any bookkeeping
-// that would avoid it.
+// oldest one). It shifts whichever side of the erased slot is shorter
+// by one, so a take at the front only advances head_: an overdriven
+// server's inbox runs thousands deep, but its takes land at or next to
+// the front.
 #pragma once
 
 #include <cassert>
@@ -50,9 +51,18 @@ class MailRing {
     ++head_;
   }
 
-  /// Removes the i-th element, preserving the order of the rest.
+  /// Removes the i-th element, preserving the order of the rest: the
+  /// elements before it move back one slot, or those after it forward
+  /// one, whichever are fewer.
   void erase_at(std::size_t i) {
     assert(i < size());
+    if (i < size() - 1 - i) {
+      for (std::size_t k = i; k > 0; --k) {
+        slab_[(head_ + k) & mask_] = slab_[(head_ + k - 1) & mask_];
+      }
+      ++head_;
+      return;
+    }
     for (std::size_t k = i; k + 1 < size(); ++k) {
       slab_[(head_ + k) & mask_] = slab_[(head_ + k + 1) & mask_];
     }

@@ -63,7 +63,9 @@ inline constexpr u32 kIrqEntryCycles = 400;
 inline constexpr u32 kIrqExitCycles = 200;
 // P54C data TLB: 64 entries (Core::kTlbEntries), direct-mapped on the
 // page number; a miss walks the two-level page table (two memory
-// references, mostly cache-resident on the real part).
+// references, mostly cache-resident on the real part). The walk is
+// charged alike on the inlined fast path and in Core::translate(): both
+// go through Core::tlb_probe/tlb_fill.
 inline constexpr u32 kTlbMissCycles = 28;
 
 // ---- interrupt / scheduling model ----

@@ -22,14 +22,15 @@ namespace {
 
 Core::Core(Chip& chip, int id)
     : chip_(chip),
-      cfg_(chip.config()),
       topo_(&chip.topology()),
       id_(id),
       l1_(kL1Bytes, kL1Assoc, kLineBytes),
       l2_(kL2Bytes, kL2Assoc, kLineBytes),
       wcb_(kLineBytes) {
-  timer_period_ps_ = cfg_.timer_period_us * kPsPerUs;
-  boundary_interval_ps_ = kBoundaryCheckCycles * cfg_.core_cycle_ps();
+  core_cycle_ps_ = chip.latency().core_cycles(1);
+  timer_period_ps_ = chip.config().timer_period_us * kPsPerUs;
+  boundary_interval_ps_ = kBoundaryCheckCycles * core_cycle_ps_;
+  lat_tlb_walk_ps_ = kTlbMissCycles * core_cycle_ps_;
   lat_l1_hit_ps_ = chip.latency().l1_hit();
   lat_store_hit_ps_ = chip.latency().store_hit();
   lat_wcb_merge_ps_ = chip.latency().wcb_merge();
@@ -119,7 +120,7 @@ void Core::compute_cycles(u64 core_cycles) {
   // bulk tick would make a 1 ms computation an uninterruptible block.
   while (core_cycles > 0) {
     const u64 step = std::min<u64>(core_cycles, kBoundaryCheckCycles);
-    tick(step * cfg_.core_cycle_ps());
+    tick(step * core_cycle_ps_);
     core_cycles -= step;
   }
 }
@@ -196,7 +197,7 @@ Core::Translation Core::translate(u64 vaddr, bool is_write) {
   // TLB miss: the hardware walks the page table (the walk itself is
   // charged; the entries are private-memory resident).
   ++counters_.tlb_misses;
-  tick(kTlbMissCycles * cfg_.core_cycle_ps());
+  tick(lat_tlb_walk_ps_);
 
   int guard = 0;
   for (;;) {
@@ -397,8 +398,7 @@ void Core::write_path(u64 paddr, const void* src, u32 size, MemPolicy pol) {
 // ---------------------------------------------------------------------------
 // devices
 
-TimePs Core::device_latency(u64 paddr, bool is_write) {
-  const PhysTarget t = chip_.map().decode(paddr);
+TimePs Core::device_latency(const PhysTarget& t, u64 paddr, bool is_write) {
   const LatencyModel& lat = chip_.latency();
   switch (t.kind) {
     case MemKind::kSharedDram:
@@ -428,8 +428,8 @@ TimePs Core::device_latency(u64 paddr, bool is_write) {
   die("access to unmapped physical address", paddr);
 }
 
-void Core::publish_mem_event(u64 paddr, u32 size, bool is_write) {
-  const PhysTarget t = chip_.map().decode(paddr);
+void Core::publish_mem_event(const PhysTarget& t, u64 paddr, u32 size,
+                             bool is_write) {
   chip_.bus().publish(obs::Event{
       actor_->clock(), paddr, size,
       (static_cast<u64>(t.kind) << 8) | static_cast<u64>(t.owner & 0xff),
@@ -438,29 +438,32 @@ void Core::publish_mem_event(u64 paddr, u32 size, bool is_write) {
 }
 
 TimePs Core::device_read(u64 paddr, void* out, u32 size) {
-  const TimePs cost = device_latency(paddr, /*is_write=*/false);
-  chip_.memory().read(paddr, out, size);
+  const PhysTarget t = chip_.map().decode(paddr);
+  const TimePs cost = device_latency(t, paddr, /*is_write=*/false);
+  chip_.memory().read(paddr, t, out, size);
   // kCatMem is the firehose category (--trace-mem): off even under a
-  // plain --trace, so the decode+publish never runs by default.
+  // plain --trace, so the publish never runs by default.
   if (chip_.bus().enabled(obs::kCatMem)) {
-    publish_mem_event(paddr, size, /*is_write=*/false);
+    publish_mem_event(t, paddr, size, /*is_write=*/false);
   }
   return cost;
 }
 
 TimePs Core::device_write(u64 paddr, const void* src, u32 size) {
-  const TimePs cost = device_latency(paddr, /*is_write=*/true);
-  chip_.memory().write(paddr, src, size);
+  const PhysTarget t = chip_.map().decode(paddr);
+  const TimePs cost = device_latency(t, paddr, /*is_write=*/true);
+  chip_.memory().write(paddr, t, src, size);
   if (chip_.bus().enabled(obs::kCatMem)) {
-    publish_mem_event(paddr, size, /*is_write=*/true);
+    publish_mem_event(t, paddr, size, /*is_write=*/true);
   }
   return cost;
 }
 
 TimePs Core::device_write_masked(u64 paddr, const void* src, u32 size,
                                  u64 mask) {
-  const TimePs cost = device_latency(paddr, /*is_write=*/true);
-  chip_.memory().write_masked(paddr, src, size, mask);
+  const PhysTarget t = chip_.map().decode(paddr);
+  const TimePs cost = device_latency(t, paddr, /*is_write=*/true);
+  chip_.memory().write_masked(paddr, t, src, size, mask);
   return cost;
 }
 

@@ -21,6 +21,7 @@
 #include <functional>
 #include <string>
 
+#include "sccsim/addrmap.hpp"
 #include "sccsim/cache.hpp"
 #include "sccsim/config.hpp"
 #include "sccsim/counters.hpp"
@@ -248,42 +249,49 @@ class Core {
   void tick(TimePs cost);
 
  private:
-  // ---- inlined cache-hit fast path ----------------------------------
+  // ---- inlined fast path -----------------------------------------------
   //
   // An L1 hit whose cost fits inside the current boundary interval is a
-  // pure header-only operation: TLB-slot check, tag check, LRU stamp,
-  // byte copy, clock advance. It never touches the Mesh/latency
-  // machinery, never masks interrupts (no boundary can fall inside the
-  // access, so masking would be a no-op), and publishes no bus events
-  // (only device transactions do). Every pre-condition is checked before
-  // any state is mutated, so a bail-out to the slow path is free — and
-  // the slow path then performs the access bit- and cycle-identically.
+  // pure header-only operation: translation, tag check, LRU stamp, byte
+  // copy, clock advance. Translation is a TLB hit, or a TLB miss on a
+  // present page (for stores: writable and MPBT), whose walk is charged,
+  // counted and filled through tlb_probe/tlb_fill exactly as translate()
+  // does. The path never touches the Mesh/latency machinery, never masks
+  // interrupts (no boundary can fall inside the access, walk included, so
+  // masking would be a no-op), and publishes no bus events (only device
+  // transactions do). Every pre-condition is checked before any state is
+  // mutated, so a bail-out to the slow path is free, and the slow path
+  // then performs the access bit- and cycle-identically.
   //
   // Invariant (pinned by tests/sccsim/core_fastpath_test.cpp): for any
-  // access, fast path taken or not, counters, clocks, cache/LRU state
-  // and data movement are identical to the slow path's.
+  // access, fast path taken or not, counters, clocks, TLB, cache/LRU
+  // state and data movement are identical to the slow path's.
 
   template <typename T>
   [[gnu::always_inline]] inline bool vread_fast(u64 vaddr, T* out) {
     constexpr u32 size = sizeof(T);
     const u32 off = static_cast<u32>(vaddr & kLineOffMask);
     if (off + size > kLineOffMask + 1) return false;  // straddles a line
-    const Pte* pte = tlb_probe(vaddr >> kPageShift);
-    if (pte == nullptr) return false;
+    const u64 vpage = vaddr >> kPageShift;
+    const Pte* pte = tlb_probe(vpage);
+    const bool walk = pte == nullptr;
+    if (walk) pte = pagetable_.find(vaddr);
+    if (pte == nullptr || !pte->present) return false;
     const u64 paddr = pte->frame_paddr + (vaddr & kPageOffMask);
     // Buffered stores must be observed; any WCB overlap is slow-path work
     // (forward or drain). Only MPBT loads consult the WCB.
     if (pte->mpbt && wcb_.overlaps(paddr, size)) return false;
-    if (actor_->clock() + lat_l1_hit_ps_ >= next_boundary_) return false;
+    const TimePs cost = (walk ? lat_tlb_walk_ps_ : 0) + lat_l1_hit_ps_;
+    if (actor_->clock() + cost >= next_boundary_) return false;
     const u8* bytes = l1_.hit_bytes(paddr);
     if (bytes == nullptr) return false;
     // Commit: replicate the slow path's counters and timing exactly.
+    count_translation(vpage, *pte, walk);
     std::memcpy(out, bytes + off, size);
     ++counters_.loads;
-    ++counters_.tlb_hits;
     ++counters_.l1_hits;
-    counters_.busy_ps += lat_l1_hit_ps_;
-    actor_->advance(lat_l1_hit_ps_);
+    counters_.busy_ps += cost;
+    actor_->advance(cost);
     return true;
   }
 
@@ -292,8 +300,11 @@ class Core {
     constexpr u32 size = sizeof(T);
     const u32 off = static_cast<u32>(vaddr & kLineOffMask);
     if (off + size > kLineOffMask + 1) return false;  // straddles a line
-    const Pte* pte = tlb_probe(vaddr >> kPageShift);
-    if (pte == nullptr || !pte->writable) return false;
+    const u64 vpage = vaddr >> kPageShift;
+    const Pte* pte = tlb_probe(vpage);
+    const bool walk = pte == nullptr;
+    if (walk) pte = pagetable_.find(vaddr);
+    if (pte == nullptr || !pte->present || !pte->writable) return false;
     // Only the MPBT write path stays on-core (WCB merge); write-through
     // CachedWT stores always pay a device transaction — slow path.
     if (!pte->mpbt) return false;
@@ -306,22 +317,37 @@ class Core {
     // Bound the cost by the worst case (store-hit + merge) so the check
     // is independent of whether L1 holds the line; a near-boundary store
     // that would still have fit simply takes the slow path.
-    if (actor_->clock() + lat_store_hit_ps_ + lat_wcb_merge_ps_ >=
+    const TimePs walk_ps = walk ? lat_tlb_walk_ps_ : 0;
+    if (actor_->clock() + walk_ps + lat_store_hit_ps_ + lat_wcb_merge_ps_ >=
         next_boundary_) {
       return false;
     }
-    TimePs cost = lat_wcb_merge_ps_;
+    count_translation(vpage, *pte, walk);
+    TimePs cost = walk_ps + lat_wcb_merge_ps_;
     if (u8* bytes = l1_.hit_bytes(paddr)) {  // write-through into L1
       std::memcpy(bytes + off, src, size);
       cost += lat_store_hit_ps_;
     }
     wcb_.merge(paddr & ~kLineOffMask, off, src, size);
     ++counters_.stores;
-    ++counters_.tlb_hits;
     ++counters_.wcb_merges;
     counters_.busy_ps += cost;
     actor_->advance(cost);
     return true;
+  }
+
+  /// A fast path's translation, once it commits: a TLB hit counts; a walk
+  /// counts a miss and fills the slot, as translate() does (its cost is
+  /// the caller's to charge).
+  [[gnu::always_inline]] inline void count_translation(u64 vpage,
+                                                       const Pte& pte,
+                                                       bool walk) {
+    if (!walk) {
+      ++counters_.tlb_hits;
+      return;
+    }
+    ++counters_.tlb_misses;
+    tlb_fill(vpage, pte);
   }
 
   // Translation outcome for one access segment.
@@ -351,23 +377,24 @@ class Core {
   void read_path(u64 paddr, void* out, u32 size, MemPolicy pol);
   void write_path(u64 paddr, const void* src, u32 size, MemPolicy pol);
 
-  /// One device transaction (<= one line). Returns its latency.
+  /// One device transaction (<= one line), its address decoded once.
+  /// Returns its latency.
   TimePs device_read(u64 paddr, void* out, u32 size);
   TimePs device_write(u64 paddr, const void* src, u32 size);
   TimePs device_write_masked(u64 paddr, const void* src, u32 size,
                              u64 mask);
-  TimePs device_latency(u64 paddr, bool is_write);
+  TimePs device_latency(const PhysTarget& t, u64 paddr, bool is_write);
 
   /// Emits a kMemRead/kMemWrite bus event for one device transaction
   /// (--trace-mem firehose; callers gate on obs::kCatMem first).
-  void publish_mem_event(u64 paddr, u32 size, bool is_write);
+  void publish_mem_event(const PhysTarget& t, u64 paddr, u32 size,
+                         bool is_write);
 
   void deliver_interrupts();
   void deliver_deferred();
   void boundary();
 
   Chip& chip_;
-  const ChipConfig& cfg_;
   const Topology* topo_;  // cached for the device-latency hot path
   int id_;
   sim::Actor* actor_ = nullptr;
@@ -390,9 +417,11 @@ class Core {
   TimePs timer_period_ps_ = 0;
   TimePs boundary_interval_ps_ = 0;
 
-  // Constants cached at construction for the inlined fast path (the
-  // latency model composes them from ChipConfig once; they never change
-  // during a run).
+  // Constants cached at construction for the inlined fast path and tick
+  // callers (the latency model composes them from ChipConfig once; they
+  // never change during a run, and no access divides to get them).
+  TimePs core_cycle_ps_ = 0;
+  TimePs lat_tlb_walk_ps_ = 0;
   TimePs lat_l1_hit_ps_ = 0;
   TimePs lat_store_hit_ps_ = 0;
   TimePs lat_wcb_merge_ps_ = 0;
@@ -402,8 +431,9 @@ class Core {
 
   // The modelled TLB: 64 entries, direct-mapped on vpage, invalidated
   // wholesale whenever the page table's epoch moves (tlb_probe/tlb_fill).
-  // A hit is free; a miss charges kTlbMissCycles for the walk
-  // (translate()).
+  // A hit is free; a miss charges kTlbMissCycles for the walk, on the
+  // fast path when the walk and the L1 hit fit before the next boundary,
+  // otherwise in translate().
   struct TlbEntry {
     u64 vpage = ~u64{0};
     Pte pte;

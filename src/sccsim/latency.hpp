@@ -19,9 +19,10 @@ namespace msvm::scc {
 
 class LatencyModel {
  public:
-  explicit LatencyModel(const ChipConfig& cfg) : cfg_(cfg) {}
+  explicit LatencyModel(const ChipConfig& cfg)
+      : core_cycle_ps_(cfg.core_cycle_ps()) {}
 
-  TimePs core_cycles(u64 n) const { return n * cfg_.core_cycle_ps(); }
+  TimePs core_cycles(u64 n) const { return n * core_cycle_ps_; }
   TimePs mesh_cycles(u64 n) const { return n * kMeshCyclePs; }
   TimePs dram_cycles(u64 n) const { return n * kDramCyclePs; }
 
@@ -86,7 +87,7 @@ class LatencyModel {
   }
 
  private:
-  const ChipConfig& cfg_;
+  TimePs core_cycle_ps_;  // cached: the config's helper divides
 };
 
 }  // namespace msvm::scc

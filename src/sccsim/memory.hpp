@@ -38,21 +38,40 @@ class Memory {
   /// Raw read of up to an arbitrary number of bytes. The range must lie
   /// within a single device region.
   void read(u64 paddr, void* out, u32 size) const {
-    const u8* src = locate(paddr, size);
-    std::memcpy(out, src, size);
+    read(paddr, map_.decode(paddr), out, size);
   }
 
   void write(u64 paddr, const void* data, u32 size) {
-    u8* dst = locate(paddr, size);
-    std::memcpy(dst, data, size);
+    write(paddr, map_.decode(paddr), data, size);
   }
 
   /// Write only the bytes selected by `mask` (bit i covers byte i). Used
   /// by write-combine-buffer flushes so a partially-dirty line does not
   /// clobber bytes another core wrote meanwhile.
   void write_masked(u64 paddr, const void* data, u32 size, u64 mask) {
-    u8* dst = locate(paddr, size);
+    write_masked(paddr, map_.decode(paddr), data, size, mask);
+  }
+
+  // The same three for a caller that has already decoded `paddr` (`t` is
+  // map().decode(paddr)): a device transaction decodes once.
+  void read(u64 paddr, const PhysTarget& t, void* out, u32 size) const {
+    std::memcpy(out, locate(paddr, t, size), size);
+  }
+
+  void write(u64 paddr, const PhysTarget& t, const void* data, u32 size) {
+    std::memcpy(locate(paddr, t, size), data, size);
+  }
+
+  void write_masked(u64 paddr, const PhysTarget& t, const void* data,
+                    u32 size, u64 mask) {
+    u8* dst = locate(paddr, t, size);
     const u8* src = static_cast<const u8*>(data);
+    // A fully dirty line (the common WCB flush) is one copy.
+    const u64 all = size >= 64 ? ~u64{0} : (u64{1} << size) - 1;
+    if ((mask & all) == all) {
+      std::memcpy(dst, src, size);
+      return;
+    }
     for (u32 i = 0; i < size; ++i) {
       if (mask & (u64{1} << i)) dst[i] = src[i];
     }
@@ -76,12 +95,11 @@ class Memory {
   }
 
  private:
-  const u8* locate(u64 paddr, u32 size) const {
-    return const_cast<Memory*>(this)->locate(paddr, size);
+  const u8* locate(u64 paddr, const PhysTarget& t, u32 size) const {
+    return const_cast<Memory*>(this)->locate(paddr, t, size);
   }
 
-  u8* locate(u64 paddr, u32 size) {
-    const PhysTarget t = map_.decode(paddr);
+  u8* locate(u64 paddr, const PhysTarget& t, u32 size) {
     switch (t.kind) {
       case MemKind::kSharedDram:
         bounds_check(t.offset, size, shared_.size());

@@ -280,7 +280,21 @@ Actor* Scheduler::take_next(Actor* pending) {
         continue;
       }
     }
-    if (queued && !parked) heap_remove_at(0);
+    if (queued && !parked) {
+      if (pending != nullptr) {
+        // The yielder lost to the heap root: it takes the root's slot,
+        // one sift instead of a pop and a push.
+        root->heap_pos_ = Actor::kNotInHeap;
+        heap_place(0, HeapEntry{pending->clock_, pending->id_, pending});
+        sift_down(0);
+        pending = nullptr;
+      } else {
+        heap_remove_at(0);
+      }
+    } else if (parked && pending != nullptr) {
+      heap_push(*pending, pending->clock_);  // lost to the wheel's earliest
+      pending = nullptr;
+    }
     Actor* next = root;
     if (next->state_ == Actor::State::kFinished ||
         next->state_ == Actor::State::kKilled) {
@@ -383,7 +397,6 @@ void Scheduler::yield_switch(Actor* self) {
     // never touches the heap.
     Actor* next = take_next(self);
     if (next == self) return;
-    heap_push(*self, self->clock_);
     current_ = next;
     Fiber::transfer(*self->fiber_, *next->fiber_);
     if (cancelling_) throw CancelledError{};

@@ -381,7 +381,9 @@ class Scheduler {
   /// reason, clock, state). An entry whose actor has a poll hook goes to
   /// the hook first and stays queued when the hook re-keys it. Returns
   /// nullptr when nothing is queued. `pending`, when set, is a yielding
-  /// actor that competes at (clock, id) as if it were queued.
+  /// actor that competes at (clock, id) as if it were queued; when
+  /// another entry wins, take_next queues it (in the heap root's slot
+  /// when the root won) before returning the winner.
   Actor* take_next(Actor* pending = nullptr);
 
   /// Suspension point: picks the next actor and transfers to it directly,

@@ -563,5 +563,84 @@ TEST(SchedulerWheel, MixedRunPopsNeverGoBackInTime) {
   EXPECT_GT(ipis, 0);
 }
 
+TEST(SchedulerYield, LosingYieldersPopInTimeAndIdOrder) {
+  // A convoy of yielders whose random steps put most of them behind the
+  // heap root when they yield: the loser takes the root's heap slot (one
+  // sift). With hooks, four sleepers' poll hooks also re-key entries on
+  // the wheel and, past its horizon, on the heap. Every pop, a yielder's
+  // resume or a hook call, must come in the (time, id) order of the
+  // reference: each actor's own sequence of times, merged and sorted.
+  for (const bool hooks : {false, true}) {
+    SCOPED_TRACE(hooks ? "with poll hooks" : "without poll hooks");
+    constexpr int kYielders = 12;
+    constexpr int kRounds = 300;
+    constexpr TimePs kHorizon = TimePs{1} << 26;
+    Scheduler s;
+    Rng rng(hooks ? 11 : 12);
+    std::vector<HookCall> pops;  // resumes and hook calls, as they come
+    std::vector<HookCall> reference;
+    std::size_t live = 0;
+    bool heap_bounded = true;
+    for (int i = 0; i < kYielders; ++i) {
+      // Steps on a 500 ps grid: many pops tie on time.
+      const TimePs start = 500 * rng.next_below(8);
+      std::vector<TimePs> steps;
+      TimePs t = start;
+      for (int r = 0; r < kRounds; ++r) {
+        reference.push_back({t, i, 0});
+        steps.push_back(500 * (1 + rng.next_below(24)));
+        t += steps.back();
+      }
+      ++live;
+      s.spawn("yielder" + std::to_string(i), [&, i, steps] {
+        for (const TimePs step : steps) {
+          pops.push_back({s.current()->clock(), i, 0});
+          // The running actor holds no entry; every other, at most one.
+          heap_bounded = heap_bounded && s.heap_size() < live;
+          s.current()->advance(step);
+          s.yield();
+        }
+        --live;
+      }, start);
+    }
+    std::vector<HookedSleeper> sleepers(hooks ? 4 : 0);
+    for (std::size_t k = 0; k < sleepers.size(); ++k) {
+      HookedSleeper& h = sleepers[k];
+      const int id = kYielders + static_cast<int>(k);
+      h.gaps = k < 2 ? std::vector<TimePs>{1'500, 7'000}
+                     : std::vector<TimePs>{2'000, 2 * kHorizon};
+      h.steps = 60;
+      h.seen = &pops;
+      h.id = id;
+      const TimePs deadline = 1'000 * (k + 1);
+      reference.push_back({0, id, 0});  // its first run, at spawn time
+      TimePs at = deadline;
+      for (int step = 0; step <= h.steps; ++step) {
+        reference.push_back({at, id, 0});
+        at += h.gaps[static_cast<std::size_t>(step) % h.gaps.size()];
+      }
+      ++live;
+      s.spawn("sleeper" + std::to_string(k), [&, id, deadline, k] {
+        pops.push_back({s.current()->clock(), id, 0});
+        s.current()->set_poll_hook(sleepers[k]);
+        s.block_until(deadline);
+        s.current()->set_poll_hook({});
+        --live;
+      });
+    }
+    s.run();
+    std::sort(reference.begin(), reference.end());
+    ASSERT_EQ(pops.size(), reference.size());
+    for (std::size_t i = 0; i < pops.size(); ++i) {
+      ASSERT_EQ(pops[i].at, reference[i].at) << "pop " << i;
+      ASSERT_EQ(pops[i].id, reference[i].id) << "pop " << i;
+    }
+    EXPECT_TRUE(heap_bounded);
+    EXPECT_EQ(s.backward_pops(), 0u);
+    EXPECT_EQ(s.late_timeouts(), 0u);
+    EXPECT_EQ(s.heap_size(), 0u);
+  }
+}
+
 }  // namespace
 }  // namespace msvm::sim
