@@ -79,6 +79,10 @@ int main(int argc, char** argv) {
               "contention on\n\n",
               static_cast<unsigned long long>(pages));
 
+  bench::Claim claim(
+      "polling/mail retrieval <= 1.0x with 1 pair and >= 1.1x with 24 "
+      "pairs");
+
   std::printf("%8s | %20s | %24s | %8s\n", "pairs",
               "retrieve (mail) [us]", "retrieve (polling) [us]",
               "penalty");
@@ -86,16 +90,20 @@ int main(int argc, char** argv) {
   for (const int pairs : {1, 4, 12, 24}) {
     const TimePs mail = run(/*ack_via_mail=*/true, pairs, pages);
     const TimePs poll = run(/*ack_via_mail=*/false, pairs, pages);
+    const double penalty =
+        static_cast<double>(poll) / static_cast<double>(mail);
     std::printf("%8d | %20.3f | %24.3f | %7.2fx\n", pairs, ps_to_us(mail),
-                ps_to_us(poll),
-                static_cast<double>(poll) / static_cast<double>(mail));
+                ps_to_us(poll), penalty);
+    // One poller is harmless (no ACK mail to wait for); 24 concurrent
+    // pollers saturate the memory controller: the memory wall.
+    if (pairs == 1) {
+      claim.require(penalty <= 1.0, "penalty %.2fx <= 1.0x with 1 pair",
+                    penalty);
+    } else if (pairs == 24) {
+      claim.require(penalty >= 1.1, "penalty %.2fx >= 1.1x with 24 pairs",
+                    penalty);
+    }
   }
   bench::print_row_sep();
-  std::printf(
-      "expected shape: with one pair the two waits cost about the same\n"
-      "(polling even slightly less — no ACK mail); as concurrent pairs\n"
-      "multiply, the pollers' owner-vector reads saturate the memory\n"
-      "controller and the polling latency inflates — the memory wall the\n"
-      "mailbox design removes.\n");
-  return 0;
+  return claim.verdict();
 }

@@ -9,6 +9,7 @@
 //   - the lock-striped histogram merge (strong model),
 //   - the Laplace boundary rows (read by one neighbour per iteration).
 #include <cstdio>
+#include <map>
 
 #include "bench/bench_common.hpp"
 #include "workloads/histogram.hpp"
@@ -25,9 +26,10 @@ struct Row {
   u64 invalidations = 0;
 };
 
-void print_row(const char* label, int cores, const Row& single,
-               const Row& repl, bench::JsonReport& json,
-               const char* series) {
+/// Prints one row and records its series; returns the round-trip win.
+double print_row(const char* label, int cores, const Row& single,
+                 const Row& repl, bench::JsonReport& json,
+                 const char* series) {
   const double ratio =
       repl.roundtrips
           ? static_cast<double>(single.roundtrips) /
@@ -48,6 +50,7 @@ void print_row(const char* label, int cores, const Row& single,
   json.sample(key, ps_to_ms(single.elapsed));
   std::snprintf(key, sizeof(key), "%s_repl_ms", series);
   json.sample(key, ps_to_ms(repl.elapsed));
+  return ratio;
 }
 
 }  // namespace
@@ -67,6 +70,14 @@ int main(int argc, char** argv) {
   json.config("matmul_n", static_cast<u64>(n));
   json.config("laplace_iters", static_cast<u64>(iters));
 
+  // Matmul's operands are read-shared, so grants replace ownership
+  // ping-pong; histogram and laplace share write-heavily (every replica
+  // costs an invalidation) and gain less.
+  bench::Claim claim(
+      "matmul_readonly rtt win >= 2x; histogram and laplace rtt wins below "
+      "matmul's at the same core count");
+  std::map<int, double> matmul_win;  // by core count
+
   std::printf("strong memory model; rtt = blocking fault-path mailbox "
               "round-trips\n\n");
   std::printf("%-18s %5s | %10s %9s | %10s %9s %7s | %7s\n", "workload",
@@ -82,12 +93,17 @@ int main(int argc, char** argv) {
     const auto m_single = run_matmul(mp, svm::Model::kStrong, cores);
     mp.read_replication = true;
     const auto m_repl = run_matmul(mp, svm::Model::kStrong, cores);
-    print_row("matmul_readonly", cores,
-              {m_single.elapsed, m_single.mail_roundtrips,
-               m_single.invalidations},
-              {m_repl.elapsed, m_repl.mail_roundtrips,
-               m_repl.invalidations},
-              json, "matmul");
+    const double win =
+        print_row("matmul_readonly", cores,
+                  {m_single.elapsed, m_single.mail_roundtrips,
+                   m_single.invalidations},
+                  {m_repl.elapsed, m_repl.mail_roundtrips,
+                   m_repl.invalidations},
+                  json, "matmul");
+    matmul_win[cores] = win;
+    claim.require(win >= 2.0,
+                  "matmul_readonly rtt win %.1fx >= 2x at %d cores", win,
+                  cores);
   }
   bench::print_row_sep();
 
@@ -98,12 +114,16 @@ int main(int argc, char** argv) {
     const auto h_single = run_histogram(hp, svm::Model::kStrong, cores);
     hp.read_replication = true;
     const auto h_repl = run_histogram(hp, svm::Model::kStrong, cores);
-    print_row("histogram", cores,
-              {h_single.elapsed, h_single.mail_roundtrips,
-               h_single.invalidations},
-              {h_repl.elapsed, h_repl.mail_roundtrips,
-               h_repl.invalidations},
-              json, "histogram");
+    const double win =
+        print_row("histogram", cores,
+                  {h_single.elapsed, h_single.mail_roundtrips,
+                   h_single.invalidations},
+                  {h_repl.elapsed, h_repl.mail_roundtrips,
+                   h_repl.invalidations},
+                  json, "histogram");
+    claim.require(win < matmul_win[cores],
+                  "histogram rtt win %.1fx < matmul's %.1fx at %d cores",
+                  win, matmul_win[cores], cores);
   }
   bench::print_row_sep();
 
@@ -115,18 +135,17 @@ int main(int argc, char** argv) {
     const auto l_single = run_laplace_svm(lp, svm::Model::kStrong, cores);
     lp.read_replication = true;
     const auto l_repl = run_laplace_svm(lp, svm::Model::kStrong, cores);
-    print_row("laplace", cores,
-              {l_single.elapsed, l_single.mail_roundtrips,
-               l_single.invalidations},
-              {l_repl.elapsed, l_repl.mail_roundtrips,
-               l_repl.invalidations},
-              json, "laplace");
+    const double win =
+        print_row("laplace", cores,
+                  {l_single.elapsed, l_single.mail_roundtrips,
+                   l_single.invalidations},
+                  {l_repl.elapsed, l_repl.mail_roundtrips,
+                   l_repl.invalidations},
+                  json, "laplace");
+    claim.require(win < matmul_win[cores],
+                  "laplace rtt win %.1fx < matmul's %.1fx at %d cores", win,
+                  matmul_win[cores], cores);
   }
   bench::print_row_sep();
-  std::printf(
-      "expected shape: matmul_readonly round-trips collapse (>= 2x fewer)\n"
-      "under replication — operands are read-shared, so grants replace\n"
-      "ownership ping-pong; histogram/laplace improve less because their\n"
-      "sharing is write-heavy (every replica costs an invalidation).\n");
-  return 0;
+  return claim.verdict();
 }

@@ -75,6 +75,10 @@ int main(int argc, char** argv) {
 
   std::printf("streaming %llu KiB of sequential stores\n\n",
               static_cast<unsigned long long>(kb));
+  bench::Claim claim(
+      "DRAM writes: bytes/32 with the WCB and bytes/width without, at "
+      "every store width");
+
   std::printf("%6s | %13s %12s | %13s %12s | %8s\n", "width",
               "WCB [ms]", "DRAM writes", "no-WCB [ms]", "DRAM writes",
               "speedup");
@@ -89,11 +93,17 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(without.dram_writes),
                 static_cast<double>(without.elapsed) /
                     static_cast<double>(with.elapsed));
+    // One DRAM transaction per 32-byte line through the WCB, one per
+    // store on the plain write-through path.
+    claim.require(with.dram_writes == total / scc::kLineBytes,
+                  "%uB stores with the WCB: %llu DRAM writes == %llu", width,
+                  static_cast<unsigned long long>(with.dram_writes),
+                  static_cast<unsigned long long>(total / scc::kLineBytes));
+    claim.require(without.dram_writes == total / width,
+                  "%uB stores without the WCB: %llu DRAM writes == %llu",
+                  width, static_cast<unsigned long long>(without.dram_writes),
+                  static_cast<unsigned long long>(total / width));
   }
   bench::print_row_sep();
-  std::printf(
-      "expected shape: the WCB path issues one DRAM transaction per\n"
-      "32-byte line regardless of store width (32/width speedup); the\n"
-      "plain write-through path pays one transaction per store.\n");
-  return 0;
+  return claim.verdict();
 }

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -38,6 +39,45 @@ inline void print_header(const char* title, const char* paper_ref) {
 inline void print_row_sep() {
   std::printf("-------------------------------------------------------------\n");
 }
+
+/// The claim a bench reproduces, stated once as inequalities over its own
+/// numbers. Each violated inequality prints a "violated:" line; verdict()
+/// prints the one verdict line and returns the exit code, 1 when any
+/// inequality failed, so a run that contradicts its claim fails.
+class Claim {
+ public:
+  explicit Claim(std::string statement) : statement_(std::move(statement)) {}
+
+  /// Records one inequality; `fmt` states it with its numbers.
+  __attribute__((format(printf, 3, 4))) void require(bool holds,
+                                                    const char* fmt, ...) {
+    ++checks_;
+    if (holds) return;
+    ++violations_;
+    char what[256];
+    va_list args;
+    va_start(args, fmt);
+    std::vsnprintf(what, sizeof(what), fmt, args);
+    va_end(args);
+    std::printf("violated: %s\n", what);
+  }
+
+  int verdict() const {
+    if (violations_ == 0) {
+      std::printf("verdict: holds (%d checks): %s\n", checks_,
+                  statement_.c_str());
+      return 0;
+    }
+    std::printf("verdict: VIOLATED (%d of %d checks): %s\n", violations_,
+                checks_, statement_.c_str());
+    return 1;
+  }
+
+ private:
+  std::string statement_;
+  int checks_ = 0;
+  int violations_ = 0;
+};
 
 /// Parses "--iters=N"-style overrides from argv. A value that is not a
 /// whole decimal number in u64 range ("abc", "-1", "12x") is a usage

@@ -35,6 +35,14 @@ int main(int argc, char** argv) {
   bench::JsonReport json("fig6", argc, argv);
   json.config("reps", static_cast<u64>(reps));
 
+  bench::Claim claim(
+      "no-IPI < IPI at every hop count; both curves non-decreasing in "
+      "hops to within 0.1%; 8 hops <= 1.2x 0 hops on both");
+  TimePs prev_poll = 0;
+  TimePs prev_ipi = 0;
+  TimePs poll0 = 0;
+  TimePs ipi0 = 0;
+
   std::printf("%8s %8s | %16s | %16s\n", "partner", "hops", "no-IPI [us]",
               "IPI [us]");
   bench::print_row_sep();
@@ -59,11 +67,30 @@ int main(int argc, char** argv) {
                 ps_to_us(poll), ps_to_us(ipi));
     json.sample("poll_us", ps_to_us(poll));
     json.sample("ipi_us", ps_to_us(ipi));
+
+    claim.require(poll < ipi, "no-IPI %.3f < IPI %.3f us at %d hops",
+                  ps_to_us(poll), ps_to_us(ipi), pair.hops);
+    // Non-decreasing up to 0.1%: the no-IPI curve dips by 0.19 ns (of
+    // 791 ns) from 7 to 8 hops, far below the ~11 ns a hop adds.
+    claim.require(poll * 1000 >= prev_poll * 999 &&
+                      ipi * 1000 >= prev_ipi * 999,
+                  "at %d hops no-IPI %.4f and IPI %.4f us >= 99.9%% of %.4f "
+                  "and %.4f us at one hop fewer",
+                  pair.hops, ps_to_us(poll), ps_to_us(ipi),
+                  ps_to_us(prev_poll), ps_to_us(prev_ipi));
+    if (pair.hops == 0) {
+      poll0 = poll;
+      ipi0 = ipi;
+    }
+    prev_poll = poll;
+    prev_ipi = ipi;
   }
   bench::print_row_sep();
-  std::printf(
-      "expected shape: both curves ~linear in hops with a low gradient;\n"
-      "no-IPI below IPI (interrupt overhead) when only 2 cores are "
-      "active.\n");
-  return 0;
+  claim.require(prev_poll * 5 <= poll0 * 6,
+                "no-IPI %.3f us at 8 hops <= 1.2x its %.3f us at 0 hops",
+                ps_to_us(prev_poll), ps_to_us(poll0));
+  claim.require(prev_ipi * 5 <= ipi0 * 6,
+                "IPI %.3f us at 8 hops <= 1.2x its %.3f us at 0 hops",
+                ps_to_us(prev_ipi), ps_to_us(ipi0));
+  return claim.verdict();
 }

@@ -7,6 +7,7 @@
 //                                   each other permanently; latency stays
 //                                   on the same level as (2).
 #include <cstdio>
+#include <utility>
 
 #include "bench/bench_common.hpp"
 #include "workloads/pingpong.hpp"
@@ -22,6 +23,12 @@ int main(int argc, char** argv) {
 
   bench::JsonReport json("fig7", argc, argv);
   json.config("reps", static_cast<u64>(reps));
+
+  bench::Claim claim(
+      "no-IPI at 48 cores >= 5x its 2-core value; IPI and IPI+noise "
+      "within 10% of their 2-core values");
+  TimePs poll2 = 0;
+  TimePs ipi2 = 0;
 
   std::printf("%10s | %14s | %14s | %18s\n", "activated", "no-IPI [us]",
               "IPI [us]", "IPI+noise [us]");
@@ -50,11 +57,25 @@ int main(int argc, char** argv) {
     json.sample("poll_us", ps_to_us(poll));
     json.sample("ipi_us", ps_to_us(ipi));
     json.sample("ipi_noise_us", ps_to_us(noisy));
+
+    if (activated == 2) {
+      poll2 = poll;
+      ipi2 = ipi;
+    }
+    for (const auto& [curve, t] : {std::pair{"IPI", ipi},
+                                    std::pair{"IPI+noise", noisy}}) {
+      claim.require(t * 10 <= ipi2 * 11 && t * 10 >= ipi2 * 9,
+                    "%s %.3f us at %d cores within 10%% of %.3f us at 2 "
+                    "cores",
+                    curve, ps_to_us(t), activated, ps_to_us(ipi2));
+    }
+    if (activated == 48) {
+      claim.require(poll >= 5 * poll2,
+                    "no-IPI %.3f us at 48 cores >= 5x its %.3f us at 2 "
+                    "cores",
+                    ps_to_us(poll), ps_to_us(poll2));
+    }
   }
   bench::print_row_sep();
-  std::printf(
-      "expected shape: no-IPI grows ~linearly with the activated cores;\n"
-      "IPI stays flat; background noise leaves the IPI latency on a\n"
-      "similar level up to 48 cores.\n");
-  return 0;
+  return claim.verdict();
 }

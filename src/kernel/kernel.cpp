@@ -89,14 +89,18 @@ void SpinWait::run() {
     }
     slept_at_ = core_.now();
     phase_ = Phase::kSleeping;
-    // The hook only runs while the fiber is parked in this block; the
-    // guard also clears it when teardown unwinds the fiber from here.
-    struct HookGuard {
-      sim::Actor& actor;
-      ~HookGuard() { actor.set_poll_hook({}); }
-    } guard{self};
-    self.set_poll_hook(hook);
-    chip.scheduler().block_until(slept_at_ + gap);
+    {
+      // The hook only runs while the fiber is parked in this block; the
+      // guard also clears it when teardown unwinds the fiber from here.
+      // It is gone before the wake-up below, which may yield: a yielder
+      // never carries a hook back into the scheduler.
+      struct HookGuard {
+        sim::Actor& actor;
+        ~HookGuard() { actor.set_poll_hook({}); }
+      } guard{self};
+      self.set_poll_hook(hook);
+      chip.scheduler().block_until(slept_at_ + gap);
+    }
     if (phase_ == Phase::kSleeping) {  // the hook left the wake-up to us
       core_.wake_from_relax(slept_at_);
       phase_ = Phase::kPoll;

@@ -57,8 +57,8 @@ inline constexpr u32 kMailBytes = 32;      // one cache line per mailbox
 ///   SVM scratchpad, 2 KiB                                 [1536, 3584)
 ///     barrier_arrive            arrive bytes, one per core      [1536]
 ///     barrier_release           release byte                    [1584]
-///     barrier_diss              2 parity sets of diss_rounds    [1585]
-///                               bytes; the header rounds up to a line
+///     (spare)                   12 bytes; the header rounds     [1585]
+///                               up to a line
 ///     entries                   16-bit page entries             [1600]
 ///   RCCE share
 ///     rcce_comm                 4 KiB communication buffer      [3584]
@@ -74,12 +74,18 @@ struct MpbLayout {
 
   explicit MpbLayout(int max_cores) {
     const u32 n = static_cast<u32>(max_cores);
-    while ((1u << diss_rounds) < n) ++diss_rounds;
-    diss_rounds = std::max(diss_rounds, 6u);
     barrier_arrive = n * kMailBytes;
     barrier_release = barrier_arrive + n;
-    barrier_diss = barrier_release + 1;
-    const u32 header = n + 1 + 2 * diss_rounds;
+    // Spare bytes after the release byte: two sets of max(6, ceil(log2
+    // n)) flags, once a dissemination barrier's. They stay reserved
+    // because the header rounds up to a line: without them `entries`,
+    // and with it every scratchpad entry, would move on the 1200-core
+    // die that 1024 cores run on (1280 header bytes with them, 1216
+    // without).
+    u32 log2n = 0;
+    while ((1u << log2n) < n) ++log2n;
+    const u32 spare = 2 * std::max(log2n, 6u);
+    const u32 header = n + 1 + spare;
     entries = barrier_arrive + (header + 63) / 64 * 64;
     rcce_comm = barrier_arrive + kScratchpadBytes;
     rcce_sent = rcce_comm + kRcceCommBytes;
@@ -96,10 +102,8 @@ struct MpbLayout {
     return static_cast<u32>(sender) * kMailBytes;
   }
 
-  u32 diss_rounds = 0;
   u32 barrier_arrive = 0;
   u32 barrier_release = 0;
-  u32 barrier_diss = 0;
   u32 entries = 0;  // up to rcce_comm
   u32 rcce_comm = 0;
   u32 rcce_sent = 0;

@@ -70,66 +70,15 @@ void Svm::barrier() {
   // arrival.
   runtime_->policy().on_release(*runtime_);
 
-  if (domain_.config().barrier_algo == BarrierAlgo::kDissemination) {
-    barrier_dissemination();
-  } else {
-    const scc::MpbLayout& mpb = core_.chip().map().layout();
-    kernel::master_gather_barrier(
-        core_, domain_.members(), barrier_sense_,
-        {mpb.barrier_arrive, mpb.barrier_release, "svm.barrier_gather",
-         "svm.barrier_release"});
-  }
+  const scc::MpbLayout& mpb = core_.chip().map().layout();
+  kernel::master_gather_barrier(
+      core_, domain_.members(), barrier_sense_,
+      {mpb.barrier_arrive, mpb.barrier_release, "svm.barrier_gather",
+       "svm.barrier_release"});
 
   // Acquire semantics: under Lazy Release the data written by others
   // before the barrier must not be shadowed by stale cache lines.
   runtime_->policy().on_acquire(*runtime_);
-}
-
-void Svm::barrier_dissemination() {
-  // Classic dissemination barrier: in round r every rank signals the
-  // rank 2^r ahead and waits for the rank 2^r behind; after ceil(log2 n)
-  // rounds everyone has (transitively) heard from everyone. Flags are
-  // double-buffered by barrier parity so a neighbour one full barrier
-  // ahead writes the *other* set — and no core can ever be two barriers
-  // ahead, because that would require passing a barrier this core has
-  // not entered.
-  const auto& members = domain_.members();
-  const int n = static_cast<int>(members.size());
-  // The algorithm is exact for any n (power of two or not): ceil(log2 n)
-  // rounds of signal/wait at distances 1, 2, 4, ... — but each round
-  // needs its own flag byte, and the MPB layout reserves exactly
-  // diss_rounds per parity. Fail loudly rather than silently
-  // corrupting a neighbouring flag if a domain ever exceeds 2^rounds
-  // members.
-  const scc::AddrMap& map = core_.chip().map();
-  const scc::MpbLayout& mpb = map.layout();
-  u32 rounds = 0;
-  while ((1 << rounds) < n) ++rounds;
-  if (rounds > mpb.diss_rounds) {
-    panic("dissemination barrier: domain has more members than the MPB "
-          "flag layout supports (diss_rounds rounds)");
-  }
-  const u64 seq = diss_seq_++;
-  const u32 parity = static_cast<u32>(seq % 2);
-  const u8 sense = static_cast<u8>((seq / 2) % 2 + 1);
-  int distance = 1;
-  for (u32 round = 0; distance < n; ++round, distance *= 2) {
-    const int to =
-        members[static_cast<std::size_t>((rank_ + distance) % n)];
-    const u32 flag = mpb.barrier_diss + parity * mpb.diss_rounds + round;
-    core_.pstore<u8>(map.mpb_base(to) + flag, sense,
-                     scc::MemPolicy::kUncached);
-    const u64 own = map.mpb_base(core_.id()) + flag;
-    // Rounds are short (one flag write away); a large backoff cap would
-    // compound oversleeps across the log2(n) rounds.
-    kernel::SpinWaitOpts opts;
-    opts.start_ps = 100 * kPsPerNs;
-    opts.cap_ps = 800 * kPsPerNs;
-    opts.site = "svm.barrier_diss";
-    opts.site_arg = round;
-    opts.site_arg2 = static_cast<u64>(to);
-    kernel::spin_wait(core_, scc::WatchedWord::mpb_byte(own, sense), opts);
-  }
 }
 
 void Svm::protect_readonly(u64 vaddr, u64 bytes) {

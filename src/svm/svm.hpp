@@ -102,12 +102,6 @@ class SvmProtectionError : public std::runtime_error {
   u64 vaddr_;
 };
 
-/// Barrier algorithm for Svm::barrier().
-enum class BarrierAlgo : u8 {
-  kMasterGather,    // the simple O(n)-at-master flag barrier
-  kDissemination,   // O(log n) rounds, parity-buffered flags
-};
-
 /// Modelled software path costs (core cycles). The two bigger ones are
 /// calibrated against the paper's Table 1 (row 1: 741 us per 4 MiB
 /// reservation; row 2: ~112 us per physically allocated frame, which
@@ -120,16 +114,10 @@ inline constexpr u32 kFirstTouchSoftwareCycles = 54500;
 
 struct SvmConfig {
   Model model = Model::kLazyRelease;
-  BarrierAlgo barrier_algo = BarrierAlgo::kMasterGather;
-  /// Relocate the first-touch scratchpad into off-die DRAM — the paper's
-  /// "increase the memory size" trade-off, quantified by an ablation.
-  bool scratchpad_offdie = false;
   /// Requester waits for the ACK mail (paper's design). When false, the
   /// requester instead *polls the off-die owner vector*, reproducing the
   /// authors' earlier prototype [14] that "runs against the memory wall".
   bool ack_via_mail = true;
-  /// Number of TAS-striped scratchpad locks (1 = the paper's single lock).
-  u32 scratchpad_lock_stripes = 1;
   /// MSI-style read replication for the Strong model (an extension beyond
   /// the paper): the off-die owner vector is upgraded to a directory entry
   /// {owner, sharer bitmask, Exclusive | Shared}. A read fault installs a
@@ -188,8 +176,8 @@ class SvmDomain {
   /// total; frame 0 is the sentinel and never handed out).
   u64 total_frames() const;
 
-  /// TAS register guarding the scratchpad stripe of `page_idx`.
-  int scratchpad_lock_reg(u64 page_idx) const;
+  /// TAS register of the paper's single scratchpad lock (Section 6.3).
+  static constexpr int kScratchpadLockReg = 0;
 
   /// TAS register serialising ownership transfers of `page_idx`. Without
   /// it, three or more cores thrashing one page can chase a moving owner
@@ -355,9 +343,6 @@ class Svm {
   scc::Core& core() { return core_; }
 
  private:
-  // The master-gather body is kernel::master_gather_barrier.
-  void barrier_dissemination();
-
   kernel::Kernel& kernel_;
   mbox::MailboxSystem& mbox_;
   SvmDomain& domain_;
@@ -366,7 +351,6 @@ class Svm {
   int rank_ = -1;
   u64 next_vaddr_ = 0;  // per-core bump, kept symmetric by collectives
   u8 barrier_sense_ = 1;
-  u64 diss_seq_ = 0;  // dissemination-barrier instance counter
 };
 
 }  // namespace msvm::svm

@@ -62,11 +62,13 @@ SvmDomain::SvmDomain(scc::Chip& chip, SvmConfig cfg,
 
   // Metadata at the tail of shared DRAM: the per-MC frame counters
   // (8 bytes each, padded to 64 — exactly 64 bytes on the four-MC SCC),
-  // then the owner vector, then the off-die scratchpad area (always
-  // reserved so the ablation flag does not change frame numbers), then —
-  // only in read-replication mode, so that flag-off runs keep the
-  // paper's exact layout — one directory entry per page. Sized for the
-  // whole chip so every slot sees the same layout.
+  // then the owner vector, then 2 bytes per page that nothing uses (an
+  // off-die copy of the scratchpad once lived there; the area stays
+  // reserved because freeing it would move meta_base_ and with it every
+  // frame number), then — only in read-replication mode, so that
+  // flag-off runs keep the paper's exact layout — one directory entry
+  // per page. Sized for the whole chip so every slot sees the same
+  // layout.
   mc_area_bytes_ =
       round_up(8 * static_cast<u64>(topo.num_mem_controllers()), 64);
   const u64 meta_bytes =
@@ -125,10 +127,6 @@ u64 SvmDomain::owner_entry_paddr(u64 page_idx) const {
 u64 SvmDomain::scratchpad_entry_paddr(u64 page_idx) const {
   assert(page_idx >= page_index_base_ &&
          page_idx < page_index_base_ + svm_page_capacity_);
-  if (cfg_.scratchpad_offdie) {
-    return scc::kSharedBase + meta_base_ + mc_area_bytes_ +
-           2 * svm_page_capacity_ + 2 * page_idx;
-  }
   const int core = static_cast<int>(page_idx / entries_per_mpb_);
   const u32 off = static_cast<u32>(page_idx % entries_per_mpb_) * 2;
   return chip_.map().mpb_base(core) + chip_.map().layout().entries + off;
@@ -157,19 +155,12 @@ u64 SvmDomain::frame_paddr(u16 frame_no) const {
 }
 
 // The TAS file (one register per core the die provides) is partitioned
-// statically: scratchpad stripes and transfer locks share the lower
+// statically: the scratchpad lock and the transfer locks share the lower
 // half, application locks take the upper half. SVM fault handling can
 // therefore never self-deadlock on a register aliased with an
 // application lock the faulting code holds.
-int SvmDomain::scratchpad_lock_reg(u64 page_idx) const {
-  const u32 half = static_cast<u32>(chip_.topology().max_cores()) / 2;
-  const u32 stripes =
-      std::max(1u, std::min(cfg_.scratchpad_lock_stripes, half));
-  return static_cast<int>(page_idx % stripes);
-}
-
 int SvmDomain::transfer_lock_reg(u64 page_idx) const {
-  // Shares the lower half with the scratchpad stripes; the two are never
+  // Shares the lower half with the scratchpad lock; the two are never
   // held simultaneously, so aliasing only costs contention, not deadlock.
   return static_cast<int>(
       page_idx % static_cast<u64>(chip_.topology().max_cores() / 2));

@@ -325,7 +325,7 @@ void SvmRuntime::mapping_fault(u64 vaddr, u64 page_idx, bool is_write) {
   const u64 page_base = vaddr & ~(u64{scc::kPageBytes} - 1);
   const bool readonly = region_readonly(region_of(vaddr));
 
-  const int lock_reg = domain_.scratchpad_lock_reg(page_idx);
+  const int lock_reg = SvmDomain::kScratchpadLockReg;
   kernel::SpinWaitOpts lock_opts =
       kernel::tas_spin_opts(core_, "svm.scratchpad_lock", page_idx);
   const auto break_dead = [&] { maybe_break_dead_lock(lock_reg); };

@@ -148,9 +148,8 @@ TEST(Cluster, MakespanCoversSlowestMember) {
 }
 
 
-TEST(Barrier, DisseminationSynchronisesAndStaysSynchronised) {
+TEST(Barrier, GatherSynchronisesAndStaysSynchronised) {
   ClusterConfig cfg = base_config();
-  cfg.svm.barrier_algo = svm::BarrierAlgo::kDissemination;
   Cluster cl(cfg);
   std::vector<int> counters(8, 0);
   bool monotone = true;
@@ -161,7 +160,7 @@ TEST(Barrier, DisseminationSynchronisesAndStaysSynchronised) {
     n.core().compute_cycles(static_cast<u64>(n.rank()) * 60'000);
     n.svm().barrier();
     after[static_cast<std::size_t>(n.rank())] = n.core().now();
-    // Many repeated barriers: the parity/sense reuse must stay sound.
+    // Many repeated barriers: the sense reuse must stay sound.
     for (int round = 0; round < 20; ++round) {
       counters[static_cast<std::size_t>(n.rank())] = round;
       n.svm().barrier();
@@ -181,15 +180,14 @@ TEST(Barrier, DisseminationSynchronisesAndStaysSynchronised) {
   EXPECT_TRUE(monotone);
 }
 
-TEST(Barrier, DisseminationIsExactForNonPowerOfTwoMemberCounts) {
-  // Regression: the dissemination barrier must synchronise exactly for
-  // any member count, not just powers of two — ceil(log2 n) rounds at
-  // distances 1, 2, 4, ... (mod n) cover every core. A silently degraded
-  // barrier would let a fast core pass before the slowest arrives.
+TEST(Barrier, GatherIsExactForNonPowerOfTwoMemberCounts) {
+  // The master-gather barrier must synchronise exactly for any member
+  // count: the master waits on every other member's arrival byte. A
+  // silently degraded barrier would let a fast core pass before the
+  // slowest arrives.
   for (const int members : {3, 5, 6, 7}) {
     ClusterConfig cfg = base_config();
-    cfg.svm.barrier_algo = svm::BarrierAlgo::kDissemination;
-    cfg.members.clear();
+      cfg.members.clear();
     for (int c = 0; c < members; ++c) cfg.members.push_back(c);
     Cluster cl(cfg);
     std::vector<TimePs> after(static_cast<std::size_t>(members), 0);
@@ -200,7 +198,7 @@ TEST(Barrier, DisseminationIsExactForNonPowerOfTwoMemberCounts) {
       n.core().compute_cycles(static_cast<u64>(n.rank()) * 60'000);
       n.svm().barrier();
       after[static_cast<std::size_t>(n.rank())] = n.core().now();
-      // Repeated barriers keep the parity/sense reuse honest at odd n.
+      // Repeated barriers keep the sense reuse honest at every n.
       for (int round = 0; round < 12; ++round) {
         counters[static_cast<std::size_t>(n.rank())] = round;
         n.svm().barrier();
@@ -222,13 +220,10 @@ TEST(Barrier, DisseminationIsExactForNonPowerOfTwoMemberCounts) {
   }
 }
 
-TEST(Barrier, DisseminationAtFullChipWidth) {
-  // 48 members need 6 rounds — exactly the reserved flag capacity; this
-  // must work (ablation_barrier depends on it) while anything wider
-  // panics instead of corrupting neighbouring MPB bytes.
+TEST(Barrier, GatherAtFullChipWidth) {
+  // All 48 cores of the die: the master scans 47 arrival bytes.
   ClusterConfig cfg = base_config();
   cfg.chip.num_cores = 48;
-  cfg.svm.barrier_algo = svm::BarrierAlgo::kDissemination;
   Cluster cl(cfg);
   std::vector<TimePs> after(48, 0);
   cl.run([&](Node& n) {
@@ -244,9 +239,8 @@ TEST(Barrier, DisseminationAtFullChipWidth) {
   }
 }
 
-TEST(Barrier, DisseminationDataTransferUnderLazyRelease) {
+TEST(Barrier, GatherDataTransferUnderLazyRelease) {
   ClusterConfig cfg = base_config();
-  cfg.svm.barrier_algo = svm::BarrierAlgo::kDissemination;
   cfg.svm.model = svm::Model::kLazyRelease;
   Cluster cl(cfg);
   bool ok = true;
@@ -255,7 +249,7 @@ TEST(Barrier, DisseminationDataTransferUnderLazyRelease) {
     n.svm().barrier();
     n.svm().write<u64>(base + 8 * static_cast<u64>(n.rank()),
                        100 + static_cast<u64>(n.rank()));
-    n.svm().barrier();  // release + acquire through dissemination
+    n.svm().barrier();  // release + acquire through the gather barrier
     for (int r = 0; r < n.size(); ++r) {
       if (n.svm().read<u64>(base + 8 * static_cast<u64>(r)) !=
           100 + static_cast<u64>(r)) {

@@ -41,8 +41,8 @@ TEST(HangReport, MultiLaneDeadlockNamesWaitSitesAndLanes) {
   EXPECT_NE(report.find("watchdog hang report"), std::string::npos);
   EXPECT_NE(report.find("blocked actors:"), std::string::npos);
   // The 95 waiters are blocked inside the barrier; at least one wait
-  // site naming it must appear (gather/release/dissemination variants
-  // all share the svm.barrier prefix).
+  // site naming it must appear (the gather and release sites share the
+  // svm.barrier prefix).
   EXPECT_NE(report.find("waiting at"), std::string::npos);
   EXPECT_NE(report.find("svm.barrier"), std::string::npos);
   // The one event heap has no lanes to tabulate, even at 96 cores.

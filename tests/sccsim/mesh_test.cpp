@@ -240,8 +240,6 @@ TEST(AddrMap, MpbCarveAt48CoresKeepsTheSccOffsets) {
   EXPECT_EQ(l.mail_slot(47) + kMailBytes, 1536u);
   EXPECT_EQ(l.barrier_arrive, 1536u);
   EXPECT_EQ(l.barrier_release, 1584u);
-  EXPECT_EQ(l.barrier_diss, 1585u);
-  EXPECT_EQ(l.diss_rounds, 6u);
   EXPECT_EQ(l.entries, 1600u);
   EXPECT_EQ(l.rcce_comm, 3584u);
   EXPECT_EQ(l.rcce_sent, 7680u);
@@ -264,7 +262,6 @@ TEST(AddrMap, WideDieCarveIsOrderedDisjointAndFits) {
         {l.mail_slot(0), l.mail_slot(static_cast<int>(n) - 1) + kMailBytes},
         {l.barrier_arrive, l.barrier_arrive + n},
         {l.barrier_release, l.barrier_release + 1},
-        {l.barrier_diss, l.barrier_diss + 2 * l.diss_rounds},
         {l.entries, l.rcce_comm},
         {l.rcce_comm, l.rcce_comm + MpbLayout::kRcceCommBytes},
         {l.rcce_sent, l.rcce_sent + n},
@@ -279,9 +276,20 @@ TEST(AddrMap, WideDieCarveIsOrderedDisjointAndFits) {
       end = stop;
     }
     EXPECT_LE(end, map.mpb_size());
-    // Enough dissemination rounds for every core of the die.
-    EXPECT_GE(1u << l.diss_rounds, n);
   }
+}
+
+TEST(AddrMap, ScratchpadEntriesStayPutOnTheWidestDie) {
+  // 1024 cores run on a die of 1200 potential cores. Its scratchpad
+  // header keeps the spare bytes after the release byte and rounds to
+  // 1280 bytes; without them it would round to 1216 and move every
+  // scratchpad entry.
+  ChipConfig cfg;
+  cfg.num_cores = 1024;
+  const AddrMap map(cfg);
+  EXPECT_EQ(map.topology().max_cores(), 1200);
+  const MpbLayout& l = map.layout();
+  EXPECT_EQ(l.entries - l.barrier_arrive, 1280u);
 }
 
 }  // namespace

@@ -488,26 +488,5 @@ TEST(SvmModes, WorksWithPollingMailboxes) {
   EXPECT_EQ(final_value, 6u);
 }
 
-TEST(SvmModes, OffDieScratchpadStillCorrect) {
-  ClusterConfig cfg = base_config(4, Model::kLazyRelease);
-  cfg.svm.scratchpad_offdie = true;
-  Cluster cl(cfg);
-  u64 total_first = 0;
-  bool ok = true;
-  cl.run([&](Node& n) {
-    const u64 base = n.svm().alloc(8 * 4096);
-    n.svm().barrier();
-    for (u64 p = 0; p < 8; ++p) {
-      if (n.svm().read<u64>(base + p * 4096) != 0) ok = false;
-    }
-    n.svm().barrier();
-  });
-  for (int c = 0; c < 4; ++c) {
-    total_first += cl.node(c).svm().stats().first_touch_allocs;
-  }
-  EXPECT_EQ(total_first, 8u);
-  EXPECT_TRUE(ok);
-}
-
 }  // namespace
 }  // namespace msvm::svm
