@@ -22,6 +22,11 @@ int main(int argc, char** argv) {
   bench::print_header("Table 1 — SVM per-page overheads",
                       "Lankes et al., PMAM'12, Section 7.2.1, Table 1");
 
+  // Before the runs: the constructor applies --trace and --heatmap, and
+  // a chip built earlier would publish to no sink.
+  bench::JsonReport json("table1", argc, argv);
+  json.config("mbytes", mbytes);
+
   workloads::SvmOverheadParams p;
   p.bytes = mbytes << 20;
 
@@ -92,8 +97,6 @@ int main(int argc, char** argv) {
                 ps_to_us(lazy.retrieve_per_page),
                 ps_to_us(strong.retrieve_per_page));
 
-  bench::JsonReport json("table1", argc, argv);
-  json.config("mbytes", mbytes);
   json.sample("strong_alloc_total_us", ps_to_us(strong.alloc_total));
   json.sample("lazy_alloc_total_us", ps_to_us(lazy.alloc_total));
   json.sample("strong_phys_alloc_us", ps_to_us(strong.phys_alloc_per_page));

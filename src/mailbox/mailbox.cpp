@@ -86,11 +86,7 @@ void MailboxSystem::sweep_tick() {
   // Every mail found here is one whose IPI never got us to check the
   // slot — interrupt loss evidence.
   stats_.sweep_recoveries += static_cast<u64>(seen);
-  obs::EventBus& bus = core_.chip().bus();
-  if (bus.enabled(obs::kCatMail)) {
-    bus.publish(obs::Event{core_.now(), static_cast<u64>(seen), 0, 0,
-                           obs::EventKind::kMailSweep, core_.id()});
-  }
+  core_.publish(obs::EventKind::kMailSweep, static_cast<u64>(seen));
   MSVM_LOG_INFO("core %d: poll sweep recovered %d mail(s) missed by IPI",
                 core_.id(), seen);
   if (degrade_after_ > 0 &&
@@ -136,15 +132,12 @@ void MailboxSystem::deposit(u64 slot, const Mail& mail, int dest) {
   ++stats_.sent;
   MSVM_LOG_DEBUG("core %d: DEPOSIT type=%u p0=%llu -> %d", core_.id(),
                  mail.type, static_cast<unsigned long long>(mail.p0), dest);
-  obs::EventBus& bus = core_.chip().bus();
-  if (bus.enabled(obs::kCatMail)) {
-    // p1 carries the requester rank on protocol mails; the packed word
-    // lets the trace exporter reconstruct request/ACK flow chains.
-    bus.publish(obs::Event{
-        core_.now(), static_cast<u64>(dest),
-        obs::pack_mail(mail.type, mail.arg16, static_cast<obs::u8>(mail.p1)),
-        mail.p0, obs::EventKind::kMailSend, core_.id()});
-  }
+  // p1 carries the requester rank on protocol mails; the packed word
+  // lets the trace exporter reconstruct request/ACK flow chains.
+  core_.publish(
+      obs::EventKind::kMailSend, static_cast<u64>(dest),
+      obs::pack_mail(mail.type, mail.arg16, static_cast<obs::u8>(mail.p1)),
+      mail.p0);
   if (use_ipi_) core_.raise_ipi(dest);
 }
 
@@ -274,12 +267,8 @@ bool MailboxSystem::check_slot(int sender) {
     // pretends it is not — the mail stays deposited and a later check
     // (poll, sweep, or retransmission-triggered) will see it.
     core_.irq_enable();
-    obs::EventBus& bus = core_.chip().bus();
-    if (bus.enabled(obs::kCatChaos)) {
-      bus.publish(obs::Event{
-          core_.now(), static_cast<u64>(obs::InjectKind::kMailDelay), 0, 0,
-          obs::EventKind::kFaultInject, core_.id()});
-    }
+    core_.publish(obs::EventKind::kFaultInject,
+                  static_cast<u64>(obs::InjectKind::kMailDelay));
     return false;
   }
 
@@ -295,13 +284,9 @@ bool MailboxSystem::check_slot(int sender) {
     if (bit >= 0) {
       line[1 + static_cast<u32>(bit) / 8] ^=
           static_cast<u8>(1u << (static_cast<u32>(bit) % 8));
-      obs::EventBus& cbus = core_.chip().bus();
-      if (cbus.enabled(obs::kCatChaos)) {
-        cbus.publish(obs::Event{
-            core_.now(), static_cast<u64>(obs::InjectKind::kMailFlip),
-            static_cast<u64>(bit), 0, obs::EventKind::kFaultInject,
-            core_.id()});
-      }
+      core_.publish(obs::EventKind::kFaultInject,
+                    static_cast<u64>(obs::InjectKind::kMailFlip),
+                    static_cast<u64>(bit));
     }
   }
   if (integrity_) {
@@ -319,13 +304,9 @@ bool MailboxSystem::check_slot(int sender) {
       ++stats_.corrupt_drops;
       MSVM_LOG_INFO("core %d: dropped corrupt mail from %d (crc %08x != %08x)",
                     core_.id(), sender, stored, computed);
-      obs::EventBus& cbus = core_.chip().bus();
-      if (cbus.enabled(obs::kCatIntegrity)) {
-        cbus.publish(obs::Event{core_.now(), static_cast<u64>(sender),
-                                obs::pack_mail(line[kTypeOff], 0, 0),
-                                computed, obs::EventKind::kMailCorruptDrop,
-                                core_.id()});
-      }
+      core_.publish(obs::EventKind::kMailCorruptDrop,
+                    static_cast<u64>(sender),
+                    obs::pack_mail(line[kTypeOff], 0, 0), computed);
       return true;
     }
   }
@@ -342,24 +323,18 @@ bool MailboxSystem::check_slot(int sender) {
   core_.pstore<u8>(slot + kFlagOff, 0, scc::MemPolicy::kUncached);
   core_.irq_enable();
   ++stats_.received;
-  obs::EventBus& bus = core_.chip().bus();
-  if (bus.enabled(obs::kCatMail)) {
-    bus.publish(obs::Event{
-        core_.now(), static_cast<u64>(sender),
-        obs::pack_mail(mail.type, mail.arg16, static_cast<obs::u8>(mail.p1)),
-        mail.p0, obs::EventKind::kMailDeliver, core_.id()});
-  }
+  core_.publish(
+      obs::EventKind::kMailDeliver, static_cast<u64>(sender),
+      obs::pack_mail(mail.type, mail.arg16, static_cast<obs::u8>(mail.p1)),
+      mail.p0);
   core_.compute_cycles(kMailSoftwareCycles);
   dispatch(mail);
   if (core_.chip().faults().enabled() &&
       core_.chip().faults().duplicate_mail()) {
     // Injected duplicate delivery: the same consumed mail is handed to
     // dispatch a second time, probing the receiver-side dedup.
-    if (bus.enabled(obs::kCatChaos)) {
-      bus.publish(obs::Event{
-          core_.now(), static_cast<u64>(obs::InjectKind::kMailDup), 0, 0,
-          obs::EventKind::kFaultInject, core_.id()});
-    }
+    core_.publish(obs::EventKind::kFaultInject,
+                  static_cast<u64>(obs::InjectKind::kMailDup));
     dispatch(mail);
   }
   return true;

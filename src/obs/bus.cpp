@@ -13,6 +13,11 @@ std::vector<Event> EventRing::snapshot() const {
   return out;
 }
 
+void EventBus::deliver(const Event& e) {
+  if (category_of(e.kind) == kCatProto) ring_of(e.core).record(e);
+  for (EventSink* sink : sinks_) sink->on_event(e);
+}
+
 RuntimeConfig& runtime_config() {
   static RuntimeConfig cfg;
   return cfg;

@@ -8,9 +8,11 @@
 //   * protocol-category events are always recorded into the publishing
 //     core's ring (they replaced the old per-core proto::TraceRing and
 //     feed hang reports / the svm-trace section even with obs off).
-//   * every other category is gated by a runtime mask; call sites check
-//     bus.enabled(kCatX) before constructing the Event, so a disabled
-//     category costs one predictable branch.
+//   * every other category is gated by a runtime mask. publish() is the
+//     one gate: an always-inline test of category_of(e.kind) against the
+//     mask, with ring and sink delivery out of line. A call site passes
+//     a constant kind, so the category folds and a disabled event costs
+//     one predictable branch; no call site states its category itself.
 #pragma once
 
 #include <cstddef>
@@ -70,17 +72,18 @@ class EventBus {
   /// ORs extra categories into the runtime mask (kCatProto is always set).
   void enable(u32 categories) { mask_ |= categories; }
 
-  /// Cheap call-site gate: is any of `categories` being published?
+  /// Is any of `categories` being published? Not a publish gate (that
+  /// is publish() itself); for callers whose own behaviour depends on
+  /// whether an event stream is watched.
   bool enabled(u32 categories) const { return (mask_ & categories) != 0; }
 
   /// Subscribes `sink` to every event that passes the mask.
   void attach(EventSink* sink) { sinks_.push_back(sink); }
 
-  void publish(const Event& e) {
-    const u32 cat = category_of(e.kind);
-    if ((mask_ & cat) == 0) return;
-    if (cat == kCatProto) ring_of(e.core).record(e);
-    for (EventSink* sink : sinks_) sink->on_event(e);
+  /// The one publish gate: events whose category is masked off stop
+  /// here, before any ring or sink sees them.
+  [[gnu::always_inline]] inline void publish(const Event& e) {
+    if ((mask_ & category_of(e.kind)) != 0) deliver(e);
   }
 
   /// Per-core ring; index num_cores() (or any core id out of range,
@@ -90,6 +93,10 @@ class EventBus {
   }
 
  private:
+  /// Records a protocol event in its core's ring and fans `e` out to
+  /// every sink.
+  void deliver(const Event& e);
+
   EventRing& ring_of(int core) {
     const std::size_t chip = rings_.size() - 1;
     const std::size_t i =

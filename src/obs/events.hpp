@@ -140,9 +140,9 @@ inline const char* to_string(EventKind k) {
 }
 
 // ---------------------------------------------------------------------------
-// Categories: the bus's runtime gate. Publishing sites check
-// bus.enabled(kCatX) before even constructing an Event, so a disabled
-// category costs one predictable branch.
+// Categories: the bus's runtime gate. EventBus::publish looks up each
+// event's category here and drops it when the mask has that category
+// off; publishing sites never name a category themselves.
 
 inline constexpr u32 kCatProto = 1u << 0;  // always on: feeds the rings
 inline constexpr u32 kCatSvm = 1u << 1;
@@ -227,8 +227,9 @@ constexpr u8 mail_requester(u64 packed) {
   return static_cast<u8>(packed >> 32);
 }
 
-/// On-wire SVM protocol mail types (the values of svm.hpp's kMail*
-/// constants; duplicated here because obs sits below the svm layer).
+/// On-wire SVM protocol mail types: the values of svm::proto::MsgType,
+/// copied because obs sits below the svm layer. svm_runtime.cpp pins the
+/// copy with static_asserts.
 inline constexpr u8 kWireOwnershipReq = 0x20;
 inline constexpr u8 kWireOwnershipAck = 0x21;
 inline constexpr u8 kWireReadReq = 0x22;

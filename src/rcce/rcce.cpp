@@ -176,8 +176,19 @@ void Rcce::copy_chunk(u64 vaddr, u64 mpb, u32 bytes, bool to_mpb) {
 }
 
 void Rcce::wait(const RequestHandle& req) {
+  sim::BlockScope scope(core_.chip().scheduler().current(), "rcce.wait",
+                        static_cast<u64>(req->peer_rank_), req->bytes_);
+  TimePs since = core_.now();
   while (!req->done_) {
-    if (!progress()) core_.yield();
+    if (progress()) {
+      since = core_.now();  // a wait is a hang only while nothing moves
+      continue;
+    }
+    if (core_.chip().watchdog().check(core_.now(), since, "rcce.wait",
+                                      core_.id())) {
+      core_.chip().scheduler().block();  // parked until teardown
+    }
+    core_.yield();
   }
 }
 

@@ -152,12 +152,8 @@ void Chip::fail_stop(Core& c) {
   }
   MSVM_LOG_INFO("chaos: core %d fail-stopped at %.3fms (wcb %s)", id,
                 ps_to_ms(c.now()), c.wcb().valid() ? "dirty" : "clean");
-  if (bus_.enabled(obs::kCatChaos)) {
-    bus_.publish(obs::Event{
-        static_cast<obs::u64>(c.now()),
-        static_cast<obs::u64>(obs::InjectKind::kCoreKill), 0, 0,
-        obs::EventKind::kFaultInject, id});
-  }
+  c.publish(obs::EventKind::kFaultInject,
+            static_cast<u64>(obs::InjectKind::kCoreKill));
   sched_.kill_self();
 }
 

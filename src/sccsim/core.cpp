@@ -18,11 +18,17 @@ namespace {
   std::abort();
 }
 
+/// Event::c of a kMemRead/kMemWrite: the target's kind and owner.
+u64 mem_target(const PhysTarget& t) {
+  return (static_cast<u64>(t.kind) << 8) | static_cast<u64>(t.owner & 0xff);
+}
+
 }  // namespace
 
 Core::Core(Chip& chip, int id)
     : chip_(chip),
       topo_(&chip.topology()),
+      bus_(&chip.bus()),
       id_(id),
       l1_(kL1Bytes, kL1Assoc, kLineBytes),
       l2_(kL2Bytes, kL2Assoc, kLineBytes),
@@ -67,12 +73,8 @@ void Core::boundary() {
     if (stall > 0) {
       actor_->advance(stall);
       counters_.busy_ps += stall;
-      obs::EventBus& bus = chip_.bus();
-      if (bus.enabled(obs::kCatChaos)) {
-        bus.publish(obs::Event{
-            actor_->clock(), static_cast<u64>(obs::InjectKind::kStall),
-            stall, 0, obs::EventKind::kFaultInject, id_});
-      }
+      publish(obs::EventKind::kFaultInject,
+              static_cast<u64>(obs::InjectKind::kStall), stall);
     }
   }
   next_boundary_ = actor_->clock() + boundary_interval_ps_;
@@ -428,24 +430,13 @@ TimePs Core::device_latency(const PhysTarget& t, u64 paddr, bool is_write) {
   die("access to unmapped physical address", paddr);
 }
 
-void Core::publish_mem_event(const PhysTarget& t, u64 paddr, u32 size,
-                             bool is_write) {
-  chip_.bus().publish(obs::Event{
-      actor_->clock(), paddr, size,
-      (static_cast<u64>(t.kind) << 8) | static_cast<u64>(t.owner & 0xff),
-      is_write ? obs::EventKind::kMemWrite : obs::EventKind::kMemRead,
-      id_});
-}
-
 TimePs Core::device_read(u64 paddr, void* out, u32 size) {
   const PhysTarget t = chip_.map().decode(paddr);
   const TimePs cost = device_latency(t, paddr, /*is_write=*/false);
   chip_.memory().read(paddr, t, out, size);
   // kCatMem is the firehose category (--trace-mem): off even under a
-  // plain --trace, so the publish never runs by default.
-  if (chip_.bus().enabled(obs::kCatMem)) {
-    publish_mem_event(t, paddr, size, /*is_write=*/false);
-  }
+  // plain --trace, so the bus drops this by default.
+  publish(obs::EventKind::kMemRead, paddr, size, mem_target(t));
   return cost;
 }
 
@@ -453,9 +444,7 @@ TimePs Core::device_write(u64 paddr, const void* src, u32 size) {
   const PhysTarget t = chip_.map().decode(paddr);
   const TimePs cost = device_latency(t, paddr, /*is_write=*/true);
   chip_.memory().write(paddr, t, src, size);
-  if (chip_.bus().enabled(obs::kCatMem)) {
-    publish_mem_event(t, paddr, size, /*is_write=*/true);
-  }
+  publish(obs::EventKind::kMemWrite, paddr, size, mem_target(t));
   return cost;
 }
 
@@ -482,11 +471,7 @@ void Core::flush_wcb() {
   ++counters_.wcb_flushes;
   tick(device_write_masked(flush->line_addr, flush->data, flush->size,
                            flush->dirty_mask));
-  obs::EventBus& bus = chip_.bus();
-  if (bus.enabled(obs::kCatSync)) {
-    bus.publish(obs::Event{actor_->clock(), flush->line_addr, flush->size,
-                           0, obs::EventKind::kWcbFlush, id_});
-  }
+  publish(obs::EventKind::kWcbFlush, flush->line_addr, flush->size);
 }
 
 TimePs Core::tas_cost(int reg) const {
@@ -567,28 +552,18 @@ void Core::raise_ipi(int target) {
   const int hops = topo_->hops_core_to_system_if(id_);
   tick(chip_.latency().gic_access(hops));
   ++counters_.ipis_sent;
-  obs::EventBus& bus = chip_.bus();
-  if (bus.enabled(obs::kCatSync)) {
-    bus.publish(obs::Event{actor_->clock(), static_cast<u64>(target), 0, 0,
-                           obs::EventKind::kIpiRaise, id_});
-  }
+  publish(obs::EventKind::kIpiRaise, static_cast<u64>(target));
   sim::FaultInjector& faults = chip_.faults();
   if (faults.enabled()) {
     if (faults.drop_ipi()) {  // lost on the wire: no pending bit
-      if (bus.enabled(obs::kCatChaos)) {
-        bus.publish(obs::Event{
-            actor_->clock(), static_cast<u64>(obs::InjectKind::kIpiDrop), 0,
-            0, obs::EventKind::kFaultInject, id_});
-      }
+      publish(obs::EventKind::kFaultInject,
+              static_cast<u64>(obs::InjectKind::kIpiDrop));
       return;
     }
     const TimePs extra = faults.ipi_extra_delay_ps();
     if (extra > 0) {
-      if (bus.enabled(obs::kCatChaos)) {
-        bus.publish(obs::Event{
-            actor_->clock(), static_cast<u64>(obs::InjectKind::kIpiDelay),
-            extra, 0, obs::EventKind::kFaultInject, id_});
-      }
+      publish(obs::EventKind::kFaultInject,
+              static_cast<u64>(obs::InjectKind::kIpiDelay), extra);
       chip_.gic().raise_delayed(target, id_, actor_->clock(), extra);
       return;
     }

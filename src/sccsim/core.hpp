@@ -21,6 +21,7 @@
 #include <functional>
 #include <string>
 
+#include "obs/bus.hpp"
 #include "sccsim/addrmap.hpp"
 #include "sccsim/cache.hpp"
 #include "sccsim/config.hpp"
@@ -187,6 +188,16 @@ class Core {
   // ---- time ----
 
   TimePs now() const { return actor_->clock(); }
+
+  // ---- observability ----
+
+  /// Publishes one event on the chip's bus, stamped with this core's
+  /// virtual clock and id. Host-side only: it never moves the clock, and
+  /// the bus drops the event when its kind's category is off.
+  [[gnu::always_inline]] inline void publish(obs::EventKind kind, u64 a = 0,
+                                             u64 b = 0, u64 c = 0) {
+    bus_->publish(obs::Event{actor_->clock(), a, b, c, kind, id_});
+  }
 
   /// Charges pure compute time (ALU/FPU work between memory accesses).
   void compute_cycles(u64 core_cycles);
@@ -385,17 +396,13 @@ class Core {
                              u64 mask);
   TimePs device_latency(const PhysTarget& t, u64 paddr, bool is_write);
 
-  /// Emits a kMemRead/kMemWrite bus event for one device transaction
-  /// (--trace-mem firehose; callers gate on obs::kCatMem first).
-  void publish_mem_event(const PhysTarget& t, u64 paddr, u32 size,
-                         bool is_write);
-
   void deliver_interrupts();
   void deliver_deferred();
   void boundary();
 
   Chip& chip_;
   const Topology* topo_;  // cached for the device-latency hot path
+  obs::EventBus* bus_;    // cached for publish()
   int id_;
   sim::Actor* actor_ = nullptr;
 

@@ -47,9 +47,9 @@ inline const char* to_string(PageState s) {
   return "?";
 }
 
-/// Protocol message types. Values match the on-wire mailbox mail types
-/// (svm.hpp's kMailOwnershipReq etc.) so the binding layer converts by
-/// cast; the protocol core never sees a mailbox header.
+/// Protocol message types, which are also the on-wire mailbox mail types:
+/// the binding layer converts by cast, and the protocol core never sees
+/// a mailbox header. Each request's ACK is the next value.
 enum class MsgType : u8 {
   kOwnershipReq = 0x20,  // Strong: move ownership to `requester`
   kOwnershipAck = 0x21,  // transfer complete (or confirmed already done)
@@ -58,6 +58,18 @@ enum class MsgType : u8 {
   kInval = 0x24,         // write upgrade: drop your replica
   kInvalAck = 0x25,      // replica dropped
 };
+
+/// A request is stamped with a fresh sequence number by the core that
+/// originates it, and awaited; everything else answers one.
+constexpr bool is_request(MsgType t) {
+  return t == MsgType::kOwnershipReq || t == MsgType::kReadReq ||
+         t == MsgType::kInval;
+}
+
+/// The ACK that answers request `t`.
+constexpr MsgType ack_of(MsgType t) {
+  return static_cast<MsgType>(static_cast<u8>(t) + 1);
+}
 
 inline const char* to_string(MsgType t) {
   switch (t) {

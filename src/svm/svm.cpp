@@ -119,11 +119,7 @@ void Svm::lock_acquire(int lock_id) {
   opts.warn_every = 64;
   opts.on_stuck = break_dead;
   kernel::spin_wait(core_, scc::WatchedWord::tas(reg), opts);
-  obs::EventBus& bus = core_.chip().bus();
-  if (bus.enabled(obs::kCatSync)) {
-    bus.publish(obs::Event{core_.now(), static_cast<u64>(lock_id), 0, 0,
-                           obs::EventKind::kLockAcquire, core_.id()});
-  }
+  core_.publish(obs::EventKind::kLockAcquire, static_cast<u64>(lock_id));
   // Entering the critical section: see the lock holder's released data.
   runtime_->policy().on_acquire(*runtime_);
 }
@@ -132,11 +128,7 @@ void Svm::lock_release(int lock_id) {
   // Leaving: push our modifications down to memory.
   runtime_->policy().on_release(*runtime_);
   core_.tas_release(domain_.app_lock_reg(lock_id));
-  obs::EventBus& bus = core_.chip().bus();
-  if (bus.enabled(obs::kCatSync)) {
-    bus.publish(obs::Event{core_.now(), static_cast<u64>(lock_id), 0, 0,
-                           obs::EventKind::kLockRelease, core_.id()});
-  }
+  core_.publish(obs::EventKind::kLockRelease, static_cast<u64>(lock_id));
 }
 
 }  // namespace msvm::svm

@@ -54,18 +54,6 @@ namespace msvm::svm {
 
 enum class Model : u8 { kStrong, kLazyRelease };
 
-/// Mail types used by the ownership protocol (the on-wire values of
-/// proto::MsgType; the binding layer converts by cast).
-inline constexpr u8 kMailOwnershipReq = 0x20;
-inline constexpr u8 kMailOwnershipAck = 0x21;
-/// Mail types used by the read-replication extension (see
-/// SvmConfig::read_replication): a read-fault grant round-trip and the
-/// multicast invalidation that precedes an exclusive (write) upgrade.
-inline constexpr u8 kMailReadReq = 0x22;
-inline constexpr u8 kMailReadAck = 0x23;
-inline constexpr u8 kMailInval = 0x24;
-inline constexpr u8 kMailInvalAck = 0x25;
-
 /// Directory entry layout (read-replication mode) — canonical definitions
 /// live in the protocol core; re-exported here for the full-stack tests.
 using proto::dir_bit;

@@ -33,6 +33,20 @@ static_assert(static_cast<int>(proto::TraceKind::kMetaWrite) ==
 static_assert(static_cast<int>(proto::TraceKind::kFault) ==
               static_cast<int>(obs::EventKind::kProtoFault));
 
+// obs keeps its own copy of the mail types (it sits below svm); the
+// Perfetto flow arrows and the heatmap's transfer counts read it.
+static_assert(static_cast<u8>(proto::MsgType::kOwnershipReq) ==
+              obs::kWireOwnershipReq);
+static_assert(static_cast<u8>(proto::MsgType::kOwnershipAck) ==
+              obs::kWireOwnershipAck);
+static_assert(static_cast<u8>(proto::MsgType::kReadReq) ==
+              obs::kWireReadReq);
+static_assert(static_cast<u8>(proto::MsgType::kReadAck) ==
+              obs::kWireReadAck);
+static_assert(static_cast<u8>(proto::MsgType::kInval) == obs::kWireInval);
+static_assert(static_cast<u8>(proto::MsgType::kInvalAck) ==
+              obs::kWireInvalAck);
+
 std::unique_ptr<proto::CoherencePolicy> make_policy(const SvmConfig& cfg) {
   proto::PolicyConfig pcfg;
   pcfg.ack_via_mail = cfg.ack_via_mail;
@@ -66,20 +80,15 @@ class FaultStallScope {
 
 /// Publishes a begin/end event pair around a scope; the RAII end also
 /// covers exceptional exits (SvmProtectionError, watchdog-park unwind),
-/// so a Chrome-trace slice is always closed. Constructed only when the
-/// relevant category is enabled.
+/// so a Chrome-trace slice is always closed.
 class SpanScope {
  public:
   SpanScope(scc::Core& core, obs::EventKind begin, obs::EventKind end,
             u64 a, u64 b, u64 c)
       : core_(core), end_(end), a_(a), b_(b), c_(c) {
-    core_.chip().bus().publish(
-        obs::Event{core_.now(), a_, b_, c_, begin, core_.id()});
+    core_.publish(begin, a_, b_, c_);
   }
-  ~SpanScope() {
-    core_.chip().bus().publish(
-        obs::Event{core_.now(), a_, b_, c_, end_, core_.id()});
-  }
+  ~SpanScope() { core_.publish(end_, a_, b_, c_); }
   SpanScope(const SpanScope&) = delete;
   SpanScope& operator=(const SpanScope&) = delete;
 
@@ -101,23 +110,19 @@ SvmRuntime::SvmRuntime(kernel::Kernel& kernel, mbox::MailboxSystem& mbox,
       policy_(make_policy(domain.config())) {
   kernel_.set_svm_fault_handler(
       [this](u64 vaddr, bool is_write) { handle_fault(vaddr, is_write); });
-  mbox_.set_handler(kMailOwnershipReq,
-                    [this](const mbox::Mail& m) { dispatch_mail(m); });
-  mbox_.set_handler(kMailReadReq,
-                    [this](const mbox::Mail& m) { dispatch_mail(m); });
-  mbox_.set_handler(kMailInval,
-                    [this](const mbox::Mail& m) { dispatch_mail(m); });
   // ACKs pass through the dedup filter before reaching the inbox that
   // wait_match consumes. Requests are deliberately NOT deduplicated: the
   // serve paths are idempotent (a stale or duplicated request is simply
   // re-answered), whereas a duplicated InvalAck would falsely satisfy
   // one of the N outstanding multicast waits.
-  mbox_.set_handler(kMailOwnershipAck,
-                    [this](const mbox::Mail& m) { on_ack_mail(m); });
-  mbox_.set_handler(kMailReadAck,
-                    [this](const mbox::Mail& m) { on_ack_mail(m); });
-  mbox_.set_handler(kMailInvalAck,
-                    [this](const mbox::Mail& m) { on_ack_mail(m); });
+  for (const proto::MsgType req : {proto::MsgType::kOwnershipReq,
+                                   proto::MsgType::kReadReq,
+                                   proto::MsgType::kInval}) {
+    mbox_.set_handler(static_cast<u8>(req),
+                      [this](const mbox::Mail& m) { dispatch_mail(m); });
+    mbox_.set_handler(static_cast<u8>(proto::ack_of(req)),
+                      [this](const mbox::Mail& m) { on_ack_mail(m); });
+  }
 
   // Integrity layer: latched once — the plan is immutable for the run,
   // and a latched bool keeps the flag-off fast paths branch-predictable.
@@ -140,12 +145,10 @@ SvmRuntime::SvmRuntime(kernel::Kernel& kernel, mbox::MailboxSystem& mbox,
 }
 
 void SvmRuntime::trace(const proto::TraceEvent& e) {
-  // Stamp with this core's virtual clock and publish; the bus keeps the
-  // event in this core's always-on ring and fans it out to any attached
-  // sinks (trace collector, heatmap).
-  core_.chip().bus().publish(obs::Event{
-      core_.now(), e.page, static_cast<u64>(e.a), static_cast<u64>(e.b),
-      static_cast<obs::EventKind>(e.kind), core_.id()});
+  // The bus keeps the event in this core's always-on ring and fans it
+  // out to any attached sinks (trace collector, heatmap).
+  core_.publish(static_cast<obs::EventKind>(e.kind), e.page,
+                static_cast<u64>(e.a), static_cast<u64>(e.b));
 }
 
 const obs::EventRing& SvmRuntime::trace_ring() const {
@@ -237,12 +240,9 @@ void SvmRuntime::dispatch_mail(const mbox::Mail& mail) {
   trace(proto::TraceEvent{proto::TraceKind::kMsgRecv, msg.page,
                           static_cast<u64>(msg.type),
                           static_cast<u64>(msg.requester)});
-  std::optional<SpanScope> serve_span;
-  if (core_.chip().bus().enabled(obs::kCatSvm)) {
-    serve_span.emplace(core_, obs::EventKind::kServeBegin,
-                       obs::EventKind::kServeEnd, msg.page,
-                       static_cast<u64>(mail.type), mail.arg16);
-  }
+  const SpanScope serve_span(core_, obs::EventKind::kServeBegin,
+                             obs::EventKind::kServeEnd, msg.page,
+                             static_cast<u64>(mail.type), mail.arg16);
   // While serving this request, every mail we emit for it — the ACK, or
   // a forward along the ownership chain — echoes its sequence number, so
   // the originator's bounded wait matches the eventual ACK no matter how
@@ -270,12 +270,9 @@ void SvmRuntime::handle_fault(u64 vaddr, bool is_write) {
   const u64 page_idx = page_index_of(vaddr);
   trace(proto::TraceEvent{proto::TraceKind::kFault, page_idx,
                           is_write ? u64{1} : u64{0}, 0});
-  std::optional<SpanScope> fault_span;
-  if (core_.chip().bus().enabled(obs::kCatSvm)) {
-    fault_span.emplace(core_, obs::EventKind::kFaultBegin,
-                       obs::EventKind::kFaultEnd, page_idx,
-                       is_write ? u64{1} : u64{0}, 0);
-  }
+  const SpanScope fault_span(core_, obs::EventKind::kFaultBegin,
+                             obs::EventKind::kFaultEnd, page_idx,
+                             is_write ? u64{1} : u64{0}, 0);
   const u16 region = region_of(vaddr);
   if (region == SvmDomain::kNoRegion) {
     std::fprintf(stderr,
@@ -457,16 +454,6 @@ void SvmRuntime::map_readonly(u64 page_vaddr, u16 frame_no) {
 
 namespace {
 
-bool is_request_type(u8 type) {
-  return type == kMailOwnershipReq || type == kMailReadReq ||
-         type == kMailInval;
-}
-
-u8 ack_of(u8 request_type) {
-  // Req/Ack pairs are adjacent values (0x20/0x21, 0x22/0x23, 0x24/0x25).
-  return static_cast<u8>(request_type + 1);
-}
-
 // Default retransmission schedule: far above any fault-free protocol
 // wait (which is bounded by the peers' interrupt/poll latency, well
 // under a timer period), so the clean path never observes a timeout.
@@ -483,14 +470,14 @@ void SvmRuntime::send(int dest, const proto::Msg& m) {
   mail.type = static_cast<u8>(m.type);
   mail.p0 = m.page;
   mail.p1 = static_cast<u64>(m.requester);
-  if (is_request_type(mail.type) && m.requester == self()) {
+  if (proto::is_request(m.type) && m.requester == self()) {
     // A fresh request this core originates: stamp a new sequence number
     // and remember it for bounded-wait retransmission.
     mail.arg16 = acks_.next_seq();
     proto::SharerSet awaiting(meta_word_.dir_width());
     awaiting.set(dest);
     pending_ = PendingRequest{mail, awaiting, m.page, mail.arg16,
-                              ack_of(mail.type)};
+                              proto::ack_of(m.type)};
   } else {
     // Forward of someone else's request, or an ACK: echo the sequence
     // number of the request being served so the chain stays matched.
@@ -514,7 +501,7 @@ int SvmRuntime::multicast(const proto::SharerSet& dests,
   list.reserve(static_cast<std::size_t>(awaiting.count()));
   awaiting.for_each([&list](int dest) { list.push_back(dest); });
   pending_ = PendingRequest{mail, awaiting, m.page, mail.arg16,
-                            ack_of(mail.type)};
+                            proto::ack_of(m.type)};
   return mbox_.multicast(list, mail);
 }
 
@@ -526,14 +513,10 @@ void SvmRuntime::retransmit_pending() {
       trace(proto::TraceEvent{proto::TraceKind::kMsgSend, pending_->page,
                               static_cast<u64>(pending_->mail.type),
                               static_cast<u64>(dest)});
-      obs::EventBus& bus = core_.chip().bus();
-      if (bus.enabled(obs::kCatMail)) {
-        bus.publish(obs::Event{
-            core_.now(), static_cast<u64>(dest),
-            obs::pack_mail(pending_->mail.type, pending_->seq,
-                           static_cast<obs::u8>(core_.id())),
-            pending_->page, obs::EventKind::kMailRetransmit, core_.id()});
-      }
+      core_.publish(obs::EventKind::kMailRetransmit, static_cast<u64>(dest),
+                    obs::pack_mail(pending_->mail.type, pending_->seq,
+                                   static_cast<obs::u8>(core_.id())),
+                    pending_->page);
       MSVM_LOG_INFO("core %d: retransmit type=0x%x page=%llu seq=%u -> %d",
                     core_.id(), pending_->mail.type,
                     static_cast<unsigned long long>(pending_->page),
@@ -571,7 +554,7 @@ proto::Msg SvmRuntime::wait_match(proto::MsgType type, u64 page) {
   // counts, so stray ACKs from abandoned earlier rounds rot in the inbox
   // instead of satisfying this wait. On timeout, retransmit idempotently
   // with exponential backoff.
-  if (!pending_ || pending_->ack_type != mail_type || pending_->page != page) {
+  if (!pending_ || pending_->ack_type != type || pending_->page != page) {
     char msg[96];
     std::snprintf(msg, sizeof(msg),
                   "wait_match type %u page %llu without a matching request",
@@ -614,7 +597,7 @@ proto::Msg SvmRuntime::wait_match(proto::MsgType type, u64 page) {
     retransmit_pending();
     timeout = std::min<TimePs>(timeout * 2, cap);
   }
-  if (mail_type == kMailInvalAck) {
+  if (type == proto::MsgType::kInvalAck) {
     // Multicast wait: retire this responder; keep the entry while
     // other sharers still owe their ACK.
     if (mail.sender >= 0) pending_->awaiting.clear(mail.sender);
@@ -714,13 +697,11 @@ proto::RecoveryAction SvmRuntime::run_page_recovery(u64 page,
   }
   const bool dirty = dead_owner_died_dirty(page);
   const u64 epoch = ++domain_.recovery_epoch;
-  obs::EventBus& bus = chip.bus();
-  bus.publish(obs::Event{core_.now(), epoch, dead.word(0), page,
-                         obs::EventKind::kRecoveryBegin, core_.id()});
+  core_.publish(obs::EventKind::kRecoveryBegin, epoch, dead.word(0), page);
   const proto::RecoveryAction action = proto::recover_page(
       *this, page, dead, dirty, domain_.config().read_replication);
-  bus.publish(obs::Event{core_.now(), epoch, static_cast<u64>(action),
-                         page, obs::EventKind::kRecoveryEnd, core_.id()});
+  core_.publish(obs::EventKind::kRecoveryEnd, epoch,
+                static_cast<u64>(action), page);
   MSVM_LOG_INFO(
       "core %d: recovered page %llu after death of core %d: %s "
       "(epoch %llu) t=%.3fms",
@@ -763,7 +744,7 @@ std::optional<mbox::Mail> SvmRuntime::try_dead_peer_recovery() {
   // repaired metadata, exactly as it would after a real ACK, and the
   // multicast retire logic in wait_match sees `sender` = the dead core.
   mbox::Mail synth = pending_->mail;
-  synth.type = pending_->ack_type;
+  synth.type = static_cast<u8>(pending_->ack_type);
   synth.arg16 = pending_->seq;
   synth.p0 = page;
   synth.p1 = 0;
@@ -892,11 +873,7 @@ void SvmRuntime::page_seal(u64 page, bool exclusive) {
   ++stats_.pages_sealed;
   core_.compute_cycles(scc::kPageBytes * kCrcCyclesPerByte);
 
-  obs::EventBus& bus = core_.chip().bus();
-  if (bus.enabled(obs::kCatIntegrity)) {
-    bus.publish(obs::Event{core_.now(), page, seal.gen, seal.crc,
-                           obs::EventKind::kPageSeal, core_.id()});
-  }
+  core_.publish(obs::EventKind::kPageSeal, page, seal.gen, seal.crc);
 
   if (!exclusive) return;
   // Chaos injection point: the injector corrupts frames only behind
@@ -915,11 +892,9 @@ void SvmRuntime::page_seal(u64 page, bool exclusive) {
   mem.read(paddr, &byte, 1);
   byte ^= static_cast<u8>(1u << (bit & 7));
   mem.write(paddr, &byte, 1);
-  if (bus.enabled(obs::kCatChaos)) {
-    bus.publish(obs::Event{
-        core_.now(), static_cast<u64>(obs::InjectKind::kPageFlip), page,
-        static_cast<u64>(bit), obs::EventKind::kFaultInject, core_.id()});
-  }
+  core_.publish(obs::EventKind::kFaultInject,
+                static_cast<u64>(obs::InjectKind::kPageFlip), page,
+                static_cast<u64>(bit));
 }
 
 void SvmRuntime::poison_page(u64 page, u32 gen) {
@@ -938,11 +913,7 @@ void SvmRuntime::poison_page(u64 page, u32 gen) {
     domain_.seals[rel].valid = false;
   }
   ++stats_.pages_poisoned;
-  obs::EventBus& bus = core_.chip().bus();
-  if (bus.enabled(obs::kCatIntegrity)) {
-    bus.publish(obs::Event{core_.now(), page, gen, 0,
-                           obs::EventKind::kPageCorrupt, core_.id()});
-  }
+  core_.publish(obs::EventKind::kPageCorrupt, page, gen);
 }
 
 void SvmRuntime::page_verify(u64 page) {
@@ -999,11 +970,7 @@ void SvmRuntime::scrub_tick() {
     poison_page(page, seal.gen);
   }
   if (walked == 0) return;
-  obs::EventBus& bus = core_.chip().bus();
-  if (bus.enabled(obs::kCatIntegrity)) {
-    bus.publish(obs::Event{core_.now(), walked, corrupt, 0,
-                           obs::EventKind::kScrubPass, core_.id()});
-  }
+  core_.publish(obs::EventKind::kScrubPass, walked, corrupt);
 }
 
 // ---------------------------------------------------------------------------
@@ -1035,12 +1002,8 @@ u64 SvmRuntime::meta_load_word(u64 paddr, u32 bits, proto::MetaKind kind,
         write_raw_word(mem, paddr, good, bits);
         ++stats_.meta_corrections;
         corrected = true;
-        obs::EventBus& bus = core_.chip().bus();
-        if (bus.enabled(obs::kCatIntegrity)) {
-          bus.publish(obs::Event{core_.now(), page, static_cast<u64>(kind),
-                                 good, obs::EventKind::kMetaCorrupt,
-                                 core_.id()});
-        }
+        core_.publish(obs::EventKind::kMetaCorrupt, page,
+                      static_cast<u64>(kind), good);
       }
     }
   }
@@ -1076,12 +1039,9 @@ void SvmRuntime::meta_store_word(u64 paddr, u64 value, u32 bits,
   if (bit < 0) return;
   write_raw_word(core_.chip().memory(), paddr, value ^ (u64{1} << bit),
                  bits);
-  obs::EventBus& bus = core_.chip().bus();
-  if (bus.enabled(obs::kCatChaos)) {
-    bus.publish(obs::Event{
-        core_.now(), static_cast<u64>(obs::InjectKind::kMetaFlip), page,
-        static_cast<u64>(bit), obs::EventKind::kFaultInject, core_.id()});
-  }
+  core_.publish(obs::EventKind::kFaultInject,
+                static_cast<u64>(obs::InjectKind::kMetaFlip), page,
+                static_cast<u64>(bit));
 }
 
 u64 SvmRuntime::meta_paddr(proto::MetaKind kind, u64 page,

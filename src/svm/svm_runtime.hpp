@@ -115,7 +115,7 @@ class SvmRuntime final : public proto::ProtocolEnv,
     proto::SharerSet awaiting;
     u64 page = 0;
     u16 seq = 0;
-    u8 ack_type = 0;
+    proto::MsgType ack_type = proto::MsgType::kOwnershipAck;
   };
 
   /// Receiver-side ACK filter: drops duplicates (same sender, type,

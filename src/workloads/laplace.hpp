@@ -33,8 +33,8 @@ struct LaplaceParams {
   u32 compute_cycles_per_cell = 8;
   /// Boundary temperature along the top edge (other edges at 0).
   double hot_edge = 100.0;
-  /// Core clock; mesh/DRAM stay at 800 MHz (the frequency-sweep
-  /// ablation exercises this, Section 3).
+  /// Core clock; mesh/DRAM stay at 800 MHz (Section 3). perfbench sets
+  /// it.
   u32 core_mhz = 533;
   /// Strong-model read-replication directory: boundary rows are read by
   /// one neighbour and written by their owner, the sharing pattern the

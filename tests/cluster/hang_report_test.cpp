@@ -2,7 +2,8 @@
 // deadlocked 96-core run (rank 0 never enters the barrier) must surface
 // as a typed HangError whose report names each blocked core's wait-site
 // chain — the fact a hang investigation starts from. Every run uses the
-// one event heap, so no report carries a per-lane table.
+// one event heap, so no report carries a per-lane table. A deserted
+// iRCCE receive must name its wait the same way.
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.hpp"
@@ -71,6 +72,30 @@ TEST(HangReport, SingleLaneReportOmitsLaneTable) {
   EXPECT_NE(report.find("svm.barrier"), std::string::npos);
   // The single heap prints no lane table.
   EXPECT_EQ(report.find("event lanes:"), std::string::npos);
+}
+
+TEST(HangReport, DesertedIrcceReceiveNamesItsWait) {
+  // Rank 0 waits on a receive that rank 1 never sends: the report must
+  // name the iRCCE wait, not "(no wait site recorded)".
+  ClusterConfig cfg;
+  cfg.chip.num_cores = 2;
+  cfg.chip.shared_dram_bytes = 16 << 20;
+  cfg.chip.private_dram_bytes = 1 << 20;
+  cfg.chip.faults.watchdog_ps = 1 * kPsPerMs;
+
+  Cluster cl(cfg);
+  std::string report;
+  try {
+    cl.run([](Node& n) {
+      if (n.rank() != 0) return;  // rank 1 never sends
+      const u64 buf = n.kernel().kmalloc(64);
+      n.rcce().wait(n.rcce().irecv(buf, 64, 1));
+    });
+    FAIL() << "expected HangError from the deserted receive";
+  } catch (const sim::HangError& e) {
+    report = e.report();
+  }
+  EXPECT_NE(report.find("rcce.wait"), std::string::npos) << report;
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "obs/bus.hpp"
 #include "sim/faults.hpp"
 #include "svm/svm.hpp"
 
@@ -39,8 +40,10 @@ struct ChaosOutcome {
 /// the final round — verifies every counter on every rank. Each round
 /// moves ownership of all pages to a different core and crosses the
 /// barrier, so the run is dense in exactly the protocol mail (ownership
-/// requests, ACKs, barrier mail) the fault plan attacks.
-ChaosOutcome run_chaos(const sim::FaultPlan& plan, bool use_ipi) {
+/// requests, ACKs, barrier mail) the fault plan attacks. `categories` and
+/// `sink`, when given, go onto the chip's bus before the run.
+ChaosOutcome run_chaos(const sim::FaultPlan& plan, bool use_ipi,
+                       u32 categories = 0, obs::EventSink* sink = nullptr) {
   ClusterConfig cfg;
   cfg.chip.num_cores = kCores;
   cfg.chip.shared_dram_bytes = 16 << 20;
@@ -50,6 +53,8 @@ ChaosOutcome run_chaos(const sim::FaultPlan& plan, bool use_ipi) {
   cfg.use_ipi = use_ipi;
 
   Cluster cl(cfg);
+  cl.chip().bus().enable(categories);
+  if (sink != nullptr) cl.chip().bus().attach(sink);
   bool all_correct = true;
   cl.run([&](Node& n) {
     const u64 base = n.svm().alloc(kPages * 4096);
@@ -141,6 +146,34 @@ TEST(SvmChaos, BoundedWaitsRetransmitStuckRequestsWithCorrectData) {
   EXPECT_TRUE(out.correct);
   EXPECT_GT(out.retransmits, 0u)
       << "no protocol wait ever hit its retransmission deadline";
+}
+
+/// Counts the events of one kind the bus lets through.
+class KindCounter : public obs::EventSink {
+ public:
+  explicit KindCounter(obs::EventKind kind) : kind_(kind) {}
+  void on_event(const obs::Event& e) override {
+    if (e.kind == kind_) ++count_;
+  }
+  u64 count() const { return count_; }
+
+ private:
+  obs::EventKind kind_;
+  u64 count_ = 0;
+};
+
+TEST(SvmChaos, SvmCategoryAloneCarriesEveryRetransmission) {
+  // kMailRetransmit is an SVM-category event: enabling kCatSvm without
+  // kCatMail must show one event per retransmission the runtime counts.
+  const sim::FaultPlan plan = sim::FaultPlan::parse(
+      "seed=13,ipi_drop=0.3,mail_delay=0.4,stall=0.3:200us,"
+      "watchdog=800ms,sweep=2,retry=1ms");
+  KindCounter sink(obs::EventKind::kMailRetransmit);
+  const ChaosOutcome out =
+      run_chaos(plan, /*use_ipi=*/true, obs::kCatSvm, &sink);
+  EXPECT_TRUE(out.correct);
+  EXPECT_GT(out.retransmits, 0u);
+  EXPECT_EQ(sink.count(), out.retransmits);
 }
 
 TEST(SvmChaos, DuplicatedAcksAreDeduplicatedWithCorrectData) {

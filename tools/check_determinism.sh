@@ -1,7 +1,7 @@
 #!/bin/sh
 # Determinism gate: runs a bench binary twice with identical arguments in
-# separate scratch directories and byte-compares stdout plus every emitted
-# BENCH_*.json. The simulation derives every number from virtual time, so
+# separate scratch directories and byte-compares stdout plus every *.json
+# the run writes (BENCH_*.json, and any --trace/--heatmap outputs). The simulation derives every number from virtual time, so
 # any divergence between the two runs means nondeterminism leaked into the
 # substrate (host-pointer ordering, uninitialised reads, wall-clock
 # coupling) — the property every baseline byte-comparison in CI stands on.
@@ -46,7 +46,7 @@ if ! cmp -s "$TMP/run1/stdout.txt" "$TMP/run2/stdout.txt"; then
 fi
 
 found=0
-for a in "$TMP/run1"/BENCH_*.json; do
+for a in "$TMP/run1"/*.json; do
   [ -e "$a" ] || break
   found=1
   b="$TMP/run2/$(basename "$a")"
@@ -57,12 +57,20 @@ for a in "$TMP/run1"/BENCH_*.json; do
     status=1
   fi
 done
+for b in "$TMP/run2"/*.json; do
+  [ -e "$b" ] || break
+  [ -e "$TMP/run1/$(basename "$b")" ] || {
+    echo "determinism-gate: FAIL: $(basename "$b") written by the second" \
+         "run only ($*)" >&2
+    status=1
+  }
+done
 if [ "$found" -eq 0 ]; then
-  echo "determinism-gate: no BENCH_*.json emitted by $BIN $*" >&2
+  echo "determinism-gate: no *.json emitted by $BIN $*" >&2
   status=1
 fi
 
 [ "$status" -eq 0 ] &&
-  echo "determinism-gate: stdout and BENCH_*.json byte-identical across" \
+  echo "determinism-gate: stdout and every *.json byte-identical across" \
        "two runs ($(basename "$BIN") $*)"
 exit $status
