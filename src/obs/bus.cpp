@@ -13,8 +13,10 @@ std::vector<Event> EventRing::snapshot() const {
   return out;
 }
 
-void EventBus::deliver(const Event& e) {
-  if (category_of(e.kind) == kCatProto) ring_of(e.core).record(e);
+void EventBus::deliver(EventKind kind, i32 core, u64 t_ps, u64 a, u64 b,
+                       u64 c) {
+  const Event e{t_ps, a, b, c, kind, core};
+  if (category_of(kind) == kCatProto) ring_of(core).record(e);
   for (EventSink* sink : sinks_) sink->on_event(e);
 }
 

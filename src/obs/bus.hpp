@@ -9,10 +9,12 @@
 //     core's ring (they replaced the old per-core proto::TraceRing and
 //     feed hang reports / the svm-trace section even with obs off).
 //   * every other category is gated by a runtime mask. publish() is the
-//     one gate: an always-inline test of category_of(e.kind) against the
+//     one gate: an always-inline test of category_of(kind) against the
 //     mask, with ring and sink delivery out of line. A call site passes
 //     a constant kind, so the category folds and a disabled event costs
 //     one predictable branch; no call site states its category itself.
+//     publish() takes the fields as scalars and deliver() builds the
+//     Event, so nothing is stored before the branch decides.
 #pragma once
 
 #include <cstddef>
@@ -81,9 +83,12 @@ class EventBus {
   void attach(EventSink* sink) { sinks_.push_back(sink); }
 
   /// The one publish gate: events whose category is masked off stop
-  /// here, before any ring or sink sees them.
-  [[gnu::always_inline]] inline void publish(const Event& e) {
-    if ((mask_ & category_of(e.kind)) != 0) deliver(e);
+  /// here, before any ring or sink sees them. `core` -1 (or any id out
+  /// of range) publishes on the chip-level track.
+  [[gnu::always_inline]] inline void publish(EventKind kind, i32 core,
+                                             u64 t_ps, u64 a = 0,
+                                             u64 b = 0, u64 c = 0) {
+    if ((mask_ & category_of(kind)) != 0) deliver(kind, core, t_ps, a, b, c);
   }
 
   /// Per-core ring; index num_cores() (or any core id out of range,
@@ -93,9 +98,9 @@ class EventBus {
   }
 
  private:
-  /// Records a protocol event in its core's ring and fans `e` out to
-  /// every sink.
-  void deliver(const Event& e);
+  /// Builds the event, records it in its core's ring if it is a
+  /// protocol event, and fans it out to every sink.
+  void deliver(EventKind kind, i32 core, u64 t_ps, u64 a, u64 b, u64 c);
 
   EventRing& ring_of(int core) {
     const std::size_t chip = rings_.size() - 1;

@@ -43,8 +43,8 @@ enum class EventKind : u8 {
   kMailRetransmit,   // a: dest core, b: packed mail, c: page
 
   // Synchronisation / kernel.
-  kLockAcquire,  // a: lock id
-  kLockRelease,  // a: lock id
+  kLockAcquire,  // a: TAS register, b: app lock id or page
+  kLockRelease,  // a: TAS register, b: app lock id or page
   kWcbFlush,     // (no payload)
   kIpiRaise,     // a: target core
 

@@ -196,7 +196,7 @@ class Core {
   /// the bus drops the event when its kind's category is off.
   [[gnu::always_inline]] inline void publish(obs::EventKind kind, u64 a = 0,
                                              u64 b = 0, u64 c = 0) {
-    bus_->publish(obs::Event{actor_->clock(), a, b, c, kind, id_});
+    bus_->publish(kind, id_, actor_->clock(), a, b, c);
   }
 
   /// Charges pure compute time (ALU/FPU work between memory accesses).

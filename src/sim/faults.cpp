@@ -303,8 +303,8 @@ bool Watchdog::check(TimePs now, TimePs since, const char* site,
   MSVM_LOG_ERROR("watchdog: hang detected by core %d at %s; stopping sim",
                  core_id, site);
   if (bus_ != nullptr) {
-    bus_->publish(obs::Event{now, static_cast<obs::u64>(core_id), 0, 0,
-                             obs::EventKind::kWatchdogTrip, -1});
+    bus_->publish(obs::EventKind::kWatchdogTrip, -1, now,
+                  static_cast<obs::u64>(core_id));
   }
   sched_.request_stop();
   return true;

@@ -119,7 +119,8 @@ void Svm::lock_acquire(int lock_id) {
   opts.warn_every = 64;
   opts.on_stuck = break_dead;
   kernel::spin_wait(core_, scc::WatchedWord::tas(reg), opts);
-  core_.publish(obs::EventKind::kLockAcquire, static_cast<u64>(lock_id));
+  core_.publish(obs::EventKind::kLockAcquire, static_cast<u64>(reg),
+                static_cast<u64>(lock_id));
   // Entering the critical section: see the lock holder's released data.
   runtime_->policy().on_acquire(*runtime_);
 }
@@ -127,8 +128,10 @@ void Svm::lock_acquire(int lock_id) {
 void Svm::lock_release(int lock_id) {
   // Leaving: push our modifications down to memory.
   runtime_->policy().on_release(*runtime_);
-  core_.tas_release(domain_.app_lock_reg(lock_id));
-  core_.publish(obs::EventKind::kLockRelease, static_cast<u64>(lock_id));
+  const int reg = domain_.app_lock_reg(lock_id);
+  core_.tas_release(reg);
+  core_.publish(obs::EventKind::kLockRelease, static_cast<u64>(reg),
+                static_cast<u64>(lock_id));
 }
 
 }  // namespace msvm::svm

@@ -156,6 +156,8 @@ class SvmDomain {
   u64 sharer_entry_paddr(u64 page_idx) const;
   u64 mc_counter_paddr(int mc) const;
   u64 frame_paddr(u16 frame_no) const;
+  /// Inverse of frame_paddr: the frame number a PTE's frame_paddr names.
+  u16 frame_of_paddr(u64 paddr) const;
 
   /// First/last+1 allocatable frame numbers for a memory controller.
   std::pair<u16, u16> frame_range_of_mc(int mc) const;

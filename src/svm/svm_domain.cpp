@@ -154,6 +154,10 @@ u64 SvmDomain::frame_paddr(u16 frame_no) const {
          static_cast<u64>(frame_no) * scc::kPageBytes;
 }
 
+u16 SvmDomain::frame_of_paddr(u64 paddr) const {
+  return static_cast<u16>((paddr - scc::kSharedBase) / scc::kPageBytes);
+}
+
 // The TAS file (one register per core the die provides) is partitioned
 // statically: the scratchpad lock and the transfer locks share the lower
 // half, application locks take the upper half. SVM fault handling can

@@ -293,18 +293,27 @@ void SvmRuntime::handle_fault(u64 vaddr, bool is_write) {
 
   const scc::Pte* pte = core_.pagetable().find(vaddr);
   try {
-    if (pte == nullptr || !pte->present) {
-      mapping_fault(vaddr, page_idx, is_write);
+    if (pte != nullptr && domain_.config().model == Model::kStrong &&
+        !region_readonly(region)) {
+      // A Strong re-fault on a page this core has mapped before: unmapped
+      // by an ownership transfer, or (read replication) a write upgrade
+      // of a read-only replica. A frame never moves after first touch,
+      // so the PTE still names it and the scratchpad lock, whose job is
+      // to arbitrate that first allocation, stays out of the way.
+      if (!pte->present) {
+        // Remapping still costs its software: Table 1's retrieval row
+        // includes it.
+        ++stats_.map_faults;
+        core_.compute_cycles(kMapSoftwareCycles);
+      }
+      const u16 frame = domain_.frame_of_paddr(pte->frame_paddr);
+      assert(frame == published_frame(page_idx) &&
+             "PTE frame differs from the scratchpad's");
+      policy_->fault(page_idx, frame, is_write, *this);
       return;
     }
-    // Present but insufficient permission: a strong-model write to a page
-    // currently owned elsewhere would have been unmapped by the transfer
-    // (or, under read replication, to a page this core only holds a
-    // read-only replica of — the write upgrade). The policy re-reads the
-    // frame number under its own serialisation.
-    if (is_write && !pte->writable &&
-        domain_.config().model == Model::kStrong) {
-      policy_->fault(page_idx, /*frame=*/0, /*is_write=*/true, *this);
+    if (pte == nullptr || !pte->present) {
+      mapping_fault(vaddr, page_idx, is_write);
       return;
     }
   } catch (const proto::SvmDataLossError&) {
@@ -328,6 +337,11 @@ void SvmRuntime::mapping_fault(u64 vaddr, u64 page_idx, bool is_write) {
   const auto break_dead = [&] { maybe_break_dead_lock(lock_reg); };
   lock_opts.on_miss = break_dead;
   kernel::spin_wait(core_, scc::WatchedWord::tas(lock_reg), lock_opts);
+  core_.publish(obs::EventKind::kLockAcquire, lock_reg, page_idx);
+  const auto unlock = [&] {
+    core_.tas_release(lock_reg);
+    core_.publish(obs::EventKind::kLockRelease, lock_reg, page_idx);
+  };
   const u16 entry = meta_word_.scratchpad(page_idx);
 
   if ((entry & kFrameMask) == 0) {
@@ -340,7 +354,7 @@ void SvmRuntime::mapping_fault(u64 vaddr, u64 page_idx, bool is_write) {
     zero_frame(frame);
     meta_word_.set_scratchpad(page_idx, frame);
     meta_word_.set_owner(page_idx, static_cast<u16>(core_.id()));
-    core_.tas_release(lock_reg);
+    unlock();
     if (readonly) {
       map_readonly(page_base, frame);
     } else {
@@ -350,10 +364,10 @@ void SvmRuntime::mapping_fault(u64 vaddr, u64 page_idx, bool is_write) {
     return;
   }
 
-  // Frame already exists: plain (re)mapping.
+  // Frame already exists: map it.
   ++stats_.map_faults;
   const u16 frame = entry & kFrameMask;
-  core_.tas_release(lock_reg);
+  unlock();
   if (readonly) {
     map_readonly(page_base, frame);
     policy_->note_mapped(page_idx, /*writable=*/false, *this);
@@ -933,6 +947,18 @@ void SvmRuntime::page_verify(u64 page) {
   throw proto::SvmIntegrityError(page);
 }
 
+u16 SvmRuntime::published_frame(u64 page) {
+  // Golden from the ECC shadow when the integrity layer is armed (a raw
+  // read could see an injected flipmeta bit); raw memory otherwise, and
+  // for a word never stored since boot.
+  const u64 paddr = domain_.scratchpad_entry_paddr(page);
+  const auto it = domain_.meta_shadow.find(paddr);
+  const u64 entry = it != domain_.meta_shadow.end()
+                        ? it->second
+                        : read_raw_word(core_.chip().memory(), paddr, 16);
+  return static_cast<u16>(entry) & kFrameMask;
+}
+
 void SvmRuntime::scrub_tick() {
   if (core_.now() < next_scrub_ps_) return;
   next_scrub_ps_ = core_.now() + scrub_period_ps_;
@@ -950,15 +976,8 @@ void SvmRuntime::scrub_tick() {
     SvmDomain::PageSeal& seal = domain_.seals[rel];
     if (!seal.valid) continue;
     ++walked;
-    // Frame number from the ECC shadow (golden, host-side — a scrub must
-    // not trust a possibly-flipped scratchpad word), raw memory as the
-    // fallback for words never stored since boot.
-    const u64 paddr = domain_.scratchpad_entry_paddr(page);
-    const auto it = domain_.meta_shadow.find(paddr);
-    const u64 entry = it != domain_.meta_shadow.end()
-                          ? it->second
-                          : read_raw_word(core_.chip().memory(), paddr, 16);
-    const u16 frame = static_cast<u16>(entry) & kFrameMask;
+    // A scrub must not trust a possibly-flipped scratchpad word.
+    const u16 frame = published_frame(page);
     if (frame == 0) continue;
     const u64 base = domain_.frame_paddr(frame);
     core_.compute_cycles(scc::kPageBytes * kCrcCyclesPerByte);

@@ -152,8 +152,10 @@ class SvmRuntime final : public proto::ProtocolEnv,
   /// unwinding out of a protocol flow that is not exception-aware).
   void release_held_transfer_locks();
 
-  /// Mapping fault: first touch or plain (re)mapping; the
-  /// model-dependent tail is delegated to the policy.
+  /// A core's first mapping of a page, under the scratchpad lock: first
+  /// touch chip-wide, or a mapping of the frame another core allocated;
+  /// the model-dependent tail is delegated to the policy. (A Strong
+  /// re-fault remaps from its own PTE, see handle_fault.)
   void mapping_fault(u64 vaddr, u64 page_idx, bool is_write);
 
   /// Frames come from the preferred controller's quarter while it lasts,
@@ -175,6 +177,9 @@ class SvmRuntime final : public proto::ProtocolEnv,
   /// store, so the auditor and the ECC shadow both see the poison);
   /// publishes kPageCorrupt.
   void poison_page(u64 page, u32 gen);
+  /// The frame number the scratchpad publishes for `page`, read
+  /// host-side at no simulated cost; 0 before first touch.
+  u16 published_frame(u64 page);
   /// One metadata word through the flipmeta + ECC-shadow pipeline.
   u64 meta_load_word(u64 paddr, u32 bits, proto::MetaKind kind, u64 page);
   void meta_store_word(u64 paddr, u64 value, u32 bits, u64 page);

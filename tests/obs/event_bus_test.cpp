@@ -61,12 +61,12 @@ TEST(EventBus, CategoryGateDropsDisabledPublishes) {
   EXPECT_TRUE(bus.enabled(kCatProto));  // always on: feeds the rings
   EXPECT_FALSE(bus.enabled(kCatMail));
 
-  bus.publish(Event{10, 1, 0, 0, EventKind::kMailSend, 0});
+  bus.publish(EventKind::kMailSend, 0, 10, 1);
   EXPECT_TRUE(sink.got.empty());  // gated out, never reached the sink
 
   bus.enable(kCatMail);
   EXPECT_TRUE(bus.enabled(kCatMail));
-  bus.publish(Event{20, 1, 0, 0, EventKind::kMailSend, 0});
+  bus.publish(EventKind::kMailSend, 0, 20, 1);
   ASSERT_EQ(sink.got.size(), 1u);
   EXPECT_EQ(sink.got[0].t_ps, 20u);
   // Mail events pass to sinks but only kCatProto feeds the rings.
@@ -80,7 +80,7 @@ TEST(EventBus, ProtoEventsLandInThePublishersRingAndAllSinks) {
   bus.attach(&a);
   bus.attach(&b);
 
-  bus.publish(Event{5, 7, 1, 0, EventKind::kProtoFault, 1});
+  bus.publish(EventKind::kProtoFault, 1, 5, 7, 1);
   EXPECT_EQ(bus.ring(1).recorded(), 1u);
   EXPECT_EQ(bus.ring(0).recorded(), 0u);
   EXPECT_EQ(a.got.size(), 1u);  // fan-out reaches every sink
@@ -88,8 +88,8 @@ TEST(EventBus, ProtoEventsLandInThePublishersRingAndAllSinks) {
 
   // Core ids outside [0, num_cores) — chip-level sources — share the
   // chip ring, including the -1 the watchdog publishes with.
-  bus.publish(Event{6, 8, 0, 0, EventKind::kProtoFault, -1});
-  bus.publish(Event{7, 9, 0, 0, EventKind::kProtoFault, 99});
+  bus.publish(EventKind::kProtoFault, -1, 6, 8);
+  bus.publish(EventKind::kProtoFault, 99, 7, 9);
   EXPECT_EQ(bus.ring(-1).recorded(), 2u);
   EXPECT_EQ(bus.ring(bus.num_cores()).recorded(), 2u);
 }

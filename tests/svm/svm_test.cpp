@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "obs/bus.hpp"
 #include "sccsim/addrmap.hpp"
 
 namespace msvm::svm {
@@ -26,6 +27,34 @@ ClusterConfig base_config(int cores, Model model, bool use_ipi = true) {
   cfg.svm.model = model;
   cfg.use_ipi = use_ipi;
   return cfg;
+}
+
+/// Counts acquisitions of the first-touch scratchpad lock through the
+/// bus's lock events (attach before run; enables the sync category).
+class ScratchpadLockCounter : public obs::EventSink {
+ public:
+  explicit ScratchpadLockCounter(Cluster& cl) {
+    cl.chip().bus().enable(obs::kCatSync);
+    cl.chip().bus().attach(this);
+  }
+  void on_event(const obs::Event& e) override {
+    if (e.kind == obs::EventKind::kLockAcquire &&
+        e.a == static_cast<u64>(SvmDomain::kScratchpadLockReg)) {
+      ++count_;
+    }
+  }
+  u64 count() const { return count_; }
+
+ private:
+  u64 count_ = 0;
+};
+
+u64 total_first_touches(Cluster& cl, int cores) {
+  u64 total = 0;
+  for (int c = 0; c < cores; ++c) {
+    total += cl.node(c).svm().stats().first_touch_allocs;
+  }
+  return total;
 }
 
 TEST(SvmAlloc, CollectiveAllocReturnsSameBaseEverywhere) {
@@ -87,7 +116,6 @@ TEST(SvmFirstTouch, OnlyOneCoreAllocatesEachPage) {
   // All cores hammer the same fresh region; each page must be allocated
   // exactly once chip-wide and every core must read coherent zeroes.
   Cluster cl(base_config(8, Model::kLazyRelease));
-  u64 total_first_touches = 0;
   bool all_zero = true;
   constexpr u64 kPages = 16;
   cl.run([&](Node& n) {
@@ -98,11 +126,42 @@ TEST(SvmFirstTouch, OnlyOneCoreAllocatesEachPage) {
     }
     n.svm().barrier();
   });
-  for (int c = 0; c < 8; ++c) {
-    total_first_touches += cl.node(c).svm().stats().first_touch_allocs;
-  }
-  EXPECT_EQ(total_first_touches, kPages);
+  EXPECT_EQ(total_first_touches(cl, 8), kPages);
   EXPECT_TRUE(all_zero);
+}
+
+TEST(SvmFirstTouch, ConcurrentStrongFirstTouchAllocatesOneFrameForAll) {
+  // OnlyOneCoreAllocatesEachPage counts allocations under LRC; this adds
+  // Strong and checks that every core maps the one frame. All cores
+  // leave a barrier and write one fresh page at once, so they queue on
+  // the scratchpad lock: the first allocates, the rest map its frame.
+  constexpr int kCores = 8;
+  Cluster cl(base_config(kCores, Model::kStrong));
+  ScratchpadLockCounter locks(cl);
+  std::vector<u64> frames(kCores, 0);
+  std::vector<u32> seen(kCores, 0);
+  cl.run([&](Node& n) {
+    const u64 base = n.svm().alloc(4096);
+    const auto r = static_cast<std::size_t>(n.rank());
+    n.svm().barrier();
+    n.svm().write<u32>(base + 4 * r, static_cast<u32>(r) + 1);
+    frames[r] = n.core().pagetable().find(base)->frame_paddr;
+    n.svm().barrier();
+    for (int c = 0; c < kCores; ++c) {
+      seen[r] += n.svm().read<u32>(base + 4 * static_cast<u64>(c));
+    }
+    n.svm().barrier();
+  });
+  EXPECT_EQ(total_first_touches(cl, kCores), 1u);
+  EXPECT_EQ(locks.count(), static_cast<u64>(kCores));  // one first mapping each
+  for (int c = 1; c < kCores; ++c) {
+    EXPECT_EQ(frames[static_cast<std::size_t>(c)], frames[0]) << "core " << c;
+  }
+  for (int c = 0; c < kCores; ++c) {
+    EXPECT_EQ(seen[static_cast<std::size_t>(c)],
+              static_cast<u32>(kCores * (kCores + 1) / 2))
+        << "core " << c;
+  }
 }
 
 TEST(SvmFirstTouch, FallsBackToTheNextMcWhenItsQuarterIsFull) {
@@ -266,6 +325,40 @@ TEST(SvmStrong, PingPongWritesStayCoherent) {
     n.svm().barrier();
   });
   EXPECT_EQ(final_value, static_cast<u32>(kRounds));
+}
+
+TEST(SvmStrong, RefaultsRemapFromThePteWithoutTheScratchpadLock) {
+  // The scratchpad lock arbitrates a page's first mapping on each core;
+  // every later fault (an ownership transfer unmapped the page, or a
+  // write upgrades a read-only replica) remaps from the core's own PTE.
+  constexpr int kRounds = 30;
+  for (const bool rr : {false, true}) {
+    ClusterConfig cfg = base_config(2, Model::kStrong);
+    cfg.svm.read_replication = rr;
+    Cluster cl(cfg);
+    ScratchpadLockCounter locks(cl);
+    u32 final_value = 0;
+    cl.run([&](Node& n) {
+      const u64 base = n.svm().alloc(4096);
+      n.svm().barrier();
+      for (int round = 0; round < kRounds; ++round) {
+        if (round % 2 == static_cast<int>(n.rank())) {
+          const u32 v = n.svm().read<u32>(base);
+          n.svm().write<u32>(base, v + 1);
+        }
+        n.svm().barrier();
+      }
+      if (n.rank() == 0) final_value = n.svm().read<u32>(base);
+      n.svm().barrier();
+    });
+    EXPECT_EQ(final_value, static_cast<u32>(kRounds)) << "rr=" << rr;
+    EXPECT_EQ(locks.count(), 2u) << "rr=" << rr;
+    EXPECT_EQ(total_first_touches(cl, 2), 1u) << "rr=" << rr;
+    EXPECT_GE(cl.node(0).svm().stats().ownership_acquires +
+                  cl.node(1).svm().stats().ownership_acquires,
+              static_cast<u64>(kRounds) - 1)
+        << "rr=" << rr;
+  }
 }
 
 TEST(SvmStrong, ManyCoresContendOnOnePage) {
