@@ -50,11 +50,11 @@ Node::Node(scc::Core& core, const std::vector<int>& members, bool use_ipi,
       const mbox::MailboxStats& ms = mbox_->stats();
       char buf[192];
       std::snprintf(buf, sizeof(buf),
-                    "core %d mbox: sent=%llu received=%llu inbox=%s "
+                    "core %d mbox: sent=%llu received=%llu inbox=%zu "
                     "sweep_recoveries=%llu degraded=%d\n",
                     core_.id(), static_cast<unsigned long long>(ms.sent),
                     static_cast<unsigned long long>(ms.received),
-                    mbox_->degraded() ? "poll-fallback" : "normal",
+                    mbox_->inbox_depth(),
                     static_cast<unsigned long long>(ms.sweep_recoveries),
                     mbox_->degraded() ? 1 : 0);
       out += buf;

@@ -6,6 +6,7 @@
 #include <cstdlib>
 
 #include "sccsim/addrmap.hpp"
+#include "sim/log.hpp"
 
 namespace msvm::kernel {
 
@@ -14,10 +15,10 @@ namespace {
 /// One spin_wait, as a state machine both the fiber and the scheduler's
 /// poll hook can advance. Each poll is: the relax wake-up, then the read
 /// and its access tick (TAS: tick then test-and-set; MPB byte: load then
-/// tick), then the loop tail (spin count, on_stuck, watchdog, the next
-/// relax). The tick may yield mid-way when it passes a boundary, which
-/// splits a poll in two; `phase_` records where the fiber must pick up
-/// when the hook hands it back.
+/// tick), then the loop tail (spin count, watchdog, the next relax).
+/// The tick may yield mid-way when it passes a boundary, which splits a
+/// poll in two; `phase_` records where the fiber must pick up when the
+/// hook hands it back.
 class SpinWait {
  public:
   SpinWait(scc::Core& core, const scc::WatchedWord& word,
@@ -41,6 +42,10 @@ class SpinWait {
   };
 
   sim::PollStep step(TimePs at, bool timed_out, TimePs others);
+
+  /// After a failed poll of a TAS word: forces the register open when
+  /// its holder is dead past the lease (see spin_wait).
+  void break_dead_holder();
 
   TimePs next_gap() {
     const TimePs gap = backoff_;
@@ -71,13 +76,9 @@ void SpinWait::run() {
       const bool got = phase_ == Phase::kRead ? core_.tas_read(word_.reg)
                                               : core_.poll(word_);
       if (got) return;
-      if (opts_.on_miss) opts_.on_miss();
+      if (word_.kind == scc::WatchedWord::Kind::kTas) break_dead_holder();
     }
     ++spins_;
-    if (opts_.warn_every != 0 && spins_ % opts_.warn_every == 0 &&
-        opts_.on_stuck) {
-      opts_.on_stuck(spins_);
-    }
     if (chip.watchdog().check(core_.now(), t0_, opts_.site, core_.id())) {
       chip.scheduler().block();  // parked; teardown unwinds via cancel
     }
@@ -140,17 +141,33 @@ sim::PollStep SpinWait::step(TimePs at, bool timed_out, TimePs others) {
       return kRun;
   }
   phase_ = Phase::kMissed;
-  // The loop tail: on_stuck and a watchdog trip act on the host, so they
-  // are the fiber's too.
-  if ((opts_.warn_every != 0 && opts_.on_stuck &&
-       (spins_ + 1) % opts_.warn_every == 0) ||
-      core_.chip().watchdog().would_trip(core_.now(), t0_)) {
-    return kRun;
-  }
+  // The loop tail: a watchdog trip acts on the host, so it is the
+  // fiber's too. (No poll is stepped while a death or a lease could
+  // make break_dead_holder act: see Core::can_step_poll.)
+  if (core_.chip().watchdog().would_trip(core_.now(), t0_)) return kRun;
   ++spins_;
   slept_at_ = core_.now();
   phase_ = Phase::kSleeping;
   return {slept_at_ + next_gap(), /*timeout=*/true};
+}
+
+void SpinWait::break_dead_holder() {
+  scc::Chip& chip = core_.chip();
+  if (chip.dead_count() == 0 || !chip.lease_enabled()) return;
+  const int holder = chip.memory().tas_holder(word_.reg);
+  if (holder < 0 || !chip.core_dead(holder) ||
+      !chip.peer_presumed_dead(holder, core_.now())) {
+    return;
+  }
+  // The holder fail-stopped inside its critical section. Several waiters
+  // may break the same register: the release is idempotent, and the
+  // next test-and-set picks a single winner.
+  MSVM_LOG_INFO("core %d: breaking TAS lock %d held by dead core %d "
+                "t=%.3fms",
+                core_.id(), word_.reg, holder, ps_to_ms(core_.now()));
+  chip.memory().tas_write_release(word_.reg);
+  ++core_.counters().tas_locks_broken;
+  core_.compute_cycles(200);  // modelled detection/repair cost
 }
 
 }  // namespace

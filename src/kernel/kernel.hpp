@@ -15,7 +15,6 @@
 
 #include "sccsim/chip.hpp"
 #include "sccsim/core.hpp"
-#include "sim/fnref.hpp"
 
 namespace msvm::kernel {
 
@@ -27,17 +26,6 @@ struct SpinWaitOpts {
   const char* site = "kernel.spin";  // wait-site label for hang reports
   u64 site_arg = 0;                  // e.g. the contended register/page
   u64 site_arg2 = 0;                 // e.g. the peer core
-  u64 warn_every = 0;                // invoke on_stuck every N failures
-  /// Non-owning (sim::FnRef), like on_miss: SpinWaitOpts is built fresh
-  /// on every contended acquire, and a std::function here heap-allocated
-  /// whenever the capture outgrew the small-buffer limit. The callable
-  /// must be a *named* local at the call site (a lambda temporary
-  /// assigned to this member dies at the end of its statement).
-  sim::FnRef<void(u64 spins)> on_stuck;
-  /// Runs after each failed poll the fiber makes itself. It must do
-  /// nothing unless the chip tracks deaths or leases: polls the scheduler
-  /// steps (see spin_wait) skip it.
-  sim::FnRef<void()> on_miss;
 };
 
 /// The backoff of every TAS spin in the tree: 16 core cycles, doubling
@@ -51,6 +39,13 @@ SpinWaitOpts tas_spin_opts(scc::Core& core, const char* site,
 /// watchdog, so a word that never becomes ready is a structured hang
 /// report instead of a silent livelock; both are host-side only.
 ///
+/// A TAS register whose holder fail-stopped stays set forever. After a
+/// failed poll of a TAS word, once a core is dead and the heartbeat
+/// lease is on, the waiter forces the register open when its recorded
+/// holder (Memory::tas_holder) is dead and presumed so by the lease. The
+/// break costs 200 cycles and counts in CoreCounters::tas_locks_broken.
+/// Every TAS lock in the tree waits here, so all of them break alike.
+///
 /// While the core sleeps between polls, the wait installs a poll hook on
 /// its actor. The scheduler then steps a poll whose word is still held
 /// without resuming the fiber: it charges the wake-up, the access tick
@@ -58,10 +53,10 @@ SpinWaitOpts tas_spin_opts(scc::Core& core, const char* site,
 /// instant, or at the end of the tick where the fiber would yield
 /// mid-tick. The scheduler parks such re-keys on its timing wheel, off
 /// the binary heap, in the same (time, id) order. Any poll that might
-/// succeed, meet an interrupt, a fault, a trace event, an on_stuck call
-/// or a watchdog trip resumes the fiber instead, so every clock and
-/// counter is what the plain loop produces (DESIGN.md §11, "Failed polls
-/// run in the scheduler").
+/// succeed, meet an interrupt, a fault, a trace event or a watchdog trip
+/// resumes the fiber instead, so every clock and counter is what the
+/// plain loop produces (DESIGN.md §11, "Failed polls run in the
+/// scheduler").
 void spin_wait(scc::Core& core, const scc::WatchedWord& word,
                const SpinWaitOpts& opts);
 

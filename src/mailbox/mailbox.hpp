@@ -172,6 +172,9 @@ class MailboxSystem {
 
   const MailboxStats& stats() const { return stats_; }
 
+  /// Mails queued in the software inbox that no recv_match took yet.
+  std::size_t inbox_depth() const { return inbox_.size(); }
+
  private:
   /// Physical address of the slot written by `sender` in `receiver`'s MPB.
   u64 slot_paddr(int receiver, int sender) const;

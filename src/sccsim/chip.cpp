@@ -45,6 +45,10 @@ Chip::Chip(ChipConfig cfg)
   }
   if (ocfg.heatmap) bus_.attach(&obs::global_heatmap());
   watchdog_.bind_bus(&bus_);
+  if (watchdog_.enabled()) {
+    watchdog_.add_provider(
+        [this](std::string& out) { append_held_tas(out); });
+  }
   // Size the fail-stop bookkeeping only when the plan schedules kills
   // (every accessor stays a branch on an empty vector otherwise).
   if (!cfg_.faults.kills.empty()) {
@@ -62,8 +66,6 @@ Chip::Chip(ChipConfig cfg)
     dead_.assign(static_cast<std::size_t>(cfg_.num_cores), 0);
     dead_wcb_valid_.assign(static_cast<std::size_t>(cfg_.num_cores), 0);
     dead_wcb_line_.assign(static_cast<std::size_t>(cfg_.num_cores), 0);
-    tas_owner_.assign(
-        static_cast<std::size_t>(topology().max_cores()), -1);
   }
   if (cfg_.faults.lease_ps > 0) {
     heartbeat_.assign(static_cast<std::size_t>(cfg_.num_cores), 0);
@@ -155,6 +157,16 @@ void Chip::fail_stop(Core& c) {
   c.publish(obs::EventKind::kFaultInject,
             static_cast<u64>(obs::InjectKind::kCoreKill));
   sched_.kill_self();
+}
+
+void Chip::append_held_tas(std::string& out) const {
+  for (int reg = 0; reg < topology().max_cores(); ++reg) {
+    const int holder = memory_.tas_holder(reg);
+    if (holder < 0) continue;
+    out += "tas reg " + std::to_string(reg) + ": held by core " +
+           std::to_string(holder) + (core_dead(holder) ? " (dead)" : "") +
+           "\n";
+  }
 }
 
 TimePs Chip::mc_queue_delay(int mc, TimePs t) {

@@ -5,6 +5,7 @@
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "obs/bus.hpp"
@@ -73,8 +74,9 @@ class Chip {
   // empty — and every query a constant branch — unless the fault plan
   // schedules kills or arms the heartbeat lease) ----
 
-  /// True when the fault plan schedules at least one core kill; gates
-  /// the TAS owner tracking below so fault-free runs pay nothing.
+  /// True when the fault plan schedules at least one core kill. A core
+  /// may then die inside any access, so the scheduler steps no poll for
+  /// it (Core::can_step_poll).
   bool tracking_deaths() const { return !kill_at_.empty(); }
 
   /// Virtual time core `i` is scheduled to fail-stop (kTimeNever: never).
@@ -122,20 +124,11 @@ class Chip {
            cfg_.faults.lease_ps;
   }
 
-  // TAS lock-owner tracking (populated only when kills are scheduled):
-  // lets recovery break locks orphaned by a dead holder.
-  void note_tas_owner(int reg, int core) {
-    if (!tas_owner_.empty()) tas_owner_[static_cast<std::size_t>(reg)] = core;
-  }
-  void clear_tas_owner(int reg) {
-    if (!tas_owner_.empty()) tas_owner_[static_cast<std::size_t>(reg)] = -1;
-  }
-  int tas_owner(int reg) const {
-    return tas_owner_.empty() ? -1
-                              : tas_owner_[static_cast<std::size_t>(reg)];
-  }
-
  private:
+  /// The hang report's TAS section: one line per held register, naming
+  /// its holder and whether that core is dead.
+  void append_held_tas(std::string& out) const;
+
   ChipConfig cfg_;
   Memory memory_;
   LatencyModel latency_;
@@ -154,7 +147,6 @@ class Chip {
   std::vector<u8> dead_wcb_valid_;  // 1 = line below was dirty at death
   std::vector<u64> dead_wcb_line_;  // unflushed WCB line paddr at death
   std::vector<TimePs> heartbeat_;   // last heartbeat per core (lease mode)
-  std::vector<int> tas_owner_;      // current TAS holder per reg, -1 free
   int dead_count_ = 0;
 };
 

@@ -157,7 +157,13 @@ void Core::halt() {
       // Spurious wakeup: resume early for no reason. Callers of halt()
       // already re-check their wake condition in a loop, so this only
       // probes that the loops really are condition-driven.
-      deadline -= chip_.faults().spurious_wake_ps(deadline - actor_->clock());
+      const TimePs early =
+          chip_.faults().spurious_wake_ps(deadline - actor_->clock());
+      if (early > 0) {
+        publish(obs::EventKind::kFaultInject,
+                static_cast<u64>(obs::InjectKind::kSpuriousWake), early);
+        deadline -= early;
+      }
     }
     chip_.scheduler().block_until(deadline);
   }
@@ -481,20 +487,16 @@ TimePs Core::tas_cost(int reg) const {
 }
 
 bool Core::tas_read(int reg) {
-  if (!chip_.memory().tas_read_acquire(reg)) {
+  if (!chip_.memory().tas_read_acquire(reg, id_)) {
     charge_failed_poll(WatchedWord::tas(reg));
     return false;
   }
   ++counters_.tas_acquires;
-  // Host-side holder note (only in kill-enabled runs): lets recovery
-  // identify and break locks orphaned by a dead holder.
-  if (chip_.tracking_deaths()) chip_.note_tas_owner(reg, id_);
   return true;
 }
 
 void Core::tas_release(int reg) {
   tick(tas_cost(reg));
-  if (chip_.tracking_deaths()) chip_.clear_tas_owner(reg);
   chip_.memory().tas_write_release(reg);
 }
 
@@ -509,7 +511,7 @@ bool Core::poll(const WatchedWord& w) {
 
 bool Core::word_ready(const WatchedWord& w) const {
   if (w.kind == WatchedWord::Kind::kTas) {
-    return chip_.memory().tas_peek(w.reg) == 0;
+    return chip_.memory().tas_holder(w.reg) < 0;
   }
   u8 v = 0;
   chip_.memory().read(w.paddr, &v, 1);
@@ -538,7 +540,9 @@ bool Core::can_step_poll(TimePs at, TimePs cost) const {
   // The wake-up delivers interrupts at `at`, the poll's tick at a
   // boundary by `at + cost`: neither may find one pending or due. Fault
   // injection, fail-stop tracking and the memory firehose all act or
-  // publish inside an access, so any of them rules stepping out.
+  // publish inside an access, and with a death and a lease a failed TAS
+  // poll may break a dead holder's lock, so any of them rules stepping
+  // out.
   return !in_irq_ && irq_mask_depth_ == 0 && at + cost < next_timer_ &&
          !chip_.gic().has_pending(id_) && !chip_.faults().enabled() &&
          !chip_.tracking_deaths() && !chip_.lease_enabled() &&

@@ -133,7 +133,8 @@ class Core {
   }
 
   /// The read half of tas_try_acquire: the test-and-set itself, its
-  /// access latency already charged.
+  /// access latency already charged. A successful read records this core
+  /// as the register's holder (Memory::tas_holder).
   bool tas_read(int reg);
 
   /// Releases Test-and-Set register `reg` (a write).

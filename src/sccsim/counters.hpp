@@ -29,6 +29,7 @@ struct CoreCounters {
   // synchronisation
   u64 tas_acquires = 0;
   u64 tas_spins = 0;
+  u64 tas_locks_broken = 0;  // registers forced open: holder died
 
   // faults & interrupts
   u64 page_faults = 0;
@@ -92,6 +93,7 @@ inline constexpr CoreCounterField kCoreCounterFields[] = {
     {"tlb_misses", &CoreCounters::tlb_misses},
     {"tas_acquires", &CoreCounters::tas_acquires},
     {"tas_spins", &CoreCounters::tas_spins},
+    {"tas_locks_broken", &CoreCounters::tas_locks_broken},
     {"page_faults", &CoreCounters::page_faults},
     {"timer_irqs", &CoreCounters::timer_irqs},
     {"ipi_irqs", &CoreCounters::ipi_irqs},

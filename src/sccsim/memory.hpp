@@ -31,7 +31,8 @@ class Memory {
         mpb_(static_cast<std::size_t>(cfg.num_cores) * map_.mpb_size()),
         // The Test-and-Set register file is a fixed hardware resource of
         // the full die(s), independent of how many cores run programs.
-        tas_(static_cast<std::size_t>(map_.topology().max_cores()), 0) {}
+        tas_(static_cast<std::size_t>(map_.topology().max_cores()),
+             kTasFree) {}
 
   const AddrMap& map() const { return map_; }
 
@@ -78,20 +79,28 @@ class Memory {
   }
 
   /// Atomic Test-and-Set register, SCC semantics: reading the register
-  /// returns its previous value and sets it to 1; writing clears it.
-  /// Returns true if the lock was acquired (previous value was 0).
-  bool tas_read_acquire(int core) {
-    const u64 prev = tas_.at(static_cast<std::size_t>(core));
-    tas_[static_cast<std::size_t>(core)] = 1;
-    return prev == 0;
+  /// returns its previous value and sets it; writing clears it. Returns
+  /// true if the lock was acquired (the register was free). A read that
+  /// finds the register held fails whoever holds it, the reader
+  /// included, and leaves it as it was.
+  ///
+  /// A set register records the core that set it: tas_holder() is the
+  /// one record of who holds each TAS lock, for breaking a dead holder's
+  /// lock (kernel::spin_wait) and for the hang report.
+  bool tas_read_acquire(int reg, int core) {
+    int& holder = tas_.at(static_cast<std::size_t>(reg));
+    if (holder != kTasFree) return false;
+    holder = core;
+    return true;
   }
 
-  void tas_write_release(int core) {
-    tas_.at(static_cast<std::size_t>(core)) = 0;
+  void tas_write_release(int reg) {
+    tas_.at(static_cast<std::size_t>(reg)) = kTasFree;
   }
 
-  u64 tas_peek(int core) const {
-    return tas_.at(static_cast<std::size_t>(core));
+  /// The core holding register `reg`, or -1 when it is free.
+  int tas_holder(int reg) const {
+    return tas_.at(static_cast<std::size_t>(reg));
   }
 
  private:
@@ -134,7 +143,8 @@ class Memory {
   sim::ZeroArray<u8> shared_;
   sim::ZeroArray<u8> private_;
   sim::ZeroArray<u8> mpb_;
-  std::vector<u64> tas_;
+  static constexpr int kTasFree = -1;
+  std::vector<int> tas_;  // holder per register, kTasFree when clear
 };
 
 }  // namespace msvm::scc

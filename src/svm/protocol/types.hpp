@@ -162,7 +162,6 @@ struct SvmStats {
   u64 pages_rehomed = 0;       // dead-owner pages moved to a live sharer
   u64 pages_refetched = 0;     // dead-owner pages re-homed to the detector
   u64 pages_lost = 0;          // pages poisoned (owner died dirty)
-  u64 locks_broken = 0;        // TAS locks force-released from the dead
   // Data integrity (all zero unless the integrity layer is armed).
   u64 pages_sealed = 0;        // frame checksums recorded at handoff
   u64 seal_verifies = 0;       // frame checksums checked before trusting
@@ -199,7 +198,6 @@ inline constexpr SvmStatsField kSvmStatsFields[] = {
     {"pages_rehomed", &SvmStats::pages_rehomed},
     {"pages_refetched", &SvmStats::pages_refetched},
     {"pages_lost", &SvmStats::pages_lost},
-    {"locks_broken", &SvmStats::locks_broken},
     {"pages_sealed", &SvmStats::pages_sealed},
     {"seal_verifies", &SvmStats::seal_verifies},
     {"pages_poisoned", &SvmStats::pages_poisoned},

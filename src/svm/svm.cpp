@@ -109,16 +109,9 @@ void Svm::protect_readonly(u64 vaddr, u64 bytes) {
 void Svm::lock_acquire(int lock_id) {
   ++runtime_->stats().lock_acquires;
   const int reg = domain_.app_lock_reg(lock_id);
-  kernel::SpinWaitOpts opts = kernel::tas_spin_opts(
-      core_, "svm.lock_acquire", static_cast<u64>(lock_id));
-  // A holder that fail-stops leaves the TAS register set forever; after a
-  // stretch of failed tries, check for that and break the orphaned lock
-  // (no-op unless lease detection is on and a core is actually dead, so
-  // clean runs stay bit-identical).
-  auto break_dead = [&](u64) { runtime_->maybe_break_dead_lock(reg); };
-  opts.warn_every = 64;
-  opts.on_stuck = break_dead;
-  kernel::spin_wait(core_, scc::WatchedWord::tas(reg), opts);
+  kernel::spin_wait(core_, scc::WatchedWord::tas(reg),
+                    kernel::tas_spin_opts(core_, "svm.lock_acquire",
+                                          static_cast<u64>(lock_id)));
   core_.publish(obs::EventKind::kLockAcquire, static_cast<u64>(reg),
                 static_cast<u64>(lock_id));
   // Entering the critical section: see the lock holder's released data.

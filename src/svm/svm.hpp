@@ -175,6 +175,10 @@ class SvmDomain {
   /// two-core experiments never exposed).
   int transfer_lock_reg(u64 page_idx) const;
 
+  /// Number of transfer-lock registers: transfer_lock_reg maps every page
+  /// into [0, transfer_lock_regs()).
+  int transfer_lock_regs() const { return chip_.topology().max_cores() / 2; }
+
   /// TAS register for application-level SVM locks.
   int app_lock_reg(int lock_id) const;
 
@@ -214,11 +218,6 @@ class SvmDomain {
   u32 entries_per_mpb_ = 0;
 
  public:
-  // Host-side diagnostics (no simulated cost): who holds each transfer
-  // lock and for which page; written by SvmRuntime::transfer_lock.
-  std::vector<int> debug_lock_holder_;
-  std::vector<u64> debug_lock_page_;
-
   // Fail-stop recovery epoch: bumped once per page repaired, host-side.
   // Each per-page repair runs under that page's transfer lock, so the
   // sequence is strictly increasing — the coherence auditor asserts

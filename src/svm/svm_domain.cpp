@@ -33,10 +33,6 @@ SvmDomain::SvmDomain(scc::Chip& chip, SvmConfig cfg,
       next_alloc_seq_(members_.size(), 0) {
   assert(num_slots >= 1 && slot >= 0 && slot < num_slots);
   const scc::Topology& topo = chip_.topology();
-  const std::size_t nlocks =
-      static_cast<std::size_t>(std::max(64, topo.max_cores()));
-  debug_lock_holder_.assign(nlocks, -1);
-  debug_lock_page_.assign(nlocks, 0);
   const scc::ChipConfig& ccfg = chip_.config();
   const u64 page = scc::kPageBytes;
 
@@ -166,8 +162,8 @@ u16 SvmDomain::frame_of_paddr(u64 paddr) const {
 int SvmDomain::transfer_lock_reg(u64 page_idx) const {
   // Shares the lower half with the scratchpad lock; the two are never
   // held simultaneously, so aliasing only costs contention, not deadlock.
-  return static_cast<int>(
-      page_idx % static_cast<u64>(chip_.topology().max_cores() / 2));
+  return static_cast<int>(page_idx %
+                          static_cast<u64>(transfer_lock_regs()));
 }
 
 int SvmDomain::app_lock_reg(int lock_id) const {

@@ -332,11 +332,9 @@ void SvmRuntime::mapping_fault(u64 vaddr, u64 page_idx, bool is_write) {
   const bool readonly = region_readonly(region_of(vaddr));
 
   const int lock_reg = SvmDomain::kScratchpadLockReg;
-  kernel::SpinWaitOpts lock_opts =
-      kernel::tas_spin_opts(core_, "svm.scratchpad_lock", page_idx);
-  const auto break_dead = [&] { maybe_break_dead_lock(lock_reg); };
-  lock_opts.on_miss = break_dead;
-  kernel::spin_wait(core_, scc::WatchedWord::tas(lock_reg), lock_opts);
+  kernel::spin_wait(
+      core_, scc::WatchedWord::tas(lock_reg),
+      kernel::tas_spin_opts(core_, "svm.scratchpad_lock", page_idx));
   core_.publish(obs::EventKind::kLockAcquire, lock_reg, page_idx);
   const auto unlock = [&] {
     core_.tas_release(lock_reg);
@@ -655,33 +653,13 @@ void SvmRuntime::downgrade_page(u64 page) {
 // proto::ProtocolEnv — serialisation, cost, diagnostics
 
 void SvmRuntime::transfer_lock(u64 page) {
-  const int treg = domain_.transfer_lock_reg(page);
-  kernel::SpinWaitOpts opts =
-      kernel::tas_spin_opts(core_, "svm.transfer_lock", page);
-  opts.warn_every = 100000;
-  // Named local: opts.on_stuck is a non-owning FnRef (see fnref.hpp).
-  const auto on_stuck = [this, treg, page](u64 /*spins*/) {
-    MSVM_LOG_ERROR(
-        "core %d: stuck spinning on transfer lock %d for page %llu "
-        "(holder=core %d, holder_page=%llu) t=%.3fms",
-        core_.id(), treg, static_cast<unsigned long long>(page),
-        domain_.debug_lock_holder_[static_cast<std::size_t>(treg)],
-        static_cast<unsigned long long>(
-            domain_.debug_lock_page_[static_cast<std::size_t>(treg)]),
-        ps_to_ms(core_.now()));
-  };
-  opts.on_stuck = on_stuck;
-  const auto break_dead = [this, treg] { maybe_break_dead_lock(treg); };
-  opts.on_miss = break_dead;
-  kernel::spin_wait(core_, scc::WatchedWord::tas(treg), opts);
-  domain_.debug_lock_holder_[static_cast<std::size_t>(treg)] = core_.id();
-  domain_.debug_lock_page_[static_cast<std::size_t>(treg)] = page;
+  kernel::spin_wait(core_,
+                    scc::WatchedWord::tas(domain_.transfer_lock_reg(page)),
+                    kernel::tas_spin_opts(core_, "svm.transfer_lock", page));
 }
 
 void SvmRuntime::transfer_unlock(u64 page) {
-  const int treg = domain_.transfer_lock_reg(page);
-  domain_.debug_lock_holder_[static_cast<std::size_t>(treg)] = -1;
-  core_.tas_release(treg);
+  core_.tas_release(domain_.transfer_lock_reg(page));
 }
 
 // ---------------------------------------------------------------------------
@@ -766,37 +744,10 @@ std::optional<mbox::Mail> SvmRuntime::try_dead_peer_recovery() {
   return synth;
 }
 
-void SvmRuntime::maybe_break_dead_lock(int reg) {
-  scc::Chip& chip = core_.chip();
-  if (chip.dead_count() == 0 || !chip.lease_enabled()) return;
-  const int holder = chip.tas_owner(reg);
-  if (holder < 0 || !chip.core_dead(holder) ||
-      !chip.peer_presumed_dead(holder, core_.now())) {
-    return;
-  }
-  // The holder fail-stopped inside its critical section: force the
-  // register open. Several survivors may race here — the release is
-  // idempotent and the next tas_try_acquire picks a single winner.
-  MSVM_LOG_INFO("core %d: breaking TAS lock %d held by dead core %d "
-                "t=%.3fms",
-                core_.id(), reg, holder, ps_to_ms(core_.now()));
-  chip.clear_tas_owner(reg);
-  chip.memory().tas_write_release(reg);
-  const auto r = static_cast<std::size_t>(reg);
-  if (r < domain_.debug_lock_holder_.size() &&
-      domain_.debug_lock_holder_[r] == holder) {
-    domain_.debug_lock_holder_[r] = -1;
-  }
-  ++stats_.locks_broken;
-  core_.compute_cycles(200);  // modelled detection/repair cost
-}
-
 void SvmRuntime::release_held_transfer_locks() {
-  for (std::size_t r = 0; r < domain_.debug_lock_holder_.size(); ++r) {
-    if (domain_.debug_lock_holder_[r] == core_.id()) {
-      domain_.debug_lock_holder_[r] = -1;
-      core_.tas_release(static_cast<int>(r));
-    }
+  const scc::Memory& tas = core_.chip().memory();
+  for (int reg = 0; reg < domain_.transfer_lock_regs(); ++reg) {
+    if (tas.tas_holder(reg) == core_.id()) core_.tas_release(reg);
   }
 }
 

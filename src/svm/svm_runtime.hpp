@@ -95,13 +95,6 @@ class SvmRuntime final : public proto::ProtocolEnv,
   u64 load(proto::MetaKind kind, u64 page, int word) override;
   void store(proto::MetaKind kind, u64 page, int word, u64 value) override;
 
-  /// Spin-site breaker: when the TAS register's holder fail-stopped,
-  /// force the register open so the spinning survivors can proceed.
-  /// Public because Svm::lock_acquire's stuck path calls it too — an
-  /// app lock orphaned by a dead holder must break exactly like a
-  /// protocol transfer lock.
-  void maybe_break_dead_lock(int reg);
-
  private:
   /// Converts an incoming protocol mail and hands it to the policy.
   void dispatch_mail(const mbox::Mail& mail);

@@ -92,7 +92,7 @@ KillMosaicResult run_kill_mosaic(const KillMosaicParams& p,
     result.pages_lost += s.pages_lost;
     result.pages_rehomed += s.pages_rehomed;
     result.pages_refetched += s.pages_refetched;
-    result.locks_broken += s.locks_broken;
+    result.locks_broken += cl.node(c).core().counters().tas_locks_broken;
   }
   // Corruption ledger: injected counts from the chip-wide fault oracle,
   // detection counts summed over every booted member — dead cores

@@ -45,7 +45,7 @@ struct KillMosaicResult {
   u64 slot_mismatches = 0;  // wrong values read — contract violation
   std::vector<cluster::Cluster::MemberFailure> failures;
 
-  // Recovery tallies summed over all booted members.
+  // Recovery tallies summed over the surviving members.
   u64 recoveries = 0;
   u64 pages_lost = 0;
   u64 pages_rehomed = 0;

@@ -98,5 +98,39 @@ TEST(HangReport, DesertedIrcceReceiveNamesItsWait) {
   EXPECT_NE(report.find("rcce.wait"), std::string::npos) << report;
 }
 
+TEST(HangReport, MailboxLineCountsUnmatchedInboxMail) {
+  // Rank 1 sends a mail nobody asks for; rank 0 then waits for another
+  // type that never comes. The unmatched mail sits in rank 0's inbox,
+  // and the report's mailbox line must count it.
+  ClusterConfig cfg;
+  cfg.chip.num_cores = 2;
+  cfg.chip.shared_dram_bytes = 16 << 20;
+  cfg.chip.private_dram_bytes = 1 << 20;
+  cfg.chip.faults.watchdog_ps = 1 * kPsPerMs;
+
+  Cluster cl(cfg);
+  std::string report;
+  try {
+    cl.run([](Node& n) {
+      if (n.rank() == 1) {
+        mbox::Mail mail;
+        mail.type = 0x70;
+        n.mbox().send(0, mail);
+        return;
+      }
+      (void)n.mbox().recv_type(0x71);
+    });
+    FAIL() << "expected HangError from the unanswered receive";
+  } catch (const sim::HangError& e) {
+    report = e.report();
+  }
+  EXPECT_NE(report.find("core 0 mbox: sent=0 received=1 inbox=1 "),
+            std::string::npos)
+      << report;
+  EXPECT_NE(report.find("core 1 mbox: sent=1 received=0 inbox=0 "),
+            std::string::npos)
+      << report;
+}
+
 }  // namespace
 }  // namespace msvm::cluster

@@ -26,22 +26,16 @@ namespace {
 enum class Loop { kSpinWait, kReference };
 
 /// The plain wait loop every spin used before spin_wait had a hook: poll,
-/// count, on_stuck, watchdog, relax, double the gap. `poll` is the whole
-/// access (tas_try_acquire, or a counted uncached byte load).
+/// watchdog, relax, double the gap. `poll` is the whole access
+/// (tas_try_acquire, or a counted uncached byte load).
 template <typename Poll>
 void reference_wait(scc::Core& core, Poll&& poll, const SpinWaitOpts& opts) {
   scc::Chip& chip = core.chip();
   sim::BlockScope scope(core.actor(), opts.site, opts.site_arg,
                         opts.site_arg2);
   const TimePs t0 = core.now();
-  u64 spins = 0;
   TimePs gap = opts.start_ps;
   while (!poll()) {
-    ++spins;
-    if (opts.warn_every != 0 && spins % opts.warn_every == 0 &&
-        opts.on_stuck) {
-      opts.on_stuck(spins);
-    }
     if (chip.watchdog().check(core.now(), t0, opts.site, core.id())) {
       chip.scheduler().block();
     }
@@ -114,7 +108,6 @@ struct Convoy {
   int waiters = 3;
   u64 hold_cycles = 20'000;
   int rounds = 2;
-  u64 warn_every = 0;
   int ipi_target = -1;  // core 0 raises one IPI on it while holding
 };
 
@@ -128,10 +121,7 @@ Outcome run_convoy(Loop loop, const Convoy& k, scc::ChipConfig cfg) {
       c.set_ipi_handler([&side](scc::Core&, const scc::IpiSourceSet&) {
         side += 1000;
       });
-      const auto on_stuck = [&side](u64) { ++side; };
-      SpinWaitOpts opts = tas_spin_opts(c, "test.convoy");
-      opts.warn_every = k.warn_every;
-      opts.on_stuck = on_stuck;
+      const SpinWaitOpts opts = tas_spin_opts(c, "test.convoy");
       if (id == 0) {
         wait_word(loop, c, scc::WatchedWord::tas(0), opts);
         c.compute_cycles(k.hold_cycles / 2);
@@ -438,16 +428,6 @@ TEST(SpinWaitHook, TimerTickAndIpiOnParkedWaiters) {
   expect_same(hooked, run_convoy(Loop::kReference, k, cfg));
   EXPECT_EQ(hooked.counters[5].ipi_irqs, 1u);
   EXPECT_GE(hooked.counters[47].timer_irqs, 2u);
-  EXPECT_GT(hooked.elided, 0u);
-}
-
-TEST(SpinWaitHook, WarnEveryRunsTheFiber) {
-  Convoy k;
-  k.warn_every = 4;
-  const scc::ChipConfig cfg = config_for(k.waiters + 1);
-  const Outcome hooked = run_convoy(Loop::kSpinWait, k, cfg);
-  expect_same(hooked, run_convoy(Loop::kReference, k, cfg));
-  EXPECT_GT(hooked.side[1], 0u);  // on_stuck calls
   EXPECT_GT(hooked.elided, 0u);
 }
 

@@ -137,13 +137,15 @@ TEST(Memory, TasSemanticsMatchTheScc) {
   ChipConfig cfg = mem_config();
   Memory mem(cfg);
   // SCC semantics: a read returns the previous value and sets the
-  // register; a write clears it.
-  EXPECT_TRUE(mem.tas_read_acquire(0));   // was free -> acquired
-  EXPECT_FALSE(mem.tas_read_acquire(0));  // now busy
-  EXPECT_EQ(mem.tas_peek(0), 1u);
+  // register; a write clears it. The set register records its holder.
+  EXPECT_TRUE(mem.tas_read_acquire(0, 5));   // was free -> acquired
+  EXPECT_FALSE(mem.tas_read_acquire(0, 7));  // now busy
+  EXPECT_FALSE(mem.tas_read_acquire(0, 5));  // busy for its holder too
+  EXPECT_EQ(mem.tas_holder(0), 5);           // failed reads keep it
   mem.tas_write_release(0);
-  EXPECT_EQ(mem.tas_peek(0), 0u);
-  EXPECT_TRUE(mem.tas_read_acquire(0));
+  EXPECT_EQ(mem.tas_holder(0), -1);
+  EXPECT_TRUE(mem.tas_read_acquire(0, 7));
+  EXPECT_EQ(mem.tas_holder(0), 7);
 }
 
 TEST(Memory, FullTasRegisterFileExistsRegardlessOfCoreCount) {
@@ -151,19 +153,21 @@ TEST(Memory, FullTasRegisterFileExistsRegardlessOfCoreCount) {
   // fixed resource of the die.
   ChipConfig cfg = mem_config();
   Memory mem(cfg);
-  EXPECT_TRUE(mem.tas_read_acquire(47));
-  EXPECT_FALSE(mem.tas_read_acquire(47));
+  EXPECT_TRUE(mem.tas_read_acquire(47, 0));
+  EXPECT_FALSE(mem.tas_read_acquire(47, 1));
   mem.tas_write_release(47);
 }
 
 TEST(Memory, IndependentTasRegisters) {
   ChipConfig cfg = mem_config();
   Memory mem(cfg);
-  EXPECT_TRUE(mem.tas_read_acquire(1));
-  EXPECT_TRUE(mem.tas_read_acquire(2));  // unaffected by register 1
+  EXPECT_TRUE(mem.tas_read_acquire(1, 0));
+  EXPECT_TRUE(mem.tas_read_acquire(2, 0));  // unaffected by register 1
   mem.tas_write_release(1);
-  EXPECT_TRUE(mem.tas_read_acquire(1));
-  EXPECT_FALSE(mem.tas_read_acquire(2));
+  EXPECT_TRUE(mem.tas_read_acquire(1, 3));
+  EXPECT_FALSE(mem.tas_read_acquire(2, 3));
+  EXPECT_EQ(mem.tas_holder(1), 3);
+  EXPECT_EQ(mem.tas_holder(2), 0);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 // state would pass neither.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -33,6 +34,7 @@ struct ChaosOutcome {
   u64 dup_acks_dropped = 0;
   u64 ipis_dropped = 0;
   u64 mails_duplicated = 0;
+  u64 spurious_wakes = 0;
 };
 
 /// Ownership-migration workload: in iteration k, rank (k mod size)
@@ -89,6 +91,7 @@ ChaosOutcome run_chaos(const sim::FaultPlan& plan, bool use_ipi,
   }
   out.ipis_dropped = cl.chip().faults().stats().ipis_dropped;
   out.mails_duplicated = cl.chip().faults().stats().mails_duplicated;
+  out.spurious_wakes = cl.chip().faults().stats().spurious_wakes;
   return out;
 }
 
@@ -148,17 +151,20 @@ TEST(SvmChaos, BoundedWaitsRetransmitStuckRequestsWithCorrectData) {
       << "no protocol wait ever hit its retransmission deadline";
 }
 
-/// Counts the events of one kind the bus lets through.
+/// Counts the events of one kind the bus lets through, optionally only
+/// those whose payload `a` is `a`.
 class KindCounter : public obs::EventSink {
  public:
-  explicit KindCounter(obs::EventKind kind) : kind_(kind) {}
+  explicit KindCounter(obs::EventKind kind, std::optional<u64> a = {})
+      : kind_(kind), a_(a) {}
   void on_event(const obs::Event& e) override {
-    if (e.kind == kind_) ++count_;
+    if (e.kind == kind_ && (!a_ || e.a == *a_)) ++count_;
   }
   u64 count() const { return count_; }
 
  private:
   obs::EventKind kind_;
+  std::optional<u64> a_;
   u64 count_ = 0;
 };
 
@@ -174,6 +180,20 @@ TEST(SvmChaos, SvmCategoryAloneCarriesEveryRetransmission) {
   EXPECT_TRUE(out.correct);
   EXPECT_GT(out.retransmits, 0u);
   EXPECT_EQ(sink.count(), out.retransmits);
+}
+
+TEST(SvmChaos, EverySpuriousWakeIsTraced) {
+  // Each wake the plan shortens is one kFaultInject(kSpuriousWake) on
+  // the chaos category, as every other injected fault is.
+  const sim::FaultPlan plan = sim::FaultPlan::parse(
+      "seed=31,spurious=0.3,watchdog=500ms,sweep=2,retry=2ms");
+  KindCounter sink(obs::EventKind::kFaultInject,
+                   static_cast<u64>(obs::InjectKind::kSpuriousWake));
+  const ChaosOutcome out =
+      run_chaos(plan, /*use_ipi=*/true, obs::kCatChaos, &sink);
+  EXPECT_TRUE(out.correct);
+  EXPECT_GT(out.spurious_wakes, 0u) << "plan failed to inject anything";
+  EXPECT_EQ(sink.count(), out.spurious_wakes);
 }
 
 TEST(SvmChaos, DuplicatedAcksAreDeduplicatedWithCorrectData) {
