@@ -298,6 +298,7 @@ std::string loss_fields(const workloads::KillMosaicResult& r) {
 Verdict kill_run(const Run& run, Ledger& ledger) {
   const workloads::KillMosaicResult r = run_mosaic(run);
   ledger["recoveries"] += r.recoveries;
+  ledger["locks_broken"] += r.locks_broken;
   return {mosaic_outcome(r, ledger),
           fields("verified", r.ranks_verified, "lost", r.ranks_lost,
                  "recoveries", r.recoveries, "rehomed", r.pages_rehomed,
@@ -389,7 +390,8 @@ struct Campaign {
   std::span<const char* const> extra_series;
 };
 
-constexpr const char* kKillSeries[] = {"recoveries", "audit_violations"};
+constexpr const char* kKillSeries[] = {"recoveries", "locks_broken",
+                                       "audit_violations"};
 constexpr const char* kFlipSeries[] = {
     "verified_ranks",   "mail_flips",      "mail_drops",
     "page_flips",       "pages_poisoned",  "meta_flips",

@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "obs/metrics.hpp"
-#include "svm/svm_runtime.hpp"
 
 namespace msvm::cluster {
 
@@ -46,7 +45,7 @@ Node::Node(scc::Core& core, const std::vector<int>& members, bool use_ipi,
     // tallies to the structured report (the closure outlives run():
     // nodes are owned by the Cluster, which outlives the chip run).
     watchdog.add_provider([this](std::string& out) {
-      svm_->runtime().append_hang_report(out);
+      svm_->append_hang_report(out);
       const mbox::MailboxStats& ms = mbox_->stats();
       char buf[192];
       std::snprintf(buf, sizeof(buf),

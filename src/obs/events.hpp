@@ -228,7 +228,7 @@ constexpr u8 mail_requester(u64 packed) {
 }
 
 /// On-wire SVM protocol mail types: the values of svm::proto::MsgType,
-/// copied because obs sits below the svm layer. svm_runtime.cpp pins the
+/// copied because obs sits below the svm layer. svm/svm.cpp pins the
 /// copy with static_asserts.
 inline constexpr u8 kWireOwnershipReq = 0x20;
 inline constexpr u8 kWireOwnershipAck = 0x21;

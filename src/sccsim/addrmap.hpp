@@ -133,12 +133,9 @@ class AddrMap {
   /// The MPB carve of this die, identical in every core's MPB.
   const MpbLayout& layout() const { return layout_; }
 
-  u64 shared_base() const { return kSharedBase; }
-  u64 shared_size() const { return cfg_.shared_dram_bytes; }
   u64 private_base(int core) const {
     return kPrivBase + static_cast<u64>(core) * cfg_.private_dram_bytes;
   }
-  u64 private_size() const { return cfg_.private_dram_bytes; }
   u64 mpb_base(int core) const {
     return kMpbBase + static_cast<u64>(core) * mpb_size();
   }

@@ -54,8 +54,6 @@ class KvStore {
 
   u32 num_shards() const { return shards_; }
   u64 num_keys() const { return cfg_.num_keys; }
-  u64 keys_per_shard() const { return keys_per_shard_; }
-  u64 base_vaddr() const { return base_; }
   u64 shard_bytes() const { return shard_bytes_; }
 
   u32 shard_of(u64 key) const {

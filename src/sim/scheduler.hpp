@@ -310,7 +310,6 @@ class Scheduler {
   /// Used by the deadlock abort and by watchdog hang reports.
   std::string describe_blocked_actors() const;
 
-  std::size_t num_actors() const { return actors_.size(); }
   Actor& actor(std::size_t i) { return *actors_.at(i); }
 
   /// Live entry count, heap and wheel. At most one entry per

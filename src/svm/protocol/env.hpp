@@ -4,7 +4,7 @@
 // cache action, a lock, a modelled cost — goes through this interface.
 //
 // Two implementations exist:
-//   * SvmRuntime (svm/svm_runtime.hpp): binds the env to the simulated
+//   * svm::Svm (svm/svm.hpp), one per core: binds the env to the simulated
 //     SCC — uncached ploads/pstores for metadata, mailbox mails for
 //     messages, CL1INVMB/WCB/page-table callbacks, TAS transfer locks.
 //   * the deterministic protocol harness (tests/svm/protocol_harness.hpp):

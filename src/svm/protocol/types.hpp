@@ -5,7 +5,7 @@
 // types they exchange. The layer deliberately has no idea what a chip,
 // fiber, or mailbox is — it consumes protocol messages and fault events
 // and emits messages and metadata operations through the ProtocolEnv
-// interface (env.hpp). The binding layer (svm/svm_runtime.hpp) adapts it
+// interface (env.hpp). The per-core svm::Svm (svm/svm.hpp) adapts it
 // to the simulated SCC; the test harness (tests/svm/protocol_harness.hpp)
 // adapts it to scripted message sequences. An include-layering CI check
 // keeps sccsim/sim/mailbox/kernel headers out of this directory.

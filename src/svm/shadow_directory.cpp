@@ -124,10 +124,6 @@ void ShadowDirectory::on_event(const Event& e) {
       ++meta_corruptions_;
       break;
 
-    case EventKind::kScrubPass:
-      ++scrub_passes_;
-      break;
-
     case EventKind::kRecoveryBegin: {
       if (e.a <= last_epoch_) {
         record_violation(e, "epoch-monotonicity",

@@ -67,14 +67,6 @@ class ShadowDirectory final : public obs::EventSink {
   u64 violation_count() const { return violation_count_; }
   bool clean() const { return violation_count_ == 0; }
 
-  // Integrity bookkeeping replayed off kCatIntegrity events (all zero
-  // when the integrity layer is off or the category is not enabled).
-  u64 mail_corrupt_drops() const { return mail_corrupt_drops_; }
-  u64 page_corruptions() const { return page_corruptions_; }
-  u64 pages_poisoned() const { return poisoned_.size(); }
-  u64 meta_corruptions() const { return meta_corruptions_; }
-  u64 scrub_passes() const { return scrub_passes_; }
-
   /// Human-readable summary (event count, each violation on a line).
   std::string report() const;
 
@@ -96,7 +88,6 @@ class ShadowDirectory final : public obs::EventSink {
   u64 mail_corrupt_drops_ = 0;
   u64 page_corruptions_ = 0;
   u64 meta_corruptions_ = 0;
-  u64 scrub_passes_ = 0;
   u64 last_epoch_ = 0;
   u64 events_audited_ = 0;
   u64 violation_count_ = 0;

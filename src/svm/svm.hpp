@@ -30,15 +30,17 @@
 //                   LrcPolicy), typed metadata ops (MetaWord) and the
 //                   TraceSink event seam. No sccsim/sim/mailbox
 //                   includes (CI-enforced).
-//   svm_runtime.*   the binding layer: adapts page faults, mbox::Mail
-//                   traffic, CL1INVMB/WCB callbacks and the simulated
-//                   owner-vector/directory/scratchpad words to the core.
-//   svm.* (this)    the thin per-core endpoint: collectives (alloc,
-//                   barrier, protect), locks, and the SvmDomain layout.
+//   svm.* (this)    one Svm object per core: the collectives (alloc,
+//                   barrier, protect) and locks the application calls,
+//                   and the binding of the protocol core to the chip
+//                   (page faults, mbox::Mail traffic, CL1INVMB/WCB
+//                   callbacks, the simulated owner-vector/directory/
+//                   scratchpad words).
+//   svm_domain.cpp  the chip-wide SvmDomain layout.
 #pragma once
 
-#include <functional>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -46,6 +48,7 @@
 
 #include "kernel/kernel.hpp"
 #include "mailbox/mailbox.hpp"
+#include "mailbox/reliable.hpp"
 #include "sccsim/chip.hpp"
 #include "svm/protocol/policy.hpp"
 #include "svm/protocol/recovery.hpp"
@@ -121,7 +124,7 @@ struct SvmConfig {
   Sabotage sabotage;
 };
 
-/// Chip-wide SVM bookkeeping shared by all per-core Svm endpoints:
+/// Chip-wide SVM bookkeeping shared by all per-core Svm objects:
 /// the simulated-memory layout of the owner vector, the scratchpad and
 /// the per-MC frame allocators.
 ///
@@ -198,7 +201,7 @@ class SvmDomain {
   /// Region id of global page `page_idx`: the sequence number of the
   /// collective allocation covering it, or kNoRegion. One map per
   /// domain; what differs per core (the read-only bit) is kept by each
-  /// core's SvmRuntime.
+  /// core's Svm.
   static constexpr u16 kNoRegion = 0xffff;
   u16 region_of_page(u64 page_idx) const {
     const u64 rel = page_idx - page_index_base_;
@@ -262,8 +265,6 @@ class SvmDomain {
   std::vector<u16> region_by_page_;
 };
 
-class SvmRuntime;
-
 /// Renders the protocol events of one per-core observability ring in the
 /// classic `svm-trace` text format: the newest `max_events` entries, one
 /// per line prefixed with `prefix`, preceded by a "... N earlier
@@ -272,31 +273,36 @@ std::string proto_trace_dump(const obs::EventRing& ring,
                              const char* prefix = "  ",
                              std::size_t max_events = 32);
 
-/// Per-core SVM endpoint. Owns the binding layer (SvmRuntime) that
-/// installs itself as the kernel's SVM fault handler and as the mailbox
-/// handler for the protocol mail types, and the CoherencePolicy instance
-/// the runtime drives.
-class Svm {
+/// One core's SVM subsystem: the application's collectives and locks on
+/// top, and beneath them the binding of the protocol core to the
+/// simulated SCC. It installs itself as the kernel's SVM fault handler
+/// and as the mailbox handler for the protocol mail types, and
+///
+///   * implements proto::MetaStore by issuing uncached ploads/pstores at
+///     the SvmDomain's owner-vector / scratchpad / directory addresses,
+///   * implements proto::ProtocolEnv by binding message sends/waits to
+///     mbox::Mail traffic, page actions to the page table and the
+///     CL1INVMB/WCB callbacks, the transfer lock to its TAS register, and
+///     modelled costs to Core::compute_cycles,
+///   * owns the fault path: the frame is learned here (first touch,
+///     Section 6.3) and everything protocol-shaped is delegated to the
+///     CoherencePolicy instance selected from SvmConfig.
+class Svm final : public proto::ProtocolEnv, public proto::MetaStore {
  public:
   Svm(kernel::Kernel& kernel, mbox::MailboxSystem& mbox, SvmDomain& domain);
-  ~Svm();
+
+  Svm(const Svm&) = delete;
+  Svm& operator=(const Svm&) = delete;
 
   int rank() const { return rank_; }
   Model model() const { return domain_.config().model; }
-  const SvmStats& stats() const;
+  const SvmStats& stats() const { return stats_; }
 
   /// The per-core protocol-event ring (state transitions, messages,
   /// metadata writes) on the chip's observability bus — rendered by the
   /// cluster report's `svm-trace` section and dumped on
   /// SvmProtectionError. Format with proto_trace_dump().
   const obs::EventRing& trace() const;
-
-  /// The coherence policy driving this endpoint's page state machine.
-  const proto::CoherencePolicy& policy() const;
-
-  /// The binding layer (for diagnostics: the cluster registers its
-  /// append_hang_report with the chip watchdog).
-  SvmRuntime& runtime() { return *runtime_; }
 
   // ---- collective operations (every member must call, same args) ----
 
@@ -331,15 +337,181 @@ class Svm {
 
   scc::Core& core() { return core_; }
 
+  /// Appends this core's SVM diagnostics (stats, in-flight request,
+  /// owner-vector word of the contended page, protocol event ring) to a
+  /// watchdog hang report. Reads simulated memory host-side, cost-free.
+  void append_hang_report(std::string& out);
+
+  // ---- proto::ProtocolEnv ----
+
+  int self() const override { return core_.id(); }
+  proto::MetaWord& meta() override { return meta_word_; }
+  proto::SvmStats& stats() override { return stats_; }
+  /// TraceSink: stamps the record with this core's virtual clock and
+  /// publishes it on the chip's observability bus (which keeps it in
+  /// this core's ring and fans it out to any attached sinks).
+  void trace(const proto::TraceEvent& e) override;
+  void send(int dest, const proto::Msg& m) override;
+  int multicast(const proto::SharerSet& dests, const proto::Msg& m) override;
+  proto::Msg wait_match(proto::MsgType type, u64 page) override;
+  void yield() override;
+  void flush_wcb() override;
+  void cl1invmb() override;
+  void map_page(u64 page, u16 frame, bool writable) override;
+  void unmap_page(u64 page) override;
+  void downgrade_page(u64 page) override;
+  void transfer_lock(u64 page) override;
+  void transfer_unlock(u64 page) override;
+  void page_seal(u64 page, bool exclusive) override;
+  void page_verify(u64 page) override;
+  void irq_off() override;
+  void irq_on() override;
+  void cost_cycles(u32 cycles) override;
+  void hw_count(proto::HwEvent event, u64 delta) override;
+  void warn(const char* message) override;
+
+  // ---- proto::MetaStore (uncached simulated-memory words) ----
+
+  /// One uncached simulated transaction per word; a directory entry's
+  /// words sit 8 bytes apart from sharer_entry_paddr(page).
+  u64 load(proto::MetaKind kind, u64 page, int word) override;
+  void store(proto::MetaKind kind, u64 page, int word, u64 value) override;
+
  private:
-  kernel::Kernel& kernel_;
+  // ---- per-core region attributes (the region map is the domain's) ----
+
+  /// Region id of `vaddr` in the domain's region map, or
+  /// SvmDomain::kNoRegion.
+  u16 region_of(u64 vaddr) const;
+  /// This core's read-only bit for region `id`. It is per core because
+  /// protect_readonly takes effect on each core at its own call: a core
+  /// that has not reached the call yet may still write the region. Once
+  /// set, the bit stays set.
+  bool region_readonly(u16 id) const {
+    return id < readonly_.size() && readonly_[id];
+  }
+
+  /// The kernel's SVM fault handler (Section 6): learns the page's frame
+  /// and hands the model-dependent tail to the policy.
+  void handle_fault(u64 vaddr, bool is_write);
+
+  /// Converts an incoming protocol mail and hands it to the policy.
+  void dispatch_mail(const mbox::Mail& mail);
+
+  /// One request this core originated and has not been fully acked:
+  /// the stamped mail for idempotent retransmission, plus the set of
+  /// destinations still owing an ACK (a single member for unicast
+  /// requests, the sharer set for an invalidation multicast).
+  struct PendingRequest {
+    mbox::Mail mail;        // exactly as first sent (arg16 = seq)
+    proto::SharerSet awaiting;
+    u64 page = 0;
+    u16 seq = 0;
+    proto::MsgType ack_type = proto::MsgType::kOwnershipAck;
+  };
+
+  /// Receiver-side ACK filter: drops duplicates (same sender, type,
+  /// page, seq) so a retransmitted or fault-duplicated ACK can never be
+  /// counted twice against a multicast wait; survivors go to the inbox.
+  void on_ack_mail(const mbox::Mail& mail);
+
+  /// Re-sends the pending request to every destination still owing an
+  /// ACK. try_send only: when the original mail still sits in the slot
+  /// it is still deliverable and a duplicate deposit must not clobber
+  /// unrelated traffic.
+  void retransmit_pending();
+
+  // ---- fail-stop recovery (see protocol/recovery.hpp) ----
+
+  /// Called from the bounded wait's timeout path: if a peer still owing
+  /// an ACK — or the recorded owner of the awaited page — is dead past
+  /// its lease, repairs the page under the transfer lock we already hold
+  /// and returns the dead peer's ACK, synthesized. Returns nullopt when
+  /// no relevant core is dead; throws SvmDataLossError when the repair
+  /// (or an earlier one) poisoned the page.
+  std::optional<mbox::Mail> try_dead_peer_recovery();
+
+  /// Binding wrapper around proto::recover_page: computes the dead set
+  /// and the dead owner's dirty-WCB verdict from the chip, fences the
+  /// domain's recovery epoch, and publishes kRecoveryBegin/End.
+  proto::RecoveryAction run_page_recovery(u64 page, int dead_core);
+
+  /// True when `page`'s recorded owner is dead and its write-combine
+  /// buffer died holding a line inside this page's frame.
+  bool dead_owner_died_dirty(u64 page);
+
+  /// Releases any transfer locks this core still holds (data-loss throw
+  /// unwinding out of a protocol flow that is not exception-aware).
+  void release_held_transfer_locks();
+
+  /// Frames come from the preferred controller's quarter while it lasts,
+  /// then fall back round-robin — the NUMA-style placement of Sec. 6.3.
+  u16 alloc_frame_near(int preferred_mc);
+  void zero_frame(u16 frame_no);
+  /// Maps `page_vaddr` to `frame_no`. SVM pages are MPBT-typed (L1
+  /// write-through + WCB, no L2); read-only regions are not, so they may
+  /// use the L2 (Section 6.4).
+  void install_mapping(u64 page_vaddr, u16 frame_no, bool writable,
+                       bool mpbt);
+  u64 page_index_of(u64 vaddr) const;
+  u64 page_vaddr_of(u64 page_idx) const;
+
+  // ---- integrity layer (armed only; see DESIGN.md §15) ----
+
+  /// Host-side CRC32C of the frame at simulated physical `frame_base`.
+  u32 frame_crc(u64 frame_base);
+  /// The CRC-mismatch tail of page_verify and scrub_tick: marks `page`
+  /// permanently lost. Owner word := kOwnerCorrupt (a traced metadata
+  /// store, so the auditor and the ECC shadow both see the poison);
+  /// publishes kPageCorrupt.
+  void poison_page(u64 page, u32 gen);
+  /// The frame number the scratchpad publishes for `page`, read
+  /// host-side at no simulated cost; 0 before first touch.
+  u16 published_frame(u64 page);
+  /// One metadata word through the flipmeta + ECC-shadow pipeline.
+  u64 meta_load_word(u64 paddr, u32 bits, proto::MetaKind kind, u64 page);
+  void meta_store_word(u64 paddr, u64 value, u32 bits, u64 page);
+  /// Simulated physical address of word `word` of `page`'s metadata
+  /// entry of `kind`.
+  u64 meta_paddr(proto::MetaKind kind, u64 page, int word) const;
+  /// Timer hook (registered only when the plan sets scrub_ps): walks a
+  /// bounded slice of this core's sealed pages per period, poisoning any
+  /// frame that no longer matches its seal.
+  void scrub_tick();
+
   mbox::MailboxSystem& mbox_;
   SvmDomain& domain_;
   scc::Core& core_;
-  std::unique_ptr<SvmRuntime> runtime_;
-  int rank_ = -1;
-  u64 next_vaddr_ = 0;  // per-core bump, kept symmetric by collectives
+  int rank_ = -1;  // this core's index among the domain members
   u8 barrier_sense_ = 1;
+
+  proto::MetaWord meta_word_;
+  proto::SvmStats stats_;
+  std::unique_ptr<proto::CoherencePolicy> policy_;
+
+  // Private batch of contiguous frames (see alloc_frame_near).
+  u16 frame_batch_next_ = 0;
+  u16 frame_batch_end_ = 0;
+
+  std::vector<bool> readonly_;  // by region id; grown on first set
+
+  // ---- protocol-mail resilience (all host-side bookkeeping) ----
+
+  u16 serving_seq_ = 0;  // seq of the request currently being served;
+                         // forwards and ACKs echo it so the chain keeps
+                         // the originator's sequence number end to end
+  std::optional<PendingRequest> pending_;
+  /// Request sequence stamping + bounded recent-ACK dedup (wrap and
+  /// eviction semantics live in mailbox/reliable.hpp, where they are
+  /// unit-tested directly).
+  mbox::AckRing acks_;
+
+  // ---- integrity layer state (all inert unless integrity_) ----
+
+  bool integrity_ = false;  // latched from FaultPlan::integrity_armed()
+  TimePs scrub_period_ps_ = 0;
+  TimePs next_scrub_ps_ = 0;
+  u64 scrub_cursor_ = 0;   // resumes the bounded walk across passes
 };
 
 }  // namespace msvm::svm

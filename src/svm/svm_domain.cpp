@@ -9,6 +9,7 @@
 
 #include "sccsim/addrmap.hpp"
 #include "svm/svm.hpp"
+#include "svm/svm_panic.hpp"
 
 namespace msvm::svm {
 
@@ -16,14 +17,14 @@ namespace {
 
 using proto::kFrameMask;
 
-[[noreturn]] void panic(const char* msg) {
-  std::fprintf(stderr, "msvm::svm panic: %s\n", msg);
-  std::abort();
-}
-
 u64 round_up(u64 v, u64 to) { return (v + to - 1) / to * to; }
 
 }  // namespace
+
+void panic(const char* msg) {
+  std::fprintf(stderr, "msvm::svm panic: %s\n", msg);
+  std::abort();
+}
 
 SvmDomain::SvmDomain(scc::Chip& chip, SvmConfig cfg,
                      std::vector<int> members, int slot, int num_slots)

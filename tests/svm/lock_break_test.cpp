@@ -14,7 +14,6 @@
 #include "kernel/kernel.hpp"
 #include "sim/faults.hpp"
 #include "svm/svm.hpp"
-#include "svm/svm_runtime.hpp"
 
 namespace msvm::svm {
 namespace {
@@ -62,7 +61,7 @@ BreakRun run_dead_holder(LockKind kind, const std::string& plan) {
   const auto acquire = [&](Node& n) {
     switch (kind) {
       case LockKind::kTransfer:
-        n.svm().runtime().transfer_lock(kTransferPage);
+        n.svm().transfer_lock(kTransferPage);
         return;
       case LockKind::kApp:
         n.svm().lock_acquire(kAppLock);
@@ -75,7 +74,7 @@ BreakRun run_dead_holder(LockKind kind, const std::string& plan) {
   const auto release = [&](Node& n) {
     switch (kind) {
       case LockKind::kTransfer:
-        n.svm().runtime().transfer_unlock(kTransferPage);
+        n.svm().transfer_unlock(kTransferPage);
         return;
       case LockKind::kApp:
         n.svm().lock_release(kAppLock);

@@ -1,5 +1,5 @@
 // Deterministic protocol harness — the second ProtocolEnv implementation
-// (next to SvmRuntime): no fibers, no chip, no mailboxes. N policy
+// (next to svm::Svm): no fibers, no chip, no mailboxes. N policy
 // instances share a plain metadata store and a byte-addressed memory
 // model; protocol messages travel through per-core inboxes that the
 // harness drains *deterministically* (lowest core id first) whenever a
