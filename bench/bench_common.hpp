@@ -124,12 +124,16 @@ inline u64 arg_seed(int argc, char** argv, u64 fallback = 42) {
 /// across platforms (xoshiro256**), reproducible from the JSON record.
 inline sim::Rng seeded_rng(u64 seed) { return sim::Rng(seed); }
 
-/// The core-count override for scale sweeps ("--cores=N"). Validated
-/// against the supported range here so every bench rejects a bad count
+/// The core-count override for scale sweeps ("--cores=N"), or `fallback`
+/// when the flag is absent. Every value given is validated against the
+/// supported range here, so every bench rejects a bad count (0 included)
 /// with a clear message instead of tripping config validation later.
 inline int arg_cores(int argc, char** argv, int fallback = 48) {
-  const u64 cores = arg_u64(argc, argv, "cores", static_cast<u64>(fallback));
-  if (cores == static_cast<u64>(fallback)) return fallback;  // sentinels
+  const bool given = std::any_of(argv + 1, argv + argc, [](const char* a) {
+    return std::string(a).rfind("--cores=", 0) == 0;
+  });
+  if (!given) return fallback;
+  const u64 cores = arg_u64(argc, argv, "cores", 0);
   if (cores < 1 || cores > 1024) {
     std::fprintf(stderr, "--cores=%llu outside the supported [1, 1024]\n",
                  static_cast<unsigned long long>(cores));

@@ -17,8 +17,7 @@
 int main(int argc, char** argv) {
   using namespace msvm;
   const u64 seed = bench::arg_seed(argc, argv);
-  const int cores =
-      static_cast<int>(bench::arg_u64(argc, argv, "cores", 48));
+  const int cores = bench::arg_cores(argc, argv);
   const u32 pages =
       static_cast<u32>(bench::arg_u64(argc, argv, "pages", 16));
 

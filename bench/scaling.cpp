@@ -13,10 +13,9 @@
 //   --quick     CI smoke: counts {48, 256} on a smaller grid
 //   --metrics   also fold the core counters into the JSON
 //
-// Expected shape: LRC scales furthest (no ownership round-trips); Strong
-// pays per-fault mail latency that grows with mesh diameter; read
-// replication recovers most of the gap on these read-mostly sharing
-// patterns at the price of multicast invalidations.
+// Claim: LRC, which needs no ownership round-trips, is the fastest of the
+// three models at every swept core count, on both Laplace and matmul. A
+// run that contradicts it exits 1.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -89,6 +88,9 @@ int main(int argc, char** argv) {
     json.topology(only);
   }
 
+  bench::Claim claim(
+      "LRC is the fastest model at every core count, on Laplace and "
+      "matmul");
   std::printf("%6s | %12s %12s %12s | %12s %12s %12s\n", "cores",
               "lapl str", "lapl s+rr", "lapl lrc", "mm str", "mm s+rr",
               "mm lrc");
@@ -117,13 +119,16 @@ int main(int argc, char** argv) {
     std::printf("%6d | %12.2f %12.2f %12.2f | %12.2f %12.2f %12.2f\n",
                 cores, lapl_ms[0], lapl_ms[1], lapl_ms[2], mm_ms[0],
                 mm_ms[1], mm_ms[2]);
+    claim.require(lapl_ms[2] < lapl_ms[0] && lapl_ms[2] < lapl_ms[1],
+                  "laplace lrc %.3f < strong %.3f, strong+rr %.3f ms at %d "
+                  "cores",
+                  lapl_ms[2], lapl_ms[0], lapl_ms[1], cores);
+    claim.require(mm_ms[2] < mm_ms[0] && mm_ms[2] < mm_ms[1],
+                  "matmul lrc %.3f < strong %.3f, strong+rr %.3f ms at %d "
+                  "cores",
+                  mm_ms[2], mm_ms[0], mm_ms[1], cores);
     json.write();  // flush after every count: long sweeps stay diffable
   }
   bench::print_row_sep();
-  std::printf(
-      "expected shape: LRC degrades most gracefully with the mesh\n"
-      "diameter; strong pays ownership round-trips per fault; read\n"
-      "replication recovers most of the strong-model gap on these\n"
-      "read-mostly patterns.\n");
-  return 0;
+  return claim.verdict();
 }
