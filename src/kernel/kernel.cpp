@@ -12,13 +12,10 @@ namespace msvm::kernel {
 
 namespace {
 
-/// One spin_wait, as a state machine both the fiber and the scheduler's
-/// poll hook can advance. Each poll is: the relax wake-up, then the read
-/// and its access tick (TAS: tick then test-and-set; MPB byte: load then
-/// tick), then the loop tail (spin count, watchdog, the next relax).
-/// The tick may yield mid-way when it passes a boundary, which splits a
-/// poll in two; `phase_` records where the fiber must pick up when the
-/// hook hands it back.
+/// One spin_wait. Each poll is: the relax wake-up, then the read and its
+/// access tick (TAS: tick then test-and-set; MPB byte: load then tick),
+/// then the loop tail (watchdog, the next relax). Where the core may
+/// park, a failed poll parks it instead of sleeping (park() below).
 class SpinWait {
  public:
   SpinWait(scc::Core& core, const scc::WatchedWord& word,
@@ -33,15 +30,11 @@ class SpinWait {
   void run();
 
  private:
-  enum class Phase : u8 {
-    kPoll,      // next: a whole poll
-    kSleeping,  // relaxing until slept_at_ + gap; next: the wake-up
-    kRead,      // TAS access ticked (the fiber would have yielded); next:
-                // the test-and-set
-    kMissed,    // the poll failed and is charged; next: the loop tail
-  };
-
-  sim::PollStep step(TimePs at, bool timed_out, TimePs others);
+  /// Parks the wait that went to sleep at `slept_at` for `gap`, if the
+  /// core and the train allow it, and returns false otherwise. On return
+  /// from the park the failed polls are charged, and `read` says that the
+  /// next poll's wake-up and tick are done as well: its read is next.
+  bool park(TimePs slept_at, TimePs gap, bool& read);
 
   /// After a failed poll of a TAS word: forces the register open when
   /// its holder is dead past the lease (see spin_wait).
@@ -59,96 +52,80 @@ class SpinWait {
   const TimePs cost_;  // access latency of one poll
   const TimePs t0_;    // when the wait began (watchdog)
   TimePs backoff_;
-  TimePs slept_at_ = 0;
-  u64 spins_ = 0;
-  Phase phase_ = Phase::kPoll;
 };
 
 void SpinWait::run() {
   scc::Chip& chip = core_.chip();
-  sim::Actor& self = *core_.actor();
-  sim::BlockScope scope(&self, opts_.site, opts_.site_arg, opts_.site_arg2);
-  const auto hook = [this](TimePs at, bool timed_out, TimePs others) {
-    return step(at, timed_out, others);
-  };
+  sim::BlockScope scope(core_.actor(), opts_.site, opts_.site_arg,
+                        opts_.site_arg2);
+  bool read = false;
   for (;;) {
-    if (phase_ != Phase::kMissed) {
-      const bool got = phase_ == Phase::kRead ? core_.tas_read(word_.reg)
-                                              : core_.poll(word_);
-      if (got) return;
-      if (word_.kind == scc::WatchedWord::Kind::kTas) break_dead_holder();
-    }
-    ++spins_;
+    const bool got = read ? core_.tas_read(word_.reg) : core_.poll(word_);
+    read = false;
+    if (got) return;
+    if (word_.kind == scc::WatchedWord::Kind::kTas) break_dead_holder();
     if (chip.watchdog().check(core_.now(), t0_, opts_.site, core_.id())) {
       chip.scheduler().block();  // parked; teardown unwinds via cancel
     }
     const TimePs gap = next_gap();
-    phase_ = Phase::kPoll;
     if (core_.in_interrupt() || core_.irqs_masked()) {
-      core_.relax(gap);  // cannot sleep here: no hook either
+      core_.relax(gap);  // cannot sleep here
       continue;
     }
-    slept_at_ = core_.now();
-    phase_ = Phase::kSleeping;
-    {
-      // The hook only runs while the fiber is parked in this block; the
-      // guard also clears it when teardown unwinds the fiber from here.
-      // It is gone before the wake-up below, which may yield: a yielder
-      // never carries a hook back into the scheduler.
-      struct HookGuard {
-        sim::Actor& actor;
-        ~HookGuard() { actor.set_poll_hook({}); }
-      } guard{self};
-      self.set_poll_hook(hook);
-      chip.scheduler().block_until(slept_at_ + gap);
-    }
-    if (phase_ == Phase::kSleeping) {  // the hook left the wake-up to us
-      core_.wake_from_relax(slept_at_);
-      phase_ = Phase::kPoll;
-    }
+    const TimePs slept_at = core_.now();
+    if (park(slept_at, gap, read)) continue;
+    chip.scheduler().block_until(slept_at + gap);
+    core_.wake_from_relax(slept_at);
   }
 }
 
-sim::PollStep SpinWait::step(TimePs at, bool timed_out, TimePs others) {
-  constexpr sim::PollStep kRun{};
-  const bool tas = word_.kind == scc::WatchedWord::Kind::kTas;
-  switch (phase_) {
-    case Phase::kSleeping:
-      // A poll that might succeed, or a wake-up that is not the plain
-      // timeout, is the fiber's.
-      if (!timed_out || !core_.can_step_poll(at, cost_) ||
-          core_.word_ready(word_)) {
-        return kRun;
-      }
-      core_.wake_quiet(at, slept_at_);
-      if (!tas) core_.charge_failed_poll(word_);
-      if (core_.tick_quiet(cost_) && others < core_.now()) {
-        // The fiber would yield mid-tick: re-queue at the tick's end, as
-        // maybe_yield does, with the rest of the poll pending.
-        phase_ = tas ? Phase::kRead : Phase::kMissed;
-        return {core_.now(), /*timeout=*/false};
-      }
-      if (tas) core_.charge_failed_poll(word_);  // still held: see above
-      break;
-    case Phase::kRead:
-      // The test-and-set reads the register at this post-yield moment.
-      if (core_.word_ready(word_)) return kRun;
-      core_.charge_failed_poll(word_);
-      break;
-    case Phase::kMissed:
-      break;
-    case Phase::kPoll:
-      return kRun;
+bool SpinWait::park(TimePs slept_at, TimePs gap, bool& read) {
+  scc::Chip& chip = core_.chip();
+  const sim::Watchdog& watchdog = chip.watchdog();
+  // An MPB poll reads before its tick, which may yield: a store can have
+  // readied the byte since. Then the next poll succeeds; sleep for it.
+  if (!core_.can_park() || watchdog.tripped() || core_.word_ready(word_)) {
+    return false;
   }
-  phase_ = Phase::kMissed;
-  // The loop tail: a watchdog trip acts on the host, so it is the
-  // fiber's too. (No poll is stepped while a death or a lease could
-  // make break_dead_holder act: see Core::can_step_poll.)
-  if (core_.chip().watchdog().would_trip(core_.now(), t0_)) return kRun;
-  ++spins_;
-  slept_at_ = core_.now();
-  phase_ = Phase::kSleeping;
-  return {slept_at_ + next_gap(), /*timeout=*/true};
+  const sim::PollTrain train(slept_at, gap, opts_.cap_ps, cost_,
+                             core_.boundary_interval(),
+                             core_.next_boundary());
+  if (!train.valid()) return false;
+  // The fiber runs the first poll that meets a timer tick, or at whose
+  // tail the watchdog trips.
+  u64 limit = train.first_reaching(core_.next_timer());
+  bool quiet = false;
+  if (watchdog.enabled()) {
+    const u64 trip = train.first_reaching(t0_ + watchdog.limit_ps() + 1);
+    if (trip < limit) {
+      limit = trip;
+      quiet = true;
+    }
+  }
+  if (limit == 0) return false;
+  chip.watch(core_, word_);
+  struct Unwatch {  // also when teardown unwinds the fiber from the park
+    scc::Chip& chip;
+    scc::Core& core;
+    const scc::WatchedWord& word;
+    ~Unwatch() { chip.unwatch(core, word); }
+  } unwatch{chip, core_, word_};
+  // What the plain loop's failed polls left behind.
+  const auto charge = [&](const sim::ParkResume& r) {
+    TimePs busy = train.slept_after(r.polls) - slept_at;
+    TimePs boundary = train.boundary_after(r.polls);
+    if (r.read) {
+      busy += train.gap(r.polls) + cost_;
+      boundary = train.boundary_after(r.polls + 1);
+    }
+    core_.charge_parked(word_, r.polls, busy, boundary);
+  };
+  const sim::ParkResume r =
+      chip.scheduler().park(train, limit, quiet, charge);
+  backoff_ = train.gap(r.polls + 1);  // next_gap() after poll r.polls
+  read = r.read;
+  if (!read) core_.wake_from_relax(train.slept_after(r.polls));
+  return true;
 }
 
 void SpinWait::break_dead_holder() {
@@ -165,7 +142,7 @@ void SpinWait::break_dead_holder() {
   MSVM_LOG_INFO("core %d: breaking TAS lock %d held by dead core %d "
                 "t=%.3fms",
                 core_.id(), word_.reg, holder, ps_to_ms(core_.now()));
-  chip.memory().tas_write_release(word_.reg);
+  chip.release_tas(word_.reg);
   ++core_.counters().tas_locks_broken;
   core_.compute_cycles(200);  // modelled detection/repair cost
 }

@@ -46,17 +46,19 @@ SpinWaitOpts tas_spin_opts(scc::Core& core, const char* site,
 /// break costs 200 cycles and counts in CoreCounters::tas_locks_broken.
 /// Every TAS lock in the tree waits here, so all of them break alike.
 ///
-/// While the core sleeps between polls, the wait installs a poll hook on
-/// its actor. The scheduler then steps a poll whose word is still held
-/// without resuming the fiber: it charges the wake-up, the access tick
-/// and the failed poll's counters, and re-keys the entry at the next poll
-/// instant, or at the end of the tick where the fiber would yield
-/// mid-tick. The scheduler parks such re-keys on its timing wheel, off
-/// the binary heap, in the same (time, id) order. Any poll that might
-/// succeed, meet an interrupt, a fault, a trace event or a watchdog trip
-/// resumes the fiber instead, so every clock and counter is what the
-/// plain loop produces (DESIGN.md §11, "Failed polls run in the
-/// scheduler").
+/// A failed poll parks the core (sim::Scheduler::park) instead of
+/// sleeping, where it may: no handler is running, interrupts are live
+/// and no IPI is pending, and nothing acts or publishes inside an access
+/// (fault injection, kill or lease tracking, the kCatMem firehose). A
+/// parked core's later polls would all fail while nobody writes its word,
+/// so they are not run: the core holds one event entry, at the first poll
+/// that meets a timer tick or a watchdog trip. A TAS release
+/// (Chip::release_tas), a store to the watched MPB byte (every store path,
+/// WCB flushes included) or an IPI wakes it, at the poll the plain loop
+/// would have read the word with, and the skipped polls are charged in
+/// closed form: clock, busy time, the failed polls' counters and the
+/// backoff. Every clock and counter is what the plain loop produces
+/// (DESIGN.md §11, "Spinning cores leave the event order").
 void spin_wait(scc::Core& core, const scc::WatchedWord& word,
                const SpinWaitOpts& opts);
 

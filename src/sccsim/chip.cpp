@@ -1,5 +1,6 @@
 #include "sccsim/chip.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 #include <string>
@@ -34,7 +35,9 @@ Chip::Chip(ChipConfig cfg)
       watchdog_(sched_, cfg_.faults.watchdog_ps),
       bus_(cfg_.num_cores),
       mc_busy_until_(
-          static_cast<std::size_t>(topology().num_mem_controllers()), 0) {
+          static_cast<std::size_t>(topology().num_mem_controllers()), 0),
+      tas_watch_(static_cast<std::size_t>(topology().max_cores())),
+      tas_watched_(static_cast<std::size_t>(cfg_.num_cores), -1) {
   // Apply the process-wide observability configuration (filled by the
   // bench --trace/--metrics flags; default all-off and side-effect-free).
   const obs::RuntimeConfig& ocfg = obs::runtime_config();
@@ -78,8 +81,14 @@ Chip::Chip(ChipConfig cfg)
   // scheduler wake of the target actor, delayed by the wire latency.
   gic_.wake_fn = [this](int target, TimePs at) {
     sim::Actor* actor = core(target).actor();
-    if (actor != nullptr) {
-      sched_.wake(*actor, at + kIpiWirePs);
+    if (actor == nullptr) return;
+    sched_.wake(*actor, at + kIpiWirePs);
+    // A parked TAS waiter queued to take a free register now runs its
+    // handler first: another parked waiter may read the register first.
+    const int reg = tas_watched_[static_cast<std::size_t>(target)];
+    if (reg >= 0 && memory_.tas_holder(reg) < 0) {
+      sched_.word_ready(tas_watch_[static_cast<std::size_t>(reg)],
+                        /*tas=*/true);
     }
   };
 }
@@ -166,6 +175,55 @@ void Chip::append_held_tas(std::string& out) const {
     out += "tas reg " + std::to_string(reg) + ": held by core " +
            std::to_string(holder) + (core_dead(holder) ? " (dead)" : "") +
            "\n";
+  }
+}
+
+void Chip::watch(Core& core, const WatchedWord& w) {
+  if (w.kind == WatchedWord::Kind::kTas) {
+    tas_watch_.at(static_cast<std::size_t>(w.reg)).push_back(core.actor());
+    tas_watched_[static_cast<std::size_t>(core.id())] = w.reg;
+  } else {
+    // Kept sorted by byte, so a store finds its watchers by search.
+    const auto at = std::lower_bound(
+        mpb_watch_.begin(), mpb_watch_.end(), w.paddr,
+        [](const MpbWatch& m, u64 paddr) { return m.word.paddr < paddr; });
+    mpb_watch_.insert(at, {&core, w});
+  }
+}
+
+void Chip::unwatch(Core& core, const WatchedWord& w) {
+  if (w.kind == WatchedWord::Kind::kTas) {
+    std::vector<sim::Actor*>& list =
+        tas_watch_[static_cast<std::size_t>(w.reg)];
+    std::erase(list, core.actor());
+    tas_watched_[static_cast<std::size_t>(core.id())] = -1;
+  } else {
+    auto it = std::lower_bound(
+        mpb_watch_.begin(), mpb_watch_.end(), w.paddr,
+        [](const MpbWatch& m, u64 paddr) { return m.word.paddr < paddr; });
+    while (it->core != &core) ++it;
+    mpb_watch_.erase(it);
+  }
+}
+
+void Chip::release_tas(int reg) {
+  memory_.tas_write_release(reg);
+  const std::vector<sim::Actor*>& list =
+      tas_watch_[static_cast<std::size_t>(reg)];
+  if (!list.empty()) sched_.word_ready(list, /*tas=*/true);
+}
+
+void Chip::wake_mpb_watchers(u64 paddr, u32 size) {
+  auto it = std::lower_bound(
+      mpb_watch_.begin(), mpb_watch_.end(), paddr,
+      [](const MpbWatch& m, u64 p) { return m.word.paddr < p; });
+  for (; it != mpb_watch_.end() && it->word.paddr < paddr + size; ++it) {
+    const MpbWatch& m = *it;
+    if (m.core->word_ready(m.word)) {
+      sim::Actor* actor = m.core->actor();
+      sched_.word_ready(std::span<sim::Actor* const>(&actor, 1),
+                        /*tas=*/false);
+    }
   }
 }
 

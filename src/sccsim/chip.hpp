@@ -64,6 +64,23 @@ class Chip {
   /// issued at time `t` (zero unless mc_contention is enabled).
   TimePs mc_queue_delay(int mc, TimePs t);
 
+  // ---- watched words: the parked spin waits (kernel::spin_wait) ----
+
+  /// Registers `core`'s spin wait, about to park, on `w`; unwatch()
+  /// takes it off again once it runs.
+  void watch(Core& core, const WatchedWord& w);
+  void unwatch(Core& core, const WatchedWord& w);
+
+  /// Releases Test-and-Set register `reg` (a write by the running core)
+  /// and queues the parked waiters that may read it first.
+  void release_tas(int reg);
+
+  /// A store by the running core reached MPB bytes [paddr, paddr+size):
+  /// queues each parked waiter whose byte now holds what it waits for.
+  void mpb_written(u64 paddr, u32 size) {
+    if (!mpb_watch_.empty()) wake_mpb_watchers(paddr, size);
+  }
+
   /// Sum of all cores' counters.
   CoreCounters total_counters() const;
 
@@ -75,8 +92,8 @@ class Chip {
   // schedules kills or arms the heartbeat lease) ----
 
   /// True when the fault plan schedules at least one core kill. A core
-  /// may then die inside any access, so the scheduler steps no poll for
-  /// it (Core::can_step_poll).
+  /// may then die inside any access, so no spin wait parks
+  /// (Core::can_park).
   bool tracking_deaths() const { return !kill_at_.empty(); }
 
   /// Virtual time core `i` is scheduled to fail-stop (kTimeNever: never).
@@ -129,6 +146,13 @@ class Chip {
   /// its holder and whether that core is dead.
   void append_held_tas(std::string& out) const;
 
+  void wake_mpb_watchers(u64 paddr, u32 size);
+
+  struct MpbWatch {
+    Core* core;
+    WatchedWord word;
+  };
+
   ChipConfig cfg_;
   Memory memory_;
   LatencyModel latency_;
@@ -140,6 +164,12 @@ class Chip {
   std::vector<std::unique_ptr<Core>> cores_;
   std::vector<TimePs> mc_busy_until_;
   TimePs makespan_ = 0;
+
+  // Parked spin waits: by TAS register, and the MPB bytes watched
+  // (sorted by byte).
+  std::vector<std::vector<sim::Actor*>> tas_watch_;
+  std::vector<int> tas_watched_;  // by core: its register, or -1
+  std::vector<MpbWatch> mpb_watch_;
 
   // Fail-stop bookkeeping (sized in the ctor only when the plan asks).
   std::vector<TimePs> kill_at_;     // per-core scheduled death time

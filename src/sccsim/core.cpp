@@ -450,6 +450,7 @@ TimePs Core::device_write(u64 paddr, const void* src, u32 size) {
   const PhysTarget t = chip_.map().decode(paddr);
   const TimePs cost = device_latency(t, paddr, /*is_write=*/true);
   chip_.memory().write(paddr, t, src, size);
+  if (t.kind == MemKind::kMpb) chip_.mpb_written(paddr, size);
   publish(obs::EventKind::kMemWrite, paddr, size, mem_target(t));
   return cost;
 }
@@ -459,6 +460,7 @@ TimePs Core::device_write_masked(u64 paddr, const void* src, u32 size,
   const PhysTarget t = chip_.map().decode(paddr);
   const TimePs cost = device_latency(t, paddr, /*is_write=*/true);
   chip_.memory().write_masked(paddr, t, src, size, mask);
+  if (t.kind == MemKind::kMpb) chip_.mpb_written(paddr, size);
   return cost;
 }
 
@@ -488,7 +490,7 @@ TimePs Core::tas_cost(int reg) const {
 
 bool Core::tas_read(int reg) {
   if (!chip_.memory().tas_read_acquire(reg, id_)) {
-    charge_failed_poll(WatchedWord::tas(reg));
+    charge_failed_polls(WatchedWord::tas(reg));
     return false;
   }
   ++counters_.tas_acquires;
@@ -497,7 +499,7 @@ bool Core::tas_read(int reg) {
 
 void Core::tas_release(int reg) {
   tick(tas_cost(reg));
-  chip_.memory().tas_write_release(reg);
+  chip_.release_tas(reg);
 }
 
 // ---------------------------------------------------------------------------
@@ -525,28 +527,21 @@ TimePs Core::poll_cost(const WatchedWord& w) const {
   return chip_.latency().mpb_access(topo_->hops_between_cores(id_, owner));
 }
 
-void Core::charge_failed_poll(const WatchedWord& w) {
+void Core::charge_failed_polls(const WatchedWord& w, u64 n) {
   if (w.kind == WatchedWord::Kind::kTas) {
-    ++counters_.tas_acquires;
-    ++counters_.tas_spins;
+    counters_.tas_acquires += n;
+    counters_.tas_spins += n;
     return;
   }
-  ++counters_.uncached_ops;
-  ++counters_.mpb_reads;
-  if (w.polls != nullptr) ++*w.polls;
+  counters_.uncached_ops += n;
+  counters_.mpb_reads += n;
+  if (w.polls != nullptr) *w.polls += n;
 }
 
-bool Core::can_step_poll(TimePs at, TimePs cost) const {
-  // The wake-up delivers interrupts at `at`, the poll's tick at a
-  // boundary by `at + cost`: neither may find one pending or due. Fault
-  // injection, fail-stop tracking and the memory firehose all act or
-  // publish inside an access, and with a death and a lease a failed TAS
-  // poll may break a dead holder's lock, so any of them rules stepping
-  // out.
-  return !in_irq_ && irq_mask_depth_ == 0 && at + cost < next_timer_ &&
-         !chip_.gic().has_pending(id_) && !chip_.faults().enabled() &&
-         !chip_.tracking_deaths() && !chip_.lease_enabled() &&
-         !chip_.bus().enabled(obs::kCatMem);
+bool Core::can_park() const {
+  return !in_irq_ && irq_mask_depth_ == 0 && !chip_.gic().has_pending(id_) &&
+         !chip_.faults().enabled() && !chip_.tracking_deaths() &&
+         !chip_.lease_enabled() && !chip_.bus().enabled(obs::kCatMem);
 }
 
 // ---------------------------------------------------------------------------

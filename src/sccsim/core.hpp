@@ -156,34 +156,30 @@ class Core {
   /// Access latency of one poll of `w`.
   TimePs poll_cost(const WatchedWord& w) const;
 
-  /// The counters of one failed poll of `w` (tas_acquires + tas_spins, or
-  /// uncached_ops + mpb_reads + *polls). A failed poll changes no memory,
-  /// so these are all it leaves behind.
-  void charge_failed_poll(const WatchedWord& w);
+  /// The counters of `n` failed polls of `w` (tas_acquires + tas_spins,
+  /// or uncached_ops + mpb_reads + *polls). A failed poll changes no
+  /// memory, so these are all it leaves behind.
+  void charge_failed_polls(const WatchedWord& w, u64 n = 1);
 
-  /// True when the relax wake-up at `at` and a poll costing `cost` would
-  /// deliver no interrupt, inject no fault and publish no event, so a
-  /// scheduler poll hook may charge them with wake_quiet and tick_quiet
-  /// instead of resuming the fiber.
-  bool can_step_poll(TimePs at, TimePs cost) const;
+  /// True when a spin wait on this core may park (sim::Scheduler::park):
+  /// no handler is running and interrupts are live, no IPI is pending,
+  /// and nothing acts or publishes inside an access (fault injection,
+  /// fail-stop or lease tracking, the kCatMem firehose).
+  bool can_park() const;
 
-  /// wake_from_relax() for a caller that can_step_poll ruled in: moves
-  /// the clock to `at` and accounts the sleep since `slept_at` as spin
-  /// time; there is nothing to deliver.
-  void wake_quiet(TimePs at, TimePs slept_at) {
-    actor_->advance_to(at);
-    counters_.busy_ps += actor_->clock() - slept_at;
-  }
+  /// The time state a parked wait's poll train starts from.
+  TimePs next_timer() const { return next_timer_; }
+  TimePs next_boundary() const { return next_boundary_; }
+  TimePs boundary_interval() const { return boundary_interval_ps_; }
 
-  /// tick() for a caller that can_step_poll ruled in: charges `cost` and,
-  /// at a boundary, only re-arms it. Returns true when a boundary passed,
-  /// i.e. where tick() would maybe_yield.
-  bool tick_quiet(TimePs cost) {
-    actor_->advance(cost);
-    counters_.busy_ps += cost;
-    if (actor_->clock() < next_boundary_) return false;
-    next_boundary_ = actor_->clock() + boundary_interval_ps_;
-    return true;
+  /// What a parked wait's failed polls left behind, charged at its
+  /// resume: `polls` failed polls of `w`, `busy_ps` of spin time, and the
+  /// boundary the last tick re-armed.
+  void charge_parked(const WatchedWord& w, u64 polls, TimePs busy_ps,
+                     TimePs next_boundary) {
+    charge_failed_polls(w, polls);
+    counters_.busy_ps += busy_ps;
+    next_boundary_ = next_boundary;
   }
 
   // ---- time ----

@@ -288,6 +288,7 @@ bool Watchdog::check(TimePs now, TimePs since, const char* site,
   if (limit_ == 0 || tripped_) return tripped_;
   if (now < since || now - since <= limit_) return false;
   tripped_ = true;
+  sched_.request_stop();  // parked waits stop where they stand
 
   std::ostringstream oss;
   oss << "=== watchdog hang report ===\n"
@@ -306,7 +307,6 @@ bool Watchdog::check(TimePs now, TimePs since, const char* site,
     bus_->publish(obs::EventKind::kWatchdogTrip, -1, now,
                   static_cast<obs::u64>(core_id));
   }
-  sched_.request_stop();
   return true;
 }
 

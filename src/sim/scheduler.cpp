@@ -64,12 +64,9 @@ void Scheduler::cancel_all() {
     }
     // The unwound actor may still own a queue entry (it was scheduled, or
     // blocked with a timeout); drop it so the queue holds live actors only.
-    if (a->state_ == Actor::State::kFinished) {
-      if (a->in_wheel_) {
-        wheel_unlink(*a);
-      } else if (a->heap_pos_ != Actor::kNotInHeap) {
-        heap_remove_at(a->heap_pos_);
-      }
+    if (a->state_ == Actor::State::kFinished &&
+        a->heap_pos_ != Actor::kNotInHeap) {
+      heap_remove_at(a->heap_pos_);
     }
   }
   cancelling_ = false;
@@ -153,75 +150,6 @@ void Scheduler::heap_move(Actor& a, TimePs at) {
   }
 }
 
-// ---- timing wheel ----
-
-bool Scheduler::wheel_insert(Actor& a, TimePs at) {
-  assert(!a.in_wheel_);
-  if (at < wheel_floor_ ||
-      (at >> kWheelShift) - (wheel_floor_ >> kWheelShift) >= kWheelBuckets) {
-    return false;
-  }
-  const std::size_t b = (at >> kWheelShift) & (kWheelBuckets - 1);
-  // Buckets are kept sorted by (time, id), so a bucket's head is its
-  // earliest entry.
-  Actor* prev = nullptr;
-  Actor* next = wheel_[b];
-  while (next != nullptr &&
-         key_less(next->wheel_time_, next->id_, at, a.id_)) {
-    prev = next;
-    next = next->wheel_next_;
-  }
-  a.in_wheel_ = true;
-  a.wheel_time_ = at;
-  a.wheel_prev_ = prev;
-  a.wheel_next_ = next;
-  (prev != nullptr ? prev->wheel_next_ : wheel_[b]) = &a;
-  if (next != nullptr) next->wheel_prev_ = &a;
-  wheel_bits_[b / 64] |= u64{1} << (b % 64);
-  ++wheel_size_;
-  if (wheel_min_ == nullptr ||
-      key_less(at, a.id_, wheel_min_->wheel_time_, wheel_min_->id_)) {
-    wheel_min_ = &a;
-  }
-  return true;
-}
-
-void Scheduler::wheel_unlink(Actor& a) {
-  assert(a.in_wheel_);
-  const std::size_t b = (a.wheel_time_ >> kWheelShift) & (kWheelBuckets - 1);
-  if (a.wheel_prev_ != nullptr) {
-    a.wheel_prev_->wheel_next_ = a.wheel_next_;
-  } else {
-    wheel_[b] = a.wheel_next_;
-    if (a.wheel_next_ == nullptr) {
-      wheel_bits_[b / 64] &= ~(u64{1} << (b % 64));
-    }
-  }
-  if (a.wheel_next_ != nullptr) a.wheel_next_->wheel_prev_ = a.wheel_prev_;
-  a.wheel_prev_ = a.wheel_next_ = nullptr;
-  a.in_wheel_ = false;
-  --wheel_size_;
-  if (&a == wheel_min_) wheel_find_min();
-}
-
-void Scheduler::wheel_find_min() {
-  wheel_min_ = nullptr;
-  if (wheel_size_ == 0) return;
-  // Every entry lies within one horizon of the floor, so the first
-  // non-empty bucket at or after the floor's, circularly, holds the
-  // earliest ones.
-  const std::size_t start =
-      (wheel_floor_ >> kWheelShift) & (kWheelBuckets - 1);
-  std::size_t w = start / 64;
-  u64 bits = wheel_bits_[w] & (~u64{0} << (start % 64));
-  while (bits == 0) {
-    w = (w + 1) % kWheelWords;
-    bits = wheel_bits_[w];  // after a full lap: the buckets before start
-  }
-  wheel_min_ =
-      wheel_[w * 64 + static_cast<std::size_t>(__builtin_ctzll(bits))];
-}
-
 // ---- run loop and suspension points ----
 
 Actor* Scheduler::take_next(Actor* pending) {
@@ -229,58 +157,23 @@ Actor* Scheduler::take_next(Actor* pending) {
   // running, i.e. dequeued); the skip only matters for a queue inspected
   // after cancel_all tore actors down mid-flight.
   for (;;) {
-    // The earliest entry: the wheel's, the heap root, or `pending`'s
-    // unqueued one at its clock.
-    Actor* root = earliest();
+    // The earliest entry: the heap root, or `pending`'s unqueued one at
+    // its clock.
+    Actor* root = heap_.empty() ? nullptr : heap_[0].actor;
     if (pending != nullptr &&
-        (root == nullptr || key_less(pending->clock_, pending->id_,
-                                     entry_time(*root), root->id_))) {
+        (root == nullptr || key_less({pending->clock_, pending->id_},
+                                     {heap_[0].time, heap_[0].id}))) {
       root = pending;
     }
     if (root == nullptr) return nullptr;
-    assert(root != pending || !root->poll_hook_);
-    const bool parked = root->in_wheel_;
     const bool queued = root != pending;
-    const TimePs at = parked   ? root->wheel_time_
-                      : queued ? heap_[0].time
-                               : root->clock_;
-    if (at < wheel_floor_) {
+    const TimePs at = queued ? heap_[0].time : root->clock_;
+    if (at < pop_floor_) {
       ++backward_pops_;  // a timeout queued before its caller's clock
     } else {
-      wheel_floor_ = at;
+      pop_floor_ = at;
     }
-    if (parked) wheel_unlink(*root);
-    if (root->poll_hook_) {
-      // The earliest other entry: the heap root or its children, the
-      // wheel's earliest (the root already left the wheel), or pending.
-      TimePs others = pending != nullptr ? pending->clock_ : kTimeNever;
-      if (parked) {
-        if (!heap_.empty()) others = std::min(others, heap_[0].time);
-      } else {
-        if (heap_.size() > 1) others = std::min(others, heap_[1].time);
-        if (heap_.size() > 2) others = std::min(others, heap_[2].time);
-      }
-      if (wheel_min_ != nullptr) {
-        others = std::min(others, wheel_min_->wheel_time_);
-      }
-      const PollStep step = root->poll_hook_(
-          at, root->state_ == Actor::State::kBlocked, others);
-      if (step.at != kTimeNever) {
-        root->state_ = step.timeout ? Actor::State::kBlocked
-                                    : Actor::State::kScheduled;
-        if (parked) {
-          if (!wheel_insert(*root, step.at)) heap_push(*root, step.at);
-        } else if (wheel_insert(*root, step.at)) {
-          heap_remove_at(0);
-        } else {
-          heap_[0].time = step.at;
-          sift_down(0);
-        }
-        ++elided_polls_;
-        continue;
-      }
-    }
-    if (queued && !parked) {
+    if (queued) {
       if (pending != nullptr) {
         // The yielder lost to the heap root: it takes the root's slot,
         // one sift instead of a pop and a push.
@@ -291,9 +184,6 @@ Actor* Scheduler::take_next(Actor* pending) {
       } else {
         heap_remove_at(0);
       }
-    } else if (parked && pending != nullptr) {
-      heap_push(*pending, pending->clock_);  // lost to the wheel's earliest
-      pending = nullptr;
     }
     Actor* next = root;
     if (next->state_ == Actor::State::kFinished ||
@@ -307,6 +197,7 @@ Actor* Scheduler::take_next(Actor* pending) {
     next->advance_to(at);
     next->state_ = Actor::State::kRunning;
     ++dispatched_;
+    compete(at, next->id_, kPop);
     return next;
   }
 }
@@ -330,7 +221,7 @@ std::string Scheduler::describe_blocked_actors() const {
 void Scheduler::kill_self() {
   Actor* self = current_;
   assert(self != nullptr && "kill_self() outside an actor");
-  assert(self->heap_pos_ == Actor::kNotInHeap && !self->in_wheel_ &&
+  assert(self->heap_pos_ == Actor::kNotInHeap &&
          "running actor unexpectedly holds an entry");
   self->state_ = Actor::State::kKilled;
   ++finished_count_;  // the run loop treats the dead core as done
@@ -392,9 +283,8 @@ void Scheduler::dispatch_from(Actor* self) {
 void Scheduler::yield_switch(Actor* self) {
   self->state_ = Actor::State::kScheduled;
   if (!stop_requested_) {
-    // Self competes for the pop without a queue entry. Once the hook
-    // entries ahead of it are stepped it is usually next, and then it
-    // never touches the heap.
+    // Self competes for the pop without a queue entry: when it is still
+    // next it never touches the heap.
     Actor* next = take_next(self);
     if (next == self) return;
     current_ = next;
@@ -419,23 +309,36 @@ WakeReason Scheduler::block_until(TimePs deadline) {
   assert(self != nullptr && "block_until() outside an actor");
   if (deadline < self->clock_) ++late_timeouts_;
   self->state_ = Actor::State::kBlocked;
-  // The timeout entry. A poll hook's actor (a spin wait's sleep) parks it
-  // on the wheel, as the hook's own re-keys will be.
-  if (!self->poll_hook_ || !wheel_insert(*self, deadline)) {
-    heap_push(*self, deadline);
-  }
+  heap_push(*self, deadline);
   dispatch_from(self);
   return self->wake_reason_;
 }
 
 void Scheduler::wake(Actor& target, TimePs at) {
   if (target.state_ != Actor::State::kBlocked) return;
+  TimePs slept = target.clock_;
+  if (target.watch_ != nullptr) {
+    // Where the plain loop stands at the waker's position.
+    Actor::Watch& w = *target.watch_;
+    const ParkResume r = standing(w, position());
+    if (r.read) {
+      // Queued for the rest of a split poll: wake() skips a scheduled
+      // actor, and the next poll delivers the pending interrupt.
+      if (r.polls + 1 <= w.limit) {
+        w.limit = r.polls + 1;
+        w.limit_quiet = false;
+        heap_move(target, w.train.at(w.limit));
+      }
+      return;
+    }
+    slept = w.train.slept_after(r.polls);
+    w.end_seq = seq_ - 1;
+    w.end_t = last_.t;
+    unpark(target, r);
+  }
   target.state_ = Actor::State::kScheduled;
-  const TimePs t = at > target.clock_ ? at : target.clock_;
-  if (target.in_wheel_) {
-    wheel_unlink(target);  // the pending timeout, re-queued on the heap
-    heap_push(target, t);
-  } else if (target.heap_pos_ != Actor::kNotInHeap) {
+  const TimePs t = at > slept ? at : slept;
+  if (target.heap_pos_ != Actor::kNotInHeap) {
     heap_move(target, t);  // re-key the pending timeout entry in place
   } else {
     heap_push(target, t);

@@ -19,8 +19,9 @@
 // stored in each Actor. Entries are moved in place (sift up/down) when an
 // actor is re-keyed by wake(), so the heap holds at most one entry per
 // live actor at all times: no stale-generation tombstones, no pop-time
-// skip loops, and maybe_yield() is an O(1) read of the root entry and of
-// the timing wheel's earliest (below), both always live and exact. Actor
+// skip loops, and maybe_yield() is an O(1) read of the root entry, which
+// is always live and exact. A yielding actor is not queued at all: it
+// competes for the next pop at its (clock, id). Actor
 // switches transfer fiber-to-fiber directly (one context switch), only
 // falling back to the main run() loop when no entry is queued or a stop
 // is requested; yield() by an actor that is still the earliest runnable
@@ -33,42 +34,40 @@
 // simulated answer a function of the modelled machine and the seed alone.
 // DESIGN.md §12 explains why the heap is not sharded.
 //
-// Poll hooks (set_poll_hook): an actor that is spin-waiting on a word may
-// install a hook that the scheduler calls when it pops the actor's entry.
-// The hook can step a provably failed poll itself (charge its cost, re-key
-// the entry at the next poll instant) and so spare the two fiber switches
-// a resume would cost. See DESIGN.md §11, "Failed polls run in the
-// scheduler".
+// Parked spin waits (park): a spin wait whose poll failed may leave the
+// event order. Its polls fail, invisibly, until someone writes its word,
+// so the parked actor holds one entry only, at the first poll its fiber
+// must run (a timer tick or a watchdog trip), and its other polls are
+// *virtual*: word_ready() and wake() rebuild where the waiter stands in
+// closed form and queue it at its first read ordered after the writer.
+// The virtual polls still sit in the run order the plain loop makes:
+// they decide where a core that checks at a boundary yields, and when a
+// polling core's tick splits. Those decisions matter only on exact
+// picosecond ties, so the scheduler keeps a short history of the run's
+// competitions (pops and boundary checks) while any wait is parked, and
+// answers "was any entry earlier than X pending at position K" from that
+// history and the trains (DESIGN.md §11, "Spinning cores leave the event
+// order"). Nothing is parked and nothing is recorded when no wait parks.
 //
-// The timing wheel: a hook re-key lands at the next poll instant, a full
-// backoff gap ahead, or at the end of a split poll's tick, so in a lock
-// convoy the binary heap paid a deep, badly predicted sift_down twice per
-// failed poll. A re-key within the wheel's horizon (kWheelBuckets buckets
-// of 2^kWheelShift ps), and a spin wait's own sleep, is *parked* off the
-// heap in the bucket of its time instead: a short sorted insert to park,
-// O(1) to pop. A yielding actor is not queued at all: it competes for
-// the next pop at its (clock, id). The run order is the (time, id) order
-// over heap, wheel and yielder together, so every pop, every hook's view
-// of the other entries and every dispatch is exactly what one heap gives.
-// The wheel's floor is the latest pop time so far; no entry is parked
-// before it, so every wheel entry lies within one horizon of the floor
-// and a bucket never holds two laps. Pops are in time order except after
-// a timeout queued before its caller's clock (a halt that finds its timer
-// tick overdue, under fault injection): that entry goes to the heap and
-// pops behind the floor. backward_pops() and late_timeouts() count both,
-// so tests can pin that neither happens without faults.
+// Pops are in time order except after a timeout queued before its
+// caller's clock (a halt that finds its timer tick overdue, under fault
+// injection). backward_pops() and late_timeouts() count both, so tests
+// can pin that neither happens without faults; the history relies on it.
 #pragma once
 
 #include <array>
 #include <cassert>
 #include <functional>
+#include <limits>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "sim/fiber.hpp"
 #include "sim/fnref.hpp"
+#include "sim/poll_train.hpp"
 #include "sim/types.hpp"
 
 namespace msvm::sim {
@@ -89,23 +88,12 @@ struct BlockSite {
   u64 b = 0;
 };
 
-/// A poll hook's verdict on the entry the scheduler handed it.
-struct PollStep {
-  /// kTimeNever: resume the fiber. Otherwise the entry is re-keyed at
-  /// this time and the fiber stays suspended.
-  TimePs at = kTimeNever;
-  /// Re-key as the actor's own timeout (wake() may still pull it in), or
-  /// as a plain yield (wake() ignores it, as it ignores any scheduled
-  /// actor).
-  bool timeout = false;
+/// Where a parked spin wait resumes (Scheduler::park).
+struct ParkResume {
+  u64 polls = 0;      // virtual polls that failed before the resume
+  bool read = false;  // poll `polls` has woken and ticked; its read is
+                      // next (a TAS word woken at a split tick's read)
 };
-
-/// Steps a waiting actor's popped entry without resuming its fiber.
-/// `at` is the entry's time; `timed_out` is true when the entry is the
-/// actor's own block_until timeout (false: a wake() or a yield queued
-/// it); `others` is the earliest time of any other queued entry, heap or
-/// timing wheel (kTimeNever when there is none).
-using PollHook = FnRef<PollStep(TimePs at, bool timed_out, TimePs others)>;
 
 /// A schedulable fiber with a virtual clock.
 class alignas(64) Actor {
@@ -151,13 +139,9 @@ class alignas(64) Actor {
   /// when no site is annotated.
   std::string describe_sites() const;
 
-  /// Installs (or, with an empty hook, removes) the poll hook the
-  /// scheduler consults when it pops this actor's entry. Non-owning: the
-  /// callable must outlive its installation.
-  void set_poll_hook(PollHook hook) { poll_hook_ = hook; }
-
  private:
   friend class Scheduler;
+  struct Watch;
 
   /// Sentinel heap position for an actor with no heap entry.
   static constexpr std::size_t kNotInHeap = ~std::size_t{0};
@@ -165,19 +149,13 @@ class alignas(64) Actor {
   Actor(int id, std::string name, std::function<void()> body,
         std::size_t stack_bytes);
 
-  // What a pop, a park or a poll hook's step touches comes first, in one
-  // cache line (the class is cache-line aligned).
   TimePs clock_ = 0;
   std::size_t heap_pos_ = kNotInHeap;  // index into the scheduler's heap
-  // The entry when it is parked on the timing wheel instead (Scheduler).
-  TimePs wheel_time_ = 0;
-  Actor* wheel_prev_ = nullptr;  // bucket list, sorted by (time, id)
-  Actor* wheel_next_ = nullptr;
-  PollHook poll_hook_;
+  Watch* watch_ = nullptr;             // set while parked (Scheduler::park)
   int id_;
   State state_ = State::kScheduled;
-  bool in_wheel_ = false;
   WakeReason wake_reason_ = WakeReason::kWoken;
+  ParkResume park_resume_;
 
   std::string name_;
   std::unique_ptr<Fiber> fiber_;
@@ -220,16 +198,13 @@ class Scheduler {
     (void)i;
     return dispatched_;
   }
-  /// Polls charged without resuming the fiber: the entries a poll hook
-  /// re-keyed instead of handing them back. A stepped poll counts once,
-  /// or twice when it re-keys at a mid-tick yield and again after its
-  /// read (kernel::spin_wait). Not part of the dispatch count.
-  u64 elided_polls() const { return elided_polls_; }
+  /// Failed polls of parked spin waits, charged in closed form at the
+  /// resume instead of run (see park()).
+  u64 parked_polls() const { return parked_polls_; }
 
-  /// Pops, dispatched or stepped by a poll hook, earlier than an earlier
-  /// pop; and block_until calls with a deadline before the caller's
-  /// clock. The second causes the first. Exposed so tests can pin that
-  /// both stay 0 without fault injection.
+  /// Pops earlier than an earlier pop, and block_until calls with a
+  /// deadline before the caller's clock. The second causes the first.
+  /// Exposed so tests can pin that both stay 0 without fault injection.
   u64 backward_pops() const { return backward_pops_; }
   u64 late_timeouts() const { return late_timeouts_; }
 
@@ -249,10 +224,9 @@ class Scheduler {
     Actor* self = current_;
     assert(self != nullptr && "yield() outside an actor");
     if (!stop_requested_) {
-      const Actor* first = earliest();
-      if (first == nullptr) return;  // nobody else could run before us
-      const TimePs t = entry_time(*first);
-      if (t > self->clock_ || (t == self->clock_ && first->id_ > self->id_)) {
+      if (heap_.empty() || key_less({self->clock_, self->id_},
+                                    {heap_[0].time, heap_[0].id})) {
+        compete(self->clock_, self->id_, kPop);
         return;  // re-queueing self would pop self right back
       }
     }
@@ -265,12 +239,18 @@ class Scheduler {
   bool maybe_yield() {
     Actor* self = current_;
     assert(self != nullptr);
-    if ((heap_.empty() || heap_[0].time >= self->clock_) &&
-        (wheel_min_ == nullptr || wheel_min_->wheel_time_ >= self->clock_)) {
-      return false;
+    if (!heap_.empty() && heap_[0].time < self->clock_) {
+      yield_switch(self);
+      return true;
     }
-    yield_switch(self);
-    return true;
+    if (!watches_.empty() && !heap_.empty() &&
+        heap_[0].time == self->clock_ && heap_[0].id < self->id_ &&
+        virtual_pending(position(), self->clock_)) {
+      yield_switch(self);  // a parked poll is earlier: the tie is lost
+      return true;
+    }
+    compete(self->clock_, self->id_, kCheck);
+    return false;
   }
 
   /// Fail-stop death of the *current* actor: marks it kKilled, counts it
@@ -288,15 +268,41 @@ class Scheduler {
 
   /// Makes `target` schedulable at virtual time >= `at`. No-op when the
   /// target is already scheduled or finished. Any actor (or the main
-  /// context) may call this.
+  /// context) may call this. A parked target is woken where the plain
+  /// poll loop would be: asleep between two polls, or (ignored) queued
+  /// for the rest of a split poll.
   void wake(Actor& target, TimePs at);
+
+  // ---- Parked spin waits ----
+
+  /// Parks the running actor on `train`, the polls of a spin wait that
+  /// just failed one and went to sleep. Its polls before `limit` are
+  /// virtual: the actor holds one entry, at poll `limit`, and resumes
+  /// there (a timeout) unless word_ready() or wake() pulls it earlier.
+  /// `limit_quiet` says that poll `limit` delivers no interrupt. Returns
+  /// how far the plain loop got. `charge` gets the same, to charge
+  /// `polls` failed polls and, with `read`, the wake-up and tick of the
+  /// next one; it runs also when teardown unwinds a wait that a stop
+  /// (request_stop) caught parked. Requires 0 < limit and train.valid().
+  ParkResume park(const PollTrain& train, u64 limit, bool limit_quiet,
+                  FnRef<void(const ParkResume&)> charge);
+
+  /// A write by the running actor made the word `waiters` are parked on
+  /// ready. With `tas` the word is a test-and-set register: a poll reads
+  /// it at the end of its tick (after a split, at the split's entry), and
+  /// the first reader takes it, so only the waiters that may read first
+  /// are queued. Otherwise (an MPB byte) each waiter reads at its next
+  /// poll's pop and is queued there. Waiters no longer parked are skipped.
+  void word_ready(std::span<Actor* const> waiters, bool tas);
 
   /// Asks the run loop to return to the main context at the next actor
   /// switch instead of resuming further actors. Used by the watchdog:
   /// the tripping actor records its report, calls request_stop(), then
   /// parks itself with block(); teardown unwinds everyone via
   /// CancelledError. Safe to call from any actor or the main context.
-  void request_stop() { stop_requested_ = true; }
+  /// Every parked wait stops where the plain loop stands at the caller's
+  /// position: its clock is set there, and its charge runs at teardown.
+  void request_stop();
   bool stop_requested() const { return stop_requested_; }
 
   /// Unwinds every suspended actor by resuming it with CancelledError
@@ -312,10 +318,9 @@ class Scheduler {
 
   Actor& actor(std::size_t i) { return *actors_.at(i); }
 
-  /// Live entry count, heap and wheel. At most one entry per
-  /// unfinished actor by construction — exposed so tests can pin that
-  /// bound.
-  std::size_t heap_size() const { return heap_.size() + wheel_size_; }
+  /// Live heap entries. At most one per unfinished actor by construction
+  /// — exposed so tests can pin that bound.
+  std::size_t heap_size() const { return heap_.size(); }
 
  private:
   /// One indexed-heap entry. The tie-break id is stored inline so the
@@ -327,18 +332,8 @@ class Scheduler {
   };
 
   static bool entry_less(const HeapEntry& a, const HeapEntry& b) {
-    return key_less(a.time, a.id, b.time, b.id);
+    return key_less({a.time, a.id}, {b.time, b.id});
   }
-  static bool key_less(TimePs at, int aid, TimePs bt, int bid) {
-    return at != bt ? at < bt : aid < bid;
-  }
-
-  // The timing wheel: 1024 buckets of 65.536 ns, a 67.1 us horizon. The
-  // 4096-cycle cap of a TAS backoff (7.7 us at 533 MHz) and the 50 us cap
-  // of the MPB barrier waits both fit.
-  static constexpr int kWheelShift = 16;
-  static constexpr std::size_t kWheelBuckets = 1024;
-  static constexpr std::size_t kWheelWords = kWheelBuckets / 64;
 
   // ---- indexed-heap primitives (maintain Actor::heap_pos_) ----
   void heap_place(std::size_t i, const HeapEntry& e) {
@@ -351,38 +346,11 @@ class Scheduler {
   void heap_remove_at(std::size_t i);
   void heap_move(Actor& a, TimePs at);  // re-key the existing entry
 
-  // ---- timing wheel (maintain Actor::in_wheel_ and wheel_min_) ----
-  /// Parks `a`'s entry at `at` on the wheel; false (nothing changed)
-  /// when `at` lies beyond the horizon.
-  bool wheel_insert(Actor& a, TimePs at);
-  void wheel_unlink(Actor& a);
-  /// Points wheel_min_ at the earliest wheel entry: the head of the
-  /// first non-empty bucket from the floor's on.
-  void wheel_find_min();
-
-  /// The actor owning the earliest queued entry, or nullptr.
-  Actor* earliest() const {
-    if (wheel_min_ == nullptr) {
-      return heap_.empty() ? nullptr : heap_[0].actor;
-    }
-    if (heap_.empty() ||
-        key_less(wheel_min_->wheel_time_, wheel_min_->id_, heap_[0].time,
-                 heap_[0].id)) {
-      return wheel_min_;
-    }
-    return heap_[0].actor;
-  }
-  TimePs entry_time(const Actor& a) const {
-    return a.in_wheel_ ? a.wheel_time_ : heap_[a.heap_pos_].time;
-  }
-
-  /// Pops the earliest live entry and prepares its actor to run (wake
-  /// reason, clock, state). An entry whose actor has a poll hook goes to
-  /// the hook first and stays queued when the hook re-keys it. Returns
-  /// nullptr when nothing is queued. `pending`, when set, is a yielding
-  /// actor that competes at (clock, id) as if it were queued; when
-  /// another entry wins, take_next queues it (in the heap root's slot
-  /// when the root won) before returning the winner.
+  /// Pops the earliest entry and prepares its actor to run (wake reason,
+  /// clock, state). Returns nullptr when nothing is queued. `pending`,
+  /// when set, is a yielding actor that competes at (clock, id) as if it
+  /// were queued; when the heap root wins, take_next queues it in the
+  /// root's slot before returning the winner.
   Actor* take_next(Actor* pending = nullptr);
 
   /// Suspension point: picks the next actor and transfers to it directly,
@@ -393,15 +361,77 @@ class Scheduler {
   /// Out-of-line slow path of yield()/maybe_yield(): requeue self, switch.
   void yield_switch(Actor* self);
 
+  // ---- the run order of parked waits (scheduler_park.cpp) ----
+
+  /// A competition: a pop at (t, id), or a boundary check at t by actor
+  /// id that kept running. A check's place in the plain loop's order is
+  /// (t, id) when some parked poll was earlier, so that the plain loop
+  /// would have yielded there, and (t, kKeepRunning) otherwise.
+  enum RecordKind : u8 { kPop, kCheck };
+  struct Record {
+    TimePs t = 0;
+    int id = 0;
+    RecordKind kind = kPop;
+    mutable i8 yielded = -1;  // kCheck: unknown (-1), no (0), yes (1)
+  };
+  static constexpr u64 kNoSeq = ~u64{0};
+  /// A position in the plain loop's order: (t, id), or the position of
+  /// history record `seq`, whose id is worked out only on a time tie.
+  struct Pos {
+    TimePs t = 0;
+    int id = 0;
+    u64 seq = kNoSeq;
+  };
+
+  void compete(TimePs t, int id, RecordKind kind) {
+    last_ = {t, id, kind, -1};
+    if (!watches_.empty()) record();
+  }
+  void record();
+  const Record& rec(u64 seq) const;
+
+  /// The position of history record `seq` in the plain loop's order.
+  OrderKey record_key(u64 seq) const;
+  int id_of(const Pos& p) const {
+    return p.seq == kNoSeq ? p.id : record_key(p.seq).id;
+  }
+  bool pos_less(const Pos& a, const Pos& b) const {
+    return a.t != b.t ? a.t < b.t : id_of(a) < id_of(b);
+  }
+  Pos record_pos(u64 seq) const { return {rec(seq).t, 0, seq}; }
+  /// The running actor's position: its last competition.
+  Pos position() const { return record_pos(seq_ - 1); }
+
+  static constexpr int kLastId = std::numeric_limits<int>::max();
+  /// True when `k` lies after history record `seq`, taken at time `t`.
+  bool after(const Pos& k, u64 seq, TimePs t) const;
+  /// The polls of `w` that popped before `k` (at most its limit).
+  u64 polls_before(const Actor::Watch& w, const Pos& k) const;
+
+  /// Was an entry earlier than `x` pending at position `k` in the plain
+  /// loop: a real one (from the history), or a virtual poll of a parked
+  /// wait other than `skip`?
+  bool real_pending(const Pos& k, TimePs x) const;
+  bool virtual_pending(const Pos& k, TimePs x,
+                       const Actor::Watch* skip = nullptr) const;
+  /// Did poll j of `w` split, i.e. was an entry earlier than the end of
+  /// its tick pending when it popped? Only asked for a crossing poll.
+  bool split(const Actor::Watch& w, u64 j) const;
+
+  /// Where `w` stands at `k` in the plain loop: `polls` done, and with
+  /// `read` a split poll's entry still pending after `k`.
+  ParkResume standing(const Actor::Watch& w, const Pos& k) const;
+  /// Ends `a`'s parking: the actor is live from its next pop on, with
+  /// `resume` as the fiber's starting point.
+  void unpark(Actor& a, const ParkResume& resume);
+  /// Drops retired watches the history no longer reaches.
+  void prune();
+
   std::vector<std::unique_ptr<Actor>> actors_;
   std::vector<HeapEntry> heap_;
-  std::array<Actor*, kWheelBuckets> wheel_{};
-  std::array<u64, kWheelWords> wheel_bits_{};  // non-empty buckets
-  Actor* wheel_min_ = nullptr;
-  std::size_t wheel_size_ = 0;
   u64 dispatched_ = 0;
-  u64 elided_polls_ = 0;
-  TimePs wheel_floor_ = 0;  // the latest pop time so far
+  u64 parked_polls_ = 0;
+  TimePs pop_floor_ = 0;  // the latest pop time so far
   u64 backward_pops_ = 0;
   u64 late_timeouts_ = 0;
   Actor* current_ = nullptr;
@@ -409,6 +439,36 @@ class Scheduler {
   bool running_ = false;
   bool cancelling_ = false;
   bool stop_requested_ = false;
+
+  // The parked waits (active and retired), and the history of
+  // competitions kept while there are any.
+  Record last_;
+  std::vector<std::unique_ptr<Actor::Watch>> watches_;
+  std::size_t active_watches_ = 0;
+  std::size_t prune_at_ = 64;  // prune() scans once watches_ is this long
+  TimePs lookback_ = 0;        // how far back prune() keeps retired ones
+  TimePs pruned_until_ = 0;    // just past the last retirement dropped
+  std::vector<Record> history_;  // a ring of kHistory records
+  u64 seq_ = 0;        // records ever kept; the next one's seq
+  u64 first_seq_ = 0;  // the oldest record still in the ring
+  u64 since_seq_ = 0;  // the first record since the history (re)started
+  static constexpr std::size_t kHistory = std::size_t{1} << 15;
+};
+
+/// A parked spin wait (Scheduler::park): the train of its polls, which
+/// of them are virtual, and where in the history it parked and stopped.
+struct Actor::Watch {
+  Actor* actor = nullptr;
+  PollTrain train;
+  u64 limit = 0;             // the first poll its fiber runs: its entry
+  bool limit_quiet = false;  // poll `limit` delivers no interrupt
+  u64 start_seq = 0;  // the actor's last competition before it parked
+  TimePs start_t = 0;
+  u64 end_seq = ~u64{0};  // the waker's position, once woken early
+  TimePs end_t = 0;
+  TimePs done_t = kTimeNever;  // when it stopped (retired), for pruning
+  mutable u64 memo_poll = ~u64{0};  // split(): the last poll asked
+  mutable bool memo_split = false;
 };
 
 /// RAII wait-site annotation for the current actor. Tolerates a null

@@ -1,13 +1,14 @@
-// kernel::spin_wait lets the scheduler step provably failed polls without
-// resuming the waiting fiber. These tests pin that the stepping is exact:
-// every scenario runs twice, once through spin_wait and once through a
-// hand-written copy of the plain poll + relax loop that installs no hook,
-// and the two runs must agree on every core's clock and counters and on
-// the order in which the waiters got through. One case per condition
-// under which the hook must hand the poll back to the fiber checks that
-// the fiber did run it. Entries the hook re-keys are parked on the
-// scheduler's timing wheel, so every case also checks that the wheel
-// hands them out in the heap's (time, id) order.
+// kernel::spin_wait parks a core whose poll failed: its later polls are
+// charged in closed form when a write, an interrupt or a timeout wakes
+// it, and never run. These tests pin that parking is exact: every
+// scenario runs twice, once through spin_wait and once through a
+// hand-written copy of the plain poll + relax loop, and the two runs must
+// agree on every core's clock and counters, on the order in which the
+// waiters got through and on the hang report. One case per condition
+// under which the fiber must run a poll (a timer tick, an IPI, a
+// watchdog trip, fault injection) checks that it did, and the tie cases
+// place a write or an IPI on the exact picosecond where a parked poll
+// reads or splits.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,7 +26,7 @@ namespace {
 
 enum class Loop { kSpinWait, kReference };
 
-/// The plain wait loop every spin used before spin_wait had a hook: poll,
+/// The plain wait loop spin_wait must reproduce exactly: poll,
 /// watchdog, relax, double the gap. `poll` is the whole access
 /// (tas_try_acquire, or a counted uncached byte load).
 template <typename Poll>
@@ -70,7 +71,8 @@ struct Outcome {
   std::vector<scc::CoreCounters> counters;
   std::vector<int> order;       // who got through, in order
   std::vector<u64> side;        // per-core scenario observables
-  u64 elided = 0;
+  u64 parked = 0;      // polls charged without running
+  u64 dispatches = 0;  // scheduler dispatches
   std::string hang_report;
 };
 
@@ -149,7 +151,8 @@ Outcome run_convoy(Loop loop, const Convoy& k, scc::ChipConfig cfg) {
     out.clocks.push_back(chip.core(id).now());
     out.counters.push_back(chip.core(id).counters());
   }
-  out.elided = chip.scheduler().elided_polls();
+  out.parked = chip.scheduler().parked_polls();
+  out.dispatches = chip.scheduler().lane_dispatched(0);
   return out;
 }
 
@@ -203,7 +206,8 @@ Outcome run_barrier(Loop loop, int members, int rounds) {
     out.clocks.push_back(chip.core(id).now());
     out.counters.push_back(chip.core(id).counters());
   }
-  out.elided = chip.scheduler().elided_polls();
+  out.parked = chip.scheduler().parked_polls();
+  out.dispatches = chip.scheduler().lane_dispatched(0);
   return out;
 }
 
@@ -213,13 +217,13 @@ TEST_P(SpinWaitConvoy, HookSteppedWaitMatchesPlainLoop) {
   Convoy k;
   k.waiters = GetParam();
   const scc::ChipConfig cfg = config_for(k.waiters + 1);
-  const Outcome hooked = run_convoy(Loop::kSpinWait, k, cfg);
+  const Outcome spin = run_convoy(Loop::kSpinWait, k, cfg);
   const Outcome plain = run_convoy(Loop::kReference, k, cfg);
-  expect_same(hooked, plain);
-  EXPECT_EQ(hooked.order.size(), static_cast<std::size_t>(k.waiters * 2));
-  EXPECT_GT(total(hooked, &scc::CoreCounters::tas_spins), 0u);
-  EXPECT_GT(hooked.elided, 0u);
-  EXPECT_EQ(plain.elided, 0u);
+  expect_same(spin, plain);
+  EXPECT_EQ(spin.order.size(), static_cast<std::size_t>(k.waiters * 2));
+  EXPECT_GT(total(spin, &scc::CoreCounters::tas_spins), 0u);
+  EXPECT_GT(spin.parked, 0u);
+  EXPECT_EQ(plain.parked, 0u);
 }
 
 // 47 waiters fill one 48-core die; 95 and 255 span two and six chips.
@@ -256,7 +260,8 @@ Outcome run_jittered(Loop loop, u64 seed, int waiters) {
     out.clocks.push_back(chip.core(id).now());
     out.counters.push_back(chip.core(id).counters());
   }
-  out.elided = chip.scheduler().elided_polls();
+  out.parked = chip.scheduler().parked_polls();
+  out.dispatches = chip.scheduler().lane_dispatched(0);
   return out;
 }
 
@@ -265,11 +270,11 @@ class SpinWaitJitter
 
 TEST_P(SpinWaitJitter, JitteredConvoyMatchesPlainLoop) {
   const auto [seed, waiters] = GetParam();
-  const Outcome hooked = run_jittered(Loop::kSpinWait, seed, waiters);
+  const Outcome spin = run_jittered(Loop::kSpinWait, seed, waiters);
   const Outcome plain = run_jittered(Loop::kReference, seed, waiters);
-  expect_same(hooked, plain);
-  EXPECT_EQ(hooked.order.size(), static_cast<std::size_t>(3 * (waiters + 1)));
-  EXPECT_GT(hooked.elided, 0u);
+  expect_same(spin, plain);
+  EXPECT_EQ(spin.order.size(), static_cast<std::size_t>(3 * (waiters + 1)));
+  EXPECT_GT(spin.parked, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -309,40 +314,473 @@ TEST(SpinWaitHook, TiedWaitersPopInIdOrder) {
       out.clocks.push_back(chip.core(id).now());
       out.counters.push_back(chip.core(id).counters());
     }
-    out.elided = chip.scheduler().elided_polls();
+    out.parked = chip.scheduler().parked_polls();
+    out.dispatches = chip.scheduler().lane_dispatched(0);
+  out.dispatches = chip.scheduler().lane_dispatched(0);
     return out;
   };
-  const Outcome hooked = run(Loop::kSpinWait);
-  expect_same(hooked, run(Loop::kReference));
-  EXPECT_EQ(hooked.order, (std::vector<int>{3, 2}));
+  const Outcome spin = run(Loop::kSpinWait);
+  expect_same(spin, run(Loop::kReference));
+  EXPECT_EQ(spin.order, (std::vector<int>{3, 2}));
   // Core 2 lost and failed on until core 3 released.
-  EXPECT_GT(hooked.counters[2].tas_spins, hooked.counters[3].tas_spins);
-  EXPECT_GT(hooked.elided, 0u);
+  EXPECT_GT(spin.counters[2].tas_spins, spin.counters[3].tas_spins);
+  EXPECT_GT(spin.parked, 0u);
 }
 
 TEST(SpinWaitHook, MidTickYieldStepIsExact) {
   // With 255 waiters nearly every poll wakes after a relax longer than
   // the boundary interval, so its tick passes a boundary while another
-  // core is queued inside the tick: the fiber would yield mid-tick. A
-  // poll the hook steps costs one elided entry, or two when it re-keys
-  // at that yield, so more elided entries than failed polls means the
-  // yield step ran.
+  // core's poll is due inside the tick: the plain loop yields mid-tick,
+  // and a TAS read moves to the tick's end. Parked, those polls do not
+  // run, and the waiter queued at each release must still be the one
+  // whose read comes first. Each release queues about one waiter, so
+  // the dispatches stay a small multiple of the acquisitions.
   Convoy k;
   k.waiters = 255;
   const scc::ChipConfig cfg = config_for(k.waiters + 1);
-  const Outcome hooked = run_convoy(Loop::kSpinWait, k, cfg);
-  expect_same(hooked, run_convoy(Loop::kReference, k, cfg));
-  EXPECT_GT(hooked.elided, total(hooked, &scc::CoreCounters::tas_spins));
+  const Outcome spin = run_convoy(Loop::kSpinWait, k, cfg);
+  const Outcome plain = run_convoy(Loop::kReference, k, cfg);
+  expect_same(spin, plain);
+  EXPECT_GT(spin.parked, total(spin, &scc::CoreCounters::tas_spins) / 2);
+  EXPECT_LT(spin.dispatches, 16 * spin.order.size());
+  EXPECT_LT(spin.dispatches, plain.dispatches / 4);
+}
+
+/// What the plain loop saw of one TAS poll: its pop, the end of its
+/// tick, and whether the core yielded in the tick (a split: the read
+/// moved to the tick's end).
+struct PollSeen {
+  TimePs pop = 0;
+  TimePs end = 0;
+  bool split = false;
+};
+
+/// reference_wait on TAS register `reg` with tas_try_acquire opened up
+/// (its tick, then its read), so that each poll's split is seen.
+void probed_tas_wait(scc::Core& core, int reg, const SpinWaitOpts& opts,
+                     std::vector<PollSeen>& seen) {
+  const TimePs cost = core.poll_cost(scc::WatchedWord::tas(reg));
+  sim::Scheduler& s = core.chip().scheduler();
+  reference_wait(
+      core,
+      [&] {
+        PollSeen p;
+        p.pop = core.now();
+        const u64 before = s.lane_dispatched(0);
+        core.tick(cost);
+        p.end = core.now();
+        p.split = s.lane_dispatched(0) != before;
+        seen.push_back(p);
+        return core.tas_read(reg);
+      },
+      opts);
+}
+
+/// Moves `c`'s clock to exactly `at` with a tick that passes a boundary,
+/// so that `c` competes (checks) at `at`. Returns true when it yielded
+/// there.
+bool check_at(scc::Core& c, TimePs at) {
+  const TimePs interval = c.boundary_interval();
+  while (c.now() + 2 * interval < at) {
+    c.compute_cycles(scc::kBoundaryCheckCycles);
+  }
+  EXPECT_GT(at - c.now(), interval);
+  const sim::Scheduler& s = c.chip().scheduler();
+  const u64 before = s.lane_dispatched(0);
+  c.tick(at - c.now());
+  return s.lane_dispatched(0) != before;
+}
+
+/// How the holder's release of register 0 is ordered at `at`: at a
+/// boundary check after computing, or at its pop after sleeping.
+enum class Release { kAfterCompute, kAfterSleep };
+
+struct TieRun {
+  Outcome out;
+  std::vector<std::vector<PollSeen>> seen;  // by core (reference loop)
+};
+
+/// Core `holder` takes register 0 and releases it at exactly `at`, and
+/// the other waiters queue on it. With `ipi_at` set, core `raiser`
+/// raises an IPI on `ipi_target` from a check at exactly that time.
+/// Every other core computes throughout, so entries pend near the polls.
+struct Tie {
+  int cores = 3;
+  int holder = 2;
+  std::vector<int> waiters = {1};
+  TimePs at = 0;
+  Release how = Release::kAfterCompute;
+  int raiser = -1;
+  int ipi_target = -1;
+  TimePs ipi_at = 0;
+  int dense_waiter = -1;  // backs off to a 256-cycle cap only
+  u64 late_start = 0;     // extra cycles before waiter 2 starts
+};
+
+TieRun run_tie(Loop loop, const Tie& k) {
+  const scc::ChipConfig cfg = config_for(k.cores);
+  scc::Chip chip(cfg);
+  TieRun run;
+  run.seen.resize(static_cast<std::size_t>(k.cores));
+  run.out.side.assign(static_cast<std::size_t>(k.cores), 0);
+  for (int id = 0; id < k.cores; ++id) {
+    chip.spawn_program(id, [&, id](scc::Core& c) {
+      u64& side = run.out.side[static_cast<std::size_t>(id)];
+      c.set_ipi_handler([&side](scc::Core& self, const scc::IpiSourceSet&) {
+        side += 1;
+        self.compute_cycles(300);
+      });
+      SpinWaitOpts opts = tas_spin_opts(c, "test.tie");
+      if (id == k.dense_waiter) opts.cap_ps = 256 * c.chip().config().core_cycle_ps();
+      if (id == k.holder) {
+        wait_word(loop, c, scc::WatchedWord::tas(0), opts);
+        if (k.how == Release::kAfterSleep) {
+          c.chip().scheduler().block_until(k.at);
+        } else {
+          check_at(c, k.at);
+        }
+        c.chip().release_tas(0);
+        return;
+      }
+      if (id == k.raiser) {
+        check_at(c, k.ipi_at);
+        c.raise_ipi(k.ipi_target);
+        return;
+      }
+      if (std::find(k.waiters.begin(), k.waiters.end(), id) ==
+          k.waiters.end()) {
+        c.compute_cycles(60'000);
+        return;
+      }
+      c.compute_cycles(2'000 + 17 * static_cast<u64>(id) +
+                       (id == 2 ? k.late_start : 0));
+      if (loop == Loop::kReference) {
+        probed_tas_wait(c, 0, opts, run.seen[static_cast<std::size_t>(id)]);
+      } else {
+        wait_word(loop, c, scc::WatchedWord::tas(0), opts);
+      }
+      run.out.order.push_back(id);
+      c.compute_cycles(100);
+      c.tas_release(0);
+    });
+  }
+  chip.run();
+  for (int id = 0; id < k.cores; ++id) {
+    run.out.clocks.push_back(chip.core(id).now());
+    run.out.counters.push_back(chip.core(id).counters());
+  }
+  run.out.parked = chip.scheduler().parked_polls();
+  run.out.dispatches = chip.scheduler().lane_dispatched(0);
+  return run;
+}
+
+TEST(SpinWaitHook, ReleaseTiedWithAParkedRead) {
+  // The holder's release is ordered at exactly a poll's pop, or at
+  // exactly the end of its tick, where a split poll reads, for every
+  // poll of the first 100 us; the holder is the higher or the lower id,
+  // and it releases from a boundary check or from the pop that ends a
+  // sleep (it was blocked when the waiter last polled). The plain loop
+  // says which polls split; both kinds of tie must come up.
+  int split_ties = 0;
+  int unsplit_ties = 0;
+  for (const int holder : {2, 0}) {
+    Tie probe;
+    probe.holder = holder;
+    probe.at = 150 * kPsPerUs;
+    const std::vector<PollSeen> polls =
+        run_tie(Loop::kReference, probe).seen[1];
+    for (const PollSeen& p : polls) {
+      if (p.end > 100 * kPsPerUs) break;
+      for (const TimePs at : {p.pop, p.end}) {
+        for (const Release how : {Release::kAfterCompute,
+                                  Release::kAfterSleep}) {
+          SCOPED_TRACE(::testing::Message() << "holder " << holder << " at "
+                                            << at << " sleep "
+                                            << (how == Release::kAfterSleep));
+          Tie k = probe;
+          k.at = at;
+          k.how = how;
+          const TieRun plain = run_tie(Loop::kReference, k);
+          expect_same(run_tie(Loop::kSpinWait, k).out, plain.out);
+          for (const PollSeen& q : plain.seen[1]) {
+            if (q.end == at && q.split) ++split_ties;
+            if (q.pop == at || (q.end == at && !q.split)) ++unsplit_ties;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(split_ties, 0);
+  EXPECT_GT(unsplit_ties, 0);
+}
+
+TEST(SpinWaitHook, IpiOnAParkedWaiter) {
+  // Core 3 raises an IPI on waiter 1 from a check at a poll's pop, in
+  // the middle of its tick and at the tick's end. Inside a split poll
+  // the waiter is queued for the rest of the poll, so the wake is
+  // ignored and the next poll delivers it. The holder releases 10 ns
+  // before some of the IPIs: then waiter 1 may be the one queued to take
+  // the register, and the IPI handler delays its read past one of waiter
+  // 2's, which polls every 256 cycles.
+  int mid_split = 0;
+  for (const TimePs lead : {TimePs{0}, 10 * kPsPerNs}) {
+    Tie probe;
+    probe.cores = 5;
+    probe.holder = 0;
+    probe.waiters = {1, 2};
+    probe.at = 150 * kPsPerUs;
+    probe.raiser = 3;
+    probe.ipi_target = 1;
+    probe.ipi_at = 149 * kPsPerUs;
+    probe.dense_waiter = 2;
+    const std::vector<PollSeen> polls =
+        run_tie(Loop::kReference, probe).seen[1];
+    for (const PollSeen& p : polls) {
+      if (p.end > 100 * kPsPerUs) break;
+      for (const TimePs at : {p.pop, (p.pop + p.end) / 2, p.end}) {
+        SCOPED_TRACE(::testing::Message() << "ipi at " << at << " lead "
+                                          << lead);
+        Tie k = probe;
+        k.ipi_at = at;
+        if (lead > 0) k.at = at - lead;
+        const TieRun plain = run_tie(Loop::kReference, k);
+        const TieRun spin = run_tie(Loop::kSpinWait, k);
+        expect_same(spin.out, plain.out);
+        if (lead == 0) {
+          EXPECT_EQ(plain.out.side[1], 1u);  // delivered while it waited
+        }
+        for (const PollSeen& q : plain.seen[1]) {
+          if (q.split && q.pop < at && at < q.end) ++mid_split;
+        }
+      }
+    }
+  }
+  EXPECT_GT(mid_split, 0);
+}
+
+/// Core 1 waits on a byte of core 0's MPB, and core 2 stores it at
+/// exactly `store_at`: from a check, or at the pop that ends a sleep.
+/// Core 0 computes throughout. `seen`, in the reference loop, gets each
+/// poll: its pop, the end of its tick, and whether the tick yielded.
+Outcome run_flag(Loop loop, TimePs store_at, Release how,
+                 std::vector<PollSeen>* seen) {
+  const scc::ChipConfig cfg = config_for(3);
+  scc::Chip chip(cfg);
+  Outcome out;
+  out.side.assign(3, 0);
+  const u64 flag = chip.map().mpb_base(0) + 77;
+  for (int id = 0; id < 3; ++id) {
+    chip.spawn_program(id, [&, id](scc::Core& c) {
+      if (id == 0) {
+        c.compute_cycles(60'000);
+        return;
+      }
+      if (id == 2) {
+        if (how == Release::kAfterSleep) {
+          c.chip().scheduler().block_until(store_at);
+        } else {
+          check_at(c, store_at);
+        }
+        c.pstore<u8>(flag, 1, scc::MemPolicy::kUncached);
+        return;
+      }
+      SpinWaitOpts opts;
+      opts.start_ps = 200 * kPsPerNs;
+      opts.cap_ps = 50 * kPsPerUs;
+      opts.site = "test.flag";
+      c.compute_cycles(2'000);
+      u64* polls = &out.side[1];
+      const scc::WatchedWord w = scc::WatchedWord::mpb_byte(flag, 1, polls);
+      // The first poll's tick passes a boundary halfway, so it may split.
+      c.tick(c.next_boundary() - c.now() - c.poll_cost(w) / 2);
+      if (loop == Loop::kSpinWait) {
+        spin_wait(c, w, opts);
+      } else {
+        sim::Scheduler& s = c.chip().scheduler();
+        reference_wait(
+            c,
+            [&] {
+              PollSeen p;
+              p.pop = c.now();
+              const u64 before = s.lane_dispatched(0);
+              ++*polls;
+              const bool got =
+                  c.pload<u8>(flag, scc::MemPolicy::kUncached) == 1;
+              p.end = c.now();
+              p.split = s.lane_dispatched(0) != before;
+              if (seen != nullptr) seen->push_back(p);
+              return got;
+            },
+            opts);
+      }
+      out.order.push_back(id);
+    });
+  }
+  chip.run();
+  for (int id = 0; id < 3; ++id) {
+    out.clocks.push_back(chip.core(id).now());
+    out.counters.push_back(chip.core(id).counters());
+  }
+  out.parked = chip.scheduler().parked_polls();
+  return out;
+}
+
+TEST(SpinWaitHook, MpbStoreAroundAParkedPoll) {
+  // The store is ordered at a poll's pop, in the middle of its tick, or
+  // at its end, from a check or from the pop that ends a sleep. An MPB
+  // poll reads before its tick, so a store in the middle of a split poll
+  // lands after the read failed and before the waiter sleeps again: the
+  // next poll must find the byte set, also when the split poll is the
+  // wait's first (run by the fiber, before the wait ever parked).
+  std::vector<PollSeen> polls;
+  run_flag(Loop::kReference, 200 * kPsPerUs, Release::kAfterCompute, &polls);
+  int mid_split = 0;
+  int first_split = 0;
+  for (const PollSeen& p : polls) {
+    if (p.end > 150 * kPsPerUs) break;
+    for (const TimePs at : {p.pop, (p.pop + p.end) / 2, p.end}) {
+      for (const Release how : {Release::kAfterCompute,
+                                Release::kAfterSleep}) {
+        SCOPED_TRACE(::testing::Message() << "store at " << at << " sleep "
+                                          << (how == Release::kAfterSleep));
+        std::vector<PollSeen> seen;
+        const Outcome plain = run_flag(Loop::kReference, at, how, &seen);
+        expect_same(run_flag(Loop::kSpinWait, at, how, nullptr), plain);
+        for (std::size_t i = 0; i < seen.size(); ++i) {
+          const PollSeen& q = seen[i];
+          if (q.split && q.pop < at && at < q.end) {
+            ++mid_split;
+            if (i == 0) ++first_split;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(mid_split, 0);
+  EXPECT_GT(first_split, 0);
+}
+
+/// Core 1 sleeps until exactly `at` and core 3 checks at exactly `at`;
+/// each then test-and-sets register 5 with no tick, so whoever resumes
+/// first takes it. Core 2 spins on register 0, which core 0 holds asleep
+/// until 200 us, polling every 256 cycles: only its polls can be earlier
+/// than the tie. `yielded`, in the reference loop,
+/// says whether core 3 yielded at its check.
+Outcome run_boundary_tie(Loop loop, TimePs at, bool* yielded) {
+  const scc::ChipConfig cfg = config_for(4);
+  scc::Chip chip(cfg);
+  Outcome out;
+  for (int id = 0; id < 4; ++id) {
+    chip.spawn_program(id, [&, id](scc::Core& c) {
+      SpinWaitOpts opts = tas_spin_opts(c, "test.boundary");
+      opts.cap_ps = 256 * c.chip().config().core_cycle_ps();
+      switch (id) {
+        case 0:
+          wait_word(loop, c, scc::WatchedWord::tas(0), opts);
+          c.chip().scheduler().block_until(200 * kPsPerUs);
+          c.tas_release(0);
+          return;
+        case 1:
+          c.chip().scheduler().block_until(at);
+          break;
+        case 2:
+          c.compute_cycles(100);
+          wait_word(loop, c, scc::WatchedWord::tas(0), opts);
+          c.tas_release(0);
+          return;
+        default: {
+          const bool y = check_at(c, at);
+          if (yielded != nullptr) *yielded = y;
+        }
+      }
+      if (c.tas_read(5)) out.order.push_back(id);
+    });
+  }
+  chip.run();
+  for (int id = 0; id < 4; ++id) {
+    out.clocks.push_back(chip.core(id).now());
+    out.counters.push_back(chip.core(id).counters());
+  }
+  out.parked = chip.scheduler().parked_polls();
+  return out;
+}
+
+TEST(SpinWaitHook, BoundaryTieWithAParkedPollEarlier) {
+  // Core 1's pop ties with core 3's check on time, and core 1 has the
+  // lower id. In the plain loop core 3 yields at its check whenever one
+  // of core 2's polls is due before it, and then core 1 takes register 5;
+  // otherwise core 3 keeps running and takes it. Parked, core 2's polls
+  // are not entries, and the scheduler must still find the earlier one.
+  int yields = 0;
+  int keeps = 0;
+  for (TimePs at = 20 * kPsPerUs; at < 30 * kPsPerUs; at += 97'531) {
+    SCOPED_TRACE(::testing::Message() << "tie at " << at);
+    bool yielded = false;
+    const Outcome plain = run_boundary_tie(Loop::kReference, at, &yielded);
+    const Outcome spin = run_boundary_tie(Loop::kSpinWait, at, nullptr);
+    expect_same(spin, plain);
+    EXPECT_GT(spin.parked, 0u);
+    (yielded ? yields : keeps) += 1;
+  }
+  EXPECT_GT(yields, 0);
+  EXPECT_GT(keeps, 0);
+}
+
+TEST(SpinWaitHook, IpiDelaysTheQueuedReader) {
+  // The holder frees register 0 just before one of waiter 1's polls, so
+  // waiter 1 is queued to read it first and waiter 2 stays parked. Then
+  // an IPI reaches waiter 1 before that read: its handler runs first, and
+  // over the sweep of waiter 2's phase, waiter 2's next read sometimes
+  // comes before waiter 1's delayed one and takes the register.
+  Tie probe;
+  probe.cores = 5;
+  probe.holder = 0;
+  probe.waiters = {1, 2};
+  probe.at = 150 * kPsPerUs;
+  probe.raiser = 3;
+  probe.ipi_target = 1;
+  probe.ipi_at = 149 * kPsPerUs;
+  const std::vector<PollSeen> polls =
+      run_tie(Loop::kReference, probe).seen[1];
+  TimePs pop = 0;
+  for (const PollSeen& p : polls) {
+    if (p.pop > 60 * kPsPerUs) {
+      pop = p.pop;
+      break;
+    }
+  }
+  ASSERT_GT(pop, 0u);
+  std::vector<int> first(5, 0);
+  for (u64 late = 0; late < 4'200; late += 97) {
+    SCOPED_TRACE(::testing::Message() << "waiter 2 starts " << late
+                                      << " cycles late");
+    Tie k = probe;
+    k.late_start = late;
+    k.at = pop - 10 * kPsPerNs;
+    k.ipi_at = pop - 5 * kPsPerNs;
+    const TieRun plain = run_tie(Loop::kReference, k);
+    expect_same(run_tie(Loop::kSpinWait, k).out, plain.out);
+    ASSERT_FALSE(plain.out.order.empty());
+    ++first[static_cast<std::size_t>(plain.out.order.front())];
+  }
+  EXPECT_GT(first[1], 0);
+  EXPECT_GT(first[2], 0);
+}
+
+TEST(SpinWaitHook, MpbBarrierOf256Members) {
+  const Outcome spin = run_barrier(Loop::kSpinWait, 256, 2);
+  expect_same(spin, run_barrier(Loop::kReference, 256, 2));
+  EXPECT_GT(spin.parked, 0u);
 }
 
 TEST(SpinWaitHook, MpbFlagBarrierMatchesPlainLoop) {
   for (int members : {4, 48}) {
     SCOPED_TRACE(members);
-    const Outcome hooked = run_barrier(Loop::kSpinWait, members, 4);
+    const Outcome spin = run_barrier(Loop::kSpinWait, members, 4);
     const Outcome plain = run_barrier(Loop::kReference, members, 4);
-    expect_same(hooked, plain);
-    EXPECT_GT(total(hooked, &scc::CoreCounters::mpb_reads), 0u);
-    EXPECT_GT(hooked.elided, 0u);
+    expect_same(spin, plain);
+    EXPECT_GT(total(spin, &scc::CoreCounters::mpb_reads), 0u);
+    EXPECT_GT(spin.parked, 0u);
   }
 }
 
@@ -352,10 +790,10 @@ TEST(SpinWaitHook, IpiMidWaitRunsTheFiber) {
   Convoy k;
   k.ipi_target = 2;
   const scc::ChipConfig cfg = config_for(k.waiters + 1);
-  const Outcome hooked = run_convoy(Loop::kSpinWait, k, cfg);
-  expect_same(hooked, run_convoy(Loop::kReference, k, cfg));
-  EXPECT_EQ(hooked.side[2], 1000u);
-  EXPECT_EQ(hooked.counters[2].ipi_irqs, 1u);
+  const Outcome spin = run_convoy(Loop::kSpinWait, k, cfg);
+  expect_same(spin, run_convoy(Loop::kReference, k, cfg));
+  EXPECT_EQ(spin.side[2], 1000u);
+  EXPECT_EQ(spin.counters[2].ipi_irqs, 1u);
 }
 
 TEST(SpinWaitHook, PendingIpiWithoutWakeRunsTheFiber) {
@@ -392,13 +830,15 @@ TEST(SpinWaitHook, PendingIpiWithoutWakeRunsTheFiber) {
       out.clocks.push_back(chip.core(id).now());
       out.counters.push_back(chip.core(id).counters());
     }
-    out.elided = chip.scheduler().elided_polls();
+    out.parked = chip.scheduler().parked_polls();
+    out.dispatches = chip.scheduler().lane_dispatched(0);
+  out.dispatches = chip.scheduler().lane_dispatched(0);
     return out;
   };
-  const Outcome hooked = run(Loop::kSpinWait);
-  expect_same(hooked, run(Loop::kReference));
-  EXPECT_GT(hooked.side[1], 0u);
-  EXPECT_GT(hooked.elided, 0u);
+  const Outcome spin = run(Loop::kSpinWait);
+  expect_same(spin, run(Loop::kReference));
+  EXPECT_GT(spin.side[1], 0u);
+  EXPECT_GT(spin.parked, 0u);
 }
 
 TEST(SpinWaitHook, TimerTickDueRunsTheFiber) {
@@ -407,10 +847,10 @@ TEST(SpinWaitHook, TimerTickDueRunsTheFiber) {
   Convoy k;
   k.hold_cycles = 1'400'000;
   const scc::ChipConfig cfg = config_for(k.waiters + 1);
-  const Outcome hooked = run_convoy(Loop::kSpinWait, k, cfg);
-  expect_same(hooked, run_convoy(Loop::kReference, k, cfg));
-  EXPECT_GE(hooked.counters[1].timer_irqs, 2u);
-  EXPECT_GT(hooked.elided, 0u);
+  const Outcome spin = run_convoy(Loop::kSpinWait, k, cfg);
+  expect_same(spin, run_convoy(Loop::kReference, k, cfg));
+  EXPECT_GE(spin.counters[1].timer_irqs, 2u);
+  EXPECT_GT(spin.parked, 0u);
 }
 
 TEST(SpinWaitHook, TimerTickAndIpiOnParkedWaiters) {
@@ -424,20 +864,20 @@ TEST(SpinWaitHook, TimerTickAndIpiOnParkedWaiters) {
   k.rounds = 1;
   k.ipi_target = 5;
   const scc::ChipConfig cfg = config_for(k.waiters + 1);
-  const Outcome hooked = run_convoy(Loop::kSpinWait, k, cfg);
-  expect_same(hooked, run_convoy(Loop::kReference, k, cfg));
-  EXPECT_EQ(hooked.counters[5].ipi_irqs, 1u);
-  EXPECT_GE(hooked.counters[47].timer_irqs, 2u);
-  EXPECT_GT(hooked.elided, 0u);
+  const Outcome spin = run_convoy(Loop::kSpinWait, k, cfg);
+  expect_same(spin, run_convoy(Loop::kReference, k, cfg));
+  EXPECT_EQ(spin.counters[5].ipi_irqs, 1u);
+  EXPECT_GE(spin.counters[47].timer_irqs, 2u);
+  EXPECT_GT(spin.parked, 0u);
 }
 
 TEST(SpinWaitHook, FaultsOnRunTheFiber) {
   Convoy k;
   scc::ChipConfig cfg = config_for(k.waiters + 1);
   cfg.faults.stall = 0.2;
-  const Outcome hooked = run_convoy(Loop::kSpinWait, k, cfg);
-  expect_same(hooked, run_convoy(Loop::kReference, k, cfg));
-  EXPECT_EQ(hooked.elided, 0u);
+  const Outcome spin = run_convoy(Loop::kSpinWait, k, cfg);
+  expect_same(spin, run_convoy(Loop::kReference, k, cfg));
+  EXPECT_EQ(spin.parked, 0u);
 }
 
 TEST(SpinWaitHook, WatchdogTripRunsTheFiber) {
@@ -467,13 +907,15 @@ TEST(SpinWaitHook, WatchdogTripRunsTheFiber) {
       out.clocks.push_back(chip.core(id).now());
       out.counters.push_back(chip.core(id).counters());
     }
-    out.elided = chip.scheduler().elided_polls();
+    out.parked = chip.scheduler().parked_polls();
+    out.dispatches = chip.scheduler().lane_dispatched(0);
+  out.dispatches = chip.scheduler().lane_dispatched(0);
     return out;
   };
-  const Outcome hooked = hung(Loop::kSpinWait);
-  expect_same(hooked, hung(Loop::kReference));
-  EXPECT_NE(hooked.hang_report.find("test.hang"), std::string::npos);
-  EXPECT_GT(hooked.elided, 0u);
+  const Outcome spin = hung(Loop::kSpinWait);
+  expect_same(spin, hung(Loop::kReference));
+  EXPECT_NE(spin.hang_report.find("test.hang"), std::string::npos);
+  EXPECT_GT(spin.parked, 0u);
   }
 }
 

@@ -105,6 +105,75 @@ TEST(ZeroOverhead, FullPipelineOnChangesNoCounterAndNoCycle) {
   global_heatmap().clear();
 }
 
+struct ConvoyRun {
+  RunResult run;
+  u64 parked_polls = 0;
+};
+
+/// A Strong run with a real first-touch convoy and barriers: 48 cores
+/// first-touch their own rows of one shared grid, which queues them on
+/// the scratchpad lock, then read their neighbours' rows between
+/// barriers, which moves pages between owners by mail.
+ConvoyRun run_convoy_workload() {
+  ClusterConfig cfg;
+  cfg.chip.num_cores = 48;
+  cfg.chip.shared_dram_bytes = 16 << 20;
+  cfg.chip.private_dram_bytes = 1 << 20;
+  cfg.svm.model = svm::Model::kStrong;
+  Cluster cl(cfg);
+  constexpr u64 kRowBytes = 4096;
+  cl.run([&](Node& n) {
+    const int cores = static_cast<int>(cl.members().size());
+    const u64 base = n.svm().alloc(static_cast<u64>(cores) * 2 * kRowBytes);
+    const u64 mine = base + static_cast<u64>(n.rank()) * 2 * kRowBytes;
+    for (u64 off = 0; off < 2 * kRowBytes; off += 512) {
+      n.svm().write<u64>(mine + off, off + static_cast<u64>(n.rank()));
+    }
+    n.svm().barrier();
+    const int next = (n.rank() + 1) % cores;
+    for (int pass = 0; pass < 2; ++pass) {
+      const u64 theirs = base + static_cast<u64>(next) * 2 * kRowBytes;
+      u64 sum = 0;
+      for (u64 off = 0; off < 2 * kRowBytes; off += 1024) {
+        sum += n.svm().read<u64>(theirs + off);
+      }
+      n.svm().write<u64>(mine, sum);
+      n.svm().barrier();
+    }
+  });
+  ConvoyRun r;
+  r.run.makespan = cl.makespan();
+  r.run.totals = cl.chip().total_counters();
+  for (const int c : cl.members()) {
+    r.run.per_core.push_back(cl.node(c).core().counters());
+  }
+  r.parked_polls = cl.chip().scheduler().parked_polls();
+  return r;
+}
+
+TEST(ZeroOverhead, ParkedAndPolledSpinWaitsAgree) {
+  // With the memory firehose on, every access may publish, so no spin
+  // wait parks and every poll runs on its fiber; with observability off,
+  // waits park and their polls are charged in closed form. The 48-core
+  // convoy on the scratchpad lock and the barriers must come out the
+  // same to the cycle and the counter either way.
+  runtime_config() = RuntimeConfig{};
+  const ConvoyRun parked = run_convoy_workload();
+  runtime_config().categories = kCatMem;
+  const ConvoyRun polled = run_convoy_workload();
+  runtime_config() = RuntimeConfig{};
+
+  EXPECT_GT(parked.parked_polls, 0u);
+  EXPECT_EQ(polled.parked_polls, 0u);
+  EXPECT_GT(parked.run.totals.tas_spins, 0u);
+  EXPECT_EQ(parked.run.makespan, polled.run.makespan);
+  ASSERT_EQ(parked.run.per_core.size(), polled.run.per_core.size());
+  for (std::size_t i = 0; i < parked.run.per_core.size(); ++i) {
+    expect_identical(polled.run.per_core[i], parked.run.per_core[i],
+                     "core " + std::to_string(i));
+  }
+}
+
 TEST(ZeroOverhead, MetricsFoldingLeavesTheRunUntouched) {
   runtime_config() = RuntimeConfig{};
   const RunResult off = run_workload(7);

@@ -1,6 +1,6 @@
 // Unit tests for the discrete-event scheduler: ordering, determinism,
-// block/wake semantics, timeouts and deadlock detection, and the timing
-// wheel that parks poll-hook re-keys off the heap.
+// block/wake semantics, timeouts and deadlock detection, and pops that
+// never go back in time. (spin_wait_hook_test.cpp covers parked waits.)
 #include "sim/scheduler.hpp"
 
 #include <gtest/gtest.h>
@@ -320,150 +320,32 @@ TEST(Scheduler, WakeStormKeepsHeapBounded) {
 }
 
 
-/// One poll-hook call: the entry's time and actor id, and the `others`
-/// time the scheduler passed.
-struct HookCall {
+/// One pop: the time and the actor id.
+struct PopAt {
   TimePs at;
   int id;
-  TimePs others;
-  bool operator<(const HookCall& o) const {
+  bool operator<(const PopAt& o) const {
     return at != o.at ? at < o.at : id < o.id;
   }
 };
 
-/// A sleeper that a poll hook steps `steps` times before it lets the
-/// fiber run: each step re-keys the entry `gaps[k % gaps.size()]` ps
-/// later, and `seen` records every call.
-struct HookedSleeper {
-  std::vector<TimePs> gaps;
-  int steps = 0;
-  std::vector<HookCall>* seen = nullptr;
-  int id = 0;
-  int done = 0;
-
-  PollStep operator()(TimePs at, bool timed_out, TimePs others) {
-    seen->push_back({at, id, others});
-    if (!timed_out || done == steps) return {};
-    const TimePs gap = gaps[static_cast<std::size_t>(done) % gaps.size()];
-    ++done;
-    return {at + gap, /*timeout=*/true};
-  }
-};
-
-TEST(SchedulerWheel, PopsInTimeAndIdOrderAcrossHeapAndWheel) {
-  // Sleepers re-key through their hooks by gaps that put some entries on
-  // the wheel (within its 2^26 ps horizon) and some on the heap (at or
-  // beyond it). Sleepers i, i+4 and i+8 (i < 4) start together with the
-  // same gaps, so their entries tie on time at every step; sleeper 12
-  // (heap) and sleeper 13 (wheel) tie on time every other step of 13.
-  // The hooks must see every entry in (time, id) order, as one heap
-  // would hand them out, each with the earliest other entry as `others`.
-  constexpr TimePs kHorizon = TimePs{1} << 26;
-  Scheduler s;
-  std::vector<HookCall> seen;
-  const std::vector<std::vector<TimePs>> gap_sets = {
-      {1'000, 7'000'000},          // both on the wheel
-      {1'000, 2 * kHorizon},       // the wheel, then past the horizon
-      {7'000'000, 1'000},          // the first set, other phase
-      {65'536, kHorizon - 1, kHorizon},  // up to the horizon
-  };
-  constexpr int kSleepers = 14;
-  std::vector<HookedSleeper> hooks(kSleepers);
-  for (int i = 0; i < kSleepers; ++i) {
-    HookedSleeper& h = hooks[static_cast<std::size_t>(i)];
-    h.gaps = i < 12 ? gap_sets[static_cast<std::size_t>(i % 4)]
-                    : std::vector<TimePs>{i == 12 ? 80'000'000u
-                                                  : 40'000'000u};
-    h.steps = 40;
-    h.seen = &seen;
-    h.id = i;
-    s.spawn("sleeper" + std::to_string(i), [&s, &h] {
-      s.current()->set_poll_hook(h);
-      s.block_until(s.current()->clock() + 5'000);
-      s.current()->set_poll_hook({});
-    }, /*start=*/i < 12 ? 100 * static_cast<TimePs>(i % 2) : 0);
-  }
-  s.run();
-  ASSERT_EQ(seen.size(), static_cast<std::size_t>(kSleepers) * 41u);
-  EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end()));
-  std::size_t ties = 0;
-  for (std::size_t i = 1; i < seen.size(); ++i) {
-    if (seen[i].at == seen[i - 1].at) ++ties;
-  }
-  EXPECT_GT(ties, 100u);  // the id tie-break decided many pops
-  // Every sleeper holds one entry until its last call, so `others` must
-  // be the earliest next call of any other sleeper.
-  std::vector<TimePs> next(kSleepers, kTimeNever);
-  for (std::size_t i = seen.size(); i-- > 0;) {
-    TimePs expect = kTimeNever;
-    for (int j = 0; j < kSleepers; ++j) {
-      if (j != seen[i].id) {
-        expect = std::min(expect, next[static_cast<std::size_t>(j)]);
-      }
-    }
-    EXPECT_EQ(seen[i].others, expect) << "call " << i;
-    next[static_cast<std::size_t>(seen[i].id)] = seen[i].at;
-  }
-  EXPECT_EQ(s.elided_polls(), static_cast<u64>(kSleepers) * 40u);
-  EXPECT_EQ(s.heap_size(), 0u);
-}
-
-TEST(SchedulerWheel, YieldAndWakeSeeAParkedEntry) {
-  // The sleeper's hook parks its timeout 1 us ahead, over and over. The
-  // waker's yield() at 2.5 us must run the parked step at 2 us first;
-  // then its wake() at 2.5 us pulls the entry parked at 3 us onto the
-  // heap, and the sleeper resumes as woken, at the wake time.
-  Scheduler s;
-  std::vector<HookCall> seen;
-  HookedSleeper h;
-  h.gaps = {1'000'000};
-  h.steps = 1'000;
-  h.seen = &seen;
-  WakeReason reason = WakeReason::kTimeout;
-  TimePs resumed_at = 0;
-  Actor& sleeper = s.spawn("sleeper", [&] {
-    s.current()->set_poll_hook(h);
-    reason = s.block_until(1'000'000);
-    s.current()->set_poll_hook({});
-    resumed_at = s.current()->clock();
-  });
-  s.spawn("waker", [&] {
-    s.current()->advance(1'500'000);
-    s.yield();  // the step at 1 us
-    s.current()->advance(1'000'000);
-    s.yield();  // the parked step at 2 us
-    EXPECT_EQ(s.heap_size(), 1u);  // the sleeper, parked at 3 us
-    s.wake(sleeper, s.current()->clock());
-  });
-  s.run();
-  EXPECT_EQ(reason, WakeReason::kWoken);
-  EXPECT_EQ(resumed_at, 2'500'000u);
-  ASSERT_EQ(seen.size(), 3u);
-  EXPECT_EQ(seen[0].at, 1'000'000u);
-  EXPECT_EQ(seen[1].at, 2'000'000u);
-  EXPECT_EQ(seen[2].at, 2'500'000u);  // the wake, handed to the fiber
-}
-
 TEST(SchedulerWheel, YielderLosesTimeTiesToLowerIds) {
   // A core that yields competes for the next pop at its (clock, id)
-  // without a queue entry. At 2 us the sleeper's parked entry (id 0)
-  // ties with the yielder (id 1) and must be stepped first.
+  // without a queue entry. At 2 us the sleeper's timeout (id 0) ties
+  // with the yielder (id 1) and must pop first.
   Scheduler s;
-  std::vector<HookCall> seen;
-  HookedSleeper h;
-  h.gaps = {1'000'000};
-  h.steps = 3;
-  h.seen = &seen;
+  std::vector<TimePs> sleeper_pops;
   TimePs last_seen_at_resume = 0;
   s.spawn("sleeper", [&] {
-    s.current()->set_poll_hook(h);
-    s.block_until(1'000'000);
-    s.current()->set_poll_hook({});
+    for (int k = 1; k <= 3; ++k) {
+      s.block_until(1'000'000 * static_cast<TimePs>(k));
+      sleeper_pops.push_back(s.current()->clock());
+    }
   });
   s.spawn("yielder", [&] {
     s.current()->advance(2'000'000);
     EXPECT_TRUE(s.maybe_yield());  // the sleeper's entry at 1 us is earlier
-    last_seen_at_resume = seen.back().at;
+    last_seen_at_resume = sleeper_pops.back();
   });
   s.run();
   EXPECT_EQ(last_seen_at_resume, 2'000'000u);
@@ -489,9 +371,9 @@ TEST(SchedulerWheel, LateTimeoutIsCountedAndPopsBehind) {
 }
 
 TEST(SchedulerWheel, MixedRunPopsNeverGoBackInTime) {
-  // The two properties the wheel's floor relies on, over a mixed run: a
-  // TAS convoy (cores 0-15), a master-gather MPB-flag barrier (cores
-  // 16-31) and an IPI storm from core 32 onto the convoy's waiters.
+  // The two properties the parked waits' history relies on, over a mixed
+  // run: a TAS convoy (cores 0-15), a master-gather MPB-flag barrier
+  // (cores 16-31) and an IPI storm from core 32 onto the convoy's waiters.
   // Without fault injection no block_until deadline lies before its
   // caller's clock, and popped entry times never decrease; every actor
   // also checks, whenever it runs, that the clock it resumed with is not
@@ -559,26 +441,25 @@ TEST(SchedulerWheel, MixedRunPopsNeverGoBackInTime) {
   Scheduler& s = chip.scheduler();
   EXPECT_EQ(s.late_timeouts(), 0u);
   EXPECT_EQ(s.backward_pops(), 0u);
-  EXPECT_GT(s.elided_polls(), 0u);  // the hooks parked entries
+  EXPECT_GT(s.parked_polls(), 0u);  // the waits parked
   EXPECT_GT(ipis, 0);
 }
 
 TEST(SchedulerYield, LosingYieldersPopInTimeAndIdOrder) {
   // A convoy of yielders whose random steps put most of them behind the
   // heap root when they yield: the loser takes the root's heap slot (one
-  // sift). With hooks, four sleepers' poll hooks also re-key entries on
-  // the wheel and, past its horizon, on the heap. Every pop, a yielder's
-  // resume or a hook call, must come in the (time, id) order of the
-  // reference: each actor's own sequence of times, merged and sorted.
-  for (const bool hooks : {false, true}) {
-    SCOPED_TRACE(hooks ? "with poll hooks" : "without poll hooks");
+  // sift). In the second run four sleepers also sleep in short and long
+  // steps. Every pop, a yielder's resume or a sleeper's timeout, must
+  // come in the (time, id) order of the reference: each actor's own
+  // sequence of times, merged and sorted.
+  for (const bool sleepers : {false, true}) {
+    SCOPED_TRACE(sleepers ? "with sleepers" : "without sleepers");
     constexpr int kYielders = 12;
     constexpr int kRounds = 300;
-    constexpr TimePs kHorizon = TimePs{1} << 26;
     Scheduler s;
-    Rng rng(hooks ? 11 : 12);
-    std::vector<HookCall> pops;  // resumes and hook calls, as they come
-    std::vector<HookCall> reference;
+    Rng rng(sleepers ? 11 : 12);
+    std::vector<PopAt> pops;  // resumes, as they come
+    std::vector<PopAt> reference;
     std::size_t live = 0;
     bool heap_bounded = true;
     for (int i = 0; i < kYielders; ++i) {
@@ -587,14 +468,14 @@ TEST(SchedulerYield, LosingYieldersPopInTimeAndIdOrder) {
       std::vector<TimePs> steps;
       TimePs t = start;
       for (int r = 0; r < kRounds; ++r) {
-        reference.push_back({t, i, 0});
+        reference.push_back({t, i});
         steps.push_back(500 * (1 + rng.next_below(24)));
         t += steps.back();
       }
       ++live;
       s.spawn("yielder" + std::to_string(i), [&, i, steps] {
         for (const TimePs step : steps) {
-          pops.push_back({s.current()->clock(), i, 0});
+          pops.push_back({s.current()->clock(), i});
           // The running actor holds no entry; every other, at most one.
           heap_bounded = heap_bounded && s.heap_size() < live;
           s.current()->advance(step);
@@ -603,28 +484,24 @@ TEST(SchedulerYield, LosingYieldersPopInTimeAndIdOrder) {
         --live;
       }, start);
     }
-    std::vector<HookedSleeper> sleepers(hooks ? 4 : 0);
-    for (std::size_t k = 0; k < sleepers.size(); ++k) {
-      HookedSleeper& h = sleepers[k];
-      const int id = kYielders + static_cast<int>(k);
-      h.gaps = k < 2 ? std::vector<TimePs>{1'500, 7'000}
-                     : std::vector<TimePs>{2'000, 2 * kHorizon};
-      h.steps = 60;
-      h.seen = &pops;
-      h.id = id;
-      const TimePs deadline = 1'000 * (k + 1);
-      reference.push_back({0, id, 0});  // its first run, at spawn time
-      TimePs at = deadline;
-      for (int step = 0; step <= h.steps; ++step) {
-        reference.push_back({at, id, 0});
-        at += h.gaps[static_cast<std::size_t>(step) % h.gaps.size()];
+    for (int k = 0; k < (sleepers ? 4 : 0); ++k) {
+      const int id = kYielders + k;
+      const std::vector<TimePs> gaps =
+          k < 2 ? std::vector<TimePs>{1'500, 7'000}
+                : std::vector<TimePs>{2'000, 200'000'000};
+      std::vector<TimePs> wakes;
+      TimePs at = 1'000 * static_cast<TimePs>(k + 1);
+      for (int step = 0; step <= 60; ++step) {
+        wakes.push_back(at);
+        reference.push_back({at, id});
+        at += gaps[static_cast<std::size_t>(step) % gaps.size()];
       }
       ++live;
-      s.spawn("sleeper" + std::to_string(k), [&, id, deadline, k] {
-        pops.push_back({s.current()->clock(), id, 0});
-        s.current()->set_poll_hook(sleepers[k]);
-        s.block_until(deadline);
-        s.current()->set_poll_hook({});
+      s.spawn("sleeper" + std::to_string(k), [&, id, wakes] {
+        for (const TimePs wake : wakes) {
+          s.block_until(wake);
+          pops.push_back({s.current()->clock(), id});
+        }
         --live;
       });
     }
