@@ -167,18 +167,6 @@ inline sim::FaultPlan arg_faults(int argc, char** argv) {
   }
 }
 
-/// The recovery envelope the fault-injecting benches run under: an armed
-/// watchdog (hangs must be typed), an IPI-mode poll sweep (the only
-/// recovery for a dropped wake-up IPI), degradation to poll mode after
-/// repeated loss, and a short retransmission timeout so slot-stuck
-/// requests retry within the benches' small workloads.
-inline void recovery_envelope(sim::FaultPlan& plan) {
-  plan.watchdog_ps = 500 * kPsPerMs;
-  plan.sweep_period = 2;
-  plan.degrade_after = 6;
-  plan.retry_ps = 2 * kPsPerMs;
-}
-
 /// The uniform observability flag block every bench gains for free:
 ///
 ///   --trace=FILE     Chrome-trace/Perfetto JSON timeline of the run

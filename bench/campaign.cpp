@@ -27,7 +27,7 @@
 // coherence auditor; any violation makes the run wrong.
 //
 //   ./campaign --campaign=kill --plans=126
-//   ./campaign --campaign=flip --faults='flippage=0.5,retry=2ms,watchdog=500ms'
+//   ./campaign --campaign=flip --faults='flippage=0.5,watchdog=500ms'
 //
 // --plans sets the plan count (defaults: chaos 20, kill 20, flip 126,
 // kv-kill 6), --seed the plan stream, --cores overrides the core count
@@ -174,7 +174,7 @@ sim::FaultPlan flip_plan(sim::Rng& rng, u64 index, int /*cores*/) {
     plan.flippage = kPageRates[rng.next_below(4)];
     plan.flipmeta = kMetaRates[rng.next_below(4)];
   } while (plan.flipmail == 0 && plan.flippage == 0 && plan.flipmeta == 0);
-  if (index % 3 == 2) plan.scrub_ps = 200 * kPsPerUs;
+  if (index % 3 == 2) plan.scrub = true;
   return plan;
 }
 
@@ -494,7 +494,7 @@ int main(int argc, char** argv) {
       plan = c->draw(rng, i,
                      fixed_cores > 0 ? fixed_cores : combos[0].cores);
       plan.seed = plan_seed;
-      bench::recovery_envelope(plan);
+      plan.watchdog_ps = 500 * kPsPerMs;  // a hang must end typed
     }
     const std::string spec = plan.to_spec();
     std::printf("plan %3llu/%llu: %s\n", static_cast<ull>(i + 1),

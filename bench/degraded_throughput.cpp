@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
         spec.at_ps = (1 + k) * kPsPerMs;
         p.faults.kills.push_back(spec);
       }
-      bench::recovery_envelope(p.faults);
+      p.faults.watchdog_ps = 500 * kPsPerMs;
       p.faults.lease_ps = 500 * kPsPerUs;
 
       const char* outcome = "correct";

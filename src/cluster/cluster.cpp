@@ -50,12 +50,11 @@ Node::Node(scc::Core& core, const std::vector<int>& members, bool use_ipi,
       char buf[192];
       std::snprintf(buf, sizeof(buf),
                     "core %d mbox: sent=%llu received=%llu inbox=%zu "
-                    "sweep_recoveries=%llu degraded=%d\n",
+                    "sweep_recoveries=%llu\n",
                     core_.id(), static_cast<unsigned long long>(ms.sent),
                     static_cast<unsigned long long>(ms.received),
                     mbox_->inbox_depth(),
-                    static_cast<unsigned long long>(ms.sweep_recoveries),
-                    mbox_->degraded() ? 1 : 0);
+                    static_cast<unsigned long long>(ms.sweep_recoveries));
       out += buf;
     });
   }

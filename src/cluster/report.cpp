@@ -134,11 +134,10 @@ std::string format_report(Cluster& cluster, const ReportOptions& options) {
             static_cast<unsigned long long>(total.slot_checks));
     appendf(out,
             "mailbox-stall: send stalls %llu (%.3f ms), recv wait "
-            "%.3f ms, sweep recoveries %llu, degraded %llu\n",
+            "%.3f ms, sweep recoveries %llu\n",
             static_cast<unsigned long long>(total.send_stalls),
             ps_to_ms(total.send_stall_ps), ps_to_ms(total.recv_wait_ps),
-            static_cast<unsigned long long>(total.sweep_recoveries),
-            static_cast<unsigned long long>(total.degradations));
+            static_cast<unsigned long long>(total.sweep_recoveries));
   }
 
   if (options.heatmap && !obs::global_heatmap().empty()) {

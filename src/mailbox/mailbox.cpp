@@ -34,6 +34,11 @@ constexpr u32 kCrcSpanBytes = kCrcOff - kCrcSpanOff;
 // top by the memory model.
 constexpr u64 kSlotCheckCycles = 100;
 
+// Under an armed recovery envelope (FaultPlan::recovery_armed) the IPI
+// mailbox scans every slot on every kSweepTicks-th timer interrupt: the
+// paper's poll path, run at a low rate to catch mails whose IPI was lost.
+constexpr u32 kSweepTicks = 2;
+
 // Software cost of composing/consuming a mail (copies, bookkeeping).
 constexpr u64 kMailSoftwareCycles = 60;
 
@@ -48,11 +53,11 @@ MailboxSystem::MailboxSystem(kernel::Kernel& kernel, bool use_ipi)
     : kernel_(kernel),
       core_(kernel.core()),
       use_ipi_(use_ipi),
-      sweep_period_(kernel.core().chip().faults().plan().sweep_period),
-      degrade_after_(kernel.core().chip().faults().plan().degrade_after),
+      sweep_(use_ipi &&
+             kernel.core().chip().faults().plan().recovery_armed()),
       handlers_(256),
       integrity_(kernel.core().chip().faults().plan().integrity_armed()),
-      sweep_countdown_(sweep_period_) {
+      sweep_countdown_(kSweepTicks) {
   const int n = core_.chip().num_cores();
   participants_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) participants_.push_back(i);
@@ -63,10 +68,10 @@ MailboxSystem::MailboxSystem(kernel::Kernel& kernel, bool use_ipi)
     kernel_.add_ipi_handler([this](const scc::IpiSourceSet& sources) {
       sources.for_each([this](int src) { poll_from(src); });
     });
-    if (sweep_period_ > 0) {
-      // Low-rate safety net against lost interrupts: every Nth timer
-      // tick, scan all slots anyway. Off by default — a sweep costs
-      // slot-check cycles even when every IPI arrives.
+    if (sweep_) {
+      // Low-rate safety net against lost interrupts: every 2nd timer
+      // tick, scan all slots anyway. Off on plan-free runs — a sweep
+      // costs slot-check cycles even when every IPI arrives.
       kernel_.add_timer_handler([this] { sweep_tick(); });
     }
   } else {
@@ -77,28 +82,16 @@ MailboxSystem::MailboxSystem(kernel::Kernel& kernel, bool use_ipi)
 }
 
 void MailboxSystem::sweep_tick() {
-  if (!degraded_) {
-    if (--sweep_countdown_ != 0) return;
-    sweep_countdown_ = sweep_period_;
-  }
+  if (--sweep_countdown_ != 0) return;
+  sweep_countdown_ = kSweepTicks;
   const int seen = poll_all();
-  if (seen <= 0 || degraded_) return;
+  if (seen <= 0) return;
   // Every mail found here is one whose IPI never got us to check the
   // slot — interrupt loss evidence.
   stats_.sweep_recoveries += static_cast<u64>(seen);
   core_.publish(obs::EventKind::kMailSweep, static_cast<u64>(seen));
   MSVM_LOG_INFO("core %d: poll sweep recovered %d mail(s) missed by IPI",
                 core_.id(), seen);
-  if (degrade_after_ > 0 &&
-      stats_.sweep_recoveries >= degrade_after_) {
-    degraded_ = true;
-    ++stats_.degradations;
-    MSVM_LOG_ERROR(
-        "core %d: %llu mails missed by IPI delivery; degrading mailbox "
-        "to poll-every-tick mode",
-        core_.id(),
-        static_cast<unsigned long long>(stats_.sweep_recoveries));
-  }
 }
 
 void MailboxSystem::set_participants(std::vector<int> cores) {
@@ -198,13 +191,13 @@ void MailboxSystem::send(int dest, const Mail& mail) {
       if (gic.has_pending(core_.id())) {
         const scc::IpiSourceSet sources = gic.take_pending(core_.id());
         sources.for_each([this](int src) { poll_from(src); });
-      } else if (sweep_period_ > 0 && ++stall_spins % 16 == 0) {
+      } else if (sweep_ && ++stall_spins % 16 == 0) {
         // A deposit whose IPI was lost is invisible to the GIC drain,
         // and the timer-driven sweep cannot nest into handler context:
         // two handlers stalled sending ACKs to each other, both wake
-        // IPIs dropped, would deadlock. When the sweep is configured
-        // (the same recovery knob — off on clean runs), scan all slots
-        // at a low rate from the stall loop itself.
+        // IPIs dropped, would deadlock. Under the recovery envelope
+        // (off on plan-free runs), scan all slots at a low rate from
+        // the stall loop itself.
         poll_all();
       }
     }
@@ -279,8 +272,8 @@ bool MailboxSystem::check_slot(int sender) {
     // Injected MPB corruption: one bit of the line as read — payload or
     // CRC, never the flag byte (a flipped flag is a lost/spurious
     // delivery, the omission fault domain).
-    const int bit = core_.chip().faults().mail_flip_bit(
-        core_.id(), (kMailBytes - 1) * 8);
+    const int bit =
+        core_.chip().faults().mail_flip_bit((kMailBytes - 1) * 8);
     if (bit >= 0) {
       line[1 + static_cast<u32>(bit) / 8] ^=
           static_cast<u8>(1u << (static_cast<u32>(bit) % 8));

@@ -54,7 +54,6 @@ struct MailboxStats {
   TimePs send_stall_ps = 0; // virtual time spent stalled in send()
   TimePs recv_wait_ps = 0;  // virtual time spent blocked in recv_match*
   u64 sweep_recoveries = 0; // mails found by the IPI-mode poll sweep
-  u64 degradations = 0;     // 1 once the mailbox fell back to poll mode
   u64 dispatches_deferred = 0;  // handler runs queued past the depth cap
   u64 dead_drops = 0;       // sends dropped: destination presumed dead
   u64 corrupt_drops = 0;    // deliveries dropped on a CRC mismatch
@@ -78,7 +77,6 @@ inline constexpr MailboxStatsField kMailboxStatsFields[] = {
     {"send_stall_ps", &MailboxStats::send_stall_ps},
     {"recv_wait_ps", &MailboxStats::recv_wait_ps},
     {"sweep_recoveries", &MailboxStats::sweep_recoveries},
-    {"degradations", &MailboxStats::degradations},
     {"dispatches_deferred", &MailboxStats::dispatches_deferred},
     {"dead_drops", &MailboxStats::dead_drops},
     {"corrupt_drops", &MailboxStats::corrupt_drops},
@@ -166,10 +164,6 @@ class MailboxSystem {
   /// recv_match callers.
   void enqueue_inbox(const Mail& mail);
 
-  /// True once the IPI-mode mailbox has degraded to poll-every-tick
-  /// after repeated interrupt loss (see degrade_after_).
-  bool degraded() const { return degraded_; }
-
   const MailboxStats& stats() const { return stats_; }
 
   /// Mails queued in the software inbox that no recv_match took yet.
@@ -191,23 +185,18 @@ class MailboxSystem {
   /// kTimeNever for an unbounded wait.
   std::optional<Mail> recv_loop(Predicate pred, TimePs deadline);
 
-  /// Timer callback in IPI mode when the sweep is configured.
+  /// Timer callback in IPI mode under the recovery envelope.
   void sweep_tick();
 
   kernel::Kernel& kernel_;
   scc::Core& core_;
   bool use_ipi_;
-  /// Poll-sweep period in timer ticks, latched from the fault plan's
-  /// `sweep=` so one spec string configures both the faults and the
-  /// defences: every N-th timer interrupt the receiver scans all
-  /// participating slots even in IPI mode, catching mails whose
-  /// interrupt was lost. 0 (the default, bit-identical) disables the
-  /// sweep; a missed IPI then wedges the receiver like the real part.
-  u32 sweep_period_ = 0;
-  /// After this many sweep-recovered mails (the plan's `degrade=`) the
-  /// mailbox stops trusting IPIs and degrades to polling on every timer
-  /// tick. 0 disables.
-  u32 degrade_after_ = 0;
+  /// True in IPI mode when the fault plan arms the recovery envelope
+  /// (FaultPlan::recovery_armed): every 2nd timer interrupt the receiver
+  /// scans all participating slots, catching mails whose interrupt was
+  /// lost. Off on a plan-free run (bit-identical); a missed IPI then
+  /// wedges the receiver like the real part.
+  bool sweep_ = false;
   std::vector<int> participants_;
   std::vector<Handler> handlers_;  // indexed by type
   MailRing<Mail> inbox_;
@@ -223,7 +212,6 @@ class MailboxSystem {
   int dispatch_depth_ = 0;
   u32 poll_jitter_ = 0x12345u;
   u32 sweep_countdown_ = 0;
-  bool degraded_ = false;
 };
 
 }  // namespace msvm::mbox

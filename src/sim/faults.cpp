@@ -116,44 +116,11 @@ KillSpec parse_kill(const std::string& tok, const std::string& text) {
   return k;
 }
 
-/// Splits "P[@CORE]" for the flipmail clause: a bare probability means
-/// every core's deliveries are fair game; "P@CORE" focuses the flips on
-/// mails delivered to one core.
-void parse_flip_target(const std::string& tok, const std::string& text,
-                       double* p, int* core) {
-  const std::size_t at = text.find('@');
-  *p = parse_probability(tok, text.substr(0, at));
-  if (at == std::string::npos) {
-    *core = -1;
-    return;
-  }
-  const u64 c = parse_u64(tok, text.substr(at + 1));
-  if (c > 100000) {
-    throw FaultSpecError("fault spec: implausible core id in '" + tok + "'");
-  }
-  *core = static_cast<int>(c);
-}
-
 /// Parses "0"/"1" for boolean knobs.
 bool parse_bool(const std::string& tok, const std::string& text) {
   if (text == "0") return false;
   if (text == "1") return true;
   throw FaultSpecError("fault spec: expected 0 or 1 in '" + tok + "'");
-}
-
-/// Splits "P:DUR" for the delay/stall knobs.
-void parse_prob_duration(const std::string& tok, const std::string& text,
-                         double* p, TimePs* dur) {
-  const std::size_t colon = text.find(':');
-  if (colon == std::string::npos) {
-    throw FaultSpecError("fault spec: expected P:DUR in '" + tok + "'");
-  }
-  *p = parse_probability(tok, text.substr(0, colon));
-  *dur = parse_duration(tok, text.substr(colon + 1));
-  if (*p > 0 && *dur == 0) {
-    throw FaultSpecError("fault spec: zero duration with non-zero "
-                         "probability in '" + tok + "'");
-  }
 }
 
 std::string fmt_duration(TimePs ps) {
@@ -200,17 +167,17 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
       } else if (key == "ipi_drop") {
         plan.ipi_drop = parse_probability(tok, val);
       } else if (key == "ipi_delay") {
-        parse_prob_duration(tok, val, &plan.ipi_delay, &plan.ipi_delay_max_ps);
+        plan.ipi_delay = parse_probability(tok, val);
       } else if (key == "mail_delay") {
         plan.mail_delay = parse_probability(tok, val);
       } else if (key == "mail_dup") {
         plan.mail_dup = parse_probability(tok, val);
       } else if (key == "stall") {
-        parse_prob_duration(tok, val, &plan.stall, &plan.stall_max_ps);
+        plan.stall = parse_probability(tok, val);
       } else if (key == "spurious") {
         plan.spurious = parse_probability(tok, val);
       } else if (key == "flipmail") {
-        parse_flip_target(tok, val, &plan.flipmail, &plan.flipmail_core);
+        plan.flipmail = parse_probability(tok, val);
       } else if (key == "flippage") {
         plan.flippage = parse_probability(tok, val);
       } else if (key == "flipmeta") {
@@ -218,21 +185,16 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
       } else if (key == "integrity") {
         plan.integrity = parse_bool(tok, val);
       } else if (key == "scrub") {
-        plan.scrub_ps = parse_duration(tok, val);
+        plan.scrub = parse_bool(tok, val);
       } else if (key == "watchdog") {
         plan.watchdog_ps = parse_duration(tok, val);
-      } else if (key == "sweep") {
-        plan.sweep_period = static_cast<u32>(parse_u64(tok, val));
-      } else if (key == "degrade") {
-        plan.degrade_after = static_cast<u32>(parse_u64(tok, val));
-      } else if (key == "retry") {
-        plan.retry_ps = parse_duration(tok, val);
       } else if (key == "kill") {
         plan.kills.push_back(parse_kill(tok, val));
       } else if (key == "lease") {
         plan.lease_ps = parse_duration(tok, val);
       } else {
-        throw FaultSpecError("fault spec: unknown key '" + key + "'");
+        throw FaultSpecError("fault spec: unknown key '" + key + "' in '" +
+                             tok + "'");
       }
     }
   }
@@ -254,28 +216,17 @@ std::string FaultPlan::to_spec() const {
   };
   if (seed != def.seed) add("seed=" + std::to_string(seed));
   if (ipi_drop > 0) add("ipi_drop=" + fmt_prob(ipi_drop));
-  if (ipi_delay > 0) {
-    add("ipi_delay=" + fmt_prob(ipi_delay) + ":" +
-        fmt_duration(ipi_delay_max_ps));
-  }
+  if (ipi_delay > 0) add("ipi_delay=" + fmt_prob(ipi_delay));
   if (mail_delay > 0) add("mail_delay=" + fmt_prob(mail_delay));
   if (mail_dup > 0) add("mail_dup=" + fmt_prob(mail_dup));
-  if (stall > 0) add("stall=" + fmt_prob(stall) + ":" +
-                     fmt_duration(stall_max_ps));
+  if (stall > 0) add("stall=" + fmt_prob(stall));
   if (spurious > 0) add("spurious=" + fmt_prob(spurious));
-  if (flipmail > 0) {
-    std::string tok = "flipmail=" + fmt_prob(flipmail);
-    if (flipmail_core >= 0) tok += "@" + std::to_string(flipmail_core);
-    add(tok);
-  }
+  if (flipmail > 0) add("flipmail=" + fmt_prob(flipmail));
   if (flippage > 0) add("flippage=" + fmt_prob(flippage));
   if (flipmeta > 0) add("flipmeta=" + fmt_prob(flipmeta));
   if (integrity) add("integrity=1");
-  if (scrub_ps > 0) add("scrub=" + fmt_duration(scrub_ps));
+  if (scrub) add("scrub=1");
   if (watchdog_ps > 0) add("watchdog=" + fmt_duration(watchdog_ps));
-  if (sweep_period > 0) add("sweep=" + std::to_string(sweep_period));
-  if (degrade_after > 0) add("degrade=" + std::to_string(degrade_after));
-  if (retry_ps > 0) add("retry=" + fmt_duration(retry_ps));
   if (lease_ps > 0) add("lease=" + fmt_duration(lease_ps));
   for (const KillSpec& k : kills) {
     add("kill=" + std::to_string(k.core) + "@" + fmt_duration(k.at_ps));

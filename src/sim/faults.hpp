@@ -1,13 +1,17 @@
 // Seeded, deterministic fault injection and the virtual-time watchdog.
 //
 // A FaultPlan is a small parsed record of *what* to break and *how* to
-// recover: probabilities for dropping/delaying IPIs, delaying/duplicating
-// mailbox flag visibility, stalling cores, and spurious wakeups — plus
-// the recovery knobs (watchdog limit, IPI-mode poll-sweep period,
-// degradation threshold, retransmission base timeout). Everything is
-// default-off: a default-constructed plan injects nothing, enables no
-// sweep, and arms no watchdog, so the simulation is bit-identical to a
-// build without this subsystem.
+// notice it: probabilities for dropping/delaying IPIs, delaying/duplicating
+// mailbox flag visibility, stalling cores, and spurious wakeups, plus the
+// watchdog limit, the failure-detection lease and the integrity layer.
+// Everything is default-off: a default-constructed plan injects nothing,
+// arms no recovery envelope and no watchdog, so the simulation is
+// bit-identical to a build without this subsystem.
+//
+// A plan that injects anything, detects failures or checks integrity
+// arms the one recovery envelope (FaultPlan::recovery_armed): the IPI
+// mailbox sweeps every slot on every 2nd timer tick, and protocol waits
+// retransmit from a 2 ms base. It has no knobs of its own.
 //
 // The FaultInjector owns the plan plus one private xoshiro256** stream
 // *per clause*, each seeded by a splitmix finalizer over (plan.seed,
@@ -23,26 +27,22 @@
 //
 //   seed=N            RNG seed for the fault stream (default 1)
 //   ipi_drop=P        drop each raised IPI with probability P
-//   ipi_delay=P:DUR   delay each IPI by uniform(0,DUR] with prob. P
+//   ipi_delay=P       delay each IPI by uniform(0,200us] with prob. P
 //   mail_delay=P      hide a set mailbox flag for one check with prob. P
 //   mail_dup=P        deliver a received mail twice with probability P
-//   stall=P:DUR       stall a core uniform(0,DUR] at a tick boundary
+//   stall=P           stall a core uniform(0,50us] at a tick boundary
 //   spurious=P        wake a halted core early with probability P
-//   flipmail=P[@CORE] flip one random bit in a delivered mail line with
-//                     probability P (optionally only mails delivered to
-//                     core CORE)
+//   flipmail=P        flip one random bit in a delivered mail line with
+//                     probability P
 //   flippage=P        flip one random bit in a page frame at an
 //                     ownership handoff with probability P
 //   flipmeta=P        flip one random bit in an SVM meta word (owner /
 //                     scratchpad / directory) at a store with prob. P
 //   integrity=0|1     force the checksum/verify machinery on even with
 //                     no flip clause armed (flips imply integrity)
-//   scrub=DUR         background scrubber: walk idle sealed pages every
-//                     DUR of virtual time (0 = off; implies integrity)
+//   scrub=0|1         background scrubber: walk idle sealed pages on
+//                     every timer tick (implies integrity)
 //   watchdog=DUR      per-core hang limit (0 = disabled)
-//   sweep=N           IPI mode: poll-sweep every N timer ticks (0 = off)
-//   degrade=N         drop to poll mode after N sweep recoveries (0 = off)
-//   retry=DUR         base protocol retransmission timeout (0 = default)
 //   kill=CORE@TIME    fail-stop core CORE permanently at virtual TIME
 //                     (repeatable; the kill fires at the first tick
 //                     boundary at or after TIME)
@@ -50,7 +50,7 @@
 //                     is presumed dead (0 = no failure detection)
 //
 // DUR is an integer or decimal with a mandatory ns/us/ms/s suffix,
-// e.g. `watchdog=500ms,ipi_drop=0.2,ipi_delay=0.1:200us`. A kill-enabled
+// e.g. `watchdog=500ms,ipi_drop=0.2,ipi_delay=0.1`. A kill-enabled
 // plan reads `kill=3@10ms,lease=2ms,watchdog=500ms`.
 #pragma once
 
@@ -90,17 +90,14 @@ struct FaultPlan {
 
   // Injection probabilities (all default 0: no faults).
   double ipi_drop = 0.0;
-  double ipi_delay = 0.0;
-  TimePs ipi_delay_max_ps = 200 * kPsPerUs;
+  double ipi_delay = 0.0;   // extra wire delay uniform(0, kIpiDelayMaxPs]
   double mail_delay = 0.0;
   double mail_dup = 0.0;
-  double stall = 0.0;
-  TimePs stall_max_ps = 50 * kPsPerUs;
+  double stall = 0.0;       // tick-boundary stall uniform(0, kStallMaxPs]
   double spurious = 0.0;
 
   // Corruption injection (the SDC fault domain; all default 0).
   double flipmail = 0.0;
-  int flipmail_core = -1;   // -1 = mails to any core; else only to CORE
   double flippage = 0.0;
   double flipmeta = 0.0;
 
@@ -108,19 +105,20 @@ struct FaultPlan {
   // no RNG draw — so adding one perturbs nothing else in the schedule.
   std::vector<KillSpec> kills;
 
-  // Recovery / hardening knobs (all default off).
+  // Detection / hardening knobs (all default off).
   TimePs watchdog_ps = 0;   // per-core hang limit; 0 disables the watchdog
-  u32 sweep_period = 0;     // IPI mode: poll sweep every N timer ticks
-  u32 degrade_after = 0;    // degrade to poll mode after N sweep recoveries
-  TimePs retry_ps = 0;      // protocol retransmission base timeout override
   TimePs lease_ps = 0;      // heartbeat lease; 0 = no failure detection
   bool integrity = false;   // force checksums on without any flip clause
-  TimePs scrub_ps = 0;      // background scrubber period; 0 = off
+  bool scrub = false;       // background scrubber on every timer tick
+
+  /// Upper bounds of the injected IPI delay and core stall.
+  static constexpr TimePs kIpiDelayMaxPs = 200 * kPsPerUs;
+  static constexpr TimePs kStallMaxPs = 50 * kPsPerUs;
 
   /// True when any injection is armed (probabilities, flips, or
-  /// scheduled kills). Recovery knobs (watchdog, sweep, degrade, retry,
-  /// lease, integrity, scrub) do not count: an armed watchdog with no
-  /// faults must stay bit-identical.
+  /// scheduled kills). Detection knobs (watchdog, lease, integrity,
+  /// scrub) do not count: an armed watchdog with no faults must stay
+  /// bit-identical.
   bool any_faults() const {
     return ipi_drop > 0 || ipi_delay > 0 || mail_delay > 0 || mail_dup > 0 ||
            stall > 0 || spurious > 0 || flipmail > 0 || flippage > 0 ||
@@ -132,8 +130,17 @@ struct FaultPlan {
   /// implied by any flip clause — injected corruption without detection
   /// would be exactly the silent-wrong outcome the layer exists to kill.
   bool integrity_armed() const {
-    return integrity || scrub_ps > 0 || flipmail > 0 || flippage > 0 ||
+    return integrity || scrub || flipmail > 0 || flippage > 0 ||
            flipmeta > 0;
+  }
+
+  /// True when the plan runs the recovery envelope: the IPI mailbox's
+  /// poll sweep every 2nd timer tick and the 2 ms retransmission base.
+  /// Any injection, failure detection or integrity check arms it; a
+  /// watchdog alone does not, so a watchdog-only run stays bit-identical
+  /// to a plan-free one.
+  bool recovery_armed() const {
+    return any_faults() || lease_ps > 0 || integrity_armed();
   }
 
   /// Parses the spec grammar above. Throws FaultSpecError with the
@@ -231,7 +238,7 @@ class FaultInjector {
     Rng& rng = stream(FaultClause::kIpiDelay);
     if (plan_.ipi_delay <= 0 || !rng.next_bool(plan_.ipi_delay)) return 0;
     const TimePs d = 1 + static_cast<TimePs>(rng.next_below(
-                             static_cast<u64>(plan_.ipi_delay_max_ps)));
+                             static_cast<u64>(FaultPlan::kIpiDelayMaxPs)));
     ++stats_.ipis_delayed;
     stats_.ipi_delay_ps += d;
     return d;
@@ -260,7 +267,7 @@ class FaultInjector {
     Rng& rng = stream(FaultClause::kStall);
     if (plan_.stall <= 0 || !rng.next_bool(plan_.stall)) return 0;
     const TimePs d = 1 + static_cast<TimePs>(rng.next_below(
-                             static_cast<u64>(plan_.stall_max_ps)));
+                             static_cast<u64>(FaultPlan::kStallMaxPs)));
     ++stats_.stalls;
     stats_.stall_ps += d;
     return d;
@@ -280,16 +287,11 @@ class FaultInjector {
                    rng.next_below(static_cast<u64>(max_gap)));
   }
 
-  /// Bit to flip in a mail line delivered to `dest_core`, or -1 to
-  /// deliver intact. `nbits` is the flippable span (the payload + CRC
-  /// bytes — never the flag byte, which is flow control, not data).
-  /// Cores outside the plan's @CORE filter draw nothing, so focusing
-  /// the clause on one core perturbs no other core's delivery stream.
-  int mail_flip_bit(int dest_core, u32 nbits) {
+  /// Bit to flip in a delivered mail line, or -1 to deliver intact.
+  /// `nbits` is the flippable span (the payload + CRC bytes — never the
+  /// flag byte, which is flow control, not data).
+  int mail_flip_bit(u32 nbits) {
     if (plan_.flipmail <= 0 || nbits == 0) return -1;
-    if (plan_.flipmail_core >= 0 && plan_.flipmail_core != dest_core) {
-      return -1;
-    }
     Rng& rng = stream(FaultClause::kFlipMail);
     if (!rng.next_bool(plan_.flipmail)) return -1;
     ++stats_.mail_flips;
@@ -372,12 +374,6 @@ class Watchdog {
   /// hang limit; records the report and requests a scheduler stop.
   /// `site`/`core_id` name the wait that noticed the hang first.
   bool check(TimePs now, TimePs since, const char* site, int core_id);
-
-  /// What check() would return, without its side effects.
-  bool would_trip(TimePs now, TimePs since) const {
-    return tripped_ ||
-           (limit_ != 0 && now >= since && now - since > limit_);
-  }
 
   bool tripped() const { return tripped_; }
   const std::string& report() const { return report_; }

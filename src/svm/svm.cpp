@@ -133,13 +133,11 @@ Svm::Svm(kernel::Kernel& kernel, mbox::MailboxSystem& mbox,
   // and a latched bool keeps the flag-off fast paths branch-predictable.
   const sim::FaultPlan& plan = core_.chip().faults().plan();
   integrity_ = plan.integrity_armed();
-  if (plan.scrub_ps > 0) {
+  if (plan.scrub) {
     // Background scrubber: each member walks its own slice of the seal
     // vector (cursors interleaved by rank), so the domain is covered
     // without any cross-core coordination and without double-verifying
     // pages.
-    scrub_period_ps_ = plan.scrub_ps;
-    next_scrub_ps_ = plan.scrub_ps;
     scrub_cursor_ = static_cast<u64>(rank_);
     kernel.add_timer_handler([this] { scrub_tick(); });
   }
@@ -517,6 +515,10 @@ namespace {
 // under a timer period), so the clean path never observes a timeout.
 constexpr TimePs kRetryBasePs = 50 * kPsPerMs;
 constexpr TimePs kRetryCapPs = 400 * kPsPerMs;
+// Under an armed recovery envelope (FaultPlan::recovery_armed) a
+// slot-stuck or lost request retries within a small workload instead.
+constexpr TimePs kArmedRetryBasePs = 2 * kPsPerMs;
+constexpr TimePs kArmedRetryCapPs = 8 * kArmedRetryBasePs;
 
 }  // namespace
 
@@ -625,10 +627,9 @@ proto::Msg Svm::wait_match(proto::MsgType type, u64 page) {
   const auto pred = [mail_type, page, seq](const mbox::Mail& m) {
     return m.type == mail_type && m.p0 == page && m.arg16 == seq;
   };
-  const TimePs plan_retry = core_.chip().faults().plan().retry_ps;
-  const TimePs base = plan_retry > 0 ? plan_retry : kRetryBasePs;
-  const TimePs cap = plan_retry > 0 ? plan_retry * 8 : kRetryCapPs;
-  TimePs timeout = base;
+  const bool armed = core_.chip().faults().plan().recovery_armed();
+  const TimePs cap = armed ? kArmedRetryCapPs : kRetryCapPs;
+  TimePs timeout = armed ? kArmedRetryBasePs : kRetryBasePs;
   const TimePs t0 = core_.now();
   for (;;) {
     const auto m = mbox_.recv_match_until(pred, core_.now() + timeout);
@@ -957,8 +958,6 @@ u16 Svm::published_frame(u64 page) {
 }
 
 void Svm::scrub_tick() {
-  if (core_.now() < next_scrub_ps_) return;
-  next_scrub_ps_ = core_.now() + scrub_period_ps_;
   const u64 n = domain_.seals.size();
   if (n == 0) return;
   // Bounded per-tick work: the scrubber runs in timer-interrupt context

@@ -474,8 +474,8 @@ class Svm final : public proto::ProtocolEnv, public proto::MetaStore {
   /// Simulated physical address of word `word` of `page`'s metadata
   /// entry of `kind`.
   u64 meta_paddr(proto::MetaKind kind, u64 page, int word) const;
-  /// Timer hook (registered only when the plan sets scrub_ps): walks a
-  /// bounded slice of this core's sealed pages per period, poisoning any
+  /// Timer hook (registered only when the plan sets scrub): walks a
+  /// bounded slice of this core's sealed pages per tick, poisoning any
   /// frame that no longer matches its seal.
   void scrub_tick();
 
@@ -509,8 +509,6 @@ class Svm final : public proto::ProtocolEnv, public proto::MetaStore {
   // ---- integrity layer state (all inert unless integrity_) ----
 
   bool integrity_ = false;  // latched from FaultPlan::integrity_armed()
-  TimePs scrub_period_ps_ = 0;
-  TimePs next_scrub_ps_ = 0;
   u64 scrub_cursor_ = 0;   // resumes the bounded walk across passes
 };
 

@@ -93,9 +93,6 @@ TEST(KvServing, MidWindowKillDegradesToTypedLossOnly) {
   p.faults.seed = 42;
   p.faults.kills.push_back(spec);
   p.faults.watchdog_ps = 500 * kPsPerMs;
-  p.faults.sweep_period = 2;
-  p.faults.degrade_after = 6;
-  p.faults.retry_ps = 2 * kPsPerMs;
   p.faults.lease_ps = 500 * kPsPerUs;
 
   const KvServingResult r = run_kv_serving(p, svm::Model::kStrong, 8);

@@ -2,6 +2,8 @@
 // and the virtual-time watchdog (driven through a bare scheduler).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "sim/faults.hpp"
 #include "sim/scheduler.hpp"
 
@@ -12,33 +14,28 @@ TEST(FaultPlanParse, EmptySpecIsDefaultPlan) {
   const FaultPlan p = FaultPlan::parse("");
   EXPECT_FALSE(p.any_faults());
   EXPECT_EQ(p.watchdog_ps, 0u);
-  EXPECT_EQ(p.sweep_period, 0u);
+  EXPECT_FALSE(p.recovery_armed());
   EXPECT_TRUE(p.to_spec().empty());
 }
 
 TEST(FaultPlanParse, FullSpecRoundTripsThroughToSpec) {
   const char* spec =
-      "seed=9,ipi_drop=0.25,ipi_delay=0.1:200us,mail_delay=0.05,"
-      "mail_dup=0.02,stall=0.3:50us,spurious=0.01,watchdog=500ms,"
-      "sweep=4,degrade=8,retry=2ms";
+      "seed=9,ipi_drop=0.25,ipi_delay=0.1,mail_delay=0.05,mail_dup=0.02,"
+      "stall=0.3,spurious=0.01,watchdog=500ms";
   const FaultPlan p = FaultPlan::parse(spec);
   EXPECT_EQ(p.seed, 9u);
   EXPECT_DOUBLE_EQ(p.ipi_drop, 0.25);
   EXPECT_DOUBLE_EQ(p.ipi_delay, 0.1);
-  EXPECT_EQ(p.ipi_delay_max_ps, 200 * kPsPerUs);
   EXPECT_DOUBLE_EQ(p.mail_delay, 0.05);
   EXPECT_DOUBLE_EQ(p.mail_dup, 0.02);
   EXPECT_DOUBLE_EQ(p.stall, 0.3);
-  EXPECT_EQ(p.stall_max_ps, 50 * kPsPerUs);
   EXPECT_DOUBLE_EQ(p.spurious, 0.01);
   EXPECT_EQ(p.watchdog_ps, 500 * kPsPerMs);
-  EXPECT_EQ(p.sweep_period, 4u);
-  EXPECT_EQ(p.degrade_after, 8u);
-  EXPECT_EQ(p.retry_ps, 2 * kPsPerMs);
   EXPECT_TRUE(p.any_faults());
 
-  // to_spec() must parse back to the identical plan.
+  // to_spec() must parse back to the identical plan, in the same words.
   const FaultPlan q = FaultPlan::parse(p.to_spec());
+  EXPECT_EQ(p.to_spec(), spec);
   EXPECT_EQ(q.to_spec(), p.to_spec());
   EXPECT_EQ(q.seed, p.seed);
   EXPECT_EQ(q.watchdog_ps, p.watchdog_ps);
@@ -58,7 +55,6 @@ TEST(FaultPlanParse, MalformedSpecsThrowTypedErrors) {
   EXPECT_THROW(FaultPlan::parse("ipi_drop=-0.1"), FaultSpecError);
   EXPECT_THROW(FaultPlan::parse("watchdog=500"), FaultSpecError);  // no unit
   EXPECT_THROW(FaultPlan::parse("watchdog=abcms"), FaultSpecError);
-  EXPECT_THROW(FaultPlan::parse("stall=0.5"), FaultSpecError);  // needs :DUR
   EXPECT_THROW(FaultPlan::parse("stall=0.5:0ms"), FaultSpecError);
 }
 
@@ -114,7 +110,6 @@ TEST(FaultPlanParse, MalformedSpecsRejectedWithOffendingToken) {
       {"lease=-2ms", "lease negative", "lease=-2ms"},
       {"seed=", "seed empty", "seed="},
       {"seed=12x", "seed trailing garbage", "seed=12x"},
-      {"sweep=-1", "sweep negative", "sweep=-1"},
       {"watchdog=nan", "watchdog NaN", "watchdog=nan"},
       {"kill=3@1ms,lease=oops", "second token malformed", "lease=oops"},
   };
@@ -133,41 +128,89 @@ TEST(FaultPlanParse, MalformedSpecsRejectedWithOffendingToken) {
 }
 
 TEST(FaultPlanParse, RecoveryKnobsAloneAreNotFaults) {
-  const FaultPlan p = FaultPlan::parse("watchdog=100ms,sweep=2,retry=1ms");
+  const FaultPlan p =
+      FaultPlan::parse("watchdog=100ms,lease=1ms,integrity=1,scrub=1");
   EXPECT_FALSE(p.any_faults());
+}
+
+// The recovery envelope (poll sweep, fast retransmission) is armed by
+// any injection, a kill, failure detection or integrity checking, and by
+// nothing else: a watchdog-only plan must stay bit-identical to no plan.
+TEST(FaultPlanParse, RecoveryArmedTruthTable) {
+  struct Row {
+    const char* spec;
+    bool armed;
+  };
+  static constexpr Row kRows[] = {
+      {"", false},
+      {"watchdog=500ms", false},
+      {"seed=7,watchdog=50ms", false},
+      {"integrity=0", false},
+      {"ipi_drop=0.1", true},
+      {"ipi_delay=0.1", true},
+      {"mail_delay=0.1", true},
+      {"mail_dup=0.1", true},
+      {"stall=0.1", true},
+      {"spurious=0.1", true},
+      {"flipmail=0.1", true},
+      {"flippage=0.1", true},
+      {"flipmeta=0.1", true},
+      {"kill=3@1ms", true},
+      {"lease=500us", true},
+      {"integrity=1", true},
+      {"scrub=1", true},
+  };
+  for (const Row& r : kRows) {
+    EXPECT_EQ(FaultPlan::parse(r.spec).recovery_armed(), r.armed)
+        << "'" << r.spec << "'";
+  }
+}
+
+// The recovery envelope, the flipmail target, the delay/stall bounds
+// and the scrub cadence are constants, not knobs: spelling one as a
+// knob must fail loudly, never parse to a plan that silently ignores it.
+TEST(FaultPlanParse, ConstantsSpelledAsKnobsAreRejectedByToken) {
+  static constexpr const char* kNotKnobs[] = {
+      "sweep=2",        "degrade=6",           "retry=2ms",
+      "flipmail=0.1@7", "stall=0.5:10us",      "ipi_delay=0.1:200us",
+      "scrub=200us",
+  };
+  for (const char* spec : kNotKnobs) {
+    try {
+      FaultPlan::parse(std::string("watchdog=500ms,") + spec);
+      FAIL() << "expected FaultSpecError for '" << spec << "'";
+    } catch (const FaultSpecError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + spec + "'"),
+                std::string::npos)
+          << "spec '" << spec << "': " << e.what();
+    }
+  }
 }
 
 TEST(FaultPlanParse, FlipClausesRoundTripThroughToSpec) {
   const FaultPlan p = FaultPlan::parse(
-      "seed=5,flipmail=0.02@7,flippage=0.2,flipmeta=0.01,scrub=200us,"
+      "seed=5,flipmail=0.02,flippage=0.2,flipmeta=0.01,scrub=1,"
       "watchdog=500ms");
   EXPECT_DOUBLE_EQ(p.flipmail, 0.02);
-  EXPECT_EQ(p.flipmail_core, 7);
   EXPECT_DOUBLE_EQ(p.flippage, 0.2);
   EXPECT_DOUBLE_EQ(p.flipmeta, 0.01);
-  EXPECT_EQ(p.scrub_ps, 200 * kPsPerUs);
+  EXPECT_TRUE(p.scrub);
   EXPECT_TRUE(p.any_faults());
   EXPECT_TRUE(p.integrity_armed());
 
   const FaultPlan q = FaultPlan::parse(p.to_spec());
   EXPECT_EQ(q.to_spec(), p.to_spec());
   EXPECT_DOUBLE_EQ(q.flipmail, p.flipmail);
-  EXPECT_EQ(q.flipmail_core, p.flipmail_core);
   EXPECT_DOUBLE_EQ(q.flippage, p.flippage);
   EXPECT_DOUBLE_EQ(q.flipmeta, p.flipmeta);
-  EXPECT_EQ(q.scrub_ps, p.scrub_ps);
-
-  // A bare flipmail (no @CORE filter) round-trips without growing one.
-  const FaultPlan bare = FaultPlan::parse("flipmail=0.1");
-  EXPECT_EQ(bare.flipmail_core, -1);
-  EXPECT_EQ(FaultPlan::parse(bare.to_spec()).flipmail_core, -1);
+  EXPECT_EQ(q.scrub, p.scrub);
 }
 
 TEST(FaultPlanParse, IntegrityKnobsAloneAreNotFaults) {
   // Checksums without injection: byte-identical data, just guarded — so
   // any_faults (the injection gate) stays false while integrity_armed
   // (the detection gate) turns on.
-  for (const char* spec : {"integrity=1", "scrub=500us"}) {
+  for (const char* spec : {"integrity=1", "scrub=1"}) {
     const FaultPlan p = FaultPlan::parse(spec);
     EXPECT_FALSE(p.any_faults()) << spec;
     EXPECT_TRUE(p.integrity_armed()) << spec;
@@ -180,6 +223,7 @@ TEST(FaultPlanParse, IntegrityKnobsAloneAreNotFaults) {
     EXPECT_TRUE(p.integrity_armed()) << spec;
   }
   EXPECT_FALSE(FaultPlan::parse("integrity=0").integrity_armed());
+  EXPECT_FALSE(FaultPlan::parse("scrub=0").integrity_armed());
 }
 
 TEST(FaultPlanParse, MalformedFlipClausesRejectedWithOffendingToken) {
@@ -193,17 +237,14 @@ TEST(FaultPlanParse, MalformedFlipClausesRejectedWithOffendingToken) {
       {"flipmail=1.5", "flipmail probability above 1", "outside [0,1]"},
       {"flipmail=-0.1", "flipmail negative probability", "outside [0,1]"},
       {"flipmail=nan", "flipmail NaN", "outside [0,1]"},
-      {"flipmail=0.1@", "flipmail empty core filter", "flipmail=0.1@"},
-      {"flipmail=0.1@x", "flipmail non-numeric core", "flipmail=0.1@x"},
-      {"flipmail=0.1@-3", "flipmail negative core", "flipmail=0.1@-3"},
-      {"flipmail=0.1@200000", "flipmail implausible core", "implausible"},
+      {"flipmail=0.1@", "flipmail trailing @", "flipmail=0.1@"},
       {"flippage=2", "flippage probability above 1", "outside [0,1]"},
       {"flippage=0.1@3", "flippage takes no core filter", "outside [0,1]"},
       {"flipmeta=oops", "flipmeta non-numeric", "flipmeta=oops"},
       {"integrity=yes", "integrity non-boolean", "expected 0 or 1"},
       {"integrity=2", "integrity out of range", "expected 0 or 1"},
-      {"scrub=5", "scrub without unit", "suffix"},
-      {"scrub=-1ms", "scrub negative", "scrub=-1ms"},
+      {"scrub=2", "scrub out of range", "expected 0 or 1"},
+      {"scrub=-1ms", "scrub duration", "scrub=-1ms"},
   };
   for (const BadSpec& b : kBad) {
     try {
@@ -227,7 +268,7 @@ TEST(FaultInjector, DisabledPlanNeverInjects) {
     EXPECT_FALSE(inj.duplicate_mail());
     EXPECT_EQ(inj.stall_ps(), 0u);
     EXPECT_EQ(inj.spurious_wake_ps(kPsPerMs), 0u);
-    EXPECT_EQ(inj.mail_flip_bit(0, 248), -1);
+    EXPECT_EQ(inj.mail_flip_bit(248), -1);
     EXPECT_EQ(inj.page_flip_bit(4096 * 8), -1);
     EXPECT_EQ(inj.meta_flip_bit(16), -1);
   }
@@ -237,7 +278,7 @@ TEST(FaultInjector, DisabledPlanNeverInjects) {
 
 TEST(FaultInjector, SameSeedReplaysTheSameFaultSchedule) {
   const FaultPlan plan = FaultPlan::parse(
-      "seed=77,ipi_drop=0.3,mail_delay=0.2,stall=0.1:10us");
+      "seed=77,ipi_drop=0.3,mail_delay=0.2,stall=0.1");
   FaultInjector a{plan};
   FaultInjector b{plan};
   for (int i = 0; i < 2000; ++i) {
@@ -251,13 +292,31 @@ TEST(FaultInjector, SameSeedReplaysTheSameFaultSchedule) {
   EXPECT_GT(a.stats().stalls, 0u);
 }
 
+TEST(FaultInjector, DelaysAndStallsStayWithinTheirFixedBounds) {
+  // ipi_delay= and stall= take a probability only; the drawn length is
+  // uniform over (0, bound] with the bound a constant of the plan.
+  FaultInjector inj{FaultPlan::parse("seed=5,ipi_delay=0.5,stall=0.5")};
+  TimePs max_delay = 0;
+  TimePs max_stall = 0;
+  for (int i = 0; i < 4000; ++i) {
+    max_delay = std::max(max_delay, inj.ipi_extra_delay_ps());
+    max_stall = std::max(max_stall, inj.stall_ps());
+  }
+  EXPECT_LE(max_delay, FaultPlan::kIpiDelayMaxPs);
+  EXPECT_LE(max_stall, FaultPlan::kStallMaxPs);
+  // The draws reach the top decile of each range, so the bound is the
+  // one in use rather than a smaller one.
+  EXPECT_GT(max_delay, FaultPlan::kIpiDelayMaxPs * 9 / 10);
+  EXPECT_GT(max_stall, FaultPlan::kStallMaxPs * 9 / 10);
+}
+
 TEST(FaultInjector, SameSeedReplaysTheSameFlipSchedule) {
   const FaultPlan plan = FaultPlan::parse(
       "seed=11,flipmail=0.3,flippage=0.2,flipmeta=0.25");
   FaultInjector a{plan};
   FaultInjector b{plan};
   for (int i = 0; i < 2000; ++i) {
-    EXPECT_EQ(a.mail_flip_bit(i % 48, 248), b.mail_flip_bit(i % 48, 248));
+    EXPECT_EQ(a.mail_flip_bit(248), b.mail_flip_bit(248));
     EXPECT_EQ(a.page_flip_bit(4096 * 8), b.page_flip_bit(4096 * 8));
     EXPECT_EQ(a.meta_flip_bit(16), b.meta_flip_bit(16));
   }
@@ -275,30 +334,13 @@ TEST(FaultInjector, ClauseSubStreamsAreIndependent) {
   FaultInjector mail_and_more{FaultPlan::parse(
       "seed=3,flipmail=0.2,flippage=0.5,flipmeta=0.5,ipi_drop=0.4")};
   for (int i = 0; i < 2000; ++i) {
-    const int expect = just_mail.mail_flip_bit(i % 8, 248);
+    const int expect = just_mail.mail_flip_bit(248);
     mail_and_more.page_flip_bit(4096 * 8);
     mail_and_more.drop_ipi();
-    EXPECT_EQ(mail_and_more.mail_flip_bit(i % 8, 248), expect) << i;
+    EXPECT_EQ(mail_and_more.mail_flip_bit(248), expect) << i;
     mail_and_more.meta_flip_bit(64);
   }
   EXPECT_EQ(mail_and_more.stats().mail_flips, just_mail.stats().mail_flips);
-}
-
-TEST(FaultInjector, FlipMailCoreFilterConsumesNoForeignDraws) {
-  // Mails to cores outside the @CORE filter must not advance the stream:
-  // focusing the clause on core 5 leaves core 5's own flip schedule
-  // exactly as if the other cores' deliveries never happened.
-  FaultInjector focused{FaultPlan::parse("seed=9,flipmail=0.3@5")};
-  FaultInjector reference{FaultPlan::parse("seed=9,flipmail=0.3@5")};
-  for (int i = 0; i < 500; ++i) {
-    for (int other = 0; other < 48; ++other) {
-      if (other == 5) continue;
-      EXPECT_EQ(focused.mail_flip_bit(other, 248), -1);
-    }
-    EXPECT_EQ(focused.mail_flip_bit(5, 248), reference.mail_flip_bit(5, 248));
-  }
-  EXPECT_EQ(focused.stats().mail_flips, reference.stats().mail_flips);
-  EXPECT_GT(focused.stats().mail_flips, 0u);
 }
 
 TEST(FaultInjector, ClauseSeedsAreDistinct) {

@@ -41,7 +41,7 @@ TEST(SvmIntegrity, CleanIntegrityPlanStaysCorrectAndQuiet) {
   // ownership handoff, yet no poison/correction may ever fire —
   // the checking layer must be a pure observer on a clean run.
   const KillMosaicResult r = run_mosaic(
-      "integrity=1,watchdog=500ms,sweep=2,retry=2ms");
+      "integrity=1,watchdog=500ms");
   EXPECT_EQ(r.ranks_verified, kCores);
   EXPECT_EQ(r.ranks_lost, 0);
   EXPECT_EQ(r.slot_mismatches, 0u);
@@ -59,7 +59,7 @@ TEST(SvmIntegrity, MailFlipsAllDroppedAndRetransmitRecovers) {
   // consumed corrupt or missed), and the retry machinery must keep the
   // run fully correct with no rank lost.
   const KillMosaicResult r = run_mosaic(
-      "seed=7,flipmail=0.15,watchdog=500ms,sweep=2,degrade=6,retry=2ms");
+      "seed=7,flipmail=0.15,watchdog=500ms");
   EXPECT_GT(r.mail_flips, 0u) << "plan failed to inject anything";
   EXPECT_EQ(r.mail_corrupt_drops, r.mail_flips);
   EXPECT_EQ(r.ranks_verified, kCores);
@@ -74,7 +74,7 @@ TEST(SvmIntegrity, MetaEccCorrectsEveryReloadedFlip) {
   // word. Corrections can trail flips (a flipped word the run never
   // reloads stays latent) but can never exceed them.
   const KillMosaicResult r = run_mosaic(
-      "seed=5,flipmeta=0.2,watchdog=500ms,sweep=2,retry=2ms");
+      "seed=5,flipmeta=0.2,watchdog=500ms");
   EXPECT_GT(r.meta_flips, 0u) << "plan failed to inject anything";
   EXPECT_GT(r.meta_corrections, 0u) << "no flip was ever corrected";
   EXPECT_LE(r.meta_corrections, r.meta_flips);
@@ -93,7 +93,7 @@ TEST(SvmIntegrity, PageFlipsPoisonButNeverGoSilent) {
   for (const bool read_replication : {false, true}) {
     SCOPED_TRACE(read_replication ? "strong+rr" : "strong");
     const KillMosaicResult r = run_mosaic(
-        "seed=3,flippage=1,watchdog=500ms,sweep=2,retry=2ms",
+        "seed=3,flippage=1,watchdog=500ms",
         read_replication);
     EXPECT_GT(r.page_flips, 0u) << "plan failed to inject anything";
     EXPECT_EQ(r.slot_mismatches, 0u)
@@ -191,7 +191,7 @@ u64 seal_then_corrupt(Cluster& cl, Node& n, u64 off) {
 }
 
 TEST(SvmIntegrity, ReplicaJoinPoisonsCorruptSharedSeal) {
-  RepairRig rig("integrity=1,watchdog=500ms,sweep=2,retry=2ms");
+  RepairRig rig("integrity=1,watchdog=500ms");
   Cluster cl(rig.cfg);
 
   std::vector<u64> got(8, 0);
@@ -225,7 +225,7 @@ TEST(SvmIntegrity, ReplicaJoinPoisonsCorruptSharedSeal) {
 }
 
 TEST(SvmIntegrity, ScrubberPoisonsWhenNoCleanCopyExists) {
-  RepairRig rig("integrity=1,scrub=100us,watchdog=500ms,sweep=2,retry=2ms");
+  RepairRig rig("integrity=1,scrub=1,watchdog=500ms");
   Cluster cl(rig.cfg);
 
   cl.run([&](Node& n) {

@@ -29,7 +29,7 @@ constexpr int kIters = 5;
 struct ChaosOutcome {
   bool correct = false;
   u64 sweep_recoveries = 0;
-  u64 degradations = 0;
+  u64 slot_checks = 0;
   u64 retransmits = 0;
   u64 dup_acks_dropped = 0;
   u64 ipis_dropped = 0;
@@ -84,7 +84,7 @@ ChaosOutcome run_chaos(const sim::FaultPlan& plan, bool use_ipi,
   for (int c = 0; c < kCores; ++c) {
     const auto& mb = cl.node(c).mbox().stats();
     out.sweep_recoveries += mb.sweep_recoveries;
-    out.degradations += mb.degradations;
+    out.slot_checks += mb.slot_checks;
     const auto& sv = cl.node(c).svm().stats();
     out.retransmits += sv.retransmits;
     out.dup_acks_dropped += sv.dup_acks_dropped;
@@ -96,20 +96,40 @@ ChaosOutcome run_chaos(const sim::FaultPlan& plan, bool use_ipi,
 }
 
 TEST(SvmChaos, CleanPlanLeavesRecoveryCountersQuiet) {
-  // Recovery knobs armed but nothing injected: the hardened paths must
-  // be pure observers on a clean run. Note sweep_recoveries is NOT
-  // asserted zero — an armed sweep can legitimately find a mail whose
-  // IPI is still in flight through the GIC (deposited but not yet
-  // delivered), which is benign early consumption, not a fault.
+  // Recovery envelope armed (integrity checking arms it) but nothing
+  // injected: the hardened paths must be pure observers on a clean run.
+  // Note sweep_recoveries is NOT asserted zero — an armed sweep can
+  // legitimately find a mail whose IPI is still in flight through the
+  // GIC (deposited but not yet delivered), which is benign early
+  // consumption, not a fault.
   const sim::FaultPlan plan =
-      sim::FaultPlan::parse("watchdog=500ms,sweep=2,retry=2ms");
+      sim::FaultPlan::parse("integrity=1,watchdog=500ms");
+  ASSERT_TRUE(plan.recovery_armed());
+  ASSERT_FALSE(plan.any_faults());
   for (const bool use_ipi : {true, false}) {
     const ChaosOutcome out = run_chaos(plan, use_ipi);
     EXPECT_TRUE(out.correct);
     EXPECT_EQ(out.retransmits, 0u);
     EXPECT_EQ(out.dup_acks_dropped, 0u);
     EXPECT_EQ(out.ipis_dropped, 0u);
-    EXPECT_EQ(out.degradations, 0u);
+  }
+}
+
+TEST(SvmChaos, DetectionAloneArmsTheSweep) {
+  // A lease or integrity checking arms the recovery envelope without
+  // injecting anything, so the IPI mailbox also scans every slot on
+  // every 2nd timer tick. A watchdog alone arms nothing: its mailbox
+  // checks only the slots that interrupts point at.
+  const ChaosOutcome bare =
+      run_chaos(sim::FaultPlan::parse("watchdog=500ms"), /*use_ipi=*/true);
+  ASSERT_TRUE(bare.correct);
+  for (const char* spec :
+       {"lease=500ms,watchdog=500ms", "integrity=1,watchdog=500ms"}) {
+    SCOPED_TRACE(spec);
+    const ChaosOutcome armed =
+        run_chaos(sim::FaultPlan::parse(spec), /*use_ipi=*/true);
+    EXPECT_TRUE(armed.correct);
+    EXPECT_GT(armed.slot_checks, bare.slot_checks);
   }
 }
 
@@ -117,25 +137,17 @@ TEST(SvmChaos, PollSweepRecoversDroppedIpisWithCorrectData) {
   // IPI mode with a third of all interrupts dropped: the only way a
   // halted receiver learns about a deposited mail is the periodic poll
   // sweep. The sweep must both fire (counter moves) and preserve
-  // correctness.
-  const sim::FaultPlan plan = sim::FaultPlan::parse(
-      "seed=11,ipi_drop=0.3,watchdog=500ms,sweep=2,retry=2ms");
-  const ChaosOutcome out = run_chaos(plan, /*use_ipi=*/true);
-  EXPECT_TRUE(out.correct);
-  EXPECT_GT(out.ipis_dropped, 0u) << "plan failed to inject anything";
-  EXPECT_GT(out.sweep_recoveries, 0u)
-      << "dropped IPIs were never recovered by the sweep";
-}
-
-TEST(SvmChaos, RepeatedIpiLossDegradesMailboxToPolling) {
-  // Heavy interrupt loss with a low degradation threshold: after a few
-  // sweep recoveries the mailbox must stop trusting IPIs entirely.
-  const sim::FaultPlan plan = sim::FaultPlan::parse(
-      "seed=23,ipi_drop=0.5,watchdog=800ms,sweep=2,degrade=3,retry=2ms");
-  const ChaosOutcome out = run_chaos(plan, /*use_ipi=*/true);
-  EXPECT_TRUE(out.correct);
-  EXPECT_GT(out.degradations, 0u)
-      << "no mailbox degraded despite 50% IPI loss";
+  // correctness, also when half of all interrupts are lost.
+  for (const char* spec : {"seed=11,ipi_drop=0.3,watchdog=500ms",
+                           "seed=23,ipi_drop=0.5,watchdog=800ms"}) {
+    SCOPED_TRACE(spec);
+    const ChaosOutcome out =
+        run_chaos(sim::FaultPlan::parse(spec), /*use_ipi=*/true);
+    EXPECT_TRUE(out.correct);
+    EXPECT_GT(out.ipis_dropped, 0u) << "plan failed to inject anything";
+    EXPECT_GT(out.sweep_recoveries, 0u)
+        << "dropped IPIs were never recovered by the sweep";
+  }
 }
 
 TEST(SvmChaos, BoundedWaitsRetransmitStuckRequestsWithCorrectData) {
@@ -143,8 +155,7 @@ TEST(SvmChaos, BoundedWaitsRetransmitStuckRequestsWithCorrectData) {
   // (shortened) deadline, so the requester must retransmit — and the
   // receiver-side idempotence must keep the data correct anyway.
   const sim::FaultPlan plan = sim::FaultPlan::parse(
-      "seed=13,ipi_drop=0.3,mail_delay=0.4,stall=0.3:200us,"
-      "watchdog=800ms,sweep=2,retry=1ms");
+      "seed=13,ipi_drop=0.3,mail_delay=0.4,stall=0.3,watchdog=800ms");
   const ChaosOutcome out = run_chaos(plan, /*use_ipi=*/true);
   EXPECT_TRUE(out.correct);
   EXPECT_GT(out.retransmits, 0u)
@@ -172,8 +183,7 @@ TEST(SvmChaos, SvmCategoryAloneCarriesEveryRetransmission) {
   // kMailRetransmit is an SVM-category event: enabling kCatSvm without
   // kCatMail must show one event per retransmission the runtime counts.
   const sim::FaultPlan plan = sim::FaultPlan::parse(
-      "seed=13,ipi_drop=0.3,mail_delay=0.4,stall=0.3:200us,"
-      "watchdog=800ms,sweep=2,retry=1ms");
+      "seed=13,ipi_drop=0.3,mail_delay=0.4,stall=0.3,watchdog=800ms");
   KindCounter sink(obs::EventKind::kMailRetransmit);
   const ChaosOutcome out =
       run_chaos(plan, /*use_ipi=*/true, obs::kCatSvm, &sink);
@@ -186,7 +196,7 @@ TEST(SvmChaos, EverySpuriousWakeIsTraced) {
   // Each wake the plan shortens is one kFaultInject(kSpuriousWake) on
   // the chaos category, as every other injected fault is.
   const sim::FaultPlan plan = sim::FaultPlan::parse(
-      "seed=31,spurious=0.3,watchdog=500ms,sweep=2,retry=2ms");
+      "seed=31,spurious=0.3,watchdog=500ms");
   KindCounter sink(obs::EventKind::kFaultInject,
                    static_cast<u64>(obs::InjectKind::kSpuriousWake));
   const ChaosOutcome out =
@@ -201,7 +211,7 @@ TEST(SvmChaos, DuplicatedAcksAreDeduplicatedWithCorrectData) {
   // by design) but ACKs must be dropped by the receiver-side dedup or a
   // stale ACK could satisfy a *later* wait for the same page.
   const sim::FaultPlan plan = sim::FaultPlan::parse(
-      "seed=17,mail_dup=0.5,watchdog=500ms,sweep=2,retry=2ms");
+      "seed=17,mail_dup=0.5,watchdog=500ms");
   const ChaosOutcome out = run_chaos(plan, /*use_ipi=*/true);
   EXPECT_TRUE(out.correct);
   EXPECT_GT(out.mails_duplicated, 0u) << "plan failed to inject anything";
@@ -211,8 +221,7 @@ TEST(SvmChaos, DuplicatedAcksAreDeduplicatedWithCorrectData) {
 
 TEST(SvmChaos, SameSeedReproducesTheSameRecoveryCounts) {
   const sim::FaultPlan plan = sim::FaultPlan::parse(
-      "seed=29,ipi_drop=0.3,mail_delay=0.2,watchdog=500ms,sweep=2,"
-      "retry=2ms");
+      "seed=29,ipi_drop=0.3,mail_delay=0.2,watchdog=500ms");
   const ChaosOutcome a = run_chaos(plan, /*use_ipi=*/true);
   const ChaosOutcome b = run_chaos(plan, /*use_ipi=*/true);
   EXPECT_TRUE(a.correct);

@@ -14,12 +14,12 @@
 namespace msvm::workloads {
 namespace {
 
-/// The recovery envelope every kill run needs: bounded waits (retry),
-/// heartbeat leases for failure detection, and a watchdog so even an
-/// unrecoverable wedge is a typed HangError rather than a silent spin.
+/// The plan every kill run needs: heartbeat leases for failure
+/// detection (which also arm the recovery envelope's sweep and bounded
+/// retries), and a watchdog so even an unrecoverable wedge is a typed
+/// HangError rather than a silent spin.
 sim::FaultPlan recovery_envelope(const std::string& kills) {
-  return sim::FaultPlan::parse(
-      "watchdog=500ms,sweep=2,degrade=6,retry=2ms,lease=500us," + kills);
+  return sim::FaultPlan::parse("watchdog=500ms,lease=500us," + kills);
 }
 
 KillMosaicParams params_for(const std::string& kills) {
