@@ -363,13 +363,15 @@ Verdict kv_run(const Run& run, Ledger& ledger) {
                  static_cast<ull>(r.wrong));
     o = Outcome::kWrong;
   } else if (r.ranks_lost > 0 || !r.failures.empty() ||
-             r.dead_shed + r.timeouts > 0) {
+             r.dead_shed + r.timeouts > 0 || r.unfinished > 0) {
+    // Requests still unanswered at the end of the drain were lost, not
+    // served: a stalled run is a typed loss, never a correct one.
     o = Outcome::kTypedLoss;
   }
   return {o, fields("completed", r.completed, "wrong", r.wrong, "shed",
-                    r.dead_shed, "timeouts", r.timeouts, "retransmits",
-                    r.retransmits, "lost_ranks", r.ranks_lost, "recoveries",
-                    r.recoveries)};
+                    r.dead_shed, "timeouts", r.timeouts, "unfinished",
+                    r.unfinished, "retransmits", r.retransmits, "lost_ranks",
+                    r.ranks_lost, "recoveries", r.recoveries)};
 }
 
 struct Campaign {

@@ -7,7 +7,7 @@
 //
 // Five workloads, one per hot subsystem:
 //   sched  — two-actor yield leapfrog through the event core
-//   churn  — block/wake storm across 64 actors (heap re-keying)
+//   churn  — block/wake storm across 64 actors (queue re-keying)
 //   mem    — L1-hit load/store loop through the inlined fast path
 //   mail   — two-core mailbox ping-pong (deposit/poll/consume/reply)
 //   convoy — 48 cores queueing on one TAS register (spin polls, most of

@@ -15,6 +15,10 @@
 //     miss", Section 7.2.2).
 //   - each line carries the MPBT tag bit; CL1INVMB invalidates exactly the
 //     tagged lines (invalidate_mpbt()).
+//
+// Layout: each line is one record, its header (tag, LRU stamp, flags)
+// followed by its payload, so a hit reads one host cache line for the
+// SCC's 32-byte lines. A set's ways are adjacent records.
 #pragma once
 
 #include <cassert>
@@ -29,10 +33,11 @@ class Cache {
  public:
   Cache(u32 total_bytes, u32 assoc, u32 line_bytes)
       : line_bytes_(line_bytes),
+        record_shift_(record_shift(line_bytes)),
         assoc_(assoc),
         num_sets_(total_bytes / line_bytes / assoc),
-        lines_(static_cast<std::size_t>(num_sets_) * assoc),
-        data_(static_cast<std::size_t>(num_sets_) * assoc * line_bytes) {
+        records_(static_cast<std::size_t>(num_sets_) * assoc
+                 << record_shift_) {
     assert(num_sets_ > 0 && (num_sets_ & (num_sets_ - 1)) == 0 &&
            "set count must be a power of two");
     assert((line_bytes & (line_bytes - 1)) == 0 &&
@@ -78,7 +83,7 @@ class Cache {
     Line* line = find(paddr);
     if (line == nullptr) return nullptr;
     line->stamp = ++tick_;
-    return line_data(line);
+    return payload(line);
   }
 
   /// Allocates (fills) the line containing `paddr` with `line_data`
@@ -88,19 +93,19 @@ class Cache {
     const u64 tag = line_addr(paddr);
     Line* victim = find(paddr);
     if (victim == nullptr) {
-      const u32 set = set_index(paddr);
-      victim = &lines_[static_cast<std::size_t>(set) * assoc_];
+      const std::size_t first = first_way(paddr);
+      victim = line(first);
       for (u32 w = 1; w < assoc_; ++w) {
-        Line& cand = lines_[static_cast<std::size_t>(set) * assoc_ + w];
+        Line* cand = line(first + w);
         if (!victim->valid) break;
-        if (!cand.valid || cand.stamp < victim->stamp) victim = &cand;
+        if (!cand->valid || cand->stamp < victim->stamp) victim = cand;
       }
     }
     victim->valid = true;
     victim->mpbt = mpbt;
     victim->tag = tag;
     victim->stamp = ++tick_;
-    std::memcpy(this->line_data(victim), line_data, line_bytes_);
+    std::memcpy(payload(victim), line_data, line_bytes_);
   }
 
   void invalidate_line(u64 paddr) {
@@ -109,43 +114,59 @@ class Cache {
 
   /// CL1INVMB: invalidate every line tagged as MPBT memory type.
   void invalidate_mpbt() {
-    for (auto& line : lines_) {
-      if (line.valid && line.mpbt) line.valid = false;
+    for (std::size_t i = 0; i < num_lines(); ++i) {
+      Line* l = line(i);
+      if (l->valid && l->mpbt) l->valid = false;
     }
   }
 
   void invalidate_all() {
-    for (auto& line : lines_) {
-      if (line.valid) line.valid = false;
+    for (std::size_t i = 0; i < num_lines(); ++i) {
+      Line* l = line(i);
+      if (l->valid) l->valid = false;  // leaves untouched pages unwritten
     }
   }
 
   std::size_t valid_line_count() const {
     std::size_t n = 0;
-    for (const auto& line : lines_) n += line.valid ? 1 : 0;
+    for (std::size_t i = 0; i < num_lines(); ++i) n += line(i)->valid ? 1 : 0;
     return n;
   }
 
  private:
-  // Line header. Its payload is the line's slice of the flat slab data_,
-  // found from the header's index: the header is padded to 32 bytes, so
-  // the index is the header's byte offset shifted right by 5 and the
-  // payload offset is the index shifted left by line_shift_. All-zero
-  // bytes are an invalid line, which is what a fresh ZeroArray holds.
+  // A record's header; the line's payload follows it. All-zero bytes are
+  // an invalid line, which is what a fresh ZeroArray holds.
   struct alignas(32) Line {
     u64 tag = 0;
     u64 stamp = 0;
     bool valid = false;
     bool mpbt = false;
   };
-  static_assert(sizeof(Line) == 32, "payload derivation assumes a shift");
 
-  u8* line_data(const Line* line) {
-    const auto index = static_cast<std::size_t>(line - lines_.data());
-    return data_.data() + (index << line_shift_);
+  /// log2 of the record stride: the header plus the payload, rounded up
+  /// to a power of two (64 bytes for 32-byte lines).
+  static u32 record_shift(u32 line_bytes) {
+    u32 shift = 0;
+    while ((std::size_t{1} << shift) < sizeof(Line) + line_bytes) ++shift;
+    return shift;
   }
-  const u8* line_data(const Line* line) const {
-    return const_cast<Cache*>(this)->line_data(line);
+
+  std::size_t num_lines() const {
+    return static_cast<std::size_t>(num_sets_) * assoc_;
+  }
+  Line* line(std::size_t i) {
+    return reinterpret_cast<Line*>(records_.data() + (i << record_shift_));
+  }
+  const Line* line(std::size_t i) const {
+    return const_cast<Cache*>(this)->line(i);
+  }
+  static u8* payload(Line* line) {
+    return reinterpret_cast<u8*>(line) + sizeof(Line);
+  }
+
+  /// The index of the first way of `paddr`'s set.
+  std::size_t first_way(u64 paddr) const {
+    return static_cast<std::size_t>(set_index(paddr)) * assoc_;
   }
 
   u32 set_index(u64 paddr) const {
@@ -158,10 +179,10 @@ class Cache {
 
   const Line* find(u64 paddr) const {
     const u64 tag = line_addr(paddr);
-    const u32 set = set_index(paddr);
+    const std::size_t first = first_way(paddr);
     for (u32 w = 0; w < assoc_; ++w) {
-      const Line& line = lines_[static_cast<std::size_t>(set) * assoc_ + w];
-      if (line.valid && line.tag == tag) return &line;
+      const Line* l = line(first + w);
+      if (l->valid && l->tag == tag) return l;
     }
     return nullptr;
   }
@@ -173,11 +194,11 @@ class Cache {
 
   u32 line_bytes_;
   u32 line_shift_ = 0;  // log2(line_bytes_)
+  u32 record_shift_;    // log2 of a record's bytes
   u32 assoc_;
   u32 num_sets_;
   u64 tick_ = 0;
-  sim::ZeroArray<Line> lines_;
-  sim::ZeroArray<u8> data_;  // flat payload slab, line_bytes_ per line
+  sim::ZeroArray<u8> records_;  // one record per line, set by set
 };
 
 }  // namespace msvm::scc

@@ -64,10 +64,7 @@ void Scheduler::cancel_all() {
     }
     // The unwound actor may still own a queue entry (it was scheduled, or
     // blocked with a timeout); drop it so the queue holds live actors only.
-    if (a->state_ == Actor::State::kFinished &&
-        a->heap_pos_ != Actor::kNotInHeap) {
-      heap_remove_at(a->heap_pos_);
-    }
+    if (a->state_ == Actor::State::kFinished) queue_.erase(a->id_);
   }
   cancelling_ = false;
 }
@@ -80,74 +77,35 @@ Actor& Scheduler::spawn(std::string name, std::function<void()> body,
   Actor& a = *actors_.back();
   a.clock_ = start;
   a.state_ = Actor::State::kScheduled;
-  heap_push(a, start);
+  queue_.fit(actors_.size());
+  queue_.set(id, start);
   return a;
 }
 
-// ---- indexed binary heap ----
+// ---- the event queue ----
 
-void Scheduler::sift_up(std::size_t i) {
-  const HeapEntry e = heap_[i];
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!entry_less(e, heap_[parent])) break;
-    heap_place(i, heap_[parent]);
-    i = parent;
+std::size_t EventTree::size() const {
+  std::size_t n = 0;
+  for (std::size_t i = leaves_; i < 2 * leaves_; ++i) {
+    n += nodes_[i].id != kEmpty.id ? 1 : 0;
   }
-  heap_place(i, e);
+  return n;
 }
 
-void Scheduler::sift_down(std::size_t i) {
-  const HeapEntry e = heap_[i];
-  const std::size_t n = heap_.size();
-  for (;;) {
-    std::size_t child = 2 * i + 1;
-    if (child >= n) break;
-    if (child + 1 < n && entry_less(heap_[child + 1], heap_[child])) {
-      ++child;
-    }
-    if (!entry_less(heap_[child], e)) break;
-    heap_place(i, heap_[child]);
-    i = child;
+void EventTree::fit(std::size_t ids) {
+  if (ids <= leaves_) return;
+  std::size_t leaves = leaves_;
+  while (leaves < ids) leaves *= 2;
+  std::vector<OrderKey> nodes(2 * leaves, kEmpty);
+  std::copy(nodes_.begin() + static_cast<std::ptrdiff_t>(leaves_),
+            nodes_.end(), nodes.begin() + static_cast<std::ptrdiff_t>(leaves));
+  for (std::size_t i = leaves; i-- > 1;) {
+    const OrderKey& a = nodes[2 * i];
+    const OrderKey& b = nodes[2 * i + 1];
+    nodes[i] = key_less(a, b) ? a : b;
   }
-  heap_place(i, e);
-}
-
-void Scheduler::heap_push(Actor& a, TimePs at) {
-  assert(a.heap_pos_ == Actor::kNotInHeap);
-  heap_.push_back(HeapEntry{at, a.id_, &a});
-  a.heap_pos_ = heap_.size() - 1;
-  sift_up(a.heap_pos_);
-}
-
-void Scheduler::heap_remove_at(std::size_t i) {
-  assert(i < heap_.size());
-  heap_[i].actor->heap_pos_ = Actor::kNotInHeap;
-  const std::size_t last = heap_.size() - 1;
-  if (i != last) {
-    const HeapEntry moved = heap_[last];
-    heap_.pop_back();
-    heap_place(i, moved);
-    if (i > 0 && entry_less(heap_[i], heap_[(i - 1) / 2])) {
-      sift_up(i);
-    } else {
-      sift_down(i);
-    }
-  } else {
-    heap_.pop_back();
-  }
-}
-
-void Scheduler::heap_move(Actor& a, TimePs at) {
-  const std::size_t i = a.heap_pos_;
-  assert(i < heap_.size() && heap_[i].actor == &a);
-  const TimePs old = heap_[i].time;
-  heap_[i].time = at;
-  if (at < old) {
-    sift_up(i);
-  } else if (at > old) {
-    sift_down(i);
-  }
+  nodes_ = std::move(nodes);
+  leaves_ = leaves;
 }
 
 // ---- run loop and suspension points ----
@@ -157,35 +115,28 @@ Actor* Scheduler::take_next(Actor* pending) {
   // running, i.e. dequeued); the skip only matters for a queue inspected
   // after cancel_all tore actors down mid-flight.
   for (;;) {
-    // The earliest entry: the heap root, or `pending`'s unqueued one at
-    // its clock.
-    Actor* root = heap_.empty() ? nullptr : heap_[0].actor;
-    if (pending != nullptr &&
-        (root == nullptr || key_less({pending->clock_, pending->id_},
-                                     {heap_[0].time, heap_[0].id}))) {
-      root = pending;
-    }
-    if (root == nullptr) return nullptr;
-    const bool queued = root != pending;
-    const TimePs at = queued ? heap_[0].time : root->clock_;
+    // The earliest entry: the queue's root, or `pending`'s unqueued one
+    // at its clock (which beats an empty queue's root).
+    const OrderKey top = queue_.top();
+    const bool queued =
+        pending == nullptr || !key_less({pending->clock_, pending->id_}, top);
+    if (queued && top.id == EventTree::kEmpty.id) return nullptr;
+    Actor* next = queued ? actors_[static_cast<std::size_t>(top.id)].get()
+                         : pending;
+    const TimePs at = queued ? top.t : pending->clock_;
     if (at < pop_floor_) {
       ++backward_pops_;  // a timeout queued before its caller's clock
     } else {
       pop_floor_ = at;
     }
     if (queued) {
+      queue_.erase(top.id);
       if (pending != nullptr) {
-        // The yielder lost to the heap root: it takes the root's slot,
-        // one sift instead of a pop and a push.
-        root->heap_pos_ = Actor::kNotInHeap;
-        heap_place(0, HeapEntry{pending->clock_, pending->id_, pending});
-        sift_down(0);
+        // The yielder lost to the root: it is queued at its clock.
+        queue_.set(pending->id_, pending->clock_);
         pending = nullptr;
-      } else {
-        heap_remove_at(0);
       }
     }
-    Actor* next = root;
     if (next->state_ == Actor::State::kFinished ||
         next->state_ == Actor::State::kKilled) {
       continue;
@@ -221,7 +172,7 @@ std::string Scheduler::describe_blocked_actors() const {
 void Scheduler::kill_self() {
   Actor* self = current_;
   assert(self != nullptr && "kill_self() outside an actor");
-  assert(self->heap_pos_ == Actor::kNotInHeap &&
+  assert(!queue_.contains(self->id_) &&
          "running actor unexpectedly holds an entry");
   self->state_ = Actor::State::kKilled;
   ++finished_count_;  // the run loop treats the dead core as done
@@ -273,7 +224,7 @@ void Scheduler::dispatch_from(Actor* self) {
       if (cancelling_) throw CancelledError{};
       return;
     }
-    // Heap empty with self suspended: fall back to main, whose run loop
+    // Queue empty with self suspended: fall back to main, whose run loop
     // reports the deadlock.
   }
   Fiber::yield_to_main();
@@ -284,7 +235,7 @@ void Scheduler::yield_switch(Actor* self) {
   self->state_ = Actor::State::kScheduled;
   if (!stop_requested_) {
     // Self competes for the pop without a queue entry: when it is still
-    // next it never touches the heap.
+    // next it never touches the queue.
     Actor* next = take_next(self);
     if (next == self) return;
     current_ = next;
@@ -292,7 +243,7 @@ void Scheduler::yield_switch(Actor* self) {
     if (cancelling_) throw CancelledError{};
     return;
   }
-  heap_push(*self, self->clock_);
+  queue_.set(self->id_, self->clock_);
   dispatch_from(self);
 }
 
@@ -309,7 +260,7 @@ WakeReason Scheduler::block_until(TimePs deadline) {
   assert(self != nullptr && "block_until() outside an actor");
   if (deadline < self->clock_) ++late_timeouts_;
   self->state_ = Actor::State::kBlocked;
-  heap_push(*self, deadline);
+  queue_.set(self->id_, deadline);
   dispatch_from(self);
   return self->wake_reason_;
 }
@@ -327,7 +278,7 @@ void Scheduler::wake(Actor& target, TimePs at) {
       if (r.polls + 1 <= w.limit) {
         w.limit = r.polls + 1;
         w.limit_quiet = false;
-        heap_move(target, w.train.at(w.limit));
+        queue_.set(target.id_, w.train.at(w.limit));
       }
       return;
     }
@@ -338,11 +289,7 @@ void Scheduler::wake(Actor& target, TimePs at) {
   }
   target.state_ = Actor::State::kScheduled;
   const TimePs t = at > slept ? at : slept;
-  if (target.heap_pos_ != Actor::kNotInHeap) {
-    heap_move(target, t);  // re-key the pending timeout entry in place
-  } else {
-    heap_push(target, t);
-  }
+  queue_.set(target.id_, t);  // queues it, or re-keys a pending timeout
 }
 
 }  // namespace msvm::sim

@@ -14,14 +14,14 @@
 //   block_until(t) - suspend with a timeout at virtual time t
 //   wake(a, t)     - make a blocked actor schedulable at time >= t
 //
-// Event-core layout: the ready/timeout queue is an *indexed* binary heap —
-// a flat vector of (time, id, actor) entries plus a heap-position index
-// stored in each Actor. Entries are moved in place (sift up/down) when an
-// actor is re-keyed by wake(), so the heap holds at most one entry per
-// live actor at all times: no stale-generation tombstones, no pop-time
-// skip loops, and maybe_yield() is an O(1) read of the root entry, which
-// is always live and exact. A yielding actor is not queued at all: it
-// competes for the next pop at its (clock, id). Actor
+// Event-core layout: the ready/timeout queue is a tournament tree with
+// one leaf per actor id (EventTree). A leaf holds its actor's (time, id)
+// entry or is empty, and each inner node holds the earlier of its two
+// children's, so the root is the earliest entry. A push, a re-key by
+// wake() or a removal rewrites one leaf and walks towards the root: no
+// Actor is written, the queue holds at most one entry per live actor,
+// and maybe_yield() is an O(1) read of the root. A yielding actor is not
+// queued at all: it competes for the next pop at its (clock, id). Actor
 // switches transfer fiber-to-fiber directly (one context switch), only
 // falling back to the main run() loop when no entry is queued or a stop
 // is requested; yield() by an actor that is still the earliest runnable
@@ -32,7 +32,7 @@
 // (TAS registers, MPB flags, DRAM owner/directory words) is read and
 // written at access time, so only a global (time, id) order keeps the
 // simulated answer a function of the modelled machine and the seed alone.
-// DESIGN.md §12 explains why the heap is not sharded.
+// DESIGN.md §12 explains why the queue is not sharded.
 //
 // Parked spin waits (park): a spin wait whose poll failed may leave the
 // event order. Its polls fail, invisibly, until someone writes its word,
@@ -100,7 +100,7 @@ class alignas(64) Actor {
  public:
   // kKilled models a fail-stop death: the fiber is parked mid-stack
   // forever (its frames are unwound at teardown by cancel_all), it holds
-  // no heap entry, and wake() ignores it. From the run loop's point of
+  // no queue entry, and wake() ignores it. From the run loop's point of
   // view a killed actor counts as finished.
   enum class State : u8 { kScheduled, kRunning, kBlocked, kFinished, kKilled };
 
@@ -143,15 +143,11 @@ class alignas(64) Actor {
   friend class Scheduler;
   struct Watch;
 
-  /// Sentinel heap position for an actor with no heap entry.
-  static constexpr std::size_t kNotInHeap = ~std::size_t{0};
-
   Actor(int id, std::string name, std::function<void()> body,
         std::size_t stack_bytes);
 
   TimePs clock_ = 0;
-  std::size_t heap_pos_ = kNotInHeap;  // index into the scheduler's heap
-  Watch* watch_ = nullptr;             // set while parked (Scheduler::park)
+  Watch* watch_ = nullptr;  // set while parked (Scheduler::park)
   int id_;
   State state_ = State::kScheduled;
   WakeReason wake_reason_ = WakeReason::kWoken;
@@ -177,6 +173,65 @@ class DeadlockError : public std::runtime_error {
 /// destructors instead of leaking.
 class CancelledError {};
 
+/// The event queue: a tournament tree with one leaf per id in
+/// [0, leaves). A leaf holds that id's (time, id) entry or kEmpty, and
+/// each inner node holds the earlier of its children's keys, so the root
+/// is the earliest entry (kEmpty when none is queued). Keys are unique,
+/// so the order is total. set() and erase() rewrite one leaf and walk
+/// towards the root, stopping at the first node whose key stays.
+class EventTree {
+ public:
+  /// An empty leaf. It loses to every entry, kTimeNever ones included.
+  static constexpr OrderKey kEmpty{kTimeNever, std::numeric_limits<int>::max()};
+
+  /// The earliest entry, or kEmpty.
+  OrderKey top() const { return nodes_[1]; }
+  bool empty() const { return nodes_[1].id == kEmpty.id; }
+  bool contains(int id) const { return leaf(id).id != kEmpty.id; }
+  /// Queued entries (a scan: for tests and assertions).
+  std::size_t size() const;
+
+  /// Makes room for ids [0, ids): doubles the leaves until they fit and
+  /// rebuilds the inner nodes. Entries keep their keys.
+  void fit(std::size_t ids);
+
+  /// Queues `id` at `t`, or re-keys its entry. Requires id < the leaves.
+  void set(int id, TimePs t) {
+    leaf(id) = {t, id};
+    settle(leaf_index(id));
+  }
+  /// Drops `id`'s entry; a no-op when it has none.
+  void erase(int id) {
+    leaf(id) = kEmpty;
+    settle(leaf_index(id));
+  }
+
+ private:
+  std::size_t leaf_index(int id) const {
+    assert(id >= 0 && static_cast<std::size_t>(id) < leaves_);
+    return leaves_ + static_cast<std::size_t>(id);
+  }
+  OrderKey& leaf(int id) { return nodes_[leaf_index(id)]; }
+  const OrderKey& leaf(int id) const { return nodes_[leaf_index(id)]; }
+
+  /// Re-plays the matches above node n after its key changed.
+  void settle(std::size_t n) {
+    while (n > 1) {
+      const OrderKey& a = nodes_[n];
+      const OrderKey& b = nodes_[n ^ 1];
+      const OrderKey w = key_less(a, b) ? a : b;
+      n >>= 1;
+      if (nodes_[n].t == w.t && nodes_[n].id == w.id) return;
+      nodes_[n] = w;
+    }
+  }
+
+  // Node 1 is the root, node i's children are 2i and 2i+1, and leaf id
+  // is node leaves_ + id.
+  std::size_t leaves_ = 1;
+  std::vector<OrderKey> nodes_{kEmpty, kEmpty};
+};
+
 class Scheduler {
  public:
   Scheduler() = default;
@@ -190,7 +245,7 @@ class Scheduler {
                TimePs start = 0,
                std::size_t stack_bytes = Fiber::kDefaultStackBytes);
 
-  /// Always 1: there is one heap. Kept because perfbench reads it.
+  /// Always 1: there is one queue. Kept because perfbench reads it.
   int num_lanes() const { return 1; }
   /// The dispatch count (`i` must be 0). Kept because perfbench reads it.
   u64 lane_dispatched(int i) const {
@@ -219,13 +274,13 @@ class Scheduler {
 
   /// Unconditionally reinsert self and let the scheduler pick the earliest
   /// actor (possibly self again). When the caller is still the earliest
-  /// runnable actor this is a plain return: no heap traffic, no switch.
+  /// runnable actor this is a plain return: no queue traffic, no switch.
   void yield() {
     Actor* self = current_;
     assert(self != nullptr && "yield() outside an actor");
     if (!stop_requested_) {
-      if (heap_.empty() || key_less({self->clock_, self->id_},
-                                    {heap_[0].time, heap_[0].id})) {
+      // An empty queue's root is {kTimeNever, kLastId}: every actor wins.
+      if (key_less({self->clock_, self->id_}, queue_.top())) {
         compete(self->clock_, self->id_, kPop);
         return;  // re-queueing self would pop self right back
       }
@@ -239,12 +294,12 @@ class Scheduler {
   bool maybe_yield() {
     Actor* self = current_;
     assert(self != nullptr);
-    if (!heap_.empty() && heap_[0].time < self->clock_) {
+    const OrderKey top = queue_.top();
+    if (top.t < self->clock_) {
       yield_switch(self);
       return true;
     }
-    if (!watches_.empty() && !heap_.empty() &&
-        heap_[0].time == self->clock_ && heap_[0].id < self->id_ &&
+    if (!watches_.empty() && top.t == self->clock_ && top.id < self->id_ &&
         virtual_pending(position(), self->clock_)) {
       yield_switch(self);  // a parked poll is earlier: the tie is lost
       return true;
@@ -318,43 +373,20 @@ class Scheduler {
 
   Actor& actor(std::size_t i) { return *actors_.at(i); }
 
-  /// Live heap entries. At most one per unfinished actor by construction
+  /// Queued entries. At most one per unfinished actor by construction
   /// — exposed so tests can pin that bound.
-  std::size_t heap_size() const { return heap_.size(); }
+  std::size_t queue_size() const { return queue_.size(); }
 
  private:
-  /// One indexed-heap entry. The tie-break id is stored inline so the
-  /// comparison never chases the Actor.
-  struct HeapEntry {
-    TimePs time;
-    int id;
-    Actor* actor;
-  };
-
-  static bool entry_less(const HeapEntry& a, const HeapEntry& b) {
-    return key_less({a.time, a.id}, {b.time, b.id});
-  }
-
-  // ---- indexed-heap primitives (maintain Actor::heap_pos_) ----
-  void heap_place(std::size_t i, const HeapEntry& e) {
-    heap_[i] = e;
-    e.actor->heap_pos_ = i;
-  }
-  void sift_up(std::size_t i);
-  void sift_down(std::size_t i);
-  void heap_push(Actor& a, TimePs at);
-  void heap_remove_at(std::size_t i);
-  void heap_move(Actor& a, TimePs at);  // re-key the existing entry
-
   /// Pops the earliest entry and prepares its actor to run (wake reason,
   /// clock, state). Returns nullptr when nothing is queued. `pending`,
   /// when set, is a yielding actor that competes at (clock, id) as if it
-  /// were queued; when the heap root wins, take_next queues it in the
-  /// root's slot before returning the winner.
+  /// were queued; when the queue's root wins, take_next queues it
+  /// before returning the winner.
   Actor* take_next(Actor* pending = nullptr);
 
   /// Suspension point: picks the next actor and transfers to it directly,
-  /// or falls back to the main context when the heap is empty or a stop
+  /// or falls back to the main context when the queue is empty or a stop
   /// was requested. Rethrows CancelledError on teardown resumes.
   void dispatch_from(Actor* self);
 
@@ -402,7 +434,7 @@ class Scheduler {
   /// The running actor's position: its last competition.
   Pos position() const { return record_pos(seq_ - 1); }
 
-  static constexpr int kLastId = std::numeric_limits<int>::max();
+  static constexpr int kLastId = EventTree::kEmpty.id;
   /// True when `k` lies after history record `seq`, taken at time `t`.
   bool after(const Pos& k, u64 seq, TimePs t) const;
   /// The polls of `w` that popped before `k` (at most its limit).
@@ -428,7 +460,7 @@ class Scheduler {
   void prune();
 
   std::vector<std::unique_ptr<Actor>> actors_;
-  std::vector<HeapEntry> heap_;
+  EventTree queue_;
   u64 dispatched_ = 0;
   u64 parked_polls_ = 0;
   TimePs pop_floor_ = 0;  // the latest pop time so far

@@ -47,7 +47,7 @@ ParkResume Scheduler::park(const PollTrain& train, u64 limit,
   self->watch_ = &w;
   ++active_watches_;
   self->state_ = Actor::State::kBlocked;
-  heap_push(*self, train.at(limit));
+  queue_.set(self->id_, train.at(limit));
   try {
     dispatch_from(self);
   } catch (const CancelledError&) {
@@ -242,7 +242,7 @@ void Scheduler::word_ready(std::span<Actor* const> waiters, bool tas) {
       if (next < w.limit) {
         w.limit = next;
         w.limit_quiet = true;
-        heap_move(*a, w.train.at(next));
+        queue_.set(a->id_, w.train.at(next));
       }
     }
     return;
@@ -283,13 +283,13 @@ void Scheduler::word_ready(std::span<Actor* const> waiters, bool tas) {
     if (n.r.read) {
       w.end_seq = seq_ - 1;
       w.end_t = last_.t;
-      heap_move(*n.a, n.lo.t);
+      queue_.set(n.a->id_, n.lo.t);
       n.a->state_ = Actor::State::kScheduled;  // as a split poll's entry
       unpark(*n.a, n.r);
     } else if (n.r.polls < w.limit) {
       w.limit = n.r.polls;
       w.limit_quiet = true;
-      heap_move(*n.a, n.lo.t);
+      queue_.set(n.a->id_, n.lo.t);
     }
   }
 }

@@ -286,7 +286,7 @@ TEST(SpinWaitHook, TiedWaitersPopInIdOrder) {
   // Cores 2 and 3 share a tile, so they sit at the same distance from
   // register 0, and they start together: every poll of one ties on time
   // with a poll of the other until one gets the lock, and the wheel must
-  // order each tie as the heap does. (SchedulerWheel tests force the
+  // order each tie as the event queue does. (SchedulerWheel tests force the
   // wheel's ties directly.)
   const scc::ChipConfig cfg = config_for(4);
   const auto run = [&](Loop loop) {

@@ -129,8 +129,8 @@ TEST(Cache, GeometryDerivedCorrectly) {
 }
 
 TEST(Cache, EveryWayOfTheFirstAndLastSetKeepsItsOwnPayload) {
-  // L2 geometry. Each line's payload is found from its header's index, so
-  // filling both ends of the slab checks that derivation at its limits.
+  // L2 geometry. Each line's payload follows its header in one record, so
+  // filling both ends of the record array checks the stride at its limits.
   Cache c(256 * 1024, 4, kLine);
   const u32 last = c.num_sets() - 1;
   const u64 tag_stride = u64{c.num_sets()} * kLine;  // same set, next tag

@@ -1,11 +1,14 @@
 // Unit tests for the discrete-event scheduler: ordering, determinism,
 // block/wake semantics, timeouts and deadlock detection, and pops that
-// never go back in time. (spin_wait_hook_test.cpp covers parked waits.)
+// never go back in time, and the event queue against an ordered set.
+// (spin_wait_hook_test.cpp covers parked waits.)
 #include "sim/scheduler.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -278,9 +281,9 @@ TEST(Scheduler, WakeStormKeepsHeapBounded) {
   // queued a fresh generation-stamped heap entry on every wake() and
   // left the superseded one behind as a tombstone, so a wake storm on
   // blocked-with-timeout actors grew the heap without bound until the
-  // pops caught up. The indexed heap re-keys in place: at any instant
-  // there is at most one entry per actor, so the heap can never exceed
-  // the actor count no matter how many wakes land.
+  // pops caught up. The queue re-keys in place: at any instant there is
+  // at most one entry per actor, so the queue can never exceed the actor
+  // count no matter how many wakes land.
   Scheduler s;
   constexpr int kSleepers = 32;
   constexpr u64 kRounds = 200;
@@ -296,7 +299,7 @@ TEST(Scheduler, WakeStormKeepsHeapBounded) {
       }
     }));
   }
-  std::size_t max_heap = 0;
+  std::size_t max_queued = 0;
   s.spawn("storm", [&] {
     u32 lcg = 0xdecafu;
     for (u64 r = 0; r < kRounds; ++r) {
@@ -306,7 +309,7 @@ TEST(Scheduler, WakeStormKeepsHeapBounded) {
         lcg = lcg * 1664525u + 1013904223u;
         Actor& target = *sleepers[lcg % kSleepers];
         s.wake(target, s.current()->clock() + 1 + lcg % 97);
-        max_heap = std::max(max_heap, s.heap_size());
+        max_queued = std::max(max_queued, s.queue_size());
       }
       s.current()->advance(4'000);
       s.yield();
@@ -316,7 +319,7 @@ TEST(Scheduler, WakeStormKeepsHeapBounded) {
   EXPECT_GT(woken, 0u);
   // +1 for the storm actor itself. The old implementation peaked at
   // thousands of entries under this load.
-  EXPECT_LE(max_heap, static_cast<std::size_t>(kSleepers) + 1);
+  EXPECT_LE(max_queued, static_cast<std::size_t>(kSleepers) + 1);
 }
 
 
@@ -447,8 +450,8 @@ TEST(SchedulerWheel, MixedRunPopsNeverGoBackInTime) {
 
 TEST(SchedulerYield, LosingYieldersPopInTimeAndIdOrder) {
   // A convoy of yielders whose random steps put most of them behind the
-  // heap root when they yield: the loser takes the root's heap slot (one
-  // sift). In the second run four sleepers also sleep in short and long
+  // queue's root when they yield: the loser is queued as the root pops.
+  // In the second run four sleepers also sleep in short and long
   // steps. Every pop, a yielder's resume or a sleeper's timeout, must
   // come in the (time, id) order of the reference: each actor's own
   // sequence of times, merged and sorted.
@@ -461,7 +464,7 @@ TEST(SchedulerYield, LosingYieldersPopInTimeAndIdOrder) {
     std::vector<PopAt> pops;  // resumes, as they come
     std::vector<PopAt> reference;
     std::size_t live = 0;
-    bool heap_bounded = true;
+    bool queue_bounded = true;
     for (int i = 0; i < kYielders; ++i) {
       // Steps on a 500 ps grid: many pops tie on time.
       const TimePs start = 500 * rng.next_below(8);
@@ -477,7 +480,7 @@ TEST(SchedulerYield, LosingYieldersPopInTimeAndIdOrder) {
         for (const TimePs step : steps) {
           pops.push_back({s.current()->clock(), i});
           // The running actor holds no entry; every other, at most one.
-          heap_bounded = heap_bounded && s.heap_size() < live;
+          queue_bounded = queue_bounded && s.queue_size() < live;
           s.current()->advance(step);
           s.yield();
         }
@@ -512,10 +515,91 @@ TEST(SchedulerYield, LosingYieldersPopInTimeAndIdOrder) {
       ASSERT_EQ(pops[i].at, reference[i].at) << "pop " << i;
       ASSERT_EQ(pops[i].id, reference[i].id) << "pop " << i;
     }
-    EXPECT_TRUE(heap_bounded);
+    EXPECT_TRUE(queue_bounded);
     EXPECT_EQ(s.backward_pops(), 0u);
     EXPECT_EQ(s.late_timeouts(), 0u);
-    EXPECT_EQ(s.heap_size(), 0u);
+    EXPECT_EQ(s.queue_size(), 0u);
+  }
+}
+
+TEST(EventTree, MatchesAnOrderedSetUnderRandomOps) {
+  // Differential test of the event queue: random pushes, re-keys up and
+  // down, removals and pops, checked after every step against a
+  // std::set of (time, id). Times come from a tiny range, so most
+  // entries tie on time and the id decides; a few sit at kTimeNever and
+  // must still beat an empty leaf. The leaves grow past powers of two
+  // with entries live, the last leaf among them.
+  Rng rng(35);
+  EventTree tree;
+  std::set<std::pair<TimePs, int>> ref;
+  std::vector<std::optional<TimePs>> queued;  // per id
+  const auto draw = [&] {
+    return rng.next_below(50) == 0 ? kTimeNever : rng.next_below(8);
+  };
+  const auto put = [&](int id, TimePs t) {
+    if (queued[id]) ref.erase({*queued[id], id});
+    tree.set(id, t);
+    ref.insert({t, id});
+    queued[id] = t;
+  };
+  const auto drop = [&](int id) {
+    tree.erase(id);
+    ref.erase({*queued[id], id});
+    queued[id].reset();
+  };
+  const auto check = [&](const char* step) {
+    ASSERT_EQ(tree.empty(), ref.empty()) << step;
+    const OrderKey top = tree.top();
+    if (ref.empty()) {
+      EXPECT_EQ(top.t, EventTree::kEmpty.t) << step;
+      EXPECT_EQ(top.id, EventTree::kEmpty.id) << step;
+    } else {
+      ASSERT_EQ(top.t, ref.begin()->first) << step;
+      ASSERT_EQ(top.id, ref.begin()->second) << step;
+    }
+  };
+  u64 pops = 0;
+  for (const std::size_t ids : {3, 4, 5, 8, 9, 33, 64, 65, 200}) {
+    // Queue the highest id so far across the growth.
+    if (!queued.empty()) put(static_cast<int>(queued.size() - 1), draw());
+    const std::size_t live = ref.size();
+    tree.fit(ids);
+    queued.resize(ids);
+    ASSERT_EQ(tree.size(), live);
+    check("fit");
+    if (HasFailure()) return;  // later steps would index a wrong top
+    for (int op = 0; op < 3000; ++op) {
+      const int id = static_cast<int>(rng.next_below(ids));
+      const u64 kind = rng.next_below(5);
+      if (kind == 0) {  // pop
+        if (ref.empty()) continue;
+        drop(tree.top().id);
+        ++pops;
+        check("pop");
+      } else if (!queued[id]) {  // push
+        put(id, draw());
+        check("push");
+      } else if (kind == 1 && *queued[id] < kTimeNever) {  // re-key up
+        put(id, *queued[id] + 1 + rng.next_below(3));
+        check("re-key up");
+      } else if (kind == 2 && *queued[id] > 0) {  // re-key down
+        const TimePs t = *queued[id];
+        put(id, t == kTimeNever ? rng.next_below(8) : rng.next_below(t));
+        check("re-key down");
+      } else {  // remove
+        drop(id);
+        check("remove");
+      }
+      ASSERT_EQ(tree.contains(id), queued[id].has_value());
+      if (HasFailure()) return;
+    }
+    ASSERT_EQ(tree.size(), ref.size());
+  }
+  EXPECT_GT(pops, 1000u);
+  while (!ref.empty()) {
+    drop(tree.top().id);
+    check("drain");
+    if (HasFailure()) return;
   }
 }
 
