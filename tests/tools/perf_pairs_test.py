@@ -67,13 +67,26 @@ class PerfPairsTest(unittest.TestCase):
         self.assertAlmostEqual(
             perf_pairs.raw_cpu_s(laplace_stderr([2.5, 2.1, 2.3])), 2.3)
 
-    def test_raw_cpu_of_a_kv_invocation_is_its_set_up(self):
+    def test_a_kv_invocation_has_no_raw_cpu(self):
+        # Its set-up seconds are not the raw counterpart of host_s.
         lines = ["kv-zipf-48: set-up 0.012 s host, serving 0.640 s at "
                  "reference speed; p50 4.5 us, p999 9.0 us, max 20.0 us "
                  "virtual; 100 issued, 0 timeouts, 0 unfinished, 0 "
                  "retransmits"]
-        self.assertAlmostEqual(perf_pairs.raw_cpu_s(lines), 0.012)
-        self.assertIsNone(perf_pairs.raw_cpu_s(["perfbench: nothing"]))
+        self.assertIsNone(perf_pairs.raw_cpu_s(lines))
+
+    def test_invocations_run_for_the_benchmarks_run_seconds(self):
+        with tempfile.NamedTemporaryFile("w", suffix=".json") as bench:
+            json.dump({"run_seconds": 7, "end_to_end": []}, bench)
+            bench.flush()
+            cmd = perf_pairs.command("kv-zipf-48", 12, bench.name)
+        self.assertEqual(cmd[1:], ["perfbench/run.py", "--workload",
+                                   "kv-zipf-48", "--seed", "12",
+                                   "--seconds", "7", "--trace", "0"])
+        proc = subprocess.run(
+            [sys.executable, str(TOOL), "--seconds", "10", "--replay", "x"],
+            capture_output=True, text=True)
+        self.assertEqual(proc.returncode, 2)
 
     def test_summary_counts_wins_by_direction(self):
         out = io.StringIO()

@@ -2,26 +2,29 @@
 """Before/after pairs of the repository benchmark in two checkouts.
 
     tools/perf_pairs.py --parent DIR --change DIR --workload NAME \\
-        --seeds 11-20 [--metric host_s] [--seconds 36] [--log FILE]
+        --seeds 11-20 [--metric host_s] [--log FILE]
     tools/perf_pairs.py --replay FILE [--metric host_s]
 
 Runs `python3 perfbench/run.py --workload NAME --seed S --seconds N
---trace 0` once in each checkout per seed, alternating which side goes
-first (the parent in the first pair), and prints:
+--trace 0` once in each checkout per seed, N being BENCHMARK.json's
+run_seconds, alternating which side goes first (the parent in the first
+pair), and prints:
 
   - each pair's value of the named metric and which side won it;
   - every end-to-end metric's median and interquartile range per side;
   - how many pairs the change won on the named metric, and whether its
     median beats the parent's by more than the parent's IQR;
   - the median raw CPU seconds per side, read from perfbench's stderr
-    ("measured X s host" of the untraced Laplace runs, "set-up X s host"
-    of the KV passes): the scaled metrics move with perfbench's speed
-    probe, the raw seconds do not;
+    ("measured X s host" of the untraced Laplace runs): the scaled
+    metrics move with perfbench's speed probe, the raw seconds do not.
+    The KV workload prints its serving time only at reference speed, so
+    it has no raw counterpart of host_s and reads n/a;
   - the failed share of operations per side.
 
 --log writes one JSON record per invocation (side, seed, result line and
 stderr lines); --replay summarises such a file without running anything.
-Metric names and directions come from BENCHMARK.json next to this tool.
+Metric names, directions and the run length come from BENCHMARK.json
+next to this tool.
 Exits 1 when an invocation fails, 2 on a usage error.
 """
 
@@ -34,17 +37,23 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = ROOT / "BENCHMARK.json"
 SIDES = ("parent", "change")
-RAW_PATTERNS = (
-    re.compile(r"untraced run: .* measured ([0-9.]+) s host"),
-    re.compile(r": set-up ([0-9.]+) s host, serving"),
-)
+RAW_PATTERN = re.compile(r"untraced run: .* measured ([0-9.]+) s host")
 
 
-def end_to_end_spec(path=ROOT / "BENCHMARK.json"):
+def end_to_end_spec(path=BENCHMARK):
     """[(name, better)] of the benchmark's end-to-end metrics."""
     spec = json.loads(Path(path).read_text())
     return [(m["name"], m["better"]) for m in spec["end_to_end"]]
+
+
+def command(workload, seed, path=BENCHMARK):
+    """One untraced benchmark invocation, run for BENCHMARK.json's
+    run_seconds."""
+    seconds = json.loads(Path(path).read_text())["run_seconds"]
+    return [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
 
 
 def parse_seeds(text):
@@ -61,20 +70,17 @@ def parse_seeds(text):
 
 
 def raw_cpu_s(stderr_lines):
-    """Median raw CPU seconds of one invocation's untraced work, or None."""
-    for pattern in RAW_PATTERNS:
-        values = [float(m.group(1)) for line in stderr_lines
-                  if (m := pattern.search(line))]
-        if values:
-            return statistics.median(values)
-    return None
+    """Median raw CPU seconds of one invocation's untraced Laplace runs,
+    or None."""
+    values = [float(m.group(1)) for line in stderr_lines
+              if (m := RAW_PATTERN.search(line))]
+    return statistics.median(values) if values else None
 
 
-def run_one(checkout, workload, seed, seconds):
+def run_one(checkout, workload, seed):
     """One invocation of the benchmark; returns its record."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    proc = subprocess.run(command(workload, seed), cwd=checkout,
+                          capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     result = None
     if proc.returncode == 0 and lines:
@@ -163,7 +169,6 @@ def main():
     ap.add_argument("--change", type=Path)
     ap.add_argument("--workload")
     ap.add_argument("--seeds")
-    ap.add_argument("--seconds", type=int, default=36)
     ap.add_argument("--metric", default="host_s")
     ap.add_argument("--log", type=Path)
     ap.add_argument("--replay", type=Path)
@@ -188,7 +193,7 @@ def main():
             for side in order:
                 checkout = args.parent if side == "parent" else args.change
                 rec = dict(side=side, **run_one(checkout, args.workload,
-                                                seed, args.seconds))
+                                                seed))
                 records.append(rec)
                 if log:
                     log.write(json.dumps(rec) + "\n")
